@@ -23,7 +23,7 @@ from .gaussian import (GaussianOptimum, GaussianSpec, gamma_gaussian,
                        gaussian_divergence_term, gaussian_exponent,
                        gaussian_mutual_info, sigma_z_star)
 from .security import (FullSecurityInterval, SecurityAnalysis,
-                       classify_rate_point, compute_qstar,
+                       classify_exponent, classify_rate_point, compute_qstar,
                        full_security_interval)
 from .simulate import (EnsembleSpec, SimulationResult, TypeEnumExponent,
                        decoder_log_score, decoder_score, estimate_ensemble_pc,
@@ -39,7 +39,8 @@ __all__ = [
     "FullSecurityInterval", "GaussianOptimum", "GaussianSpec", "ParetoCurve",
     "RatePair", "SecurityAnalysis", "SimulationResult", "SolverError",
     "TypeEnumExponent", "WiretapError", "bsc_exponent_closed_form",
-    "check_degraded", "classify_rate_point", "compute_qstar",
+    "check_degraded", "classify_exponent", "classify_rate_point",
+    "compute_qstar",
     "decoder_log_score", "decoder_score", "entropy", "estimate_ensemble_pc",
     "exact_pc_for_codebook", "exponent_r2_zero", "exponent_rep1",
     "exponent_rep2", "full_security_interval", "gamma_dmc", "gamma_gaussian",

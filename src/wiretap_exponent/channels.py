@@ -25,6 +25,8 @@ SUM_ATOL = 1e-12
 #: per-row tolerance accepted when loading channel-spec files; rows within
 #: this tolerance are renormalized exactly on load
 FILE_SUM_ATOL = 1e-9
+#: default max-norm residual accepted by the degradedness check
+DEFAULT_DEGRADED_TOL = 1e-9
 
 
 def _as_prob_vector(values, what: str) -> np.ndarray:
@@ -252,7 +254,8 @@ class DegradednessResult:
     residual: float
 
 
-def check_degraded(main: Dmc, wiretap: Dmc, tol: float = 1e-9) -> DegradednessResult:
+def check_degraded(main: Dmc, wiretap: Dmc,
+                   tol: float = DEFAULT_DEGRADED_TOL) -> DegradednessResult:
     """Decide whether the wiretap channel is a degraded version of the main one.
 
     Solves the linear feasibility problem for a row-stochastic P_{Z|Y} with

@@ -23,27 +23,30 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import simulate as sim
-from .channels import check_degraded, load_channel_spec
+from .channels import DEFAULT_DEGRADED_TOL, check_degraded, load_channel_spec
 from .errors import BudgetExceededError, ChannelFileError, SolverError
-from .exponent import ExponentSolver, RatePair
-from .gaussian import GaussianSpec, gaussian_exponent
-from .security import classify_rate_point, compute_qstar, full_security_interval
+from .exponent import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, DEFAULT_TABLE_POINTS,
+                       ExponentSolver, RatePair)
+from .gaussian import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL, GaussianSpec,
+                       gaussian_exponent)
+from .security import (DEFAULT_CLASSIFY_TOL, classify_exponent, compute_qstar,
+                       full_security_interval)
 
 LN2 = math.log(2.0)
 
 _DEFAULTS = {
-    "gap_tol": 1e-10,
-    "max_iter": 200_000,
-    "table_points": 65,
-    "classify_tol": 1e-6,
-    "gaussian_grid": 100_000,
-    "refine_tol": 1e-9,
-    "z_budget": 1 << 24,
-    "type_budget": 1 << 24,
-    "codebook_budget": 1 << 22,
-    "z_samples": 256,
+    "gap_tol": DEFAULT_GAP_TOL,
+    "max_iter": DEFAULT_MAX_ITER,
+    "table_points": DEFAULT_TABLE_POINTS,
+    "classify_tol": DEFAULT_CLASSIFY_TOL,
+    "gaussian_grid": DEFAULT_GRID_POINTS,
+    "refine_tol": DEFAULT_REFINE_TOL,
+    "z_budget": sim.DEFAULT_Z_BUDGET,
+    "type_budget": sim.DEFAULT_TYPE_BUDGET,
+    "codebook_budget": sim.DEFAULT_CODEBOOK_BUDGET,
+    "z_samples": sim.DEFAULT_Z_SAMPLES,
     "workers": 1,
-    "degraded_tol": 1e-9,
+    "degraded_tol": DEFAULT_DEGRADED_TOL,
 }
 
 
@@ -144,10 +147,9 @@ def _sweep_rows(spec_dict: dict, r1_values, r2_mode, cfg) -> tuple[list, int]:
                 continue
             rates = RatePair(float(r1), float(r2))
             res = solver.exponent_rep1(rates)
-            cls = classify_rate_point(spec, rates, tol=cfg["classify_tol"],
-                                      solver=solver)
             rows.append((rates.r1, rates.r2, res.e, res.e1, res.e2, res.e3,
-                         res.active_branch, cls))
+                         res.active_branch,
+                         classify_exponent(res.e, rates, cfg["classify_tol"])))
     return rows, skipped
 
 

@@ -171,7 +171,7 @@ def _normalize_log_rows(a: np.ndarray, support: np.ndarray) -> np.ndarray:
 def _d_i(w: np.ndarray, p: np.ndarray, q: np.ndarray,
          qz: np.ndarray) -> tuple[float, float]:
     d = float(np.dot(w, rel_entr(q, p).sum(axis=1)))
-    i = float(np.dot(w, rel_entr(q, np.broadcast_to(qz, q.shape)).sum(axis=1)))
+    i = float(np.dot(w, rel_entr(q, qz).sum(axis=1)))
     return d, i
 
 
@@ -323,7 +323,10 @@ class ExponentSolver:
     later inner solve starts from the nearest table entry, which makes each
     solution a deterministic function of its multiplier alone, independent
     of query order.  Rate points can therefore be evaluated concurrently and
-    reproduce bit-for-bit.
+    reproduce bit-for-bit.  For the same reason ``phi`` values (keyed on the
+    clamped target) and embedded test channels (keyed on s) are memoized per
+    instance without changing any result; all caches live and die with the
+    solver.
 
     Parameters
     ----------
@@ -361,6 +364,8 @@ class ExponentSolver:
                                 rel_entr(self._p, qz_p[None, :]).sum(axis=1)))
 
         self._cache: dict[float, _InnerSolution] = {}
+        self._phi_cache: dict[float, tuple[float, _InnerSolution]] = {}
+        self._embed_cache: dict[float, ConditionalChannel] = {}
         self._table_s = np.linspace(2.0, 0.0, int(table_points))
         self._table: list[_InnerSolution] = []
         log_q = np.where(self._support, self._log_p, _LOGZERO)
@@ -368,6 +373,7 @@ class ExponentSolver:
             sol = self._solve_key(self._key(float(s)), log_q)
             self._table.append(sol)
             log_q = sol.log_q
+        self._table_i = np.array([sol.i for sol in self._table])  # ascending
         self.i_min = self._table[0].i
         self.i_max = self._table[-1].i
         self.d_at_imax = self._table[-1].d
@@ -399,12 +405,16 @@ class ExponentSolver:
         return sol
 
     def _embed(self, sol: _InnerSolution) -> ConditionalChannel:
-        rows = np.array(self.spec.wiretap.rows, dtype=float)
-        q = sol.q / sol.q.sum(axis=1, keepdims=True)
-        block = np.zeros((q.shape[0], rows.shape[1]))
-        block[:, self._keep_z] = q
-        rows[self._keep_x] = block
-        return ConditionalChannel(rows, self.spec.input_dist)
+        channel = self._embed_cache.get(sol.s)
+        if channel is None:
+            rows = np.array(self.spec.wiretap.rows, dtype=float)
+            q = sol.q / sol.q.sum(axis=1, keepdims=True)
+            block = np.zeros((q.shape[0], rows.shape[1]))
+            block[:, self._keep_z] = q
+            rows[self._keep_x] = block
+            channel = ConditionalChannel(rows, self.spec.input_dist)
+            self._embed_cache[sol.s] = channel
+        return channel
 
     # -- public operations ----------------------------------------------
 
@@ -446,9 +456,8 @@ class ExponentSolver:
             return -1.0
         if target <= self.i_min:
             return 1.0
-        ii = np.array([sol.i for sol in self._table])  # ascending along list
-        j = int(np.searchsorted(ii, target, side="left"))
-        j = min(max(j, 1), len(ii) - 1)
+        j = int(np.searchsorted(self._table_i, target, side="left"))
+        j = min(max(j, 1), len(self._table_i) - 1)
         mu_hi = float(self._table_s[j - 1] - 1.0)   # I <= target here
         mu_lo = float(self._table_s[j] - 1.0)       # I >= target here
         f_lo = self._solve_s(1.0 + mu_lo).i - target
@@ -468,9 +477,13 @@ class ExponentSolver:
         accurate elsewhere.  ``target_i`` is clamped to the attained range.
         """
         target = min(max(target_i, self.i_min), self.i_max)
-        mu = self._mu_for_i(target)
-        sol = self._solve_s(1.0 + mu)
-        return max(sol.f - mu * target, 0.0), sol
+        hit = self._phi_cache.get(target)
+        if hit is None:
+            mu = self._mu_for_i(target)
+            sol = self._solve_s(1.0 + mu)
+            hit = (max(sol.f - mu * target, 0.0), sol)
+            self._phi_cache[target] = hit
+        return hit
 
     def exponent_rep1(self, rates: RatePair) -> ExponentResult:
         """Branch-form evaluation of E(R1, R2).

@@ -147,11 +147,19 @@ def classify_rate_point(spec: ChannelSpec, rates: RatePair,
                         **kwargs) -> str:
     """Classify a rate pair as ``"ZERO"``, ``"PARTIAL"`` or ``"FULL"``.
 
-    ZERO when E <= tol; FULL when E is within tol of R1 - R2 and that gap
-    exceeds tol; PARTIAL otherwise.
+    Evaluates E(R1, R2) and applies :func:`classify_exponent`.
     """
     sv = _resolve(spec, solver, kwargs)
-    e = sv.exponent_rep1(rates).e
+    return classify_exponent(sv.exponent_rep1(rates).e, rates, tol)
+
+
+def classify_exponent(e: float, rates: RatePair,
+                      tol: float = DEFAULT_CLASSIFY_TOL) -> str:
+    """Classify an already computed exponent ``e`` at ``rates``.
+
+    ZERO when e <= tol; FULL when e is within tol of R1 - R2 and that gap
+    exceeds tol; PARTIAL otherwise.
+    """
     if e <= tol:
         return "ZERO"
     if rates.r > tol and abs(e - rates.r) <= tol:

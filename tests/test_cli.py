@@ -4,7 +4,11 @@ import math
 import pytest
 
 import wiretap_exponent as wx
+from wiretap_exponent import channels, cli, exponent, gaussian, security, simulate
 from wiretap_exponent.cli import main
+from wiretap_exponent.exponent import ExponentSolver
+
+from conftest import ASYM_3X3_INPUT, ASYM_3X3_ROWS
 
 LN2 = math.log(2.0)
 
@@ -136,6 +140,40 @@ class TestSweepCommand:
         _, seq, _ = run(capsys, base)
         _, par, _ = run(capsys, base + ["--workers", "2"])
         assert seq == par
+
+    def test_workers_match_sequential_asymmetric(self, capsys, channel_file):
+        path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
+        base = ["sweep", path, "--r1-grid", "0:1.2:9",
+                "--r2-fractions", "0:1:7"]
+        _, seq, _ = run(capsys, base + ["--workers", "1"])
+        _, par, _ = run(capsys, base + ["--workers", "2"])
+        assert seq == par
+        classes = {line.rsplit(",", 1)[1] for line in seq.splitlines()[1:]}
+        assert classes == {"ZERO", "PARTIAL", "FULL"}
+
+    def test_one_exponent_evaluation_per_row(self, capsys, channel_file,
+                                             monkeypatch):
+        calls = {"rep1": 0, "classify": 0}
+        rep1 = ExponentSolver.exponent_rep1
+        classify = security.classify_rate_point
+
+        def counted_rep1(self, rates):
+            calls["rep1"] += 1
+            return rep1(self, rates)
+
+        def counted_classify(*args, **kwargs):
+            calls["classify"] += 1
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(ExponentSolver, "exponent_rep1", counted_rep1)
+        for module in (security, cli):
+            monkeypatch.setattr(module, "classify_rate_point",
+                                counted_classify, raising=False)
+        path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
+        code, out, _ = run(capsys, ["sweep", path, "--r1-grid", "0.1:1.1:5",
+                                    "--r2-fractions", "0:1:4"])
+        assert code == 0
+        assert calls == {"rep1": len(out.splitlines()) - 1, "classify": 0}
 
     def test_requires_exactly_one_r2_mode(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
@@ -290,6 +328,22 @@ class TestConfig:
         ref_code, ref_out, _ = run(capsys, ["exponent", path, "--r1", "0.6",
                                             "--r2", "0.1"])
         assert out2 == ref_out
+
+    def test_defaults_are_module_constants(self):
+        assert cli._DEFAULTS == {
+            "gap_tol": exponent.DEFAULT_GAP_TOL,
+            "max_iter": exponent.DEFAULT_MAX_ITER,
+            "table_points": exponent.DEFAULT_TABLE_POINTS,
+            "classify_tol": security.DEFAULT_CLASSIFY_TOL,
+            "gaussian_grid": gaussian.DEFAULT_GRID_POINTS,
+            "refine_tol": gaussian.DEFAULT_REFINE_TOL,
+            "z_budget": simulate.DEFAULT_Z_BUDGET,
+            "type_budget": simulate.DEFAULT_TYPE_BUDGET,
+            "codebook_budget": simulate.DEFAULT_CODEBOOK_BUDGET,
+            "z_samples": simulate.DEFAULT_Z_SAMPLES,
+            "workers": 1,
+            "degraded_tol": channels.DEFAULT_DEGRADED_TOL,
+        }
 
     def test_unknown_config_key(self, capsys, channel_file, tmp_path):
         path = channel_file(*BSC01_ARGS)

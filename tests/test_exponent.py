@@ -7,7 +7,8 @@ from scipy.special import rel_entr, xlogy
 import wiretap_exponent as wx
 from wiretap_exponent.exponent import ExponentSolver
 
-from conftest import make_bsc, random_channel, random_test_channel
+from conftest import (make_asym_3x3, make_bsc, random_channel,
+                      random_test_channel)
 
 LN2 = math.log(2.0)
 
@@ -385,3 +386,24 @@ class TestDeterminism:
         res_fwd = [s1.exponent_rep1(r).e for r in pairs]
         res_rev = [s2.exponent_rep1(r).e for r in reversed(pairs)]
         assert res_fwd == list(reversed(res_rev))
+
+    def test_memoized_queries_match_fresh_solver(self):
+        spec = make_asym_3x3()
+        warm = ExponentSolver(spec)
+        # targets below I_min and above I_max exercise the clamped keys
+        targets = [float(t) for t in np.linspace(0.0, 1.2, 7)]
+        pairs = [wx.RatePair(r1, f * r1) for r1 in (0.2, 0.6, 1.0)
+                 for f in (0.0, 0.5)]
+        phi_fwd = [warm.phi(t)[0] for t in targets]
+        res_fwd = [warm.exponent_rep1(p) for p in pairs]
+        phi_rev = [warm.phi(t)[0] for t in reversed(targets)][::-1]
+        res_rev = [warm.exponent_rep1(p) for p in reversed(pairs)][::-1]
+        for t, a, b in zip(targets, phi_fwd, phi_rev):
+            assert a == b == ExponentSolver(spec).phi(t)[0]
+        for p, a, b in zip(pairs, res_fwd, res_rev):
+            fresh = ExponentSolver(spec).exponent_rep1(p)
+            for res in (a, b):
+                assert (res.e, res.e1, res.e2, res.e3, res.active_branch) == \
+                    (fresh.e, fresh.e1, fresh.e2, fresh.e3,
+                     fresh.active_branch)
+                assert res.q_star.rows.tobytes() == fresh.q_star.rows.tobytes()

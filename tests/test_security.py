@@ -6,6 +6,7 @@ from scipy.special import rel_entr
 
 import wiretap_exponent as wx
 from wiretap_exponent.exponent import ExponentSolver
+from wiretap_exponent.security import DEFAULT_CLASSIFY_TOL
 
 from conftest import make_asym_3x3, random_channel
 
@@ -149,3 +150,50 @@ class TestClassifyRatePoint:
             if r2 <= b:
                 cond = solver.phi(b)[0] - b
                 assert cond >= -r2 - 1e-5
+
+
+class TestClassifyExponent:
+    def test_rule_at_boundaries(self):
+        tol = 1e-6
+        rates = wx.RatePair(0.5, 0.2)
+        r = rates.r
+        assert wx.classify_exponent(0.0, rates, tol) == "ZERO"
+        assert wx.classify_exponent(tol, rates, tol) == "ZERO"
+        assert wx.classify_exponent(2 * tol, rates, tol) == "PARTIAL"
+        assert wx.classify_exponent(r - 2 * tol, rates, tol) == "PARTIAL"
+        assert wx.classify_exponent(r - 0.5 * tol, rates, tol) == "FULL"
+        assert wx.classify_exponent(r + 0.5 * tol, rates, tol) == "FULL"
+        # FULL needs a message rate above tol; below it E = R1 - R2 is ZERO
+        tiny = wx.RatePair(0.3, 0.3 - 0.5 * tol)
+        assert wx.classify_exponent(tiny.r, tiny, tol) == "ZERO"
+        small = wx.RatePair(0.3, 0.3 - 3 * tol)
+        assert wx.classify_exponent(small.r, small, tol) == "FULL"
+
+    def test_agrees_with_classify_rate_point(self):
+        spec = make_asym_3x3()
+        solver = ExponentSolver(spec)
+        tol = DEFAULT_CLASSIFY_TOL
+        pairs = [wx.RatePair(float(r1), float(f * r1))
+                 for r1 in np.linspace(0.05, 1.2, 8)
+                 for f in (0.0, 0.3, 0.6, 0.9, 1.0)]
+        # E just above 0 (R1 slightly above I(X;Z)), and E within tol of
+        # R1 - R2 on either side of the lower full-security boundary
+        zero_edge = wx.RatePair(solver.i_p + 1e-4, 0.0)
+        e = solver.exponent_rep1(zero_edge).e
+        assert 0.0 < e <= tol
+        pairs.append(zero_edge)
+        for r1 in (0.6, 1.2):
+            lower = wx.full_security_interval(spec, r1, solver=solver).lower
+            for delta, expect in ((0.5 * tol, "FULL"), (2 * tol, "PARTIAL")):
+                edge = wx.RatePair(r1, lower - delta)
+                e = solver.exponent_rep1(edge).e
+                assert wx.classify_exponent(e, edge, tol) == expect
+                pairs.append(edge)
+        seen = set()
+        for rates in pairs:
+            cls = wx.classify_exponent(solver.exponent_rep1(rates).e, rates,
+                                       tol)
+            assert cls == wx.classify_rate_point(spec, rates, tol,
+                                                 solver=solver)
+            seen.add(cls)
+        assert seen == {"ZERO", "PARTIAL", "FULL"}
