@@ -24,13 +24,22 @@ The inner solver runs in the log domain.  For s >= 1 it alternates
 closed-form row updates with output-marginal updates (each step an exact
 partial minimization, so the objective decreases monotonically); for
 s < 1 that surrogate flips sign, so it switches to mirror descent with
-backtracking plus a safeguarded fixed-point jump.  Either way termination
-is by a certified optimality gap: a first-order linearization bound for
+backtracking plus a safeguarded fixed-point jump: the closed-form row
+minimization against the frozen output marginal, a Blahut-Arimoto-type map
+(Arimoto 1976) taken whenever it decreases the true objective.  Where that
+map contracts slowly, a run of plain jumps switches on Anderson mixing
+(Walker & Ni 2011): the last few marginals and their fixed-point residuals
+are combined by least squares into an extrapolated marginal, which is
+mapped through the same row minimization and taken only if it beats the
+plain jump and still decreases the objective.  Either way termination is
+by a certified optimality gap: a first-order linearization bound for
 s >= 1, and a partial-minimization dual bound for s <= 1.
 """
 from __future__ import annotations
 
+import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,6 +51,8 @@ from .channels import ChannelSpec, ConditionalChannel
 from .errors import SolverError
 
 LN2 = math.log(2.0)
+
+_log = logging.getLogger("wiretap_exponent")
 
 #: sentinel for log(0); finite so that scaled arithmetic never produces NaN
 _LOGZERO = -1.0e30
@@ -56,6 +67,11 @@ DEFAULT_TABLE_POINTS = 65
 DEFAULT_CURVE_POINTS = 401
 
 _BRANCH_TIE_TOL = 1e-9
+
+#: consecutive accepted fixed-point jumps before Anderson mixing is tried
+_AA_AFTER = 30
+#: residual differences the Anderson extrapolation combines
+_AA_DEPTH = 6
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +172,7 @@ class _InnerSolution:
     f: float
     gap: float
     iterations: int
+    extrapolations: int = 0
 
 
 def _row_lse(a: np.ndarray) -> np.ndarray:
@@ -232,6 +249,22 @@ def _solve_alternating(w, p, log_p, support, s, log_q, gap_tol, max_iter):
                       best_value=f_prev, residual=gap, iterations=max_iter)
 
 
+def _anderson(history) -> np.ndarray | None:
+    """Anderson-extrapolated log marginal from (marginal, residual) pairs.
+
+    Type-II mixing: the residual of the newest pair is fitted by least
+    squares to the residual differences, and the same combination of the
+    mapped-marginal differences is removed from the newest mapped marginal.
+    Returns None when the combination is not finite.
+    """
+    xs = np.array([x for x, _ in history])
+    rs = np.array([r for _, r in history])
+    gs = xs + rs
+    gamma = np.linalg.lstsq(np.diff(rs, axis=0).T, rs[-1], rcond=None)[0]
+    ext = gs[-1] - np.diff(gs, axis=0).T @ gamma
+    return ext if np.isfinite(ext).all() else None
+
+
 def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
     """One mirror-descent run; returns (solution, converged flag)."""
     eta = 0.5
@@ -242,22 +275,51 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
     uniform = support / support.sum(axis=1, keepdims=True)
     q, qz, d, i, f = _evaluate(w, p, log_q, s)
     gap = math.inf
+
+    def jump(ln_v):
+        # exact row minimization against a frozen output marginal V;
+        # returns (log_q, q, qz, d, i, f) of the minimizing rows
+        rows = _normalize_log_rows(
+            (log_p - (1.0 - s) * ln_v[None, :]) / s, support)
+        return (rows,) + _evaluate(w, p, rows, s)
+
+    # the last log marginals with their fixed-point residuals, recorded
+    # from shortly before the extrapolation can start, and the number of
+    # jumps taken in a row since the last fallback step
+    history = deque(maxlen=_AA_DEPTH + 1)
+    streak = extrapolations = 0
     for it in range(max_iter + 1):
         ln_qz = np.log(np.maximum(qz, _TINY))
         gap = f - _dual_bound(w, log_p, support, s, ln_qz)
         if gap <= gap_tol:
-            return _InnerSolution(s, log_q, q, d, i, f, gap, it), True
+            return _InnerSolution(s, log_q, q, d, i, f, gap, it,
+                                  extrapolations), True
         moved = False
         if s > 0.0:
-            # exact row minimization against the frozen marginal; a safe
-            # accelerator whenever it decreases the true objective
-            cand = _normalize_log_rows(
-                (log_p - (1.0 - s) * ln_qz[None, :]) / s, support)
-            qc, qzc, dc, ic, fc = _evaluate(w, p, cand, s)
-            if fc <= f - 1e-15:
-                log_q, q, qz, d, i, f = cand, qc, qzc, dc, ic, fc
+            # the jump against the current marginal is a safe accelerator
+            # whenever it decreases the true objective
+            cand = jump(ln_qz)
+            if streak >= _AA_AFTER - _AA_DEPTH:
+                history.append(
+                    (ln_qz, np.log(np.maximum(cand[2], _TINY)) - ln_qz))
+            extrapolated = False
+            if streak >= _AA_AFTER:
+                # the plain jumps keep being accepted but contract slowly;
+                # jump from the Anderson-extrapolated marginal as well and
+                # keep whichever candidate is lower
+                ext = _anderson(history)
+                if ext is not None:
+                    cand_x = jump(ext)
+                    if cand_x[5] < cand[5]:
+                        cand, extrapolated = cand_x, True
+            if cand[5] <= f - 1e-15:
+                log_q, q, qz, d, i, f = cand
                 moved = True
+                streak += 1
+                extrapolations += extrapolated
         if not moved:
+            history.clear()
+            streak = 0
             ghat = np.where(support,
                             s * log_q - log_p + (1.0 - s) * ln_qz[None, :],
                             0.0)
@@ -284,8 +346,10 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
                     moved = True
                     break
         if not moved:
-            return _InnerSolution(s, log_q, q, d, i, f, gap, it), False
-    return _InnerSolution(s, log_q, q, d, i, f, gap, max_iter), False
+            return _InnerSolution(s, log_q, q, d, i, f, gap, it,
+                                  extrapolations), False
+    return _InnerSolution(s, log_q, q, d, i, f, gap, max_iter,
+                          extrapolations), False
 
 
 def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
@@ -295,17 +359,26 @@ def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
     # dual bound is only first-order tight in the marginal and bottoms out
     # around 1e-8 while the value itself is converged, hence the relaxed
     # stall ceiling; the achieved gap is recorded on the solution.
-    starts = [log_q, np.where(support, log_p, _LOGZERO),
-              np.where(support, 0.0, _LOGZERO)]
+    starts = (("warm start", log_q),
+              ("true channel", np.where(support, log_p, _LOGZERO)),
+              ("uniform rows", np.where(support, 0.0, _LOGZERO)))
     best = None
-    for start in starts:
+    for name, start in starts:
         sol, converged = _mirror_run(w, p, log_p, support, s, start,
                                      gap_tol, max_iter)
+        if sol.extrapolations:
+            _log.debug("mirror run from %s at s=%.9g took %d Anderson steps "
+                       "in %d iterations", name, s, sol.extrapolations,
+                       sol.iterations)
         if converged:
             return sol
+        _log.debug("mirror run from %s stalled at s=%.9g with gap %.3g after "
+                   "%d iterations", name, s, sol.gap, sol.iterations)
         if best is None or sol.gap < best.gap:
             best = sol
     if best.gap <= max(100 * gap_tol, 1e-6):
+        _log.debug("mirror descent at s=%.9g accepts stalled gap %.3g "
+                   "(gap_tol %.3g)", s, best.gap, gap_tol)
         return best
     raise SolverError(f"mirror descent stalled at s={s:.9g}",
                       best_value=best.f, residual=best.gap,
@@ -338,12 +411,15 @@ class ExponentSolver:
     max_iter : int
         Iteration cap per inner solve.
     table_points : int
-        Size of the precomputed multiplier table.
+        Size of the precomputed multiplier table; at least 2, so that the
+        table spans both ends of the multiplier range.
     """
 
     def __init__(self, spec: ChannelSpec, *, gap_tol: float = DEFAULT_GAP_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
                  table_points: int = DEFAULT_TABLE_POINTS):
+        if int(table_points) < 2:
+            raise ValueError(f"table_points = {table_points} must be at least 2")
         self.spec = spec
         self.gap_tol = float(gap_tol)
         self.max_iter = int(max_iter)

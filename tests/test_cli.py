@@ -8,7 +8,7 @@ from wiretap_exponent import channels, cli, exponent, gaussian, security, simula
 from wiretap_exponent.cli import main
 from wiretap_exponent.exponent import ExponentSolver
 
-from conftest import ASYM_3X3_INPUT, ASYM_3X3_ROWS
+from conftest import ASYM_3X3_INPUT, ASYM_3X3_ROWS, SLOW_FIXED_POINT
 
 LN2 = math.log(2.0)
 
@@ -39,6 +39,14 @@ class TestExponentCommand:
                             "rep2", "lambda1", "lambda2", "rep_discrepancy"}
         assert abs(float(rec["rep_discrepancy"])) <= 1e-4
         assert float(rec["E"]) == pytest.approx(0.0534188, abs=1e-5)
+
+    def test_extrapolating_solves_keep_stderr_empty(self, capsys):
+        # the solver's debug records stay off stderr by default
+        code, out, err = run(capsys, ["exponent", SLOW_FIXED_POINT,
+                                      "--r1", "1.15", "--r2", "0.5"])
+        assert code == 0
+        assert err == ""
+        assert abs(float(record_to_dict(out)["rep_discrepancy"])) <= 1e-6
 
     def test_equal_rates_zero(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
@@ -134,14 +142,18 @@ class TestSweepCommand:
         _, out2, _ = run(capsys, args)
         assert out1 == out2
 
-    def test_workers_match_sequential(self, capsys, channel_file):
+    def test_workers_match_sequential(self, capsys, channel_file,
+                                      monkeypatch):
+        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 1)
         path = channel_file(*BSC01_ARGS)
         base = ["sweep", path, "--r1-grid", "0.2:0.8:3", "--r2-grid", "0:0.4:3"]
         _, seq, _ = run(capsys, base)
         _, par, _ = run(capsys, base + ["--workers", "2"])
         assert seq == par
 
-    def test_workers_match_sequential_asymmetric(self, capsys, channel_file):
+    def test_workers_match_sequential_asymmetric(self, capsys, channel_file,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 1)
         path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
         base = ["sweep", path, "--r1-grid", "0:1.2:9",
                 "--r2-fractions", "0:1:7"]
@@ -150,6 +162,51 @@ class TestSweepCommand:
         assert seq == par
         classes = {line.rsplit(",", 1)[1] for line in seq.splitlines()[1:]}
         assert classes == {"ZERO", "PARTIAL", "FULL"}
+
+    def test_workers_match_sequential_extrapolating(self, capsys,
+                                                    monkeypatch):
+        # R1 near 1.15 puts phi's root-finding on the s ~ 0.51 solves that
+        # take Anderson steps
+        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 1)
+        base = ["sweep", SLOW_FIXED_POINT, "--r1-grid", "1.0:1.16:3",
+                "--r2-fractions", "0:1:3"]
+        _, seq, _ = run(capsys, base + ["--workers", "1"])
+        _, par, _ = run(capsys, base + ["--workers", "2"])
+        assert seq == par
+        assert len(seq.splitlines()) == 10
+
+    def test_fanout_needs_enough_points_per_worker(self, capsys,
+                                                   channel_file, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 10)
+        path = channel_file(*BSC01_ARGS)
+        base = ["sweep", path, "--r2-fractions", "0:1:4", "--workers", "3"]
+        _, seq, _ = run(capsys, base[:4] + ["--r1-grid", "0.2:0.8:5"])
+        run(capsys, base + ["--r1-grid", "0.2:0.8:2"])    # 8 points
+        assert pools == []
+        _, par, _ = run(capsys, base + ["--r1-grid", "0.2:0.8:5"])
+        assert pools == [2]                               # 20 points
+        assert par == seq
+
+    def test_fanout_threshold_splits_the_reference_planes(self):
+        # measured: the 41x41 BSC plane is faster in-process, so it stays
+        # there with two workers; the 101x101 plane still fans out
+        assert 41 * 41 < 2 * cli._SWEEP_POINTS_PER_WORKER <= 101 * 101
 
     def test_one_exponent_evaluation_per_row(self, capsys, channel_file,
                                              monkeypatch):
@@ -344,6 +401,33 @@ class TestConfig:
             "workers": 1,
             "degraded_tol": channels.DEFAULT_DEGRADED_TOL,
         }
+
+    @pytest.mark.parametrize("value", [None, "10", True, [1]],
+                             ids=["null", "string", "bool", "list"])
+    @pytest.mark.parametrize("key", ["max_iter", "gap_tol", "table_points",
+                                     "workers"])
+    def test_non_numeric_setting_rejected(self, capsys, channel_file,
+                                          tmp_path, key, value):
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.5",
+                                      "--r2", "0.1", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_table_points_below_two_rejected(self, capsys, channel_file,
+                                             tmp_path, points):
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"table_points": points}), encoding="utf-8")
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.5",
+                                      "--r2", "0.1", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "table_points" in err
 
     def test_unknown_config_key(self, capsys, channel_file, tmp_path):
         path = channel_file(*BSC01_ARGS)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from scipy.special import rel_entr, xlogy
 
 import wiretap_exponent as wx
+from wiretap_exponent import exponent
 from wiretap_exponent.exponent import ExponentSolver
 
-from conftest import (make_asym_3x3, make_bsc, random_channel,
-                      random_test_channel)
+from conftest import (SLOW_FIXED_POINT, make_asym_3x3, make_bsc,
+                      random_channel, random_test_channel)
 
 LN2 = math.log(2.0)
 
@@ -407,3 +409,58 @@ class TestDeterminism:
                     (fresh.e, fresh.e1, fresh.e2, fresh.e3,
                      fresh.active_branch)
                 assert res.q_star.rows.tobytes() == fresh.q_star.rows.tobytes()
+
+
+class TestAndersonStep:
+    """The s < 1 solver extrapolates only after a long run of plain jumps."""
+
+    @pytest.fixture(scope="class")
+    def slow(self):
+        return ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT))
+
+    def test_plain_jumps_alone_crawl(self, slow, monkeypatch):
+        # from the neighbouring table entry, 500 plain jumps do not certify
+        monkeypatch.setattr(exponent, "_AA_AFTER", 10**9)
+        j = int(np.flatnonzero(slow._table_s == 0.5)[0])
+        sol, converged = exponent._mirror_run(
+            slow._w, slow._p, slow._log_p, slow._support, 0.5,
+            slow._table[j - 1].log_q, slow.gap_tol, 500)
+        assert not converged and sol.gap > slow.gap_tol
+        assert sol.extrapolations == 0
+
+    def test_extrapolation_certifies_quickly(self, slow):
+        sol = slow._cache[0.5]
+        assert sol.gap <= slow.gap_tol
+        assert sol.iterations < 500
+        assert sol.extrapolations > 0
+
+    @pytest.mark.parametrize("spec", [make_asym_3x3(), make_bsc(0.1)],
+                             ids=["asym3x3", "bsc01"])
+    def test_short_solves_untouched(self, spec):
+        solver = ExponentSolver(spec)
+        assert all(sol.extrapolations == 0 for sol in solver._table)
+        assert max(sol.iterations for sol in solver._table) <= \
+            exponent._AA_AFTER
+
+    def test_query_order_independent(self, slow):
+        spec = wx.load_channel_spec(SLOW_FIXED_POINT)
+        j = int(np.flatnonzero(slow._table_s == 0.5)[0])
+        # targets between the s = 0.53125 and s = 0.5 table entries
+        targets = [float(t) for t in
+                   np.linspace(slow._table_i[j - 1], slow._table_i[j], 5)[1:-1]]
+        fwd, rev = ExponentSolver(spec), ExponentSolver(spec)
+        a = [fwd.phi(t) for t in targets]
+        b = [rev.phi(t) for t in reversed(targets)][::-1]
+        assert any(sol.extrapolations for _, sol in a)
+        for (va, sa), (vb, sb) in zip(a, b):
+            assert va == vb
+            assert sa.log_q.tobytes() == sb.log_q.tobytes()
+
+    def test_debug_records(self, caplog):
+        spec = wx.load_channel_spec(SLOW_FIXED_POINT)
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            ExponentSolver(spec)
+        text = "\n".join(r.getMessage() for r in caplog.records)
+        assert "took 1 Anderson steps" in text
+        assert "mirror run from true channel stalled at s=0" in text
+        assert "accepts stalled gap" in text
