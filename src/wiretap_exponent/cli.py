@@ -74,8 +74,12 @@ def _settings(args) -> dict:
             cfg[key] = val
     for key, val in cfg.items():
         # every setting is numeric; bool is an int subclass but no number here
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not math.isfinite(val)):
+        try:
+            ok = (not isinstance(val, bool) and isinstance(val, (int, float))
+                  and math.isfinite(val))
+        except OverflowError:                 # an int beyond any float
+            ok = False
+        if not ok:
             raise ChannelFileError(
                 f"setting {key} must be a finite number, got {val!r}")
     return cfg
@@ -138,13 +142,13 @@ def _cmd_exponent(args) -> int:
 
 _SWEEP_COLUMNS = ("R1", "R2", "E", "E1", "E2", "E3", "branch", "class")
 
-#: fewest rate points a sweep worker gets; below that the pool start-up and
-#: each worker's own table build and phi memo outweigh the split (a 41x41
-#: BSC plane took 0.19 s with 2 workers against 0.13 s in-process)
-_SWEEP_POINTS_PER_WORKER = 4096
-
 
 def _sweep_rows(spec_dict: dict, r1_values, r2_mode, cfg) -> tuple[list, int]:
+    # always in-process: the rows share one solver's table and phi memo, and
+    # splitting them over a process pool was slower on every plane measured
+    # (41x41 to 201x201) because each worker rebuilt both.  The spec is
+    # re-parsed from its JSON form, renormalizing the rows a second time, as
+    # the sweep always has; dropping that moves last digits of some rows
     from .channels import parse_channel_spec
     spec = parse_channel_spec(json.dumps(spec_dict))
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
@@ -162,11 +166,6 @@ def _sweep_rows(spec_dict: dict, r1_values, r2_mode, cfg) -> tuple[list, int]:
                          res.active_branch,
                          classify_exponent(res.e, rates, cfg["classify_tol"])))
     return rows, skipped
-
-
-def _sweep_worker(payload):
-    spec_dict, chunk, r2_mode, cfg = payload
-    return _sweep_rows(spec_dict, chunk, r2_mode, cfg)
 
 
 def _cmd_sweep(args) -> int:
@@ -191,19 +190,7 @@ def _cmd_sweep(args) -> int:
         if bad:
             raise ChannelFileError(f"unknown sweep columns {sorted(bad)}")
 
-    points = r1_values.size * r2_mode[1].size
-    workers = min(int(cfg["workers"]), r1_values.size,
-                  points // _SWEEP_POINTS_PER_WORKER)
-    if workers > 1:
-        payloads = [(spec.to_json_dict(), chunk, r2_mode, cfg)
-                    for chunk in np.array_split(r1_values, workers)]
-        rows, skipped = [], 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, sk in pool.map(_sweep_worker, payloads):
-                rows.extend(part)
-                skipped += sk
-    else:
-        rows, skipped = _sweep_rows(spec.to_json_dict(), r1_values, r2_mode, cfg)
+    rows, skipped = _sweep_rows(spec.to_json_dict(), r1_values, r2_mode, cfg)
 
     rate_like = {"R1", "R2", "E", "E1", "E2", "E3"}
     lines = [",".join(columns)]

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import wiretap_exponent as wx
@@ -142,18 +143,14 @@ class TestSweepCommand:
         _, out2, _ = run(capsys, args)
         assert out1 == out2
 
-    def test_workers_match_sequential(self, capsys, channel_file,
-                                      monkeypatch):
-        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 1)
+    def test_workers_match_sequential(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
         base = ["sweep", path, "--r1-grid", "0.2:0.8:3", "--r2-grid", "0:0.4:3"]
         _, seq, _ = run(capsys, base)
         _, par, _ = run(capsys, base + ["--workers", "2"])
         assert seq == par
 
-    def test_workers_match_sequential_asymmetric(self, capsys, channel_file,
-                                                 monkeypatch):
-        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 1)
+    def test_workers_match_sequential_asymmetric(self, capsys, channel_file):
         path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
         base = ["sweep", path, "--r1-grid", "0:1.2:9",
                 "--r2-fractions", "0:1:7"]
@@ -163,50 +160,19 @@ class TestSweepCommand:
         classes = {line.rsplit(",", 1)[1] for line in seq.splitlines()[1:]}
         assert classes == {"ZERO", "PARTIAL", "FULL"}
 
-    def test_workers_match_sequential_extrapolating(self, capsys,
-                                                    monkeypatch):
+    def test_rows_independent_of_grid_extrapolating(self):
         # R1 near 1.15 puts phi's root-finding on the s ~ 0.51 solves that
-        # take Anderson steps
-        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 1)
-        base = ["sweep", SLOW_FIXED_POINT, "--r1-grid", "1.0:1.16:3",
-                "--r2-fractions", "0:1:3"]
-        _, seq, _ = run(capsys, base + ["--workers", "1"])
-        _, par, _ = run(capsys, base + ["--workers", "2"])
-        assert seq == par
-        assert len(seq.splitlines()) == 10
-
-    def test_fanout_needs_enough_points_per_worker(self, capsys,
-                                                   channel_file, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(cli, "_SWEEP_POINTS_PER_WORKER", 10)
-        path = channel_file(*BSC01_ARGS)
-        base = ["sweep", path, "--r2-fractions", "0:1:4", "--workers", "3"]
-        _, seq, _ = run(capsys, base[:4] + ["--r1-grid", "0.2:0.8:5"])
-        run(capsys, base + ["--r1-grid", "0.2:0.8:2"])    # 8 points
-        assert pools == []
-        _, par, _ = run(capsys, base + ["--r1-grid", "0.2:0.8:5"])
-        assert pools == [2]                               # 20 points
-        assert par == seq
-
-    def test_fanout_threshold_splits_the_reference_planes(self):
-        # measured: the 41x41 BSC plane is faster in-process, so it stays
-        # there with two workers; the 101x101 plane still fans out
-        assert 41 * 41 < 2 * cli._SWEEP_POINTS_PER_WORKER <= 101 * 101
+        # take Anderson steps; each row must not depend on the rows that
+        # the same solver answered before it
+        spec = wx.load_channel_spec(SLOW_FIXED_POINT).to_json_dict()
+        r1s = np.linspace(1.0, 1.16, 3)
+        mode = ("fractions", np.linspace(0.0, 1.0, 3))
+        cfg = dict(cli._DEFAULTS)
+        whole, _ = cli._sweep_rows(spec, r1s, mode, cfg)
+        assert len(whole) == 9
+        for i in range(3):
+            one, _ = cli._sweep_rows(spec, r1s[i:i + 1], mode, cfg)
+            assert one == whole[3 * i:3 * i + 3]
 
     def test_one_exponent_evaluation_per_row(self, capsys, channel_file,
                                              monkeypatch):
@@ -402,8 +368,8 @@ class TestConfig:
             "degraded_tol": channels.DEFAULT_DEGRADED_TOL,
         }
 
-    @pytest.mark.parametrize("value", [None, "10", True, [1]],
-                             ids=["null", "string", "bool", "list"])
+    @pytest.mark.parametrize("value", [None, "10", True, [1], 10 ** 400],
+                             ids=["null", "string", "bool", "list", "huge"])
     @pytest.mark.parametrize("key", ["max_iter", "gap_tol", "table_points",
                                      "workers"])
     def test_non_numeric_setting_rejected(self, capsys, channel_file,

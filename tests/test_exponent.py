@@ -456,11 +456,24 @@ class TestAndersonStep:
             assert va == vb
             assert sa.log_q.tobytes() == sb.log_q.tobytes()
 
-    def test_debug_records(self, caplog):
-        spec = wx.load_channel_spec(SLOW_FIXED_POINT)
+    def test_debug_record_for_anderson_steps(self, slow, caplog):
+        j = int(np.flatnonzero(slow._table_s == 0.5)[0])
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            ExponentSolver(spec)
+            sol = exponent._solve_mirror(
+                slow._w, slow._p, slow._log_p, slow._support, 0.5,
+                slow._table[j - 1].log_q, slow.gap_tol, slow.max_iter)
+        assert sol.extrapolations > 0
+        assert any("Anderson steps" in r.getMessage() for r in caplog.records)
+
+    def test_debug_records_for_stalled_runs(self, caplog, monkeypatch):
+        # every run reports a stall, so all three starts run and the best
+        # gap, certified in fact, is accepted as a stalled one
+        real = exponent._mirror_run
+        monkeypatch.setattr(exponent, "_mirror_run",
+                            lambda *args: (real(*args)[0], False))
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            ExponentSolver(make_bsc(0.1), table_points=3)
         text = "\n".join(r.getMessage() for r in caplog.records)
-        assert "took 1 Anderson steps" in text
-        assert "mirror run from true channel stalled at s=0" in text
+        for start in ("warm start", "true channel", "uniform rows"):
+            assert f"mirror run from {start} stalled at s=0 " in text
         assert "accepts stalled gap" in text
