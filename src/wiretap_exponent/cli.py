@@ -49,6 +49,15 @@ _DEFAULTS = {
     "degraded_tol": DEFAULT_DEGRADED_TOL,
 }
 
+#: lower limit of each bounded setting, and whether the limit itself is allowed
+_LIMITS = {
+    **{key: (1, True) for key in ("workers", "max_iter", "z_samples",
+                                  "z_budget", "type_budget",
+                                  "codebook_budget", "gaussian_grid")},
+    **{key: (0, False) for key in ("gap_tol", "refine_tol")},
+    **{key: (0, True) for key in ("classify_tol", "degraded_tol")},
+}
+
 
 def _fmt(v) -> str:
     if isinstance(v, bool):
@@ -82,6 +91,13 @@ def _settings(args) -> dict:
         if not ok:
             raise ChannelFileError(
                 f"setting {key} must be a finite number, got {val!r}")
+    for key, (low, inclusive) in _LIMITS.items():
+        val = cfg[key]
+        if val < low or (val == low and not inclusive):
+            raise ChannelFileError(
+                f"setting {key} must be "
+                f"{'at least' if inclusive else 'greater than'} {low}, "
+                f"got {val!r}")
     return cfg
 
 
@@ -269,7 +285,7 @@ def _cmd_gaussian(args) -> int:
             payloads = [(g.s, g.sigma2, chunk, r2s, grid, rtol)
                         for chunk in chunks if chunk.size]
             rows, skipped = [], 0
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
                 for part, sk in pool.map(_gaussian_worker, payloads):
                     rows.extend(part)
                     skipped += sk
@@ -339,7 +355,7 @@ def _cmd_simulate(args) -> int:
                      rates.r2, args.trials, args.seed, int(lo), int(hi), cfg)
                     for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         pcs = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             for part in pool.map(_simulate_worker, payloads):
                 pcs.extend(part)
         result = sim.summarize_trials(es, pcs)

@@ -34,6 +34,16 @@ mapped through the same row minimization and taken only if it beats the
 plain jump and still decreases the objective.  Either way termination is
 by a certified optimality gap: a first-order linearization bound for
 s >= 1, and a partial-minimization dual bound for s <= 1.
+
+At s = 0 there is no closed-form jump, and the inner problem is Shmyrev's
+convex program for a linear Fisher market (Shmyrev 2009): inputs are
+buyers with budgets P_X(x), outputs are goods, P(z|x) are utilities.  Its
+optimum, the Eisenberg-Gale equilibrium (Eisenberg & Gale 1959), is a
+vertex that mirror descent only creeps towards.  So from iteration 16 on,
+at every doubling, the s = 0 run builds the tie graph of the current
+marginal (the near-maximal entries of ln P - ln Q_Z in each row), solves
+prices and flows on it exactly, and returns that vertex once its own dual
+bound certifies it; an uncertified vertex leaves the iterate unchanged.
 """
 from __future__ import annotations
 
@@ -72,6 +82,12 @@ _BRANCH_TIE_TOL = 1e-9
 _AA_AFTER = 30
 #: residual differences the Anderson extrapolation combines
 _AA_DEPTH = 6
+
+#: first s = 0 mirror iteration that tries the tie-graph vertex; it is
+#: tried again at every doubling of the iteration count
+_TIE_FIRST = 16
+#: tie tolerances tried in turn, tightest first
+_TIE_TOLS = (1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 3e-2, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +257,9 @@ def _solve_alternating(w, p, log_p, support, s, log_q, gap_tol, max_iter):
         stall = stall + 1 if f_prev - f <= 1e-15 * max(1.0, abs(f)) else 0
         if stall >= 200 and gap <= 50 * gap_tol:
             # float-limited fixed point; the certified gap is recorded
+            _log.debug("alternating minimization at s=%.9g accepts stalled "
+                       "gap %.3g (gap_tol %.3g) after %d iterations",
+                       s, gap, gap_tol, it)
             return _InnerSolution(s, log_q, q, d, i, f, gap, it)
         f_prev = f
         log_q = _normalize_log_rows(
@@ -263,6 +282,65 @@ def _anderson(history) -> np.ndarray | None:
     gamma = np.linalg.lstsq(np.diff(rs, axis=0).T, rs[-1], rcond=None)[0]
     ext = gs[-1] - np.diff(gs, axis=0).T @ gamma
     return ext if np.isfinite(ext).all() else None
+
+
+def _tie_vertex(w, log_p, support, ln_v, tau) -> np.ndarray | None:
+    """Candidate s = 0 minimizer on the tie graph of the log marginal ln_v.
+
+    At s = 0 the inner problem is Shmyrev's convex program for a linear
+    Fisher market: buyers x with budgets w_x, goods z, utilities P(z|x).
+    Its optimum, the Eisenberg-Gale equilibrium, puts each row's mass on
+    the row's argmax of ln P - ln Q_Z.  The edges within ``tau`` of each
+    row's maximum of ln P - ln v fix log prices u_z and row levels t_x by
+    u_z - t_x = ln P(z|x) along a spanning forest; each component's prices
+    are scaled to sum to its budgets, and the edge flows with row sums w_x
+    and column sums e^u are solved by least squares.  Returns the log rows
+    flow / w_x, or None when the graph is inconsistent, leaves an output
+    without an edge or needs a negative flow.
+    """
+    nx, nz = log_p.shape
+    score = np.where(support, log_p - ln_v[None, :], -np.inf)
+    xs, zs = np.nonzero(score >= score.max(axis=1, keepdims=True) - tau)
+    outs = [zs[xs == x] for x in range(nx)]
+    ins = [xs[zs == z] for z in range(nz)]
+    t, u = np.zeros(nx), np.zeros(nz)
+    comp_x, comp_z = np.full(nx, -1), np.full(nz, -1)
+    ncomp = 0
+    for root in range(nx):
+        if comp_x[root] >= 0:
+            continue
+        comp_x[root] = ncomp
+        queue = [root]
+        while queue:
+            x = queue.pop()
+            for z in outs[x]:
+                if comp_z[z] < 0:
+                    comp_z[z] = ncomp
+                    u[z] = log_p[x, z] + t[x]
+                    for x2 in ins[z]:
+                        if comp_x[x2] < 0:
+                            comp_x[x2] = ncomp
+                            t[x2] = u[z] - log_p[x2, z]
+                            queue.append(x2)
+        ncomp += 1
+    if (comp_z < 0).any() or \
+            np.abs(u[zs] - t[xs] - log_p[xs, zs]).max() > 1e-9:
+        return None
+    for c in range(ncomp):
+        in_c = comp_z == c
+        top = u[in_c].max()
+        u[in_c] += math.log(w[comp_x == c].sum()) - top \
+            - math.log(np.exp(u[in_c] - top).sum())
+    edges = np.arange(xs.size)
+    a = np.zeros((nx + nz, xs.size))
+    a[xs, edges] = 1.0
+    a[nx + zs, edges] = 1.0
+    flow = np.linalg.lstsq(a, np.concatenate((w, np.exp(u))), rcond=None)[0]
+    if (flow < 0.0).any():
+        return None
+    rows = np.full((nx, nz), _LOGZERO)
+    rows[xs, zs] = np.log(np.maximum(flow / w[xs], _TINY))
+    return _normalize_log_rows(rows, support)
 
 
 def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
@@ -294,6 +372,23 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
         if gap <= gap_tol:
             return _InnerSolution(s, log_q, q, d, i, f, gap, it,
                                   extrapolations), True
+        if s == 0.0 and it >= _TIE_FIRST and not it & (it - 1):
+            # s = 0 has no closed-form jump, and mirror steps only creep
+            # towards its vertex optimum; solve the vertex on the tie graph
+            # of the current marginal and keep it only if it certifies
+            for tau in _TIE_TOLS:
+                rows = _tie_vertex(w, log_p, support, ln_qz, tau)
+                if rows is None:
+                    continue
+                qv, qzv, dv, iv, fv = _evaluate(w, p, rows, s)
+                gap_v = fv - _dual_bound(w, log_p, support, s,
+                                         np.log(np.maximum(qzv, _TINY)))
+                if gap_v <= gap_tol:
+                    _log.debug("s=0 vertex on the tie graph (tau %g) "
+                               "certifies gap %.3g at iteration %d",
+                               tau, gap_v, it)
+                    return _InnerSolution(s, rows, qv, dv, iv, fv, gap_v, it,
+                                          extrapolations), True
         moved = False
         if s > 0.0:
             # the jump against the current marginal is a safe accelerator
@@ -355,34 +450,39 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
 def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
     # A stalled run may sit in a revival trap specific to its start, so a
     # fresh run from the true channel (and then from uniform rows) can
-    # certify much tighter; keep the best across starts.  Near s = 0 the
-    # dual bound is only first-order tight in the marginal and bottoms out
-    # around 1e-8 while the value itself is converged, hence the relaxed
-    # stall ceiling; the achieved gap is recorded on the solution.
+    # certify much tighter; keep the best across starts.  Near s = 0, where
+    # no tie-graph vertex certifies, the dual bound is only first-order
+    # tight in the marginal and bottoms out around 1e-8 while the value
+    # itself is converged, hence the relaxed
+    # stall ceiling; the achieved gap is recorded on the solution, and its
+    # iteration count covers every run made.
     starts = (("warm start", log_q),
               ("true channel", np.where(support, log_p, _LOGZERO)),
               ("uniform rows", np.where(support, 0.0, _LOGZERO)))
-    best = None
+    best, total = None, 0
     for name, start in starts:
         sol, converged = _mirror_run(w, p, log_p, support, s, start,
                                      gap_tol, max_iter)
+        total += sol.iterations
         if sol.extrapolations:
             _log.debug("mirror run from %s at s=%.9g took %d Anderson steps "
                        "in %d iterations", name, s, sol.extrapolations,
                        sol.iterations)
         if converged:
+            sol.iterations = total
             return sol
         _log.debug("mirror run from %s stalled at s=%.9g with gap %.3g after "
                    "%d iterations", name, s, sol.gap, sol.iterations)
         if best is None or sol.gap < best.gap:
             best = sol
+    best.iterations = total
     if best.gap <= max(100 * gap_tol, 1e-6):
         _log.debug("mirror descent at s=%.9g accepts stalled gap %.3g "
-                   "(gap_tol %.3g)", s, best.gap, gap_tol)
+                   "(gap_tol %.3g) after %d iterations in all", s, best.gap,
+                   gap_tol, total)
         return best
     raise SolverError(f"mirror descent stalled at s={s:.9g}",
-                      best_value=best.f, residual=best.gap,
-                      iterations=best.iterations)
+                      best_value=best.f, residual=best.gap, iterations=total)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ prefix of the codebook drawn for a larger rate at the same seed and trial).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ from scipy.special import rel_entr, xlogy
 from .channels import ChannelSpec, Dmc
 from .errors import BudgetExceededError
 from .exponent import RatePair
+
+_log = logging.getLogger("wiretap_exponent")
 
 DEFAULT_Z_BUDGET = 1 << 24
 DEFAULT_TYPE_BUDGET = 1 << 24
@@ -311,6 +314,10 @@ def per_trial_pc(spec: EnsembleSpec, budget: int = DEFAULT_Z_BUDGET,
     if not 0 <= lo <= hi <= spec.trials:
         raise ValueError(f"invalid trial range [{lo}, {hi})")
     exact = spec.channel.num_outputs ** spec.n <= budget
+    if not exact:
+        _log.debug("|Z|^n = %d exceeds the budget %d; each trial samples %d "
+                   "outputs instead of enumerating them",
+                   spec.channel.num_outputs ** spec.n, budget, z_samples)
     streams = np.random.SeedSequence(spec.seed).spawn(spec.trials)
     pcs = []
     for k in range(lo, hi):

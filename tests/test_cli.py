@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -383,6 +384,56 @@ class TestConfig:
         assert out == ""
         assert key in err and "Traceback" not in err
 
+    _OUT_OF_RANGE = [(key, value) for key in
+                     ("workers", "max_iter", "z_samples", "z_budget",
+                      "type_budget", "codebook_budget", "gaussian_grid")
+                     for value in (0, -3)] + \
+        [(key, value) for key in ("gap_tol", "refine_tol")
+         for value in (0.0, -1.0)] + \
+        [(key, -1e-3) for key in ("classify_tol", "degraded_tol")]
+
+    @pytest.mark.parametrize("key,value", _OUT_OF_RANGE,
+                             ids=[f"{k}={v}" for k, v in _OUT_OF_RANGE])
+    def test_setting_out_of_range_rejected(self, capsys, channel_file,
+                                           tmp_path, key, value):
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.5",
+                                      "--r2", "0.1", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert f"setting {key} must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,argv", [
+        ("z_samples", ["simulate", "--n", "8", "--r1", "0.6", "--r2", "0.2",
+                       "--trials", "4", "--seed", "1", "--budget", "1000",
+                       "--z-samples", "0"]),
+        ("gap_tol", ["exponent", "--r1", "0.5", "--r2", "0.1",
+                     "--gap-tol", "-1"]),
+        ("max_iter", ["exponent", "--r1", "0.5", "--r2", "0.1",
+                      "--max-iter", "0"]),
+        ("workers", ["exponent", "--r1", "0.5", "--r2", "0.1",
+                     "--workers", "0"]),
+    ], ids=["z_samples", "gap_tol", "max_iter", "workers"])
+    def test_flag_out_of_range_rejected(self, capsys, channel_file, key,
+                                        argv):
+        path = channel_file(*BSC01_ARGS)
+        code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+        assert code == 2
+        assert out == ""
+        assert f"setting {key} must be" in err
+
+    def test_settings_at_their_limits_accepted(self, capsys, channel_file,
+                                               tmp_path):
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 1, "classify_tol": 0,
+                                   "degraded_tol": 0}), encoding="utf-8")
+        code, _, err = run(capsys, ["exponent", path, "--r1", "0.5",
+                                    "--r2", "0.1", "--config", str(cfg)])
+        assert code == 0 and err == ""
+
     @pytest.mark.parametrize("points", [0, 1])
     def test_table_points_below_two_rejected(self, capsys, channel_file,
                                              tmp_path, points):
@@ -412,3 +463,63 @@ class TestConfig:
         capsys.readouterr()
         assert code == 0
         assert outfile.read_text().startswith("R1,R2,E")
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    """Worker pools are sized by the chunks they get, not by --workers."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        return _RecordingPool
+
+    def test_gaussian(self, capsys, pool):
+        base = ["gaussian", "--power", "1.0", "--noise", "1.0",
+                "--r1-grid", "0.4:0.8:2", "--r2-grid", "0:0.2:2"]
+        _, seq, _ = run(capsys, base)
+        code, par, _ = run(capsys, base + ["--workers", "64"])
+        assert code == 0 and par == seq
+        assert pool.sizes == [2]
+
+    def test_simulate(self, capsys, channel_file, pool):
+        path = channel_file(*BSC01_ARGS)
+        base = ["simulate", path, "--n", "6", "--r1", "0.6", "--r2", "0.2",
+                "--trials", "2", "--seed", "5"]
+        _, seq, _ = run(capsys, base)
+        code, par, _ = run(capsys, base + ["--workers", "64"])
+        assert code == 0 and par == seq
+        assert pool.sizes == [2]
+
+
+class TestSampledSimulation:
+    def test_switch_to_sampling_logged_not_printed(self, capsys, caplog,
+                                                   channel_file):
+        path = channel_file(*BSC01_ARGS)
+        argv = ["simulate", path, "--n", "12", "--r1", "0.6", "--r2", "0.2",
+                "--trials", "2", "--seed", "3", "--budget", "1000"]
+        code, quiet, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            code, out, err = run(capsys, argv)
+        assert code == 0 and out == quiet and err == ""
+        assert any("|Z|^n = 4096 exceeds the budget 1000" in r.getMessage()
+                   for r in caplog.records)

@@ -477,3 +477,143 @@ class TestAndersonStep:
         for start in ("warm start", "true channel", "uniform rows"):
             assert f"mirror run from {start} stalled at s=0 " in text
         assert "accepts stalled gap" in text
+
+
+class TestSolverRecords:
+    """Iteration counts and debug records of the fallback exits."""
+
+    def test_iterations_count_every_run(self, monkeypatch):
+        # with every run reported as stalled, the accepted solution's count
+        # is the sum over the three runs, not the count of the one returned
+        real = exponent._mirror_run
+        runs = []
+
+        def stalled(*args):
+            sol = real(*args)[0]
+            runs.append(sol.iterations)
+            return sol, False
+
+        monkeypatch.setattr(exponent, "_mirror_run", stalled)
+        sol = ExponentSolver(make_asym_3x3(), table_points=3)._table[-1]
+        assert sol.s == 0.0 and len(runs) == 3
+        assert sol.iterations == sum(runs) > max(runs)
+
+    def test_debug_record_for_alternating_stall(self, caplog, monkeypatch):
+        # a gap stuck just above gap_tol leaves only the stall exit
+        monkeypatch.setattr(exponent, "_linearization_gap",
+                            lambda *args: 1e-9)
+        spec = make_bsc(0.1)
+        solver = ExponentSolver(spec, table_points=3)
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            sol = exponent._solve_alternating(
+                solver._w, solver._p, solver._log_p, solver._support, 2.0,
+                solver._table[0].log_q, 1e-10, 10_000)
+        assert sol.gap == 1e-9
+        assert any("alternating minimization at s=2 accepts stalled gap 1e-09"
+                   in r.getMessage() for r in caplog.records)
+
+
+def _s0_channel(kind: str, seed: int) -> wx.ChannelSpec:
+    """Seeded channel of one degenerate kind, built without solver code."""
+    rng = np.random.default_rng(seed)
+    nx, nz = (int(v) for v in rng.integers(3, 10, size=2))
+    px = rng.dirichlet(np.ones(nx))
+    rows = rng.dirichlet(np.full(nz, 0.7), size=nx)
+    if kind == "sparse":
+        mask = rng.random((nx, nz)) < 0.4
+        mask[np.arange(nx), rng.integers(nz, size=nx)] = True
+        rows = rows * mask
+    elif kind == "near_deterministic":
+        for x in rng.choice(nx, size=max(1, nx // 2), replace=False):
+            rows[x] = 1e-9
+            rows[x, rng.integers(nz)] = 1.0
+    elif kind == "zero_mass":
+        px[rng.choice(nx, size=nx // 3, replace=False)] = 0.0
+    px = px / px.sum()
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    return wx.ChannelSpec(wx.Distribution(px), wx.Dmc(rows))
+
+
+_S0_CHANNELS = [(kind, 10 * k + j) for k, kind in
+                enumerate(("dense", "sparse", "near_deterministic",
+                           "zero_mass"))
+                for j in range(3)]
+
+
+class TestVertexAtSZero:
+    """The s = 0 table entry is the Eisenberg-Gale vertex, checked with
+    plain numpy against the optimality conditions of the inner problem."""
+
+    @staticmethod
+    def _check_vertex(spec):
+        solver = ExponentSolver(spec)
+        sol = solver._table[-1]
+        assert sol.s == 0.0 and sol.gap <= solver.gap_tol
+        w = spec.input_dist.probs
+        p = spec.wiretap.rows[w > 0]
+        w = w[w > 0]
+        p = p[:, (p > 0).any(axis=0)]
+        q = sol.q
+        qz = w @ q
+        score = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)) - np.log(qz),
+                         -np.inf)
+        top = score.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            f = float(np.dot(w, np.where(q > 0, -q * score, 0.0).sum(axis=1)))
+        bound = -float(np.dot(w, top[:, 0]))
+        # the objective is within gap_tol of the dual bound in any case
+        assert abs(f - bound) <= solver.gap_tol
+        if sol.iterations >= exponent._TIE_FIRST:
+            # the solve reached the vertex rather than certifying by mirror
+            # descent before trying it: every row's mass sits on its argmax
+            # set of ln P - ln Q_Z, and the objective meets the bound
+            assert (np.where(score < top - 1e-9, q, 0.0).sum(axis=1)
+                    <= 1e-9).all()
+            assert abs(f - bound) <= 1e-12
+            assert abs(sol.f - bound) <= 1e-12
+        return sol
+
+    @pytest.mark.parametrize("kind,seed", _S0_CHANNELS,
+                             ids=[f"{k}-{s}" for k, s in _S0_CHANNELS])
+    def test_seeded_channels(self, kind, seed):
+        self._check_vertex(_s0_channel(kind, seed))
+
+    def test_slow_fixture_without_restart(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            sol = self._check_vertex(wx.load_channel_spec(SLOW_FIXED_POINT))
+        text = "\n".join(r.getMessage() for r in caplog.records)
+        assert "stalled" not in text
+        assert "s=0 vertex on the tie graph" in text
+        assert sol.iterations <= 32
+
+    def test_bsc_closed_form(self):
+        # certified by mirror descent at its first iteration, before the
+        # vertex is tried, so it agrees with the closed form to gap_tol
+        sol = self._check_vertex(make_bsc(0.1))
+        assert abs(sol.f - float(exponent._bsc_inner_value(0.0, 0.1))) <= \
+            sol.gap <= 1e-10
+
+    def test_fallback_is_the_mirror_path(self, monkeypatch):
+        # a vertex that never forms leaves the mirror iterate untouched
+        slow = ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
+                              table_points=3)
+        args = (slow._w, slow._p, slow._log_p, slow._support, 0.0,
+                slow._table[1].log_q, slow.gap_tol, slow.max_iter)
+        calls = []
+
+        def never(*a):
+            calls.append(a[-1])
+            return None
+
+        monkeypatch.setattr(exponent, "_tie_vertex", never)
+        fallback = exponent._solve_mirror(*args)
+        assert calls
+        monkeypatch.setattr(exponent, "_TIE_FIRST", 10**9)
+        mirror = exponent._solve_mirror(*args)
+        assert fallback.log_q.tobytes() == mirror.log_q.tobytes()
+        assert (fallback.f, fallback.gap, fallback.iterations) == \
+            (mirror.f, mirror.gap, mirror.iterations)
+        monkeypatch.undo()
+        vertex = exponent._solve_mirror(*args)
+        assert vertex.gap <= slow.gap_tol < mirror.gap
+        assert abs(vertex.f - mirror.f) <= 1e-10
