@@ -249,22 +249,27 @@ def _cmd_region(args) -> int:
     return 0
 
 
-def _gaussian_rows(s, sigma2, r1_values, r2_values, grid, rtol):
+def _fan_out(worker, payload, count: int, workers: int) -> list:
+    """worker(payload(lo, hi)) over contiguous chunks [lo, hi) of range(count).
+
+    One chunk per worker, at most one per item; with more than one chunk
+    each runs in its own process.  Results come back in chunk order.
+    """
+    bounds = np.linspace(0, count, min(workers, count) + 1).astype(int)
+    payloads = [payload(int(lo), int(hi))
+                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    if len(payloads) <= 1:
+        return [worker(item) for item in payloads]
+    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        return list(pool.map(worker, payloads))
+
+
+def _gaussian_rows(payload):
+    s, sigma2, r1_values, r2_values, grid, rtol = payload
     g = GaussianSpec(s, sigma2)
-    rows, skipped = [], 0
-    for r1 in r1_values:
-        for r2 in r2_values:
-            if r2 > r1:
-                skipped += 1
-                continue
-            opt = gaussian_exponent(g, RatePair(float(r1), float(r2)),
-                                    grid_points=grid, refine_tol=rtol)
-            rows.append((r1, r2, opt))
-    return rows, skipped
-
-
-def _gaussian_worker(payload):
-    return _gaussian_rows(*payload)
+    return [(r1, r2, gaussian_exponent(g, RatePair(float(r1), float(r2)),
+                                       grid_points=grid, refine_tol=rtol))
+            for r1 in r1_values for r2 in r2_values if r2 <= r1]
 
 
 def _cmd_gaussian(args) -> int:
@@ -279,18 +284,12 @@ def _cmd_gaussian(args) -> int:
                 "sweep mode needs both --r1-grid and --r2-grid")
         r1s = _parse_grid(args.r1_grid, "--r1-grid") * unit
         r2s = _parse_grid(args.r2_grid, "--r2-grid") * unit
-        workers = int(cfg["workers"])
-        if workers > 1 and r1s.size > 1:
-            chunks = np.array_split(r1s, min(workers, r1s.size))
-            payloads = [(g.s, g.sigma2, chunk, r2s, grid, rtol)
-                        for chunk in chunks if chunk.size]
-            rows, skipped = [], 0
-            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-                for part, sk in pool.map(_gaussian_worker, payloads):
-                    rows.extend(part)
-                    skipped += sk
-        else:
-            rows, skipped = _gaussian_rows(g.s, g.sigma2, r1s, r2s, grid, rtol)
+        parts = _fan_out(_gaussian_rows,
+                         lambda lo, hi: (g.s, g.sigma2, r1s[lo:hi], r2s,
+                                         grid, rtol),
+                         r1s.size, int(cfg["workers"]))
+        rows = [row for part in parts for row in part]
+        skipped = r1s.size * r2s.size - len(rows)
         lines = [",".join(("S", "sigma2", "R1", "R2", "E", "E1", "E2", "E3",
                            "rho_star", "sigma_z_star", "branch"))]
         for r1, r2, opt in rows:
@@ -326,12 +325,8 @@ def _cmd_gaussian(args) -> int:
     return 0
 
 
-def _simulate_worker(payload):
-    spec_dict, comp, n, r1, r2, trials, seed, lo, hi, cfg = payload
-    from .channels import parse_channel_spec
-    spec = parse_channel_spec(json.dumps(spec_dict))
-    es = sim.EnsembleSpec(n=n, rates=RatePair(r1, r2), p_x_type=tuple(comp),
-                          channel=spec.wiretap, trials=trials, seed=seed)
+def _simulate_trials(payload):
+    es, cfg, lo, hi = payload
     return sim.per_trial_pc(es, budget=int(cfg["z_budget"]),
                             z_samples=int(cfg["z_samples"]),
                             codebook_budget=int(cfg["codebook_budget"]),
@@ -347,22 +342,9 @@ def _cmd_simulate(args) -> int:
     es = sim.EnsembleSpec(n=args.n, rates=rates, p_x_type=comp,
                           channel=spec.wiretap, trials=args.trials,
                           seed=args.seed)
-    workers = int(cfg["workers"])
-    if workers > 1 and args.trials > 1:
-        bounds = np.linspace(0, args.trials,
-                             min(workers, args.trials) + 1).astype(int)
-        payloads = [(spec.to_json_dict(), list(comp), args.n, rates.r1,
-                     rates.r2, args.trials, args.seed, int(lo), int(hi), cfg)
-                    for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        pcs = []
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            for part in pool.map(_simulate_worker, payloads):
-                pcs.extend(part)
-        result = sim.summarize_trials(es, pcs)
-    else:
-        result = sim.estimate_ensemble_pc(
-            es, budget=int(cfg["z_budget"]), z_samples=int(cfg["z_samples"]),
-            codebook_budget=int(cfg["codebook_budget"]))
+    parts = _fan_out(_simulate_trials, lambda lo, hi: (es, cfg, lo, hi),
+                     args.trials, int(cfg["workers"]))
+    result = sim.summarize_trials(es, [pc for part in parts for pc in part])
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
     asymptotic = solver.exponent_rep1(rates).e
     lines = [",".join(("n", "R1_req", "R2_req", "R1_real", "R2_real", "trials",

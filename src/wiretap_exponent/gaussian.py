@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponent import RatePair, gamma_dmc
+from .exponent import (RatePair, _golden_min_scalar, _pick_branch,
+                       gamma_dmc)
 
 DEFAULT_GRID_POINTS = 100_000
 DEFAULT_REFINE_TOL = 1e-9
 
 #: searches never reach |rho| = 1; rate endpoints clamp here as well
 _RHO_CAP = 1.0 - 1e-12
-
-_BRANCH_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,24 +133,6 @@ def rho_from_rate(r: float) -> float:
     return min(rho, _RHO_CAP)
 
 
-def _golden_min_scalar(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _min_on_interval(fun, lo: float, hi: float, density: float,
                      refine_tol: float) -> tuple[float, float]:
     """Dense grid plus cell-local golden refinement; ties go to smaller rho."""
@@ -199,12 +180,7 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair,
     v3, r3_arg = _min_on_interval(f_div, rho1, _RHO_CAP, density, refine_tol)
     e3 = v3
 
-    e = min(e1, e2, e3)
-    for value, name, arg in ((e1, "E1", r1_arg), (e2, "E2", r2_arg),
-                             (e3, "E3", r3_arg)):
-        if value <= e + _BRANCH_TIE_TOL:
-            branch, rho_star = name, arg
-            break
+    e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))
     return GaussianOptimum(e=e, e1=e1, e2=e2, e3=e3, rho_star=rho_star,
                            sigma_z_star=sigma_z_star(rho_star, g),
                            active_branch=branch)

@@ -1,0 +1,62 @@
+"""Opt-in robustness scan over channels from the benchmark's generator.
+
+    PYTHONPATH=src python tests/scan_generated.py [SEED ...]
+
+For each seed (default 7 and 8) draws 120 channels with
+``bench/workloads.generate_channel``, sizes nx, nz from ``integers(2, 9)``,
+builds each solver's multiplier table and evaluates ``phi`` at 25 targets
+from 0 to 1.05 * i_max.  Prints one line per failing channel and a
+summary, and exits 1 if any channel raised ``SolverError``.  Takes about a
+minute per seed, so it is kept out of the tier-1 suite (pytest does not
+collect this file).
+"""
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import generate_channel  # noqa: E402
+
+from wiretap_exponent import ExponentSolver, SolverError  # noqa: E402
+from wiretap_exponent.channels import parse_channel_spec  # noqa: E402
+
+CHANNELS_PER_SEED = 120
+TARGETS = 25
+
+
+def generated(seed: int):
+    """(index, channel document) for every channel of one seed's scan."""
+    rng = np.random.default_rng(seed)
+    for k in range(CHANNELS_PER_SEED):
+        nx, nz = (int(v) for v in rng.integers(2, 9, size=2))
+        yield k, generate_channel(rng, nx, nz)
+
+
+def scan(seed: int) -> int:
+    failures = 0
+    for k, doc in generated(seed):
+        try:
+            solver = ExponentSolver(parse_channel_spec(json.dumps(doc)))
+            for t in np.linspace(0.0, 1.05 * solver.i_max, TARGETS):
+                solver.phi(float(t))
+        except SolverError as exc:
+            failures += 1
+            size = f"{len(doc['wiretap'])}x{len(doc['wiretap'][0])}"
+            print(f"seed {seed} #{k} ({size}): {exc}")
+    return failures
+
+
+def main(argv) -> int:
+    seeds = [int(a) for a in argv] or [7, 8]
+    failures = sum(scan(seed) for seed in seeds)
+    print(f"{failures} failures in {CHANNELS_PER_SEED * len(seeds)} channels")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import rel_entr, xlogy
 
 import wiretap_exponent as wx
 from wiretap_exponent import exponent
+from wiretap_exponent.cli import main
 from wiretap_exponent.exponent import ExponentSolver
 
 from conftest import (SLOW_FIXED_POINT, make_asym_3x3, make_bsc,
@@ -466,25 +468,26 @@ class TestAndersonStep:
         assert any("Anderson steps" in r.getMessage() for r in caplog.records)
 
     def test_debug_records_for_stalled_runs(self, caplog, monkeypatch):
-        # every run reports a stall, so all three starts run and the best
-        # gap, certified in fact, is accepted as a stalled one
+        # a run reported as stalled is not restarted: it leaves one stall
+        # record, and its gap, certified in fact, is accepted as stalled
         real = exponent._mirror_run
         monkeypatch.setattr(exponent, "_mirror_run",
                             lambda *args: (real(*args)[0], False))
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             ExponentSolver(make_bsc(0.1), table_points=3)
-        text = "\n".join(r.getMessage() for r in caplog.records)
-        for start in ("warm start", "true channel", "uniform rows"):
-            assert f"mirror run from {start} stalled at s=0 " in text
-        assert "accepts stalled gap" in text
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert messages[0].startswith("mirror run stalled at s=0 with gap ")
+        assert messages[1].startswith("mirror descent at s=0 accepts "
+                                      "stalled gap ")
 
 
 class TestSolverRecords:
     """Iteration counts and debug records of the fallback exits."""
 
     def test_iterations_count_every_run(self, monkeypatch):
-        # with every run reported as stalled, the accepted solution's count
-        # is the sum over the three runs, not the count of the one returned
+        # with the run reported as stalled, no second run is made, and the
+        # accepted solution's count is the count of that single run
         real = exponent._mirror_run
         runs = []
 
@@ -495,8 +498,8 @@ class TestSolverRecords:
 
         monkeypatch.setattr(exponent, "_mirror_run", stalled)
         sol = ExponentSolver(make_asym_3x3(), table_points=3)._table[-1]
-        assert sol.s == 0.0 and len(runs) == 3
-        assert sol.iterations == sum(runs) > max(runs)
+        assert sol.s == 0.0 and len(runs) == 1
+        assert sol.iterations == runs[0] > 0
 
     def test_debug_record_for_alternating_stall(self, caplog, monkeypatch):
         # a gap stuck just above gap_tol leaves only the stall exit
@@ -617,3 +620,118 @@ class TestVertexAtSZero:
         vertex = exponent._solve_mirror(*args)
         assert vertex.gap <= slow.gap_tol < mirror.gap
         assert abs(vertex.f - mirror.f) <= 1e-10
+
+
+# Channels #46 (6x2), #65 (4x2), #68 (6x3) and #77 (2x6) of the generator
+# scan with seed 7 (tests/scan_generated.py), stored as generated, with E
+# at (SCAN_R1, 0) as computed before the s = 0 vertex solve was added; #77
+# had no value then either.
+SCAN_R1 = 0.5923904318075307
+SCAN_CHANNELS = [("scan7_046_6x2", 0.212510668532),
+                 ("scan7_065_4x2", 0.226781821477),
+                 ("scan7_068_6x3", 0.299564740716),
+                 ("scan7_077_2x6", None)]
+
+
+def _scan_path(name: str) -> str:
+    return os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+
+
+def _numpy_gap(spec: wx.ChannelSpec, sol) -> float:
+    """F(Q) minus a lower bound on min F for one inner solve, in plain numpy.
+
+    The bound is the partial-minimization dual bound for s <= 1 and the
+    linearization bound for s > 1, where the dual bound does not hold.
+    """
+    w = spec.input_dist.probs
+    p = spec.wiretap.rows[w > 0]
+    w = w[w > 0]
+    p = p[:, (p > 0).any(axis=0)]
+    on, s, q = p > 0, sol.s, sol.q
+    with np.errstate(divide="ignore"):
+        ln_p, ln_q, ln_qz = np.log(p), np.log(q), np.log(w @ q)
+    with np.errstate(invalid="ignore"):
+        d = np.where(q > 0, q * (ln_q - ln_p), 0.0).sum(axis=1)
+        i = np.where(q > 0, q * (ln_q - ln_qz), 0.0).sum(axis=1)
+    f = float(w @ (d + (s - 1.0) * i))
+    if s == 0.0:
+        return f + float(w @ np.where(on, ln_p - ln_qz, -np.inf).max(axis=1))
+    if s <= 1.0:
+        a = np.where(on, (ln_p - (1.0 - s) * ln_qz) / s, -np.inf)
+        top = a.max(axis=1)
+        return f + s * float(
+            w @ (top + np.log(np.exp(a - top[:, None]).sum(axis=1))))
+    g = np.where(on, s * sol.log_q - ln_p + (1.0 - s) * ln_qz, 0.0)
+    low = np.where(on, g, np.inf).min(axis=1)
+    return float(w @ ((q * g).sum(axis=1) - low))
+
+
+class TestGeneratedScanChannels:
+    """Generated channels on which the s < 1 solver used to stall: near
+    s = 0.01 for #46, #65 and #68, at the s = 0 table entry for #77."""
+
+    @pytest.fixture(scope="class", params=SCAN_CHANNELS,
+                    ids=[name for name, _ in SCAN_CHANNELS])
+    def solved(self, request):
+        name, e_ref = request.param
+        spec = wx.load_channel_spec(_scan_path(name))
+        solver = ExponentSolver(spec)
+        solver.solve(wx.RatePair(SCAN_R1, 0.0))
+        # the scan's own queries, where #65 and #68 stalled
+        for target in np.linspace(0.0, 1.05 * solver.i_max, 25):
+            solver.phi(float(target))
+        return name, e_ref, spec, solver
+
+    @pytest.mark.parametrize("name,e_ref", SCAN_CHANNELS,
+                             ids=[name for name, _ in SCAN_CHANNELS])
+    def test_cli_exit_zero(self, name, e_ref, capsys):
+        code = main(["exponent", _scan_path(name), "--r1", repr(SCAN_R1),
+                     "--r2", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        e = float(dict(line.split(" ", 1) for line in out.splitlines())["E"])
+        if e_ref is not None:
+            assert abs(e - e_ref) <= 1e-9
+
+    def test_inner_gaps_certified(self, solved):
+        name, _, spec, solver = solved
+        for sol in solver._cache.values():
+            gap = _numpy_gap(spec, sol)
+            assert gap <= sol.gap + 1e-14
+            if name == "scan7_077_2x6" and sol.s == 0.0:
+                # the vertex flows come from a least-squares solve whose
+                # absolute error, ~1e-16, is a relative error of ~1e-9 on
+                # this channel's flows of order 1e-7
+                assert gap <= 2e-9
+            else:
+                assert gap <= solver.gap_tol
+
+    def test_debug_record_for_frank_wolfe_steps(self, caplog):
+        spec = wx.load_channel_spec(_scan_path("scan7_046_6x2"))
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            solver = ExponentSolver(spec)
+            solver.solve(wx.RatePair(SCAN_R1, 0.0))
+        stepped = [sol for sol in solver._cache.values() if sol.fw_steps]
+        assert stepped
+        assert all(0.0 < sol.s < 1.0 and sol.gap <= solver.gap_tol
+                   for sol in stepped)
+        for sol in stepped:
+            assert any(r.getMessage() == (
+                f"mirror run at s={sol.s:.9g} took {sol.extrapolations} "
+                f"Anderson steps and {sol.fw_steps} Frank-Wolfe steps in "
+                f"{sol.iterations} iterations") for r in caplog.records)
+
+    def test_stalled_s_zero_run_takes_the_vertex(self, caplog, monkeypatch):
+        # the s = 0 run stalls before the first scheduled vertex; the vertex
+        # of the stalled marginal beats the stalled gap, which alone is
+        # above the stall ceiling
+        spec = wx.load_channel_spec(_scan_path("scan7_077_2x6"))
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            sol = ExponentSolver(spec, table_points=3)._table[-1]
+        assert sol.s == 0.0 and sol.iterations < exponent._TIE_FIRST
+        text = "\n".join(r.getMessage() for r in caplog.records)
+        assert "s=0 vertex on the tie graph" in text
+        assert "mirror descent at s=0 accepts stalled gap" in text
+        monkeypatch.setattr(exponent, "_vertex_within", lambda *args: None)
+        with pytest.raises(wx.SolverError, match="stalled at s=0 "):
+            ExponentSolver(spec, table_points=3)
