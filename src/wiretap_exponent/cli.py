@@ -42,7 +42,6 @@ _DEFAULTS = {
     "gaussian_grid": DEFAULT_GRID_POINTS,
     "refine_tol": DEFAULT_REFINE_TOL,
     "z_budget": sim.DEFAULT_Z_BUDGET,
-    "type_budget": sim.DEFAULT_TYPE_BUDGET,
     "codebook_budget": sim.DEFAULT_CODEBOOK_BUDGET,
     "z_samples": sim.DEFAULT_Z_SAMPLES,
     "workers": 1,
@@ -52,8 +51,8 @@ _DEFAULTS = {
 #: lower limit of each bounded setting, and whether the limit itself is allowed
 _LIMITS = {
     **{key: (1, True) for key in ("workers", "max_iter", "z_samples",
-                                  "z_budget", "type_budget",
-                                  "codebook_budget", "gaussian_grid")},
+                                  "z_budget", "codebook_budget",
+                                  "gaussian_grid")},
     **{key: (0, False) for key in ("gap_tol", "refine_tol")},
     **{key: (0, True) for key in ("classify_tol", "degraded_tol")},
 }

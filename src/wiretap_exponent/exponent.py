@@ -687,6 +687,18 @@ class ExponentSolver:
             self._phi_cache[target] = hit
         return hit
 
+    def e3(self, r1: float) -> tuple[float, _InnerSolution | None]:
+        """Third branch E3(R1) = min {D : I >= R1} and its inner solution.
+
+        +inf (no solution) above the curve's range, 0 at the true channel
+        when R1 <= I(P), and ``phi(R1)`` in between.
+        """
+        if r1 > self.i_max:
+            return math.inf, None
+        if r1 <= self.i_p:
+            return 0.0, self._solve_s(1.0)
+        return self.phi(r1)
+
     def exponent_rep1(self, rates: RatePair) -> ExponentResult:
         """Branch-form evaluation of E(R1, R2).
 
@@ -714,13 +726,7 @@ class ExponentSolver:
             val, sol = self.phi(b)
             e2, q2 = r1 + val - b, sol
 
-        if r1 > self.i_max:
-            e3, q3 = math.inf, None
-        elif r1 <= self.i_p:
-            e3, q3 = 0.0, true_sol
-        else:
-            val, sol = self.phi(r1)
-            e3, q3 = val, sol
+        e3, q3 = self.e3(r1)
 
         e, branch, achiever = _pick_branch((e1, e2, e3), (q1, q2, q3))
         return ExponentResult(e=e, e1=e1, e2=e2, e3=e3, active_branch=branch,
@@ -731,14 +737,17 @@ class ExponentSolver:
 
         The inner maximization over lambda1 is solved by stationarity of the
         concave objective (its derivative is I(lambda1+lambda2) - R1).  The
-        outer function of lambda2 is a pointwise minimum of affine functions,
-        hence concave, so its minimum over [0, 1] sits at an endpoint; a
-        small interior guard grid protects against numerical non-concavity.
+        outer function h(lambda2) = max_lambda1 [m(lambda1 + lambda2)
+        + (1 - lambda1) R1 - lambda2 R2], with m(s) the inner minimum (a
+        minimum of affine functions of s, so concave), is a partial maximum
+        of a jointly concave function.  h is therefore concave, its minimum
+        over [0, 1] sits at an endpoint, and only lambda2 = 0 and 1 are
+        evaluated.
         """
         r1, r2 = rates.r1, rates.r2
         s_star = 1.0 + self._mu_for_i(r1)
         best = None
-        for lam2 in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for lam2 in (0.0, 1.0):
             lam1 = min(max(s_star - lam2, 0.0), 1.0)
             val = self._solve_s(lam1 + lam2).f + (1.0 - lam1) * r1 - lam2 * r2
             if best is None or val < best[0] - 1e-12:

@@ -161,7 +161,9 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair,
     Each branch restricts rho to the interval mapped from the rates via
     rho^2 = 1 - e^{-2R} and minimizes its objective by a dense grid (the
     default density matches 10^5 points across (-1, 1)) with golden-section
-    refinement; minima over empty intervals are +inf.
+    refinement; minima over empty intervals are +inf.  When R1 <= C the
+    third branch is 0 and when R2 >= C the first is R1 - R2, both attained
+    at the true channel's correlation rho_P = sqrt(S / (S + sigma^2)).
     """
     rho1 = rho_from_rate(rates.r1)
     rho2 = rho_from_rate(rates.r2)
@@ -173,12 +175,22 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair,
     def f_mid(x: np.ndarray) -> np.ndarray:
         return _profile(x, g) + 0.5 * np.log1p(-x * x)
 
-    v1, r1_arg = _min_on_interval(f_div, 0.0, rho2, density, refine_tol)
+    # the divergence term's global minimum is 0, at the true channel's
+    # correlation rho_P; a branch whose interval holds rho_P takes it there
+    # exactly, since the grid can miss it within refine_tol of rho = 1
+    rho_p = min(math.sqrt(g.s / (g.s + g.sigma2)), _RHO_CAP)
+    if rates.r2 >= g.capacity:
+        v1, r1_arg = 0.0, rho_p
+    else:
+        v1, r1_arg = _min_on_interval(f_div, 0.0, rho2, density, refine_tol)
     e1 = rates.r1 - rates.r2 + v1
     v2, r2_arg = _min_on_interval(f_mid, rho2, rho1, density, refine_tol)
     e2 = rates.r1 + v2
-    v3, r3_arg = _min_on_interval(f_div, rho1, _RHO_CAP, density, refine_tol)
-    e3 = v3
+    if rates.r1 <= g.capacity:
+        e3, r3_arg = 0.0, rho_p
+    else:
+        e3, r3_arg = _min_on_interval(f_div, rho1, _RHO_CAP, density,
+                                      refine_tol)
 
     e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))
     return GaussianOptimum(e=e, e1=e1, e2=e2, e3=e3, rho_star=rho_star,

@@ -78,15 +78,8 @@ def compute_qstar(spec: ChannelSpec, solver: ExponentSolver | None = None,
     sv = _resolve(spec, solver, kwargs)
     q, d, i = sv.inner_lagrangian_min(-1.0)
 
-    def e3_curve(r1: float) -> float:
-        if r1 > sv.i_max:
-            return math.inf
-        if r1 <= sv.i_p:
-            return 0.0
-        return sv.phi(r1)[0]
-
     return SecurityAnalysis(q_star=q, i_qstar=i, d_qstar=d, i_p=sv.i_p,
-                            e3_curve=e3_curve)
+                            e3_curve=lambda r1: sv.e3(r1)[0])
 
 
 def full_security_interval(spec: ChannelSpec, r1: float,
@@ -106,12 +99,7 @@ def full_security_interval(spec: ChannelSpec, r1: float,
         raise ValueError("r1 must be positive")
     sv = _resolve(spec, solver, kwargs)
 
-    if r1 > sv.i_max:
-        e3v = math.inf
-    elif r1 <= sv.i_p:
-        e3v = 0.0
-    else:
-        e3v = sv.phi(r1)[0]
+    e3v = sv.e3(r1)[0]
     lower_e3 = -math.inf if math.isinf(e3v) else r1 - e3v
 
     if r1 >= sv.i_min:

@@ -4,7 +4,10 @@ Samples the exact achievability ensemble (constant-composition codebooks
 partitioned into contiguous sub-codes, eavesdropper running the optimal
 sub-code likelihood decoder) and estimates the ensemble-average probability
 of correct decoding, either by exact enumeration of the output space or by
-forward sampling when that space exceeds the budget.
+forward sampling when that space exceeds the budget.  Both take codeword
+likelihoods from one kernel, and the exact sum has one path for every
+channel: a sub-code's likelihood table over Z^n is the matrix product of
+its codewords' half-block tables, because P(z|x) factors over the halves.
 
 Also provides the finite-n exponent obtained by exhaustive enumeration of
 conditional types, which converges to the asymptotic exponent and serves as
@@ -34,6 +37,12 @@ DEFAULT_Z_BUDGET = 1 << 24
 DEFAULT_TYPE_BUDGET = 1 << 24
 DEFAULT_CODEBOOK_BUDGET = 1 << 22
 DEFAULT_Z_SAMPLES = 256
+
+#: most entries any temporary of the exact P_c path holds
+_BLOCK = 1 << 22
+#: stands in for ln 0 in the likelihood kernel: finite, and below any sum
+#: of logs of positive doubles, so its exp is 0 and it never wins a max
+_LOG_ZERO = -1e200
 
 
 def quantize_composition(probs, n: int) -> tuple[int, ...]:
@@ -169,6 +178,29 @@ def decoder_score(codebook: np.ndarray, m2: int, w: int, z,
 # exact probability of correct decoding for one codebook
 # ---------------------------------------------------------------------------
 
+def _loglik(block: np.ndarray, log_rows: np.ndarray,
+            z: np.ndarray) -> np.ndarray:
+    """ln P(z | x) for each codeword x of ``block`` (K, m) and output word z
+    of ``z`` (C, m), as a (K, C) array.
+
+    One-hot codewords (K, m|X|) times the per-position table whose row
+    t|X| + x holds ln P(z_t | x) for every z.  ``log_rows`` must be finite,
+    so that the product never forms 0 * -inf.
+    """
+    k, m = block.shape
+    nx = log_rows.shape[0]
+    onehot = np.zeros((k, m * nx))
+    onehot[np.arange(k)[:, None], np.arange(m) * nx + block] = 1.0
+    table = log_rows[:, z.T].transpose(1, 0, 2).reshape(m * nx, len(z))
+    return onehot @ table
+
+
+def _words(nz: int, m: int) -> np.ndarray:
+    """All of Z^m as an (nz^m, m) array, first position most significant."""
+    ar = np.arange(nz ** m, dtype=np.int64)
+    return (ar[:, None] // nz ** np.arange(m - 1, -1, -1)) % nz
+
+
 def exact_pc_for_codebook(codebook: np.ndarray, channel: Dmc, m2: int,
                           budget: int = DEFAULT_Z_BUDGET) -> float:
     """P_c of the optimal sub-code decoder, by full enumeration of Z^n.
@@ -180,86 +212,54 @@ def exact_pc_for_codebook(codebook: np.ndarray, channel: Dmc, m2: int,
     if m1 % m2 != 0:
         raise ValueError(f"codebook of {m1} codewords does not split into "
                          f"sub-codes of size {m2}")
-    nz = channel.num_outputs
-    total = nz ** n
+    total = channel.num_outputs ** n
     if total > budget:
         raise BudgetExceededError("|Z|^n", total, budget)
-    m = m1 // m2
-    if (channel.rows.shape == (2, 2) and np.all(channel.rows > 0)
-            and codebook.max(initial=0) <= 1 and n <= 63):
-        return _exact_pc_binary(codebook, channel.rows, m2, m)
-    return _exact_pc_general(codebook, channel.rows, m2, m)
+    return _exact_pc(codebook, np.maximum(_log_rows(channel), _LOG_ZERO), m2)
 
 
-def _exact_pc_binary(codebook: np.ndarray, rows: np.ndarray, m2: int,
-                     m: int) -> float:
-    # P(z|x) factorizes over the four joint symbol counts; with c1 ones in x
-    # and cz ones in z only d11 = |{t: x_t = z_t = 1}| varies per pair, so
-    # P(z|x) = amp(x) * t^d11 * exp(cz*delta).  Splitting positions into two
-    # halves makes d11 additive across halves, turning each sub-code's
-    # likelihood table into a small matrix product over its codewords.
+def _exact_pc(codebook: np.ndarray, log_rows: np.ndarray, m2: int) -> float:
+    # Sub-code w's likelihood table over Z^n, indexed (first half, second
+    # half), is A_w^T B_w, with A_w, B_w its codewords' half-block tables.
+    # The loops over second-half columns, blocks of g sub-codes and chunks
+    # of h codewords keep A and B within a quarter of _BLOCK entries each
+    # and a block's tables within half.
     m1, n = codebook.shape
-    l00, l01 = math.log(rows[0, 0]), math.log(rows[0, 1])
-    l10, l11 = math.log(rows[1, 0]), math.log(rows[1, 1])
-    c1 = codebook.sum(axis=1).astype(np.int64)
-    amp = np.exp((n - c1) * l00 + c1 * l10)                     # (m1,)
-    t = math.exp(l00 - l01 - l10 + l11)
-    delta = l01 - l00
-    powt = t ** np.arange(n + 1, dtype=float)
-
-    def half_pows(block: np.ndarray) -> np.ndarray:
-        nb = block.shape[1]
-        if nb == 0:
-            return np.ones((m1, 1))
-        bits = np.uint32(1) << np.arange(nb, dtype=np.uint32)
-        packed = (block.astype(np.uint32) * bits[None, :]).sum(
-            axis=1, dtype=np.uint32)
-        zz = np.arange(1 << nb, dtype=np.uint32)
-        return powt[np.bitwise_count(packed[:, None] & zz[None, :])]
-
+    nx, nz = log_rows.shape
     n_lo = (n + 1) // 2
-    a = half_pows(codebook[:, :n_lo]) * amp[:, None]            # (m1, k_lo)
-    b = half_pows(codebook[:, n_lo:])                           # (m1, k_hi)
-    k_lo, k_hi = a.shape[1], b.shape[1]
-    at = a.reshape(m, m2, k_lo).transpose(0, 2, 1)              # (m, k_lo, m2)
-    b3 = b.reshape(m, m2, k_hi)
-    w_lo = np.exp(np.bitwise_count(np.arange(k_lo, dtype=np.uint32)) * delta)
-    w_hi = np.exp(np.bitwise_count(np.arange(k_hi, dtype=np.uint32)) * delta)
-
-    chunk = max(1, min(k_hi, (1 << 22) // max(1, m * k_lo)))
+    z_lo, z_hi = _words(nz, n_lo), _words(nz, n - n_lo)
+    k_lo = len(z_lo)
+    cols = max(1, min(len(z_hi), _BLOCK // (2 * k_lo)))
+    width = max(k_lo, n_lo * nx)
+    h = max(1, min(m2, _BLOCK // (4 * width)))
+    g = max(1, min(_BLOCK // (4 * h * width), _BLOCK // (2 * k_lo * cols)))
+    subs = codebook.reshape(m1 // m2, m2, n)
     acc = 0.0
-    for start in range(0, k_hi, chunk):
-        sub = np.matmul(at, b3[:, :, start:start + chunk])      # (m, k_lo, c)
-        best = sub.max(axis=0)
-        acc += float(w_lo @ best @ w_hi[start:start + chunk])
-    return acc / (m * m2)
+    for c0 in range(0, len(z_hi), cols):
+        z_c = z_hi[c0:c0 + cols]
+        best = np.zeros((k_lo, len(z_c)))
+        for w0 in range(0, len(subs), g):
+            block = subs[w0:w0 + g]
+            table = _half_product(block[:, :h], log_rows, n_lo, z_lo, z_c)
+            for j in range(h, m2, h):
+                table += _half_product(block[:, j:j + h], log_rows, n_lo,
+                                       z_lo, z_c)
+            np.maximum(best, table.max(axis=0), out=best)
+            del table               # free it before the next block's tables
+        acc += float(best.sum())
+    return acc / m1
 
 
-def _exact_pc_general(codebook: np.ndarray, rows: np.ndarray, m2: int,
-                      m: int) -> float:
-    m1, n = codebook.shape
-    nz = rows.shape[1]
-    with np.errstate(divide="ignore"):
-        logp = np.where(rows > 0, np.log(rows), -np.inf)
-    pow_vec = nz ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    total = nz ** n
-    chunk = max(64, min(total, (1 << 22) // max(1, m1)))
-    acc = 0.0
-    for start in range(0, total, chunk):
-        ar = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (ar[:, None] // pow_vec[None, :]) % nz         # (C, n)
-        ll = np.zeros((m1, ar.size))
-        for t in range(n):
-            ll += logp[codebook[:, t]][:, digits[:, t]]
-        ll3 = ll.reshape(m, m2, -1)
-        hi = ll3.max(axis=1)                                    # (m, C)
-        safe = np.where(np.isfinite(hi), hi, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lse = safe + np.log(np.exp(ll3 - safe[:, None, :]).sum(axis=1))
-        lse = np.where(np.isfinite(hi), lse, -np.inf)
-        best = lse.max(axis=0) - math.log(m2)
-        acc += float(np.exp(best).sum())
-    return acc / m
+def _half_product(part: np.ndarray, log_rows: np.ndarray, n_lo: int,
+                  z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+    """Sum over the codewords x of each sub-code block in ``part`` (g, h, n)
+    of P(z_lo | x_lo) P(z_hi | x_hi), as a (g, |z_lo|, |z_hi|) array."""
+    g, h, n = part.shape
+    flat = part.reshape(g * h, n)
+    a = _loglik(flat[:, :n_lo], log_rows, z_lo)
+    b = _loglik(flat[:, n_lo:], log_rows, z_hi)
+    return np.matmul(np.exp(a, out=a).reshape(g, h, -1).transpose(0, 2, 1),
+                     np.exp(b, out=b).reshape(g, h, -1))
 
 
 def _sampled_pc(codebook: np.ndarray, channel: Dmc, m2: int,
@@ -272,16 +272,10 @@ def _sampled_pc(codebook: np.ndarray, channel: Dmc, m2: int,
     cdf = np.cumsum(channel.rows, axis=1)
     u = rng.random((z_samples, n))
     z = (u[:, :, None] > cdf[xs][:, :, :-1]).sum(axis=2)
-    logp = _log_rows(channel)
-    ll = np.zeros((m1, z_samples))
-    for t in range(n):
-        ll += logp[codebook[:, t]][:, z[:, t]]
-    ll3 = ll.reshape(m, m2, -1)
+    log_rows = np.maximum(_log_rows(channel), _LOG_ZERO)
+    ll3 = _loglik(codebook, log_rows, z).reshape(m, m2, -1)
     hi = ll3.max(axis=1)
-    safe = np.where(np.isfinite(hi), hi, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lse = safe + np.log(np.exp(ll3 - safe[:, None, :]).sum(axis=1))
-    lse = np.where(np.isfinite(hi), lse, -np.inf)
+    lse = hi + np.log(np.exp(ll3 - hi[:, None, :]).sum(axis=1))
     decoded = np.argmax(lse, axis=0)
     return float(np.mean(decoded == sent // m2))
 

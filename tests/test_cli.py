@@ -362,7 +362,6 @@ class TestConfig:
             "gaussian_grid": gaussian.DEFAULT_GRID_POINTS,
             "refine_tol": gaussian.DEFAULT_REFINE_TOL,
             "z_budget": simulate.DEFAULT_Z_BUDGET,
-            "type_budget": simulate.DEFAULT_TYPE_BUDGET,
             "codebook_budget": simulate.DEFAULT_CODEBOOK_BUDGET,
             "z_samples": simulate.DEFAULT_Z_SAMPLES,
             "workers": 1,
@@ -386,7 +385,7 @@ class TestConfig:
 
     _OUT_OF_RANGE = [(key, value) for key in
                      ("workers", "max_iter", "z_samples", "z_budget",
-                      "type_budget", "codebook_budget", "gaussian_grid")
+                      "codebook_budget", "gaussian_grid")
                      for value in (0, -3)] + \
         [(key, value) for key in ("gap_tol", "refine_tol")
          for value in (0.0, -1.0)] + \
@@ -449,11 +448,13 @@ class TestConfig:
     def test_unknown_config_key(self, capsys, channel_file, tmp_path):
         path = channel_file(*BSC01_ARGS)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
+        # type_budget is no setting: no subcommand enumerates types
+        cfg.write_text(json.dumps({"bogus": 1, "type_budget": 1}),
+                       encoding="utf-8")
         code, _, err = run(capsys, ["exponent", path, "--r1", "0.6",
                                     "--r2", "0.1", "--config", str(cfg)])
         assert code == 2
-        assert "unknown keys" in err
+        assert "unknown keys ['bogus', 'type_budget']" in err
 
     def test_output_file(self, channel_file, tmp_path, capsys):
         path = channel_file(*BSC01_ARGS)

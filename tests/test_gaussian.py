@@ -117,6 +117,20 @@ class TestGaussianExponent:
         opt = wx.gaussian_exponent(g, wx.RatePair(0.3, 0.1))
         assert opt.e <= 1e-9
 
+    def test_true_channel_branches_exact_at_high_snr(self):
+        # rho_P = 1 - 5e-9 lies within the grid refinement's tolerance of
+        # rho = 1, where a grid search misses the zero of the divergence
+        g = wx.GaussianSpec(1e4, 1e-4)
+        rho_p = math.sqrt(g.s / (g.s + g.sigma2))
+        below = wx.gaussian_exponent(g, wx.RatePair(9.0, 5.0))
+        assert 9.0 < g.capacity
+        assert below.e == 0.0 and below.e3 == 0.0
+        assert below.rho_star == rho_p
+        above = wx.gaussian_exponent(g, wx.RatePair(12.0, 10.0))
+        assert 10.0 > g.capacity
+        assert above.e == 2.0 and above.e1 == 2.0
+        assert above.active_branch == "E1" and above.rho_star == rho_p
+
     def test_true_statistics_feasible_in_e3(self):
         g = wx.GaussianSpec(2.0, 0.5)
         rho_p = math.sqrt(g.s / (g.s + g.sigma2))

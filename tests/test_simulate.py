@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import wiretap_exponent as wx
-from wiretap_exponent.simulate import (_exact_pc_binary, _exact_pc_general,
-                                       _sampled_pc, per_trial_pc)
+from wiretap_exponent import simulate
+from wiretap_exponent.simulate import _sampled_pc, per_trial_pc
 
 BSC01 = wx.Dmc([[0.9, 0.1], [0.1, 0.9]])
 USELESS = wx.Dmc([[0.3, 0.7], [0.3, 0.7]])
@@ -124,16 +125,51 @@ class TestExactPc:
         cb = np.array([[0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.int8)
         assert wx.exact_pc_for_codebook(cb, USELESS, 1) == pytest.approx(0.25, abs=1e-12)
 
-    def test_fast_path_matches_general(self):
-        rng = np.random.default_rng(1)
-        for _ in range(8):
-            n = int(rng.integers(2, 11))
-            m2 = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 6))
-            cb = rng.integers(0, 2, size=(m * m2, n)).astype(np.int8)
-            fast = _exact_pc_binary(cb, BSC01.rows, m2, m)
-            gen = _exact_pc_general(cb, BSC01.rows, m2, m)
-            assert fast == pytest.approx(gen, rel=1e-12)
+    @staticmethod
+    def brute_force_pc(cb, channel, m2):
+        # (1/M) sum over all of Z^n of max_w P(z | C_w), by decoder_score
+        m = cb.shape[0] // m2
+        return sum(max(wx.decoder_score(cb, m2, w, z, channel)
+                       for w in range(m))
+                   for z in itertools.product(range(channel.num_outputs),
+                                              repeat=cb.shape[1])) / m
+
+    @pytest.mark.parametrize("rows", [
+        [[0.9, 0.1], [0.1, 0.9]],
+        [[0.8, 0.2], [0.35, 0.65]],
+        [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]],
+        [[0.6, 0.4], [0.3, 0.7], [0.05, 0.95]],
+        [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]],
+        [[1.0, 0.0], [0.25, 0.75]],
+    ], ids=["bsc", "binary", "3x3", "3x2", "3x3_zeros", "z_channel"])
+    def test_matches_brute_force_oracle(self, rows):
+        channel = wx.Dmc(rows)
+        rng = np.random.default_rng(len(rows) * 10 + len(rows[0]))
+        for _ in range(6):
+            n = int(rng.integers(1, 6))
+            m2 = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 5))
+            cb = rng.integers(0, len(rows), size=(m * m2, n)).astype(np.int8)
+            assert wx.exact_pc_for_codebook(cb, channel, m2) == pytest.approx(
+                self.brute_force_pc(cb, channel, m2), rel=1e-12)
+
+    def test_small_blocks_give_same_result(self, monkeypatch):
+        # with 64-entry temporaries the loops over second-half columns,
+        # blocks of one or more sub-codes and codeword chunks take several
+        # steps, the last of them partial
+        channel = wx.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+        rng = np.random.default_rng(4)
+        cases = [(rng.integers(0, 2, size=(12 * 16, 9)).astype(np.int8),
+                  BSC01, 16),
+                 (rng.integers(0, 3, size=(7 * 5, 5)).astype(np.int8),
+                  channel, 5),
+                 (rng.integers(0, 2, size=(20 * 2, 3)).astype(np.int8),
+                  BSC01, 2)]
+        whole = [wx.exact_pc_for_codebook(cb, ch, m2) for cb, ch, m2 in cases]
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        for (cb, ch, m2), ref in zip(cases, whole):
+            assert wx.exact_pc_for_codebook(cb, ch, m2) == pytest.approx(
+                ref, rel=1e-13)
 
     def test_pc_bounds(self):
         es = spec_for(8, 0.6, 0.2, trials=6, seed=3)
