@@ -194,11 +194,6 @@ def entropy(d: Distribution) -> float:
     return float(-xlogy(d.probs, d.probs).sum())
 
 
-def output_marginal(q: ConditionalChannel) -> np.ndarray:
-    """Q_Z(z) = sum_x Q_X(x) Q(z|x)."""
-    return q.input_marginal.probs @ q.rows
-
-
 def mutual_information(q: ConditionalChannel) -> float:
     """I_Q(X;Z) in nats for the joint Q_X x Q_{Z|X}.
 
@@ -316,6 +311,21 @@ def check_degraded(main: Dmc, wiretap: Dmc,
 # channel-spec files
 # ---------------------------------------------------------------------------
 
+def _file_vector(raw, what: str) -> np.ndarray:
+    """A probability vector read from a channel-spec file, renormalized
+    exactly; ``what`` names it in the error messages."""
+    vals = np.asarray(raw, dtype=float)
+    if vals.ndim != 1:
+        raise ChannelFileError(f"{what} must be a flat array")
+    if np.any(vals < 0) or not np.all(np.isfinite(vals)):
+        raise ChannelFileError(f"{what} has negative or non-finite entries")
+    s = float(vals.sum())
+    if abs(s - 1.0) > FILE_SUM_ATOL:
+        raise ChannelFileError(
+            f"{what} sums to {s:.17g} (|sum-1| > {FILE_SUM_ATOL})")
+    return vals / s
+
+
 def _load_rows(raw, name: str) -> Dmc:
     if not isinstance(raw, list) or not raw or not all(
             isinstance(r, list) for r in raw):
@@ -326,16 +336,7 @@ def _load_rows(raw, name: str) -> Dmc:
         if len(r) != width:
             raise ChannelFileError(
                 f"'{name}' row {k} has {len(r)} entries, expected {width}")
-        vals = np.asarray(r, dtype=float)
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise ChannelFileError(
-                f"'{name}' row {k} has negative or non-finite entries")
-        s = float(vals.sum())
-        if abs(s - 1.0) > FILE_SUM_ATOL:
-            raise ChannelFileError(
-                f"'{name}' row {k} sums to {s:.17g} "
-                f"(|sum-1| > {FILE_SUM_ATOL})")
-        rows.append(vals / s)
+        rows.append(_file_vector(r, f"'{name}' row {k}"))
     return Dmc(np.vstack(rows))
 
 
@@ -359,18 +360,10 @@ def parse_channel_spec(text: str, source: str = "<string>") -> ChannelSpec:
             raise ChannelFileError("missing required field 'input_dist'")
         if "wiretap" not in raw:
             raise ChannelFileError("missing required field 'wiretap'")
-        px = np.asarray(raw["input_dist"], dtype=float)
-        if px.ndim != 1:
-            raise ChannelFileError("'input_dist' must be a flat array")
-        if np.any(px < 0) or not np.all(np.isfinite(px)):
-            raise ChannelFileError("'input_dist' has negative or non-finite entries")
-        s = float(px.sum())
-        if abs(s - 1.0) > FILE_SUM_ATOL:
-            raise ChannelFileError(
-                f"'input_dist' sums to {s:.17g} (|sum-1| > {FILE_SUM_ATOL})")
+        px = _file_vector(raw["input_dist"], "'input_dist'")
         wiretap = _load_rows(raw["wiretap"], "wiretap")
         main = _load_rows(raw["main"], "main") if "main" in raw else None
-        return ChannelSpec(Distribution(px / s), wiretap, main)
+        return ChannelSpec(Distribution(px), wiretap, main)
     except ChannelFileError as exc:
         raise ChannelFileError(f"{source}: {exc}") from None
     except ValueError as exc:

@@ -34,27 +34,20 @@ from .security import (DEFAULT_CLASSIFY_TOL, classify_exponent, compute_qstar,
 
 LN2 = math.log(2.0)
 
-_DEFAULTS = {
-    "gap_tol": DEFAULT_GAP_TOL,
-    "max_iter": DEFAULT_MAX_ITER,
-    "table_points": DEFAULT_TABLE_POINTS,
-    "classify_tol": DEFAULT_CLASSIFY_TOL,
-    "gaussian_grid": DEFAULT_GRID_POINTS,
-    "refine_tol": DEFAULT_REFINE_TOL,
-    "z_budget": sim.DEFAULT_Z_BUDGET,
-    "codebook_budget": sim.DEFAULT_CODEBOOK_BUDGET,
-    "z_samples": sim.DEFAULT_Z_SAMPLES,
-    "workers": 1,
-    "degraded_tol": DEFAULT_DEGRADED_TOL,
-}
-
-#: lower limit of each bounded setting, and whether the limit itself is allowed
-_LIMITS = {
-    **{key: (1, True) for key in ("workers", "max_iter", "z_samples",
-                                  "z_budget", "codebook_budget",
-                                  "gaussian_grid")},
-    **{key: (0, False) for key in ("gap_tol", "refine_tol")},
-    **{key: (0, True) for key in ("classify_tol", "degraded_tol")},
+#: every setting: its default, its lower limit and whether the limit itself
+#: is allowed; a setting with an integer default takes whole numbers only
+_SETTINGS = {
+    "gap_tol": (DEFAULT_GAP_TOL, 0, False),
+    "max_iter": (DEFAULT_MAX_ITER, 1, True),
+    "table_points": (DEFAULT_TABLE_POINTS, 2, True),
+    "classify_tol": (DEFAULT_CLASSIFY_TOL, 0, True),
+    "gaussian_grid": (DEFAULT_GRID_POINTS, 1, True),
+    "refine_tol": (DEFAULT_REFINE_TOL, 0, False),
+    "z_budget": (sim.DEFAULT_Z_BUDGET, 1, True),
+    "codebook_budget": (sim.DEFAULT_CODEBOOK_BUDGET, 1, True),
+    "z_samples": (sim.DEFAULT_Z_SAMPLES, 1, True),
+    "workers": (1, 1, True),
+    "degraded_tol": (DEFAULT_DEGRADED_TOL, 0, True),
 }
 
 
@@ -67,20 +60,22 @@ def _fmt(v) -> str:
 
 
 def _settings(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    """Every setting, validated and typed: flags over config file over
+    defaults."""
+    given = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(cfg)
+        unknown = set(loaded) - set(_SETTINGS)
         if unknown:
             raise ChannelFileError(
                 f"config file {args.config}: unknown keys {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in cfg:
+        given.update(loaded)
+    cfg = {}
+    for key, (default, low, inclusive) in _SETTINGS.items():
         val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key, val in cfg.items():
+        if val is None:
+            val = given.get(key, default)
         # every setting is numeric; bool is an int subclass but no number here
         try:
             ok = (not isinstance(val, bool) and isinstance(val, (int, float))
@@ -90,19 +85,20 @@ def _settings(args) -> dict:
         if not ok:
             raise ChannelFileError(
                 f"setting {key} must be a finite number, got {val!r}")
-    for key, (low, inclusive) in _LIMITS.items():
-        val = cfg[key]
+        if isinstance(default, int) and val != int(val):
+            raise ChannelFileError(
+                f"setting {key} must be an integer, got {val!r}")
         if val < low or (val == low and not inclusive):
             raise ChannelFileError(
                 f"setting {key} must be "
                 f"{'at least' if inclusive else 'greater than'} {low}, "
                 f"got {val!r}")
+        cfg[key] = type(default)(val)
     return cfg
 
 
 def _solver_kwargs(cfg) -> dict:
-    return {"gap_tol": cfg["gap_tol"], "max_iter": int(cfg["max_iter"]),
-            "table_points": int(cfg["table_points"])}
+    return {key: cfg[key] for key in ("gap_tol", "max_iter", "table_points")}
 
 
 def _parse_grid(text: str, what: str) -> np.ndarray:
@@ -118,13 +114,15 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
     return np.linspace(lo, hi, steps) if steps else np.array([])
 
 
-def _emit(lines: list[str], output: str | None) -> None:
+def _emit(lines: list[str], output: str | None, skipped: int = 0) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if skipped:
+        print(f"skipped {skipped} grid points with R2 > R1", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +156,10 @@ def _cmd_exponent(args) -> int:
 _SWEEP_COLUMNS = ("R1", "R2", "E", "E1", "E2", "E3", "branch", "class")
 
 
-def _sweep_rows(spec_dict: dict, r1_values, r2_mode, cfg) -> tuple[list, int]:
+def _sweep_rows(spec, r1_values, r2_mode, cfg) -> tuple[list, int]:
     # always in-process: the rows share one solver's table and phi memo, and
     # splitting them over a process pool was slower on every plane measured
-    # (41x41 to 201x201) because each worker rebuilt both.  The spec is
-    # re-parsed from its JSON form, renormalizing the rows a second time, as
-    # the sweep always has; dropping that moves last digits of some rows
-    from .channels import parse_channel_spec
-    spec = parse_channel_spec(json.dumps(spec_dict))
+    # (41x41 to 201x201) because each worker rebuilt both
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
     kind, r2_values = r2_mode
     rows, skipped = [], 0
@@ -205,7 +199,7 @@ def _cmd_sweep(args) -> int:
         if bad:
             raise ChannelFileError(f"unknown sweep columns {sorted(bad)}")
 
-    rows, skipped = _sweep_rows(spec.to_json_dict(), r1_values, r2_mode, cfg)
+    rows, skipped = _sweep_rows(spec, r1_values, r2_mode, cfg)
 
     rate_like = {"R1", "R2", "E", "E1", "E2", "E3"}
     lines = [",".join(columns)]
@@ -214,9 +208,7 @@ def _cmd_sweep(args) -> int:
         lines.append(",".join(
             _fmt(rec[c] / unit) if c in rate_like else _fmt(rec[c])
             for c in columns))
-    _emit(lines, args.output)
-    if skipped:
-        print(f"skipped {skipped} grid points with R2 > R1", file=sys.stderr)
+    _emit(lines, args.output, skipped)
     return 0
 
 
@@ -271,11 +263,23 @@ def _gaussian_rows(payload):
             for r1 in r1_values for r2 in r2_values if r2 <= r1]
 
 
+_GAUSSIAN_COLUMNS = ("S", "sigma2", "R1", "R2", "E", "E1", "E2", "E3",
+                     "rho_star", "sigma_z_star", "branch")
+
+
+def _gaussian_fields(g, r1, r2, opt, unit) -> tuple[str, ...]:
+    """The formatted values of _GAUSSIAN_COLUMNS for one rate pair."""
+    return (_fmt(g.s), _fmt(g.sigma2), _fmt(r1 / unit), _fmt(r2 / unit),
+            _fmt(opt.e / unit), _fmt(opt.e1 / unit), _fmt(opt.e2 / unit),
+            _fmt(opt.e3 / unit), _fmt(opt.rho_star), _fmt(opt.sigma_z_star),
+            opt.active_branch)
+
+
 def _cmd_gaussian(args) -> int:
     cfg = _settings(args)
     unit = LN2 if args.bits else 1.0
     g = GaussianSpec(args.power, args.noise)
-    grid = int(cfg["gaussian_grid"])
+    grid = cfg["gaussian_grid"]
     rtol = cfg["refine_tol"]
     if args.r1_grid or args.r2_grid:
         if not (args.r1_grid and args.r2_grid):
@@ -286,49 +290,29 @@ def _cmd_gaussian(args) -> int:
         parts = _fan_out(_gaussian_rows,
                          lambda lo, hi: (g.s, g.sigma2, r1s[lo:hi], r2s,
                                          grid, rtol),
-                         r1s.size, int(cfg["workers"]))
+                         r1s.size, cfg["workers"])
         rows = [row for part in parts for row in part]
         skipped = r1s.size * r2s.size - len(rows)
-        lines = [",".join(("S", "sigma2", "R1", "R2", "E", "E1", "E2", "E3",
-                           "rho_star", "sigma_z_star", "branch"))]
-        for r1, r2, opt in rows:
-            lines.append(",".join((
-                _fmt(g.s), _fmt(g.sigma2), _fmt(r1 / unit),
-                _fmt(r2 / unit), _fmt(opt.e / unit), _fmt(opt.e1 / unit),
-                _fmt(opt.e2 / unit), _fmt(opt.e3 / unit),
-                _fmt(opt.rho_star), _fmt(opt.sigma_z_star),
-                opt.active_branch)))
-        _emit(lines, args.output)
-        if skipped:
-            print(f"skipped {skipped} grid points with R2 > R1",
-                  file=sys.stderr)
+        lines = [",".join(_GAUSSIAN_COLUMNS)]
+        lines += [",".join(_gaussian_fields(g, r1, r2, opt, unit))
+                  for r1, r2, opt in rows]
+        _emit(lines, args.output, skipped)
         return 0
     if args.r1 is None or args.r2 is None:
         raise ChannelFileError("need --r1/--r2 or --r1-grid/--r2-grid")
     rates = RatePair(args.r1 * unit, args.r2 * unit)
     opt = gaussian_exponent(g, rates, grid_points=grid, refine_tol=rtol)
-    lines = [
-        f"S {_fmt(g.s)}",
-        f"sigma2 {_fmt(g.sigma2)}",
-        f"R1 {_fmt(rates.r1 / unit)}",
-        f"R2 {_fmt(rates.r2 / unit)}",
-        f"E {_fmt(opt.e / unit)}",
-        f"E1 {_fmt(opt.e1 / unit)}",
-        f"E2 {_fmt(opt.e2 / unit)}",
-        f"E3 {_fmt(opt.e3 / unit)}",
-        f"rho_star {_fmt(opt.rho_star)}",
-        f"sigma_z_star {_fmt(opt.sigma_z_star)}",
-        f"branch {opt.active_branch}",
-    ]
-    _emit(lines, args.output)
+    fields = _gaussian_fields(g, rates.r1, rates.r2, opt, unit)
+    _emit([f"{c} {v}" for c, v in zip(_GAUSSIAN_COLUMNS, fields)],
+          args.output)
     return 0
 
 
 def _simulate_trials(payload):
     es, cfg, lo, hi = payload
-    return sim.per_trial_pc(es, budget=int(cfg["z_budget"]),
-                            z_samples=int(cfg["z_samples"]),
-                            codebook_budget=int(cfg["codebook_budget"]),
+    return sim.per_trial_pc(es, budget=cfg["z_budget"],
+                            z_samples=cfg["z_samples"],
+                            codebook_budget=cfg["codebook_budget"],
                             trial_range=(lo, hi))
 
 
@@ -342,7 +326,7 @@ def _cmd_simulate(args) -> int:
                           channel=spec.wiretap, trials=args.trials,
                           seed=args.seed)
     parts = _fan_out(_simulate_trials, lambda lo, hi: (es, cfg, lo, hi),
-                     args.trials, int(cfg["workers"]))
+                     args.trials, cfg["workers"])
     result = sim.summarize_trials(es, [pc for part in parts for pc in part])
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
     asymptotic = solver.exponent_rep1(rates).e

@@ -572,7 +572,7 @@ class ExponentSolver:
         self._table: list[_InnerSolution] = []
         log_q = np.where(self._support, self._log_p, _LOGZERO)
         for s in self._table_s:
-            sol = self._solve_key(self._key(float(s)), log_q)
+            sol = self._solve_s(float(s), log_q)
             self._table.append(sol)
             log_q = sol.log_q
         self._table_i = np.array([sol.i for sol in self._table])  # ascending
@@ -582,28 +582,19 @@ class ExponentSolver:
 
     # -- inner solves --------------------------------------------------
 
-    @staticmethod
-    def _key(s: float) -> float:
-        # inner solutions are cached on s quantized to 1e-9
-        return round(min(max(s, 0.0), 2.0), 9)
-
-    def _warm_start(self, s: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self._table_s - s)))
-        return self._table[idx].log_q
-
-    def _solve_key(self, key: float, log_q0: np.ndarray) -> _InnerSolution:
+    def _solve_s(self, s: float,
+                 log_q0: np.ndarray | None = None) -> _InnerSolution:
+        # inner solutions are cached on s quantized to 1e-9; an uncached one
+        # starts from log_q0, or else from the nearest table entry
+        key = round(min(max(s, 0.0), 2.0), 9)
         sol = self._cache.get(key)
         if sol is None:
+            if log_q0 is None:
+                idx = int(np.argmin(np.abs(self._table_s - key)))
+                log_q0 = self._table[idx].log_q
             sol = _solve_inner(self._w, self._p, self._log_p, self._support,
                                key, log_q0, self.gap_tol, self.max_iter)
             self._cache[key] = sol
-        return sol
-
-    def _solve_s(self, s: float) -> _InnerSolution:
-        key = self._key(s)
-        sol = self._cache.get(key)
-        if sol is None:
-            sol = self._solve_key(key, self._warm_start(key))
         return sol
 
     def _embed(self, sol: _InnerSolution) -> ConditionalChannel:

@@ -273,10 +273,34 @@ def _sampled_pc(codebook: np.ndarray, channel: Dmc, m2: int,
     u = rng.random((z_samples, n))
     z = (u[:, :, None] > cdf[xs][:, :, :-1]).sum(axis=2)
     log_rows = np.maximum(_log_rows(channel), _LOG_ZERO)
-    ll3 = _loglik(codebook, log_rows, z).reshape(m, m2, -1)
-    hi = ll3.max(axis=1)
-    lse = hi + np.log(np.exp(ll3 - hi[:, None, :]).sum(axis=1))
-    decoded = np.argmax(lse, axis=0)
+    # blocks of g sub-codes, taken in chunks of h codewords each, keep every
+    # likelihood array and one-hot within _BLOCK entries.  A sub-code's log
+    # sum is rescaled only when it spans chunks, so it is bit for bit the
+    # one-pass value whenever h = m2
+    width = max(z_samples, n * channel.num_inputs)
+    h = max(1, min(m2, _BLOCK // width))
+    g = max(1, _BLOCK // (h * width))
+    subs = codebook.reshape(m, m2, n)
+    best = np.full(z_samples, -np.inf)
+    decoded = np.zeros(z_samples, dtype=np.int64)
+    for w0 in range(0, m, g):
+        block = subs[w0:w0 + g]
+        hi = np.full((len(block), z_samples), -np.inf)
+        acc = np.zeros((len(block), z_samples))
+        for j in range(0, m2, h):
+            part = block[:, j:j + h]
+            ll = _loglik(part.reshape(-1, n), log_rows, z).reshape(
+                part.shape[0], part.shape[1], z_samples)
+            top = np.maximum(hi, ll.max(axis=1))
+            ll -= top[:, None, :]
+            acc = acc * np.exp(hi - top) + np.exp(ll, out=ll).sum(axis=1)
+            hi = top
+        lse = hi + np.log(acc)
+        k = np.argmax(lse, axis=0)
+        score = lse[k, np.arange(z_samples)]
+        # strictly greater, so ties go to the first sub-code as in argmax
+        wins = score > best
+        best[wins], decoded[wins] = score[wins], w0 + k[wins]
     return float(np.mean(decoded == sent // m2))
 
 

@@ -208,6 +208,30 @@ class TestChannelFiles:
         with pytest.raises(wx.ChannelFileError, match="line"):
             parse_channel_spec('{"input_dist": [0.5, 0.5],\n  "wiretap": }')
 
+    # the input distribution and every channel row pass the same checks;
+    # the messages are pinned whole.  A row of arrays was let through to a
+    # wrong-shaped channel matrix before the rows got the flatness check
+    @pytest.mark.parametrize("doc,message", [
+        ('{"input_dist": [[0.5, 0.5]], "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' must be a flat array"),
+        ('{"input_dist": [1.5, -0.5], "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' has negative or non-finite entries"),
+        ('{"input_dist": [0.5, 0.4], "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' sums to 0.90000000000000002 (|sum-1| > 1e-09)"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[[0.5], [0.5]], [[1], [0]]]}',
+         "'wiretap' row 0 must be a flat array"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [NaN]]}',
+         "'wiretap' row 1 has negative or non-finite entries"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [1.0]],'
+         ' "main": [[0.5, 0.51], [0.5, 0.5]]}',
+         "'main' row 0 sums to 1.01 (|sum-1| > 1e-09)"),
+    ], ids=["input-flat", "input-negative", "input-sum", "row-flat",
+            "row-nan", "main-row-sum"])
+    def test_vector_messages(self, doc, message):
+        with pytest.raises(wx.ChannelFileError) as exc:
+            parse_channel_spec(doc)
+        assert str(exc.value) == f"<string>: {message}"
+
     def test_negative_entry(self):
         doc = '{"input_dist": [0.5, 0.5], "wiretap": [[1.1, -0.1], [0.1, 0.9]]}'
         with pytest.raises(wx.ChannelFileError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import math
@@ -85,6 +86,76 @@ class TestExponentCommand:
         assert e_bits == pytest.approx(e_nats / LN2, abs=1e-9)
 
 
+#: columns that hold rates or exponents, which --bits prints in bits
+_RATE_COLUMNS = {"R1", "R2", "E", "E1", "E2", "E3", "lower", "upper",
+                 "bracket_lower", "bracket_upper", "i_qstar", "d_qstar", "i_p",
+                 "R1_req", "R2_req", "R1_real", "R2_real", "emp_exponent",
+                 "E_asymptotic"}
+
+
+def _columns(text):
+    """Column name -> printed values, for CSV and key-value output alike."""
+    lines = text.strip().splitlines()
+    if "," not in lines[0]:
+        return {key: [value] for key, value in
+                (line.split(" ", 1) for line in lines)}
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return {c: [row[k] for row in rows] for k, c in enumerate(header)}
+
+
+# Rates in bits: a float is one rate, a list a comma-separated list of them
+# and a tuple (lo, hi) a two-point grid, whose points are its ends.  The
+# nats run gets each rate b as repr(b ln 2), the value the bits run turns
+# it into, so both runs solve the same problems.
+_BITS_CASES = {
+    "sweep": ["sweep", "asym", "--r1-grid", (0.4, 1.6),
+              "--r2-fractions", "0:1:3"],
+    "region": ["region", "bsc", "--r1-list", [0.3, 0.7, 1.2]],
+    "gaussian-record": ["gaussian", "--power", "1", "--noise", "1",
+                        "--r1", 0.9, "--r2", 0.2],
+    "gaussian-csv": ["gaussian", "--power", "1", "--noise", "1",
+                     "--r1-grid", (0.4, 1.2), "--r2-grid", (0.0, 0.3)],
+    "simulate": ["simulate", "bsc", "--n", "6", "--r1", 0.9, "--r2", 0.3,
+                 "--trials", "4", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("case", list(_BITS_CASES))
+def test_bits_output(capsys, channel_file, case):
+    paths = {"asym": channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS, name="a"),
+             "bsc": channel_file(*BSC01_ARGS, name="b")}
+
+    def argv(scale):
+        def rate(b):
+            return repr(b * scale)
+        out = []
+        for arg in _BITS_CASES[case]:
+            if isinstance(arg, float):
+                out.append(rate(arg))
+            elif isinstance(arg, list):
+                out.append(",".join(rate(b) for b in arg))
+            elif isinstance(arg, tuple):
+                out.append(f"{rate(arg[0])}:{rate(arg[1])}:2")
+            else:
+                out.append(paths.get(arg, arg))
+        return out
+
+    code, nats, _ = run(capsys, argv(LN2))
+    assert code == 0
+    code, bits, _ = run(capsys, argv(1) + ["--bits"])
+    assert code == 0
+    nats, bits = _columns(nats), _columns(bits)
+    assert list(bits) == list(nats) and all(nats.values())
+    assert _RATE_COLUMNS & set(nats)
+    for column, values in nats.items():
+        if column in _RATE_COLUMNS:
+            assert [float(v) for v in bits[column]] == pytest.approx(
+                [float(v) / LN2 for v in values], abs=1e-9, nan_ok=True)
+        else:
+            assert bits[column] == values
+
+
 class TestSweepCommand:
     def test_csv_structure_and_order(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
@@ -165,15 +236,32 @@ class TestSweepCommand:
         # R1 near 1.15 puts phi's root-finding on the s ~ 0.51 solves that
         # take Anderson steps; each row must not depend on the rows that
         # the same solver answered before it
-        spec = wx.load_channel_spec(SLOW_FIXED_POINT).to_json_dict()
+        spec = wx.load_channel_spec(SLOW_FIXED_POINT)
         r1s = np.linspace(1.0, 1.16, 3)
         mode = ("fractions", np.linspace(0.0, 1.0, 3))
-        cfg = dict(cli._DEFAULTS)
+        cfg = cli._settings(argparse.Namespace())
         whole, _ = cli._sweep_rows(spec, r1s, mode, cfg)
         assert len(whole) == 9
         for i in range(3):
             one, _ = cli._sweep_rows(spec, r1s[i:i + 1], mode, cfg)
             assert one == whole[3 * i:3 * i + 3]
+
+    def test_rows_match_exponent_of_loaded_spec(self, capsys, channel_file):
+        # the rows solve the channel as loaded; renormalizing its rows a
+        # second time moved E2 at R1 0.216, R2 0 in the last digit
+        path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
+        code, out, _ = run(capsys, ["sweep", path, "--r1-grid", "0:1.2:101",
+                                    "--r2-grid", "0:0:1"])
+        assert code == 0
+        solver = ExponentSolver(wx.load_channel_spec(path))
+        rows = [line.split(",")[2:7] for line in out.splitlines()[1:]]
+        expected = []
+        for r1 in np.linspace(0.0, 1.2, 101):
+            res = solver.exponent_rep1(wx.RatePair(float(r1), 0.0))
+            expected.append([cli._fmt(v) for v in (res.e, res.e1, res.e2,
+                                                   res.e3)]
+                            + [res.active_branch])
+        assert rows == expected
 
     def test_one_exponent_evaluation_per_row(self, capsys, channel_file,
                                              monkeypatch):
@@ -354,7 +442,7 @@ class TestConfig:
         assert out2 == ref_out
 
     def test_defaults_are_module_constants(self):
-        assert cli._DEFAULTS == {
+        assert cli._settings(argparse.Namespace()) == {
             "gap_tol": exponent.DEFAULT_GAP_TOL,
             "max_iter": exponent.DEFAULT_MAX_ITER,
             "table_points": exponent.DEFAULT_TABLE_POINTS,
@@ -432,6 +520,32 @@ class TestConfig:
         code, _, err = run(capsys, ["exponent", path, "--r1", "0.5",
                                     "--r2", "0.1", "--config", str(cfg)])
         assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("key,value", [("table_points", 2.9),
+                                           ("max_iter", 100.7),
+                                           ("workers", 1.5)])
+    def test_non_integral_setting_rejected(self, capsys, channel_file,
+                                           tmp_path, key, value):
+        # these were truncated without a word: table_points 2.9 ran a
+        # 2-point table
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.6",
+                                      "--r2", "0.1", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert f"setting {key} must be an integer, got {value!r}" in err
+
+    def test_integral_float_setting_accepted(self, capsys, channel_file,
+                                             tmp_path):
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 2e5, "table_points": 65.0}),
+                       encoding="utf-8")
+        argv = ["exponent", path, "--r1", "0.6", "--r2", "0.1"]
+        _, ref, _ = run(capsys, argv)
+        code, out, err = run(capsys, argv + ["--config", str(cfg)])
+        assert (code, out, err) == (0, ref, "")
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_table_points_below_two_rejected(self, capsys, channel_file,

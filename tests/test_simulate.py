@@ -233,6 +233,29 @@ class TestEstimateEnsemblePc:
         sampled = _sampled_pc(cb, BSC01, es.m2, np.random.default_rng(0), 4000)
         assert abs(sampled - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 4000)
 
+    def test_sampled_small_blocks_give_same_result(self, monkeypatch):
+        # with 64-entry temporaries the estimate runs over blocks of several
+        # sub-codes (m2 = 2) and over sub-codes split into chunks of three
+        # codewords (m2 = 4), the last of them partial; in the third case
+        # every sub-code is the same, so each sample's scores tie and
+        # sub-code 0 must win them all
+        channel = wx.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+        rng = np.random.default_rng(6)
+        cases = [(rng.integers(0, 3, size=(7 * 2, 5)).astype(np.int8),
+                  channel, 2, 8),
+                 (rng.integers(0, 2, size=(24 * 4, 9)).astype(np.int8),
+                  BSC01, 4, 16),
+                 (np.tile(rng.integers(0, 2, size=(3, 4)), (9, 1)
+                          ).astype(np.int8), BSC01, 3, 16)]
+
+        def estimates():
+            return [_sampled_pc(cb, ch, m2, np.random.default_rng(k), zs)
+                    for k, (cb, ch, m2, zs) in enumerate(cases)]
+
+        whole = estimates()
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        assert estimates() == whole
+
     def test_fallback_used_beyond_budget(self):
         es = spec_for(8, 0.5, 0.25, trials=3, seed=2)
         res = wx.estimate_ensemble_pc(es, budget=16, z_samples=64)
