@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import rel_entr, xlogy
 
-from .errors import ChannelFileError
+from .errors import ChannelFileError, SolverError
 
 #: construction-time tolerance on |sum(p) - 1|
 SUM_ATOL = 1e-12
@@ -289,13 +288,18 @@ def check_degraded(main: Dmc, wiretap: Dmc,
         rows_eq.append(coeff)
     cost = np.zeros(nvar)
     cost[-1] = 1.0
+    # imported here, not at module level: loading scipy's optimizers would
+    # add about 0.3 s to the start of every command, not only `check`
+    from scipy.optimize import linprog
     res = linprog(cost,
                   A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
                   A_eq=np.array(rows_eq), b_eq=np.ones(ny),
                   bounds=[(0, None)] * (ny * nz) + [(0, None)],
                   method="highs")
     if not res.success:
-        raise RuntimeError(f"degradedness LP failed: {res.message}")
+        raise SolverError(f"degradedness LP failed: {res.message}",
+                          best_value=math.nan, residual=math.nan,
+                          iterations=res.nit)
     t = float(res.x[-1])
     ok = t <= tol * (1 + 1e-6) + 1e-12
     witness = None

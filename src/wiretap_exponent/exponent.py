@@ -18,7 +18,9 @@ information of the minimizer), which gives
 a support-line envelope whose value is first-order insensitive to errors in
 the maximizing mu.  All branch evaluations go through this envelope, so
 their accuracy is set by the certified gap of the inner solves rather than
-by root-finding tolerances.
+by root-finding tolerances.  The maximizing mu is found by ``_brentq``, a
+port of scipy's Brent root-finder that returns its roots bit for bit and
+keeps scipy's optimizers off the import path.
 
 The inner solver runs in the log domain.  For s >= 1 it alternates
 closed-form row updates with output-marginal updates (each step an exact
@@ -63,7 +65,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import rel_entr
 
 from .channels import ChannelSpec, ConditionalChannel
@@ -511,6 +512,73 @@ def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
                       iterations=sol.iterations)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = 4 * math.ulp(1.0), maxiter: int = 100) -> float:
+    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
+
+    A line-by-line port of ``scipy/optimize/Zeros/brentq.c`` (Brent 1973,
+    ch. 4), which returns the same root bit for bit: inverse quadratic or
+    secant steps, bisection whenever a step is too long or shrinks too
+    slowly, and the root once the bracket is within 2*delta.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SolverError("Brent root-finding did not converge",
+                      best_value=xcur, residual=abs(fcur), iterations=maxiter)
+
+
 # ---------------------------------------------------------------------------
 # per-channel solver with cached inner solutions
 # ---------------------------------------------------------------------------
@@ -535,17 +603,22 @@ class ExponentSolver:
     gap_tol : float
         Certified optimality gap at which inner solves stop.
     max_iter : int
-        Iteration cap per inner solve.
+        Iteration cap per inner solve; at least 1.
     table_points : int
         Size of the precomputed multiplier table; at least 2, so that the
-        table spans both ends of the multiplier range.
+        table spans both ends of the multiplier range.  Both integer
+        arguments accept integral floats such as ``1e5``; any other value
+        raises ``ValueError``.
     """
 
     def __init__(self, spec: ChannelSpec, *, gap_tol: float = DEFAULT_GAP_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
                  table_points: int = DEFAULT_TABLE_POINTS):
-        if int(table_points) < 2:
-            raise ValueError(f"table_points = {table_points} must be at least 2")
+        for name, value, low in (("table_points", table_points, 2),
+                                 ("max_iter", max_iter, 1)):
+            if not (float(value).is_integer() and value >= low):
+                raise ValueError(
+                    f"{name} = {value!r} must be an integer of at least {low}")
         self.spec = spec
         self.gap_tol = float(gap_tol)
         self.max_iter = int(max_iter)
@@ -659,8 +732,8 @@ class ExponentSolver:
             return mu_lo
         if f_hi >= 0.0:
             return mu_hi
-        return float(brentq(lambda mu: self._solve_s(1.0 + mu).i - target,
-                            mu_lo, mu_hi, xtol=xtol))
+        return _brentq(lambda mu: self._solve_s(1.0 + mu).i - target,
+                       mu_lo, mu_hi, xtol=xtol)
 
     def phi(self, target_i: float) -> tuple[float, _InnerSolution]:
         """Minimal divergence at mutual-information level ``target_i``.

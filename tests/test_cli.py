@@ -2,6 +2,9 @@ import argparse
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -423,6 +426,34 @@ class TestCheckCommand:
         code, out, _ = run(capsys, ["check", path])
         assert code == 0
         assert "skipped" in out
+
+    def test_lp_failure_exits_3(self, capsys, channel_file, monkeypatch):
+        import scipy.optimize
+        failed = scipy.optimize.OptimizeResult(
+            success=False, status=4, nit=7, message="numerical difficulties")
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: failed)
+        path = channel_file([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]],
+                            main=[[0.9, 0.1], [0.1, 0.9]])
+        code, out, err = run(capsys, ["check", path])
+        assert code == 3
+        assert "degraded" not in out
+        assert err.startswith("error: degradedness LP failed: numerical "
+                              "difficulties")
+        assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.3 s of every CLI start; only `check`
+    # may load it, inside check_degraded
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import wiretap_exponent, sys; print(sorted(m for m in "
+            "sys.modules if m.startswith('scipy.optimize')))")
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfig:

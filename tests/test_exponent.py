@@ -735,3 +735,104 @@ class TestGeneratedScanChannels:
         monkeypatch.setattr(exponent, "_vertex_within", lambda *args: None)
         with pytest.raises(wx.SolverError, match="stalled at s=0 "):
             ExponentSolver(spec, table_points=3)
+
+
+class TestSolverArguments:
+    @pytest.mark.parametrize("name, value, accepted", [
+        ("table_points", 2.9, False),
+        ("table_points", 1, False),
+        ("table_points", 3.0, True),
+        ("max_iter", 0.5, False),
+        ("max_iter", 0, False),
+        ("max_iter", 100.7, False),
+        ("max_iter", math.nan, False),
+        ("max_iter", 1e5, True),
+    ])
+    def test_integer_arguments(self, name, value, accepted):
+        if not accepted:
+            with pytest.raises(ValueError, match=f"{name} = "):
+                ExponentSolver(make_bsc(0.1), **{name: value})
+            return
+        solver = ExponentSolver(make_bsc(0.1), **{name: value})
+        assert solver.max_iter == (int(value) if name == "max_iter"
+                                   else exponent.DEFAULT_MAX_ITER)
+        assert len(solver._table) == (int(value) if name == "table_points"
+                                      else exponent.DEFAULT_TABLE_POINTS)
+
+
+# monotone shapes with their root at r; k sets the steepness
+_BRENT_SHAPES = {
+    "linear": lambda x, r, k: k * (x - r),
+    "cubic": lambda x, r, k: (x - r) ** 3 + 1e-3 * k * (x - r),
+    "expm1": lambda x, r, k: math.expm1(k * (x - r)),
+    "atan": lambda x, r, k: math.atan(k * (x - r)) - 0.3 * (x - r),
+}
+
+
+class TestBrentq:
+    """``exponent._brentq`` is a port of scipy's Brent root-finder."""
+
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(1973)
+        compared = 0
+        for shape in _BRENT_SHAPES.values():
+            for flip in (False, True):
+                for xtol in (1e-9, 2e-12):
+                    for _ in range(1250):
+                        a, b = sorted(rng.uniform(-2.0, 2.0, 2))
+                        r, k = rng.uniform(a, b), rng.uniform(0.5, 20.0)
+                        f = (lambda x, r=r, k=k: shape(x, r, k))
+                        xa, xb = (b, a) if flip else (a, b)
+                        ours = exponent._brentq(f, xa, xb, xtol=xtol)
+                        assert type(ours) is float
+                        assert ours == brentq(f, xa, xb, xtol=xtol)
+                        compared += 1
+        assert compared == 20_000
+
+    def test_root_at_an_endpoint_is_returned_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert exponent._brentq(f, 1.0, 3.0) == 1.0
+        assert exponent._brentq(f, -1.0, 1.0) == 1.0
+        assert calls == [1.0, 3.0, -1.0, 1.0]
+
+    def test_invalid_brackets_raise_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            exponent._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            exponent._brentq(lambda x: math.nan if x > 0.5 else x - 0.75,
+                             0.0, 1.0)
+
+    def test_exhausted_iterations_raise_solver_error(self):
+        f = (lambda x: _BRENT_SHAPES["atan"](x, 0.3, 20.0))
+        with pytest.raises(wx.SolverError, match="did not converge") as exc:
+            exponent._brentq(f, -2.0, 2.0, maxiter=1)
+        assert exc.value.iterations == 1
+        assert exponent._brentq(f, -2.0, 2.0) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("load", [make_asym_3x3,
+                                      lambda: wx.load_channel_spec(
+                                          SLOW_FIXED_POINT)])
+    def test_phi_matches_scipy_root_finder(self, load, monkeypatch):
+        from scipy.optimize import brentq
+        spec = load()
+        ours = ExponentSolver(spec)
+        theirs = ExponentSolver(spec)
+        targets = np.linspace(ours.i_min, ours.i_max, 27)[1:-1]
+        expected = [ours.phi(float(t)) for t in targets]
+        calls = []
+
+        def scipy_brentq(f, xa, xb, xtol):
+            calls.append(xtol)
+            return float(brentq(f, xa, xb, xtol=xtol))
+
+        monkeypatch.setattr(exponent, "_brentq", scipy_brentq)
+        for t, (value, sol) in zip(targets, expected):
+            ref_value, ref_sol = theirs.phi(float(t))
+            assert (value, sol.s) == (ref_value, ref_sol.s)
+        assert calls and set(calls) == {1e-9}
