@@ -318,7 +318,10 @@ def check_degraded(main: Dmc, wiretap: Dmc,
 def _file_vector(raw, what: str) -> np.ndarray:
     """A probability vector read from a channel-spec file, renormalized
     exactly; ``what`` names it in the error messages."""
-    vals = np.asarray(raw, dtype=float)
+    try:
+        vals = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ChannelFileError(f"{what} must be an array of numbers") from None
     if vals.ndim != 1:
         raise ChannelFileError(f"{what} must be a flat array")
     if np.any(vals < 0) or not np.all(np.isfinite(vals)):

@@ -66,6 +66,9 @@ def _settings(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ChannelFileError(
+                f"config file {args.config}: top level must be an object")
         unknown = set(loaded) - set(_SETTINGS)
         if unknown:
             raise ChannelFileError(

@@ -35,7 +35,8 @@ are combined by least squares into an extrapolated marginal, which is
 mapped through the same row minimization and taken only if it beats the
 plain jump and still decreases the objective.  Either way termination is
 by a certified optimality gap: a first-order linearization bound for
-s >= 1, and a partial-minimization dual bound for s <= 1.
+s >= 1, and a partial-minimization dual bound for s < 1, which for s > 0
+is the jump's log normalizer at the current marginal.
 
 At s = 0 there is no closed-form jump, and the inner problem is Shmyrev's
 convex program for a linear Fisher market (Shmyrev 2009): inputs are
@@ -222,11 +223,20 @@ def _normalize_log_rows(a: np.ndarray, support: np.ndarray) -> np.ndarray:
     return np.where(support, a - _row_lse(a)[:, None], _LOGZERO)
 
 
-def _d_i(w: np.ndarray, p: np.ndarray, q: np.ndarray,
-         qz: np.ndarray) -> tuple[float, float]:
-    d = float(np.dot(w, rel_entr(q, p).sum(axis=1)))
-    i = float(np.dot(w, rel_entr(q, qz).sum(axis=1)))
-    return d, i
+def _jump(log_p: np.ndarray, support: np.ndarray, s: float,
+          ln_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact row minimization of D + (s-1) I against a frozen output
+    marginal V, for s > 0: the log rows (P V^(s-1))^(1/s), normalized, and
+    each row's log normalizer lse.
+
+    For s >= 1 the rows are the alternating update.  For s <= 1 the row
+    minimum, -s * lse, lower-bounds the objective row by row for any V,
+    so f + s * <w, lse> at V = the current Q_Z certifies the gap, and the
+    rows are the jump candidate.
+    """
+    a = np.where(support, (log_p - (1.0 - s) * ln_v[None, :]) / s, _LOGZERO)
+    lse = _row_lse(a)
+    return np.where(support, a - lse[:, None], _LOGZERO), lse
 
 
 def _linearization_gap(w, log_p, support, s, log_q, q, ln_qz) -> float:
@@ -238,31 +248,18 @@ def _linearization_gap(w, log_p, support, s, log_q, q, ln_qz) -> float:
     return max(float(np.dot(w, inner - lows)), 0.0)
 
 
-def _dual_bound(w, log_p, support, s, ln_qz) -> float:
-    # For s <= 1, F(Q) >= sum_x w_x min_row sum_z Q [s lnQ - lnP + (1-s) lnV]
-    # for any fixed V; with V = current Q_Z the row minimum is closed form.
-    if s > 0.0:
-        c = np.where(support, (log_p - (1.0 - s) * ln_qz[None, :]) / s, _LOGZERO)
-        return -s * float(np.dot(w, _row_lse(c)))
+def _dual_bound(w, log_p, support, ln_qz) -> float:
+    # At s = 0, F(Q) >= sum_x w_x min_row sum_z Q [lnV - lnP] for any fixed
+    # V; with V = current Q_Z the row minimum sits on the row's argmax.
     diff = np.where(support, log_p - ln_qz[None, :], -np.inf)
     return -float(np.dot(w, diff.max(axis=1)))
-
-
-def _solve_inner(w: np.ndarray, p: np.ndarray, log_p: np.ndarray,
-                 support: np.ndarray, s: float, log_q0: np.ndarray,
-                 gap_tol: float, max_iter: int) -> _InnerSolution:
-    """Minimize D + (s-1) I over row-stochastic Q with the given support."""
-    log_q = _normalize_log_rows(log_q0, support)
-    if s >= 1.0:
-        return _solve_alternating(w, p, log_p, support, s, log_q,
-                                  gap_tol, max_iter)
-    return _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter)
 
 
 def _evaluate(w, p, log_q, s):
     q = np.exp(log_q)
     qz = w @ q
-    d, i = _d_i(w, p, q, qz)
+    d = float(np.dot(w, rel_entr(q, p).sum(axis=1)))
+    i = float(np.dot(w, rel_entr(q, qz).sum(axis=1)))
     return q, qz, d, i, d + (s - 1.0) * i
 
 
@@ -283,8 +280,7 @@ def _solve_alternating(w, p, log_p, support, s, log_q, gap_tol, max_iter):
                        s, gap, gap_tol, it)
             return _InnerSolution(s, log_q, q, d, i, f, gap, it)
         f_prev = f
-        log_q = _normalize_log_rows(
-            (log_p + (s - 1.0) * ln_qz[None, :]) / s, support)
+        log_q = _jump(log_p, support, s, ln_qz)[0]
     raise SolverError(f"alternating minimization did not converge at s={s:.9g}",
                       best_value=f_prev, residual=gap, iterations=max_iter)
 
@@ -375,7 +371,7 @@ def _vertex_within(w, p, log_p, support, ln_qz, limit, it):
         if rows is None:
             continue
         q, qz, d, i, f = _evaluate(w, p, rows, 0.0)
-        gap = f - _dual_bound(w, log_p, support, 0.0,
+        gap = f - _dual_bound(w, log_p, support,
                               np.log(np.maximum(qz, _TINY)))
         if gap <= limit:
             _log.debug("s=0 vertex on the tie graph (tau %g) certifies gap "
@@ -384,21 +380,23 @@ def _vertex_within(w, p, log_p, support, ln_qz, limit, it):
     return None
 
 
-def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
-    """One mirror-descent run; returns (solution, converged flag)."""
+def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
+    """Mirror descent for s < 1: one run from the warm start log_q.
+
+    With the Frank-Wolfe step and the stalled s = 0 vertex, no run from
+    another start certified where this one did not
+    (tests/scan_generated.py).  Near s = 0, where no tie-graph vertex
+    certifies, the dual bound is only first-order tight in the marginal
+    and bottoms out around 1e-8 while the value itself is converged, hence
+    the relaxed stall ceiling; the achieved gap is recorded on the
+    solution.
+    """
     eta = 0.5
     # entries crushed far below float resolution by a small-s warm start
     # cannot be revived through measurable objective decreases; floor them
     log_q = _normalize_log_rows(
         np.where(support, np.maximum(log_q, -40.0), _LOGZERO), support)
     q, qz, d, i, f = _evaluate(w, p, log_q, s)
-
-    def jump(ln_v):
-        # exact row minimization against a frozen output marginal V;
-        # returns (log_q, q, qz, d, i, f) of the minimizing rows
-        rows = _normalize_log_rows(
-            (log_p - (1.0 - s) * ln_v[None, :]) / s, support)
-        return (rows,) + _evaluate(w, p, rows, s)
 
     # the last log marginals with their fixed-point residuals, recorded
     # from shortly before the extrapolation can start, and the number of
@@ -408,7 +406,13 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
     sol = None
     for it in range(max_iter + 1):
         ln_qz = np.log(np.maximum(qz, _TINY))
-        gap = f - _dual_bound(w, log_p, support, s, ln_qz)
+        if s > 0.0:
+            # the jump against the current marginal; its log normalizers
+            # give the dual bound
+            rows, lse = _jump(log_p, support, s, ln_qz)
+            gap = f + s * float(np.dot(w, lse))
+        else:
+            gap = f - _dual_bound(w, log_p, support, ln_qz)
         if gap <= gap_tol or it == max_iter:
             sol = _InnerSolution(s, log_q, q, d, i, f, gap, it)
             break
@@ -421,9 +425,9 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
                 break
         moved = False
         if s > 0.0:
-            # the jump against the current marginal is a safe accelerator
-            # whenever it decreases the true objective
-            cand = jump(ln_qz)
+            # the jump is a safe accelerator whenever it decreases the
+            # true objective
+            cand = (rows,) + _evaluate(w, p, rows, s)
             if streak >= _AA_AFTER - _AA_DEPTH:
                 history.append(
                     (ln_qz, np.log(np.maximum(cand[2], _TINY)) - ln_qz))
@@ -434,7 +438,8 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
                 # keep whichever candidate is lower
                 ext = _anderson(history)
                 if ext is not None:
-                    cand_x = jump(ext)
+                    rows = _jump(log_p, support, s, ext)[0]
+                    cand_x = (rows,) + _evaluate(w, p, rows, s)
                     if cand_x[5] < cand[5]:
                         cand, extrapolated = cand_x, True
             if cand[5] <= f - 1e-15:
@@ -482,24 +487,11 @@ def _mirror_run(w, p, log_p, support, s, log_q, gap_tol, max_iter):
             sol = sol or _InnerSolution(s, log_q, q, d, i, f, gap, it)
             break
     sol.extrapolations, sol.fw_steps = extrapolations, fw_steps
-    return sol, sol.gap <= gap_tol
-
-
-def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
-    # One run from the warm start: with the Frank-Wolfe step and the
-    # stalled s = 0 vertex, no run from another start certified where it
-    # did not (tests/scan_generated.py).  Near s = 0, where no tie-graph
-    # vertex certifies, the dual bound is only first-order tight in the
-    # marginal and bottoms out around 1e-8 while the value itself is
-    # converged, hence the relaxed stall ceiling; the achieved gap is
-    # recorded on the solution.
-    sol, converged = _mirror_run(w, p, log_p, support, s, log_q, gap_tol,
-                                 max_iter)
-    if sol.extrapolations or sol.fw_steps:
+    if extrapolations or fw_steps:
         _log.debug("mirror run at s=%.9g took %d Anderson steps and %d "
                    "Frank-Wolfe steps in %d iterations", s,
-                   sol.extrapolations, sol.fw_steps, sol.iterations)
-    if converged:
+                   extrapolations, fw_steps, sol.iterations)
+    if sol.gap <= gap_tol:
         return sol
     _log.debug("mirror run stalled at s=%.9g with gap %.3g after %d "
                "iterations", s, sol.gap, sol.iterations)
@@ -665,8 +657,11 @@ class ExponentSolver:
             if log_q0 is None:
                 idx = int(np.argmin(np.abs(self._table_s - key)))
                 log_q0 = self._table[idx].log_q
-            sol = _solve_inner(self._w, self._p, self._log_p, self._support,
-                               key, log_q0, self.gap_tol, self.max_iter)
+            # minimize D + (s-1) I over row-stochastic Q with the support
+            solve = _solve_alternating if key >= 1.0 else _solve_mirror
+            sol = solve(self._w, self._p, self._log_p, self._support, key,
+                        _normalize_log_rows(log_q0, self._support),
+                        self.gap_tol, self.max_iter)
             self._cache[key] = sol
         return sol
 

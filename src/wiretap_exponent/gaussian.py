@@ -42,6 +42,8 @@ class GaussianSpec:
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(
                 f"noise variance must be positive and finite, got {self.sigma2}")
+        if not math.isfinite(self.s / self.sigma2):
+            raise ValueError(f"S/sigma^2 = {self.s}/{self.sigma2} overflows")
 
     @property
     def capacity(self) -> float:

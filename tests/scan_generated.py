@@ -9,12 +9,18 @@ from 0 to 1.05 * i_max.  Prints one line per failing channel and a
 summary, and exits 1 if any channel raised ``SolverError``.  The summary
 also counts the cached inner solves of the other channels whose certified
 gap exceeds ``gap_tol`` (accepted by a stall rule) and names the worst of
-them with its channel and s; those do not change the exit status.  Takes about a
-minute per seed, so it is kept out of the tier-1 suite (pytest does not
-collect this file).
+them with its channel and s; those do not change the exit status.  The
+last line, ``digest <sha256>``, hashes every channel's cached inner solves
+in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap``,
+``iterations``, ``extrapolations`` and ``fw_steps``) and every
+``SolverError`` message, so equal digests from two versions of the solver
+show that they solve all scanned channels byte for byte alike.  Takes
+about a minute per seed, so it is kept out of the tier-1 suite (pytest
+does not collect this file).
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -40,9 +46,10 @@ def generated(seed: int):
         yield k, generate_channel(rng, nx, nz)
 
 
-def scan(seed: int) -> tuple[int, list]:
+def scan(seed: int, digest) -> tuple[int, list]:
     """Failures of one seed's channels, and (gap, channel, s) for every
-    cached inner solve that certified only a gap above ``gap_tol``."""
+    cached inner solve that certified only a gap above ``gap_tol``; feeds
+    every solve and failure to the hash ``digest``."""
     failures, honest = 0, []
     for k, doc in generated(seed):
         channel = f"seed {seed} #{k} ({len(doc['wiretap'])}x" \
@@ -54,7 +61,13 @@ def scan(seed: int) -> tuple[int, list]:
         except SolverError as exc:
             failures += 1
             print(f"{channel}: {exc}")
+            digest.update(f"{channel}: {exc}\n".encode())
             continue
+        for s in sorted(solver._cache):
+            sol = solver._cache[s]
+            digest.update(sol.log_q.tobytes())
+            digest.update(repr((channel, s, sol.f, sol.gap, sol.iterations,
+                                sol.extrapolations, sol.fw_steps)).encode())
         honest += [(sol.gap, channel, sol.s) for sol in solver._cache.values()
                    if sol.gap > solver.gap_tol]
     return failures, honest
@@ -62,7 +75,8 @@ def scan(seed: int) -> tuple[int, list]:
 
 def main(argv) -> int:
     seeds = [int(a) for a in argv] or [7, 8]
-    results = [scan(seed) for seed in seeds]
+    digest = hashlib.sha256()
+    results = [scan(seed, digest) for seed in seeds]
     failures = sum(f for f, _ in results)
     above = [entry for _, honest in results for entry in honest]
     print(f"{failures} failures in {CHANNELS_PER_SEED * len(seeds)} channels")
@@ -70,6 +84,7 @@ def main(argv) -> int:
     if above:
         gap, channel, s = max(above)
         print(f"worst gap {gap:.3g} at {channel}, s = {s:.9g}")
+    print(f"digest {digest.hexdigest()}")
     return 1 if failures else 0
 
 

@@ -225,8 +225,18 @@ class TestChannelFiles:
         ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [1.0]],'
          ' "main": [[0.5, 0.51], [0.5, 0.5]]}',
          "'main' row 0 sums to 1.01 (|sum-1| > 1e-09)"),
+        ('{"input_dist": {"a": 1}, "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' must be an array of numbers"),
+        ('{"input_dist": ["a", 0.5], "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' must be an array of numbers"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[{"a": 1}, 0], [1, 0]]}',
+         "'wiretap' row 0 must be an array of numbers"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [1.0]],'
+         ' "main": [[1, 0], ["x", 1]]}',
+         "'main' row 1 must be an array of numbers"),
     ], ids=["input-flat", "input-negative", "input-sum", "row-flat",
-            "row-nan", "main-row-sum"])
+            "row-nan", "main-row-sum", "input-object", "input-string",
+            "row-object", "main-row-string"])
     def test_vector_messages(self, doc, message):
         with pytest.raises(wx.ChannelFileError) as exc:
             parse_channel_spec(doc)

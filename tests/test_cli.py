@@ -329,6 +329,26 @@ class TestRegionCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "exponent"])
+@pytest.mark.parametrize("doc,field", [
+    ({"input_dist": {"a": 1}, "wiretap": [[1.0], [1.0]]}, "'input_dist'"),
+    ({"input_dist": [0.5, 0.5], "wiretap": [[{"a": 1}, 0], [0.5, 0.5]]},
+     "'wiretap' row 0"),
+], ids=["input-object", "wiretap-row-object"])
+def test_non_numeric_channel_entries(capsys, tmp_path, command, doc, field):
+    # objects where numbers belong ended in a TypeError traceback; the
+    # messages for every vector are pinned in test_channels.py
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "exponent":
+        argv += ["--r1", "0.6", "--r2", "0.1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {field} must be an array of numbers\n"
+    assert "Traceback" not in err
+
+
 class TestGaussianCommand:
     def test_record(self, capsys):
         code, out, _ = run(capsys, ["gaussian", "--power", "1.0",
@@ -361,6 +381,13 @@ class TestGaussianCommand:
         assert code == 2
         code, _, _ = run(capsys, ["gaussian", "--power", "1", "--noise", "1"])
         assert code == 2
+        # S/sigma^2 = inf made every branch NaN, and no branch was picked
+        for rates in (["--r1", "1", "--r2", "0.5"],
+                      ["--r1-grid", "0:1:3", "--r2-grid", "0:0.5:2"]):
+            code, out, err = run(capsys, ["gaussian", "--power", "1e300",
+                                          "--noise", "1e-300"] + rates)
+            assert code == 2 and out == ""
+            assert err == "error: S/sigma^2 = 1e+300/1e-300 overflows\n"
 
 
 class TestSimulateCommand:
@@ -600,6 +627,20 @@ class TestConfig:
                                     "--r2", "0.1", "--config", str(cfg)])
         assert code == 2
         assert "unknown keys ['bogus', 'type_budget']" in err
+
+    @pytest.mark.parametrize("text", ["null", "123", "[[1]]"])
+    def test_config_top_level_not_object(self, capsys, channel_file,
+                                         tmp_path, text):
+        # set() of whatever json.load returned raised TypeError here
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.6",
+                                      "--r2", "0.1", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err == \
+            f"error: config file {cfg}: top level must be an object\n"
+        assert "Traceback" not in err
 
     def test_output_file(self, channel_file, tmp_path, capsys):
         path = channel_file(*BSC01_ARGS)

@@ -421,13 +421,14 @@ class TestAndersonStep:
         return ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT))
 
     def test_plain_jumps_alone_crawl(self, slow, monkeypatch):
-        # from the neighbouring table entry, 500 plain jumps do not certify
+        # from the neighbouring table entry, 500 plain jumps do not certify:
+        # the run ends at its iteration cap with its gap above gap_tol
         monkeypatch.setattr(exponent, "_AA_AFTER", 10**9)
         j = int(np.flatnonzero(slow._table_s == 0.5)[0])
-        sol, converged = exponent._mirror_run(
+        sol = exponent._solve_mirror(
             slow._w, slow._p, slow._log_p, slow._support, 0.5,
             slow._table[j - 1].log_q, slow.gap_tol, 500)
-        assert not converged and sol.gap > slow.gap_tol
+        assert sol.iterations == 500 and sol.gap > slow.gap_tol
         assert sol.extrapolations == 0
 
     def test_extrapolation_certifies_quickly(self, slow):
@@ -467,14 +468,15 @@ class TestAndersonStep:
         assert sol.extrapolations > 0
         assert any("Anderson steps" in r.getMessage() for r in caplog.records)
 
-    def test_debug_records_for_stalled_runs(self, caplog, monkeypatch):
-        # a run reported as stalled is not restarted: it leaves one stall
-        # record, and its gap, certified in fact, is accepted as stalled
-        real = exponent._mirror_run
-        monkeypatch.setattr(exponent, "_mirror_run",
-                            lambda *args: (real(*args)[0], False))
+    def test_debug_records_for_stalled_runs(self, caplog):
+        # a run cut off before it certifies (the s = 0 solve needs 8
+        # iterations) is not restarted: it leaves one stall record, and its
+        # gap, below the stall ceiling, is accepted as stalled
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            ExponentSolver(make_bsc(0.1), table_points=3)
+            solver = ExponentSolver(make_bsc(0.1), table_points=3,
+                                    max_iter=7)
+        sol = solver._table[-1]
+        assert sol.iterations == 7 and sol.gap > solver.gap_tol
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 2
         assert messages[0].startswith("mirror run stalled at s=0 with gap ")
@@ -485,21 +487,20 @@ class TestAndersonStep:
 class TestSolverRecords:
     """Iteration counts and debug records of the fallback exits."""
 
-    def test_iterations_count_every_run(self, monkeypatch):
-        # with the run reported as stalled, no second run is made, and the
-        # accepted solution's count is the count of that single run
-        real = exponent._mirror_run
-        runs = []
-
-        def stalled(*args):
-            sol = real(*args)[0]
-            runs.append(sol.iterations)
-            return sol, False
-
-        monkeypatch.setattr(exponent, "_mirror_run", stalled)
-        sol = ExponentSolver(make_asym_3x3(), table_points=3)._table[-1]
-        assert sol.s == 0.0 and len(runs) == 1
-        assert sol.iterations == runs[0] > 0
+    def test_iterations_count_every_run(self, caplog):
+        # an s = 0 run cut off at 14 iterations (it certifies at 16) is
+        # accepted as stalled without a second run, and the accepted
+        # solution's count is the count of that single run
+        solver = ExponentSolver(make_asym_3x3(), table_points=3)
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            sol = exponent._solve_mirror(
+                solver._w, solver._p, solver._log_p, solver._support, 0.0,
+                solver._table[1].log_q, solver.gap_tol, 14)
+        stalls = [r for r in caplog.records
+                  if r.getMessage().startswith("mirror run stalled")]
+        assert sol.s == 0.0 and len(stalls) == 1
+        assert sol.iterations == 14 and sol.gap > solver.gap_tol
+        assert solver._table[-1].iterations == 16
 
     def test_debug_record_for_alternating_stall(self, caplog, monkeypatch):
         # a gap stuck just above gap_tol leaves only the stall exit

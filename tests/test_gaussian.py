@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wiretap_exponent as wx
-from wiretap_exponent.gaussian import _profile, rho_from_rate
+from wiretap_exponent.gaussian import _RHO_CAP, _profile, rho_from_rate
 
 
 class TestDivergenceTerm:
@@ -186,3 +186,60 @@ class TestGaussianExponent:
             wx.GaussianSpec(0.0, 1.0)
         with pytest.raises(ValueError):
             wx.GaussianSpec(1.0, -1.0)
+        # an infinite S/sigma^2 made every branch NaN, and no branch was
+        # picked
+        for s, sigma2 in ((1e300, 1e-300), (1e200, 1e-150), (1e10, 1e-300)):
+            with pytest.raises(ValueError, match="overflows"):
+                wx.GaussianSpec(s, sigma2)
+        assert wx.GaussianSpec(1e-10, 1e-300).capacity > 300.0
+
+
+def _endpoint_branches(g, rates):
+    """(e1, e2, e3) at the endpoints the profile's shape picks.
+
+    f falls to its zero at the true correlation rho_P and rises after it,
+    and the e2 objective f(rho) + ln(1 - rho^2)/2 falls throughout, so
+    each branch minimum sits at an end of its interval or at rho_P.
+    """
+    def f(rho, mid=False):
+        x = np.array([rho])
+        v = _profile(x, g)
+        if mid:
+            v = v + 0.5 * np.log1p(-x * x)
+        return float(v[0])
+
+    rho1, rho2 = rho_from_rate(rates.r1), rho_from_rate(rates.r2)
+    rho_p = min(math.sqrt(g.s / (g.s + g.sigma2)), _RHO_CAP)
+    if rates.r2 >= g.capacity:
+        e1 = rates.r1 - rates.r2
+    else:
+        e1 = rates.r1 - rates.r2 + f(min(rho2, rho_p))
+    e2 = rates.r1 + f(rho1, mid=True)
+    e3 = 0.0 if rates.r1 <= g.capacity else f(max(rho1, rho_p))
+    return e1, e2, e3
+
+
+class TestBranchEndpoints:
+    """The grid search lands exactly on each branch's endpoint form, the
+    fact a closed-form gaussian_exponent would rest on."""
+
+    def test_bench_like_pairs(self):
+        # rate grids from 0 to 1.5 C at SNRs spanning six decades, drawn
+        # like the benchmark's Gaussian pool: 7 x 3 specs x 15 pairs
+        rng = np.random.default_rng(20140324)
+        count = 0
+        for decade in range(-3, 4):
+            for _ in range(3):
+                log_s = float(rng.uniform(-3.0, 3.0))
+                log_snr = decade + float(rng.uniform(-0.5, 0.5))
+                g = wx.GaussianSpec(10.0 ** log_s,
+                                    10.0 ** (log_s - log_snr))
+                grid = np.linspace(0.0, 1.5 * g.capacity, 5)
+                for k, r1 in enumerate(grid):
+                    for r2 in grid[:k + 1]:
+                        rates = wx.RatePair(float(r1), float(r2))
+                        opt = wx.gaussian_exponent(g, rates)
+                        assert (opt.e1, opt.e2, opt.e3) == \
+                            _endpoint_branches(g, rates), (g, rates)
+                        count += 1
+        assert count >= 300
