@@ -318,6 +318,9 @@ def check_degraded(main: Dmc, wiretap: Dmc,
 def _file_vector(raw, what: str) -> np.ndarray:
     """A probability vector read from a channel-spec file, renormalized
     exactly; ``what`` names it in the error messages."""
+    # JSON true/false would convert to 1.0/0.0; they are no numbers here
+    if isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
+        raise ChannelFileError(f"{what} must be an array of numbers")
     try:
         vals = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):

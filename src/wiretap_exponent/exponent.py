@@ -22,51 +22,38 @@ by root-finding tolerances.  The maximizing mu is found by ``_brentq``, a
 port of scipy's Brent root-finder that returns its roots bit for bit and
 keeps scipy's optimizers off the import path.
 
-The inner solver runs in the log domain.  For s >= 1 it alternates
-closed-form row updates with output-marginal updates (each step an exact
-partial minimization, so the objective decreases monotonically); for
-s < 1 that surrogate flips sign, so it switches to mirror descent with
-backtracking plus a safeguarded fixed-point jump: the closed-form row
-minimization against the frozen output marginal, a Blahut-Arimoto-type map
-(Arimoto 1976) taken whenever it decreases the true objective.  Where that
-map contracts slowly, a run of plain jumps switches on Anderson mixing
-(Walker & Ni 2011): the last few marginals and their fixed-point residuals
-are combined by least squares into an extrapolated marginal, which is
-mapped through the same row minimization and taken only if it beats the
-plain jump and still decreases the objective.  Either way termination is
-by a certified optimality gap: a first-order linearization bound for
-s >= 1, and a partial-minimization dual bound for s < 1, which for s > 0
-is the jump's log normalizer at the current marginal.
+The inner solver works on the output marginal V.  For s > 0 the rows
+minimizing the objective against a frozen V are closed-form (Arimoto
+1976): Q = jump(V), rows (P V^(s-1))^(1/s) normalized, with row minimum
+g_s(V) = -s <w, lse(V)>.  The inner minimum is max_V g_s (concave) for s
+in (0, 1), min_V g_s (convex) for s in (1, 2], and the true channel at
+s = 1; a damped Newton method on V (Boyd & Vandenberghe 2004, sec. 10.2)
+reaches its fixed point V = Q_Z(jump(V)) in a few steps.  Each solve ends
+on a certified gap: the dual bound at V = Q_Z for s < 1, a first-order
+linearization bound for s > 1.
 
-At s = 0 there is no closed-form jump, and the inner problem is Shmyrev's
-convex program for a linear Fisher market (Shmyrev 2009): inputs are
-buyers with budgets P_X(x), outputs are goods, P(z|x) are utilities.  Its
-optimum, the Eisenberg-Gale equilibrium (Eisenberg & Gale 1959), is a
-vertex that mirror descent only creeps towards.  So from iteration 16 on,
-at every doubling, the s = 0 run builds the tie graph of the current
-marginal (the near-maximal entries of ln P - ln Q_Z in each row), solves
-prices and flows on it exactly, and returns that vertex once its own dual
-bound certifies it; an uncertified vertex leaves the iterate unchanged.
-
-When neither the jump nor a backtracked mirror step decreases the
-objective, typically because a small-s jump crushed entries to zero that
-no multiplicative step can revive, a Frank-Wolfe step (Frank & Wolfe 1956;
-Jaggi 2013) mixes each row towards its linear minimizer of the gradient,
-which descends whenever the linearization gap is positive.  A run that
-still stalls at s = 0 tries the tie-graph vertex of its marginal once more
-and keeps it if its gap is below the stalled one.  Each s < 1 solve is a
-single run from its warm start.
+At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
+market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
+goods, P(z|x) are utilities.  Its optimum, the Eisenberg-Gale equilibrium
+(Eisenberg & Gale 1959), is a vertex that mirror descent only creeps
+towards.  So from iteration 16 on, at every doubling, the s = 0 mirror run
+builds the tie graph of the current marginal (the near-maximal entries of
+ln P - ln Q_Z in each row), solves prices and flows on it exactly, and
+returns that vertex once its own dual bound certifies it.  When no
+backtracked mirror step decreases the objective (entries crushed to zero
+cannot be revived multiplicatively), a Frank-Wolfe step (Frank & Wolfe
+1956; Jaggi 2013) mixes each row towards its linear minimizer of the
+gradient.  A run that still stalls tries the vertex of its marginal once
+more and keeps it if its gap is below the stalled one.
 """
 from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .channels import ChannelSpec, ConditionalChannel
 from .errors import SolverError
@@ -90,10 +77,14 @@ DEFAULT_CURVE_POINTS = 401
 #: branch values within this of the minimum tie; the smallest index wins
 _BRANCH_TIE_TOL = 1e-9
 
-#: consecutive accepted fixed-point jumps before Anderson mixing is tried
-_AA_AFTER = 30
-#: residual differences the Anderson extrapolation combines
-_AA_DEPTH = 6
+#: outputs whose Q_Z is at most this are held fixed in a Newton step
+_QZ_FLOOR = 1e-200
+#: a Newton step that moves no entry of V by more than this, relative to
+#: the entry, ends the solve: V is then as converged as floats allow
+_STEP_FLOOR = 1e-14
+#: relative float noise of a computed objective value: the Armijo slack of
+#: the Newton line search and the least gap a certificate reports
+_NOISE = 4e-16
 
 #: first s = 0 mirror iteration that tries the tie-graph vertex; it is
 #: tried again at every doubling of the iteration count
@@ -209,8 +200,11 @@ class _InnerSolution:
     f: float
     gap: float
     iterations: int
-    extrapolations: int = 0
     fw_steps: int = 0
+
+    def __post_init__(self):
+        # no gap below the float noise of the values it is computed from
+        self.gap = max(self.gap, _NOISE * max(1.0, abs(self.f)))
 
 
 def _row_lse(a: np.ndarray) -> np.ndarray:
@@ -227,12 +221,8 @@ def _jump(log_p: np.ndarray, support: np.ndarray, s: float,
           ln_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact row minimization of D + (s-1) I against a frozen output
     marginal V, for s > 0: the log rows (P V^(s-1))^(1/s), normalized, and
-    each row's log normalizer lse.
-
-    For s >= 1 the rows are the alternating update.  For s <= 1 the row
-    minimum, -s * lse, lower-bounds the objective row by row for any V,
-    so f + s * <w, lse> at V = the current Q_Z certifies the gap, and the
-    rows are the jump candidate.
+    each row's log normalizer lse.  The row minimum is -s * lse, so
+    g_s(V) = -s * <w, lse> is the dual function of the Newton solve.
     """
     a = np.where(support, (log_p - (1.0 - s) * ln_v[None, :]) / s, _LOGZERO)
     lse = _row_lse(a)
@@ -255,50 +245,104 @@ def _dual_bound(w, log_p, support, ln_qz) -> float:
     return -float(np.dot(w, diff.max(axis=1)))
 
 
-def _evaluate(w, p, log_q, s):
+def _evaluate(w, log_p, log_q, s):
+    """(q, Q_Z, D, I, F) of the log rows log_q; D and I are summed in the
+    log domain and clamped at 0, where Gibbs' inequality puts both."""
     q = np.exp(log_q)
     qz = w @ q
-    d = float(np.dot(w, rel_entr(q, p).sum(axis=1)))
-    i = float(np.dot(w, rel_entr(q, qz).sum(axis=1)))
+    ln_qz = np.log(np.maximum(qz, _TINY))
+    d = max(float(np.dot(w, (q * (log_q - log_p)).sum(axis=1))), 0.0)
+    i = max(float(np.dot(w, (q * (log_q - ln_qz[None, :])).sum(axis=1))),
+            0.0)
     return q, qz, d, i, d + (s - 1.0) * i
 
 
-def _solve_alternating(w, p, log_p, support, s, log_q, gap_tol, max_iter):
-    stall = 0
-    f_prev = math.inf
-    for it in range(max_iter + 1):
-        q, qz, d, i, f = _evaluate(w, p, log_q, s)
-        ln_qz = np.log(np.maximum(qz, _TINY))
-        gap = _linearization_gap(w, log_p, support, s, log_q, q, ln_qz)
-        if gap <= gap_tol:
-            return _InnerSolution(s, log_q, q, d, i, f, gap, it)
-        stall = stall + 1 if f_prev - f <= 1e-15 * max(1.0, abs(f)) else 0
-        if stall >= 200 and gap <= 50 * gap_tol:
-            # float-limited fixed point; the certified gap is recorded
-            _log.debug("alternating minimization at s=%.9g accepts stalled "
-                       "gap %.3g (gap_tol %.3g) after %d iterations",
-                       s, gap, gap_tol, it)
-            return _InnerSolution(s, log_q, q, d, i, f, gap, it)
-        f_prev = f
-        log_q = _jump(log_p, support, s, ln_qz)[0]
-    raise SolverError(f"alternating minimization did not converge at s={s:.9g}",
-                      best_value=f_prev, residual=gap, iterations=max_iter)
+def _newton_kkt(w, q, qz, v, s):
+    """KKT matrix [[D H D, V], [V^T, 0]] of the Newton step dV = V * u of
+    g_s at V, Q = jump(V): D = diag(V), D H D = (1 - s) [a M - diag(Q_Z)/s],
+    M = Q^T diag(w) Q, a = (1 - s)/s.  Row z of the top block is divided by
+    (1 - s) Q_Z(z) to keep tiny outputs precise; D grad g_s = (1 - s) Q_Z
+    then scales to all ones."""
+    n = qz.size
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = ((1.0 - s) / s) * ((w * q.T) @ q) / qz[:, None]
+    kkt.flat[:n * (n + 2):n + 2] -= 1.0 / s
+    kkt[:n, n] = v / qz
+    kkt[n, :n] = v
+    return kkt
 
 
-def _anderson(history) -> np.ndarray | None:
-    """Anderson-extrapolated log marginal from (marginal, residual) pairs.
-
-    Type-II mixing: the residual of the newest pair is fitted by least
-    squares to the residual differences, and the same combination of the
-    mapped-marginal differences is removed from the newest mapped marginal.
-    Returns None when the combination is not finite.
+def _solve_newton(w, log_p, support, s, v, gap_tol, max_iter):
+    """Damped Newton solve of max_V g_s (s < 1) or min_V g_s (s > 1) from
+    the positive output marginal v; the iterate is Q = jump(V), certified
+    for s < 1 by the dual bound at V = Q_Z, which the rows alone determine.
+    Outputs with Q_Z at most _QZ_FLOOR are held fixed.  Steps are capped to
+    keep V positive and backtracked on g_s, with slack for float noise (g_s
+    is second-order flat at the optimum, the certificates first-order),
+    until no kept output falls to the floor.
     """
-    xs = np.array([x for x, _ in history])
-    rs = np.array([r for _, r in history])
-    gs = xs + rs
-    gamma = np.linalg.lstsq(np.diff(rs, axis=0).T, rs[-1], rcond=None)[0]
-    ext = gs[-1] - np.diff(gs, axis=0).T @ gamma
-    return ext if np.isfinite(ext).all() else None
+    def at(ln_v):  # log rows, Q and Q_Z of jump(V), and g_s(V)
+        rows, lse = _jump(log_p, support, s, ln_v)
+        q = np.exp(rows)
+        return rows, q, w @ q, -s * float(np.dot(w, lse))
+
+    def certify(rows, q, ln_qz):
+        if s > 1.0:
+            return _linearization_gap(w, log_p, support, s, rows, q, ln_qz)
+        return _evaluate(w, log_p, rows, s)[4] + s * float(
+            np.dot(w, _jump(log_p, support, s, ln_qz)[1]))
+
+    sign = math.copysign(1.0, s - 1.0)
+    ln_v = np.log(v)
+    rows, q, qz, g = at(ln_v)
+    for it in range(max_iter + 1):
+        ln_qz = np.log(np.maximum(qz, _TINY))
+        # |1 - s| D(Q_Z||V), which is F(Q) - g_s(V) for s < 1, screens the
+        # certificate: it is computed once V is this near its fixed point
+        gap = abs(1.0 - s) * float(np.dot(qz, ln_qz - ln_v))
+        if gap <= gap_tol:
+            gap = certify(rows, q, ln_qz)
+        if gap <= gap_tol or it == max_iter:
+            break
+        act = qz > _QZ_FLOOR
+        kkt = _newton_kkt(w, q, qz, v, s) if act.all() else \
+            _newton_kkt(w, q[:, act], qz[act], v[act], s)
+        n = len(kkt) - 1
+        u = np.zeros_like(v)
+        try:
+            u[act] = np.linalg.solve(kkt, np.append(np.full(n, -1.0), 0.0))[:n]
+        except np.linalg.LinAlgError:
+            break
+        if np.abs(u).max() <= _STEP_FLOOR:
+            break
+        # sign * g_s changes at rate -|1 - s| <Q_Z, u> along t
+        slope = -abs(1.0 - s) * float(np.dot(qz, u))
+        noise = _NOISE * max(1.0, abs(g))
+        t = min(1.0, 0.99 / max(-u.min(), 1e-300))
+        while t >= 1e-12:
+            v_t = v * (1.0 + t * u)
+            v_t /= v_t.sum()
+            ln_t = np.log(v_t)
+            trial = at(ln_t)
+            # a kept output falling to the floor (Q_Z underflows at small
+            # s) means the step left the region the Newton model describes
+            if sign * (trial[3] - g) <= 1e-4 * t * slope + noise and \
+                    (trial[2][act] > _QZ_FLOOR).all():
+                break
+            t *= 0.5
+        else:
+            break
+        v, ln_v = v_t, ln_t
+        rows, q, qz, g = trial
+    if gap > gap_tol:
+        gap = certify(rows, q, ln_qz)
+    q, qz, d, i, f = _evaluate(w, log_p, rows, s)
+    if gap <= gap_tol:
+        return _InnerSolution(s, rows, q, d, i, f, gap, it)
+    _log.debug("Newton solve at s=%.9g stopped uncertified with gap %.3g "
+               "after %d steps", s, gap, it)
+    raise SolverError(f"Newton solve did not certify at s={s:.9g}",
+                      best_value=f, residual=gap, iterations=it)
 
 
 def _tie_vertex(w, log_p, support, ln_v, tau) -> np.ndarray | None:
@@ -360,7 +404,7 @@ def _tie_vertex(w, log_p, support, ln_v, tau) -> np.ndarray | None:
     return _normalize_log_rows(rows, support)
 
 
-def _vertex_within(w, p, log_p, support, ln_qz, limit, it):
+def _vertex_within(w, log_p, support, ln_qz, limit, it):
     """The s = 0 tie-graph vertex of ln_qz whose dual gap is at most limit.
 
     Tries the tie tolerances tightest first; returns None when none of them
@@ -370,7 +414,7 @@ def _vertex_within(w, p, log_p, support, ln_qz, limit, it):
         rows = _tie_vertex(w, log_p, support, ln_qz, tau)
         if rows is None:
             continue
-        q, qz, d, i, f = _evaluate(w, p, rows, 0.0)
+        q, qz, d, i, f = _evaluate(w, log_p, rows, 0.0)
         gap = f - _dual_bound(w, log_p, support,
                               np.log(np.maximum(qz, _TINY)))
         if gap <= limit:
@@ -380,88 +424,41 @@ def _vertex_within(w, p, log_p, support, ln_qz, limit, it):
     return None
 
 
-def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
-    """Mirror descent for s < 1: one run from the warm start log_q.
-
-    With the Frank-Wolfe step and the stalled s = 0 vertex, no run from
-    another start certified where this one did not
-    (tests/scan_generated.py).  Near s = 0, where no tie-graph vertex
-    certifies, the dual bound is only first-order tight in the marginal
-    and bottoms out around 1e-8 while the value itself is converged, hence
-    the relaxed stall ceiling; the achieved gap is recorded on the
-    solution.
+def _solve_mirror(w, log_p, support, log_q, gap_tol, max_iter):
+    """Mirror descent at s = 0, where g_s is not smooth: one run from the
+    log rows log_q.  Where no tie-graph vertex certifies, the dual bound is
+    only first-order tight in the marginal and bottoms out around 1e-8
+    while the value itself is converged, hence the relaxed stall ceiling;
+    the achieved gap is recorded on the solution.
     """
     eta = 0.5
-    # entries crushed far below float resolution by a small-s warm start
-    # cannot be revived through measurable objective decreases; floor them
-    log_q = _normalize_log_rows(
-        np.where(support, np.maximum(log_q, -40.0), _LOGZERO), support)
-    q, qz, d, i, f = _evaluate(w, p, log_q, s)
-
-    # the last log marginals with their fixed-point residuals, recorded
-    # from shortly before the extrapolation can start, and the number of
-    # jumps taken in a row since the last fallback step
-    history = deque(maxlen=_AA_DEPTH + 1)
-    streak = extrapolations = fw_steps = 0
+    q, qz, d, i, f = _evaluate(w, log_p, log_q, 0.0)
+    fw_steps = 0
     sol = None
     for it in range(max_iter + 1):
         ln_qz = np.log(np.maximum(qz, _TINY))
-        if s > 0.0:
-            # the jump against the current marginal; its log normalizers
-            # give the dual bound
-            rows, lse = _jump(log_p, support, s, ln_qz)
-            gap = f + s * float(np.dot(w, lse))
-        else:
-            gap = f - _dual_bound(w, log_p, support, ln_qz)
+        gap = f - _dual_bound(w, log_p, support, ln_qz)
         if gap <= gap_tol or it == max_iter:
-            sol = _InnerSolution(s, log_q, q, d, i, f, gap, it)
+            sol = _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
             break
-        if s == 0.0 and it >= _TIE_FIRST and not it & (it - 1):
-            # s = 0 has no closed-form jump, and mirror steps only creep
-            # towards its vertex optimum; solve the vertex on the tie graph
-            # of the current marginal and keep it only if it certifies
-            sol = _vertex_within(w, p, log_p, support, ln_qz, gap_tol, it)
+        if it >= _TIE_FIRST and not it & (it - 1):
+            # mirror steps only creep towards the vertex optimum; solve the
+            # vertex on the tie graph of the current marginal and keep it
+            # only if it certifies
+            sol = _vertex_within(w, log_p, support, ln_qz, gap_tol, it)
             if sol is not None:
                 break
         moved = False
-        if s > 0.0:
-            # the jump is a safe accelerator whenever it decreases the
-            # true objective
-            cand = (rows,) + _evaluate(w, p, rows, s)
-            if streak >= _AA_AFTER - _AA_DEPTH:
-                history.append(
-                    (ln_qz, np.log(np.maximum(cand[2], _TINY)) - ln_qz))
-            extrapolated = False
-            if streak >= _AA_AFTER:
-                # the plain jumps keep being accepted but contract slowly;
-                # jump from the Anderson-extrapolated marginal as well and
-                # keep whichever candidate is lower
-                ext = _anderson(history)
-                if ext is not None:
-                    rows = _jump(log_p, support, s, ext)[0]
-                    cand_x = (rows,) + _evaluate(w, p, rows, s)
-                    if cand_x[5] < cand[5]:
-                        cand, extrapolated = cand_x, True
-            if cand[5] <= f - 1e-15:
-                log_q, q, qz, d, i, f = cand
+        ghat = np.where(support, ln_qz[None, :] - log_p, 0.0)
+        while eta >= 1e-12:
+            trial = _normalize_log_rows(log_q - eta * ghat, support)
+            qt, qzt, dt, it_, ft = _evaluate(w, log_p, trial, 0.0)
+            if ft <= f - 1e-15:
+                log_q, q, qz, d, i, f = trial, qt, qzt, dt, it_, ft
+                eta = min(eta * 1.25, 64.0)
                 moved = True
-                streak += 1
-                extrapolations += extrapolated
-        if not moved:
-            history.clear()
-            streak = 0
-            ghat = np.where(support,
-                            s * log_q - log_p + (1.0 - s) * ln_qz[None, :],
-                            0.0)
-            while eta >= 1e-12:
-                trial = _normalize_log_rows(log_q - eta * ghat, support)
-                qt, qzt, dt, it_, ft = _evaluate(w, p, trial, s)
-                if ft <= f - 1e-15:
-                    log_q, q, qz, d, i, f = trial, qt, qzt, dt, it_, ft
-                    eta = min(eta * 1.25, 64.0)
-                    moved = True
-                    break
-                eta *= 0.5
+                break
+            eta *= 0.5
         if not moved:
             # Frank-Wolfe step: mixing towards each row's linear minimizer
             # of the gradient descends while the linearization gap is
@@ -472,7 +469,7 @@ def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
             for beta in (0.5, 0.25, 0.1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9):
                 cand = np.where(support, np.log(np.maximum(
                     (1.0 - beta) * q + beta * corner, _TINY)), _LOGZERO)
-                qc, qzc, dc, ic, fc = _evaluate(w, p, cand, s)
+                qc, qzc, dc, ic, fc = _evaluate(w, log_p, cand, 0.0)
                 if fc <= f - 1e-15:
                     log_q, q, qz, d, i, f = cand, qc, qzc, dc, ic, fc
                     eta = 0.5
@@ -480,26 +477,24 @@ def _solve_mirror(w, p, log_p, support, s, log_q, gap_tol, max_iter):
                     fw_steps += 1
                     break
         if not moved:
-            # stalled; at s = 0 the vertex of the stalled marginal may still
-            # be closer to the optimum than the iterate
-            if s == 0.0:
-                sol = _vertex_within(w, p, log_p, support, ln_qz, gap, it)
-            sol = sol or _InnerSolution(s, log_q, q, d, i, f, gap, it)
+            # stalled; the vertex of the stalled marginal may still be
+            # closer to the optimum than the iterate
+            sol = _vertex_within(w, log_p, support, ln_qz, gap, it) or \
+                _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
             break
-    sol.extrapolations, sol.fw_steps = extrapolations, fw_steps
-    if extrapolations or fw_steps:
-        _log.debug("mirror run at s=%.9g took %d Anderson steps and %d "
-                   "Frank-Wolfe steps in %d iterations", s,
-                   extrapolations, fw_steps, sol.iterations)
+    sol.fw_steps = fw_steps
+    if fw_steps:
+        _log.debug("mirror run at s=0 took %d Frank-Wolfe steps in %d "
+                   "iterations", fw_steps, sol.iterations)
     if sol.gap <= gap_tol:
         return sol
-    _log.debug("mirror run stalled at s=%.9g with gap %.3g after %d "
-               "iterations", s, sol.gap, sol.iterations)
+    _log.debug("mirror run stalled at s=0 with gap %.3g after %d "
+               "iterations", sol.gap, sol.iterations)
     if sol.gap <= max(100 * gap_tol, 1e-6):
-        _log.debug("mirror descent at s=%.9g accepts stalled gap %.3g "
-                   "(gap_tol %.3g)", s, sol.gap, gap_tol)
+        _log.debug("mirror descent at s=0 accepts stalled gap %.3g "
+                   "(gap_tol %.3g)", sol.gap, gap_tol)
         return sol
-    raise SolverError(f"mirror descent stalled at s={s:.9g}",
+    raise SolverError("mirror descent stalled at s=0",
                       best_value=sol.f, residual=sol.gap,
                       iterations=sol.iterations)
 
@@ -578,10 +573,11 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
 class ExponentSolver:
     """Evaluates exponents for a fixed ChannelSpec, reusing inner solves.
 
-    A table of support points along mu in [-1, 1] is precomputed once; every
-    later inner solve starts from the nearest table entry, which makes each
-    solution a deterministic function of its multiplier alone, independent
-    of query order.  Rate points can therefore be evaluated concurrently and
+    A table of support points along mu in [-1, 1] is precomputed once, each
+    entry solved from the true output marginal; every later inner solve
+    starts from the nearest table entry, which makes each solution a
+    deterministic function of its multiplier alone, independent of query
+    order.  Rate points can therefore be evaluated concurrently and
     reproduce bit-for-bit.  For the same reason ``phi`` values (keyed on the
     clamped target) and embedded test channels (keyed on s) are memoized per
     instance without changing any result; all caches live and die with the
@@ -626,20 +622,17 @@ class ExponentSolver:
         self._support = self._p > 0
         self._log_p = np.where(self._support,
                                np.log(np.maximum(self._p, _TINY)), _LOGZERO)
-        qz_p = self._w @ self._p
-        self.i_p = float(np.dot(self._w,
-                                rel_entr(self._p, qz_p[None, :]).sum(axis=1)))
-
-        self._cache: dict[float, _InnerSolution] = {}
+        # s = 1 is exact: the true channel, with D = 0 and I = I(X;Z)
+        q, qz_p, d, self.i_p, f = _evaluate(self._w, self._log_p,
+                                            self._log_p, 1.0)
+        self._cache: dict[float, _InnerSolution] = {1.0: _InnerSolution(
+            1.0, self._log_p, q, d, self.i_p, f, 0.0, 0)}
         self._phi_cache: dict[float, tuple[float, _InnerSolution]] = {}
         self._embed_cache: dict[float, ConditionalChannel] = {}
         self._table_s = np.linspace(2.0, 0.0, int(table_points))
         self._table: list[_InnerSolution] = []
-        log_q = np.where(self._support, self._log_p, _LOGZERO)
         for s in self._table_s:
-            sol = self._solve_s(float(s), log_q)
-            self._table.append(sol)
-            log_q = sol.log_q
+            self._table.append(self._solve_s(float(s), qz_p))
         self._table_i = np.array([sol.i for sol in self._table])  # ascending
         self.i_min = self._table[0].i
         self.i_max = self._table[-1].i
@@ -648,20 +641,25 @@ class ExponentSolver:
     # -- inner solves --------------------------------------------------
 
     def _solve_s(self, s: float,
-                 log_q0: np.ndarray | None = None) -> _InnerSolution:
-        # inner solutions are cached on s quantized to 1e-9; an uncached one
-        # starts from log_q0, or else from the nearest table entry
+                 v0: np.ndarray | None = None) -> _InnerSolution:
+        # inner solutions are cached on s quantized to 1e-9.  An uncached
+        # s > 0 runs Newton from the output marginal v0, or else from the
+        # marginal of the nearest table entry with s > 0; s = 0 runs mirror
+        # descent from the smallest positive table entry.
         key = round(min(max(s, 0.0), 2.0), 9)
         sol = self._cache.get(key)
         if sol is None:
-            if log_q0 is None:
-                idx = int(np.argmin(np.abs(self._table_s - key)))
-                log_q0 = self._table[idx].log_q
-            # minimize D + (s-1) I over row-stochastic Q with the support
-            solve = _solve_alternating if key >= 1.0 else _solve_mirror
-            sol = solve(self._w, self._p, self._log_p, self._support, key,
-                        _normalize_log_rows(log_q0, self._support),
-                        self.gap_tol, self.max_iter)
+            positive = [entry for entry in self._table if entry.s > 0.0]
+            if key == 0.0:
+                start = min(positive, key=lambda entry: entry.s)
+                sol = _solve_mirror(self._w, self._log_p, self._support,
+                                    start.log_q, self.gap_tol, self.max_iter)
+            else:
+                if v0 is None:
+                    near = min(positive, key=lambda entry: abs(entry.s - key))
+                    v0 = np.maximum(self._w @ near.q, _TINY)
+                sol = _solve_newton(self._w, self._log_p, self._support, key,
+                                    v0, self.gap_tol, self.max_iter)
             self._cache[key] = sol
         return sol
 

@@ -8,15 +8,17 @@ builds each solver's multiplier table and evaluates ``phi`` at 25 targets
 from 0 to 1.05 * i_max.  Prints one line per failing channel and a
 summary, and exits 1 if any channel raised ``SolverError``.  The summary
 also counts the cached inner solves of the other channels whose certified
-gap exceeds ``gap_tol`` (accepted by a stall rule) and names the worst of
-them with its channel and s; those do not change the exit status.  The
-last line, ``digest <sha256>``, hashes every channel's cached inner solves
-in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap``,
-``iterations``, ``extrapolations`` and ``fw_steps``) and every
-``SolverError`` message, so equal digests from two versions of the solver
-show that they solve all scanned channels byte for byte alike.  Takes
-about a minute per seed, so it is kept out of the tier-1 suite (pytest
-does not collect this file).
+gap exceeds ``gap_tol`` (accepted by the s = 0 stall rule) and names each
+of them, worst first, with its channel and s; those do not change the exit
+status.  It then prints the p50, p99 and max iteration counts of the cached
+solves in each s-band: s = 0 (mirror iterations), s in (0, 1) and s > 1
+(Newton steps).  The last line, ``digest <sha256>``, hashes every channel's
+cached inner solves in (seed, channel, s) order (``log_q`` bytes, ``f``,
+``gap``, ``iterations`` and ``fw_steps``) and every ``SolverError``
+message, so equal digests from two versions of the solver show that they
+solve all scanned channels byte for byte alike.  Takes about ten seconds
+per seed, so it is kept out of the tier-1 suite (pytest does not collect
+this file).
 """
 from __future__ import annotations
 
@@ -46,11 +48,17 @@ def generated(seed: int):
         yield k, generate_channel(rng, nx, nz)
 
 
-def scan(seed: int, digest) -> tuple[int, list]:
-    """Failures of one seed's channels, and (gap, channel, s) for every
-    cached inner solve that certified only a gap above ``gap_tol``; feeds
-    every solve and failure to the hash ``digest``."""
-    failures, honest = 0, []
+BANDS = (("s = 0", lambda s: s == 0.0),
+         ("s in (0, 1)", lambda s: 0.0 < s < 1.0),
+         ("s > 1", lambda s: s > 1.0))
+
+
+def scan(seed: int, digest) -> tuple[int, list, list]:
+    """Failures of one seed's channels, (gap, channel, s) for every cached
+    inner solve that certified only a gap above ``gap_tol``, and (s,
+    iterations) for every cached solve; feeds every solve and failure to
+    the hash ``digest``."""
+    failures, honest, counts = 0, [], []
     for k, doc in generated(seed):
         channel = f"seed {seed} #{k} ({len(doc['wiretap'])}x" \
                   f"{len(doc['wiretap'][0])})"
@@ -67,23 +75,30 @@ def scan(seed: int, digest) -> tuple[int, list]:
             sol = solver._cache[s]
             digest.update(sol.log_q.tobytes())
             digest.update(repr((channel, s, sol.f, sol.gap, sol.iterations,
-                                sol.extrapolations, sol.fw_steps)).encode())
+                                sol.fw_steps)).encode())
         honest += [(sol.gap, channel, sol.s) for sol in solver._cache.values()
                    if sol.gap > solver.gap_tol]
-    return failures, honest
+        counts += [(sol.s, sol.iterations) for sol in solver._cache.values()]
+    return failures, honest, counts
 
 
 def main(argv) -> int:
     seeds = [int(a) for a in argv] or [7, 8]
     digest = hashlib.sha256()
     results = [scan(seed, digest) for seed in seeds]
-    failures = sum(f for f, _ in results)
-    above = [entry for _, honest in results for entry in honest]
+    failures = sum(f for f, _, _ in results)
+    above = [entry for _, honest, _ in results for entry in honest]
+    counts = [entry for _, _, c in results for entry in c]
     print(f"{failures} failures in {CHANNELS_PER_SEED * len(seeds)} channels")
     print(f"{len(above)} cached inner solves above gap_tol")
-    if above:
-        gap, channel, s = max(above)
-        print(f"worst gap {gap:.3g} at {channel}, s = {s:.9g}")
+    for gap, channel, s in sorted(above, reverse=True):
+        print(f"gap {gap:.3g} at {channel}, s = {s:.9g}")
+    for band, within in BANDS:
+        its = np.array([n for s, n in counts if within(s)])
+        if its.size:
+            p50, p99 = np.percentile(its, [50, 99], method="lower")
+            print(f"{band}: {its.size} solves, iterations p50 {p50} "
+                  f"p99 {p99} max {its.max()}")
     print(f"digest {digest.hexdigest()}")
     return 1 if failures else 0
 

@@ -234,9 +234,13 @@ class TestChannelFiles:
         ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [1.0]],'
          ' "main": [[1, 0], ["x", 1]]}',
          "'main' row 1 must be an array of numbers"),
+        ('{"input_dist": [true, false], "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' must be an array of numbers"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [true]]}',
+         "'wiretap' row 1 must be an array of numbers"),
     ], ids=["input-flat", "input-negative", "input-sum", "row-flat",
             "row-nan", "main-row-sum", "input-object", "input-string",
-            "row-object", "main-row-string"])
+            "row-object", "main-row-string", "input-bool", "row-bool"])
     def test_vector_messages(self, doc, message):
         with pytest.raises(wx.ChannelFileError) as exc:
             parse_channel_spec(doc)

@@ -236,9 +236,9 @@ class TestSweepCommand:
         assert classes == {"ZERO", "PARTIAL", "FULL"}
 
     def test_rows_independent_of_grid_extrapolating(self):
-        # R1 near 1.15 puts phi's root-finding on the s ~ 0.51 solves that
-        # take Anderson steps; each row must not depend on the rows that
-        # the same solver answered before it
+        # R1 near 1.15 puts phi's root-finding on the s ~ 0.51 solves,
+        # where plain fixed-point jumps crawl; each row must not depend on
+        # the rows that the same solver answered before it
         spec = wx.load_channel_spec(SLOW_FIXED_POINT)
         r1s = np.linspace(1.0, 1.16, 3)
         mode = ("fractions", np.linspace(0.0, 1.0, 3))
@@ -347,6 +347,26 @@ def test_non_numeric_channel_entries(capsys, tmp_path, command, doc, field):
     assert code == 2 and out == ""
     assert err == f"error: {path}: {field} must be an array of numbers\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "exponent"])
+@pytest.mark.parametrize("doc,field", [
+    ({"input_dist": [True, False], "wiretap": [[True, False], [False, True]]},
+     "'input_dist'"),
+    ({"input_dist": [0.5, 0.5], "wiretap": [[True, False], [0.5, 0.5]]},
+     "'wiretap' row 0"),
+], ids=["input-bool", "wiretap-row-bool"])
+def test_boolean_channel_entries(capsys, tmp_path, command, doc, field):
+    # JSON booleans converted to 1.0 and 0.0: the first document passed
+    # check and printed E 0.1 with exit 0
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "exponent":
+        argv += ["--r1", "0.1", "--r2", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {field} must be an array of numbers\n"
 
 
 class TestGaussianCommand:

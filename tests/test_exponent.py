@@ -414,36 +414,41 @@ class TestDeterminism:
 
 
 class TestAndersonStep:
-    """The s < 1 solver extrapolates only after a long run of plain jumps."""
+    """The slow 16x16 fixed point, on which plain jumps oscillate around
+    s = 0.5.  The class is named for the Anderson mixing that first made
+    its s < 1 solves certify; the Newton solve replaced it, and these tests
+    pin what it protected."""
 
     @pytest.fixture(scope="class")
     def slow(self):
         return ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT))
 
-    def test_plain_jumps_alone_crawl(self, slow, monkeypatch):
-        # from the neighbouring table entry, 500 plain jumps do not certify:
-        # the run ends at its iteration cap with its gap above gap_tol
-        monkeypatch.setattr(exponent, "_AA_AFTER", 10**9)
+    def test_plain_jumps_alone_crawl(self, slow):
+        # from the neighbouring table entry's marginal, 500 plain jumps
+        # V <- Q_Z(jump(V)) leave the dual gap far above gap_tol
         j = int(np.flatnonzero(slow._table_s == 0.5)[0])
-        sol = exponent._solve_mirror(
-            slow._w, slow._p, slow._log_p, slow._support, 0.5,
-            slow._table[j - 1].log_q, slow.gap_tol, 500)
-        assert sol.iterations == 500 and sol.gap > slow.gap_tol
-        assert sol.extrapolations == 0
+        v = slow._w @ slow._table[j - 1].q
+        for _ in range(500):
+            rows, lse = exponent._jump(slow._log_p, slow._support, 0.5,
+                                       np.log(v))
+            v = slow._w @ np.exp(rows)
+        f = exponent._evaluate(slow._w, slow._log_p, rows, 0.5)[4]
+        assert f + 0.5 * float(np.dot(slow._w, lse)) > 1e3 * slow.gap_tol
 
     def test_extrapolation_certifies_quickly(self, slow):
         sol = slow._cache[0.5]
         assert sol.gap <= slow.gap_tol
-        assert sol.iterations < 500
-        assert sol.extrapolations > 0
+        assert sol.iterations <= 5
 
     @pytest.mark.parametrize("spec", [make_asym_3x3(), make_bsc(0.1)],
                              ids=["asym3x3", "bsc01"])
     def test_short_solves_untouched(self, spec):
+        # the s > 0 table solves of small channels take a few Newton steps,
+        # and the s = 0 run needs no Frank-Wolfe step
         solver = ExponentSolver(spec)
-        assert all(sol.extrapolations == 0 for sol in solver._table)
-        assert max(sol.iterations for sol in solver._table) <= \
-            exponent._AA_AFTER
+        assert all(sol.gap <= solver.gap_tol for sol in solver._table)
+        assert max(sol.iterations for sol in solver._table[:-1]) <= 4
+        assert solver._table[-1].fw_steps == 0
 
     def test_query_order_independent(self, slow):
         spec = wx.load_channel_spec(SLOW_FIXED_POINT)
@@ -454,19 +459,10 @@ class TestAndersonStep:
         fwd, rev = ExponentSolver(spec), ExponentSolver(spec)
         a = [fwd.phi(t) for t in targets]
         b = [rev.phi(t) for t in reversed(targets)][::-1]
-        assert any(sol.extrapolations for _, sol in a)
+        assert all(sol.s not in slow._table_s for _, sol in a)
         for (va, sa), (vb, sb) in zip(a, b):
             assert va == vb
             assert sa.log_q.tobytes() == sb.log_q.tobytes()
-
-    def test_debug_record_for_anderson_steps(self, slow, caplog):
-        j = int(np.flatnonzero(slow._table_s == 0.5)[0])
-        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = exponent._solve_mirror(
-                slow._w, slow._p, slow._log_p, slow._support, 0.5,
-                slow._table[j - 1].log_q, slow.gap_tol, slow.max_iter)
-        assert sol.extrapolations > 0
-        assert any("Anderson steps" in r.getMessage() for r in caplog.records)
 
     def test_debug_records_for_stalled_runs(self, caplog):
         # a run cut off before it certifies (the s = 0 solve needs 8
@@ -494,7 +490,7 @@ class TestSolverRecords:
         solver = ExponentSolver(make_asym_3x3(), table_points=3)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             sol = exponent._solve_mirror(
-                solver._w, solver._p, solver._log_p, solver._support, 0.0,
+                solver._w, solver._log_p, solver._support,
                 solver._table[1].log_q, solver.gap_tol, 14)
         stalls = [r for r in caplog.records
                   if r.getMessage().startswith("mirror run stalled")]
@@ -502,19 +498,84 @@ class TestSolverRecords:
         assert sol.iterations == 14 and sol.gap > solver.gap_tol
         assert solver._table[-1].iterations == 16
 
-    def test_debug_record_for_alternating_stall(self, caplog, monkeypatch):
-        # a gap stuck just above gap_tol leaves only the stall exit
+    def test_debug_record_for_uncertified_newton_solve(self, caplog,
+                                                       monkeypatch):
+        # a gap stuck above gap_tol ends the solve once its steps fall to
+        # float noise, well before max_iter, with a record and a
+        # SolverError: an s > 0 solve has no stall acceptance
+        solver = ExponentSolver(make_asym_3x3(), table_points=3)
         monkeypatch.setattr(exponent, "_linearization_gap",
                             lambda *args: 1e-9)
-        spec = make_bsc(0.1)
-        solver = ExponentSolver(spec, table_points=3)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = exponent._solve_alternating(
-                solver._w, solver._p, solver._log_p, solver._support, 2.0,
-                solver._table[0].log_q, 1e-10, 10_000)
-        assert sol.gap == 1e-9
-        assert any("alternating minimization at s=2 accepts stalled gap 1e-09"
-                   in r.getMessage() for r in caplog.records)
+            with pytest.raises(wx.SolverError,
+                               match="did not certify at s=2 ") as exc:
+                exponent._solve_newton(
+                    solver._w, solver._log_p, solver._support, 2.0,
+                    solver._w @ solver._p, solver.gap_tol, solver.max_iter)
+        assert exc.value.residual == 1e-9 and exc.value.iterations <= 10
+        assert [r.getMessage() for r in caplog.records] == [
+            "Newton solve at s=2 stopped uncertified with gap 1e-09 after "
+            f"{exc.value.iterations} steps"]
+
+
+def _g(solver, s, v):
+    """g_s(V) = -s <w, lse>, the dual function of the Newton solve."""
+    return -s * float(np.dot(solver._w, exponent._jump(
+        solver._log_p, solver._support, s, np.log(v))[1]))
+
+
+class TestNewtonSolve:
+    """The dual Newton solve on the output marginal, for s > 0."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_scaled_hessian_matches_finite_differences(self, s):
+        solver = ExponentSolver(make_asym_3x3(), table_points=2)
+        v = np.array([0.5, 0.2, 0.3])
+        q = np.exp(exponent._jump(solver._log_p, solver._support, s,
+                                  np.log(v))[0])
+        qz = solver._w @ q
+        h, n = 1e-4, v.size
+        eye = np.eye(n) * h
+        grad = np.array([(_g(solver, s, v + e) - _g(solver, s, v - e))
+                         / (2 * h) for e in eye])
+        hess = np.array([[(_g(solver, s, v + a + b) - _g(solver, s, v + a - b)
+                           - _g(solver, s, v - a + b)
+                           + _g(solver, s, v - a - b)) / (4 * h * h)
+                          for b in eye] for a in eye])
+        # the solver's KKT matrix holds D H D with row z divided by
+        # (1 - s) Q_Z(z), and V in its constraint row and column
+        kkt = exponent._newton_kkt(solver._w, q, qz, v, s)
+        assert np.allclose(v * grad, (1.0 - s) * qz, atol=1e-9)
+        assert np.allclose(v[:, None] * hess * v[None, :],
+                           (1.0 - s) * qz[:, None] * kkt[:n, :n], atol=1e-6)
+        assert np.array_equal(kkt[n, :n], v) and kkt[n, n] == 0.0
+        assert np.allclose(kkt[:n, n], v / qz)
+
+    @pytest.mark.parametrize("name", sorted(
+        os.path.splitext(n)[0] for n in os.listdir(
+            os.path.join(os.path.dirname(__file__), "data"))))
+    def test_table_solves_certify_within_20_steps(self, name):
+        solver = ExponentSolver(wx.load_channel_spec(_scan_path(name)))
+        newton = [sol for sol in solver._table if sol.s not in (0.0, 1.0)]
+        assert len(newton) == len(solver._table) - 2
+        for sol in newton:
+            assert sol.gap <= solver.gap_tol and sol.iterations <= 20
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-4, 1e-5])
+    def test_small_s_certifies(self, s):
+        # near i_max the rows are nearly one-hot: a full Newton step from
+        # the s = 1/32 marginal would underflow five outputs' Q_Z to 1e-293
+        # and freeze the solve at gap 1.8e-6, so the line search keeps every
+        # kept output above the floor
+        solver = ExponentSolver(wx.load_channel_spec(
+            _scan_path("scan7_077_2x6")))
+        j = int(np.flatnonzero(solver._table_s == 1 / 32)[0])
+        sol = exponent._solve_newton(
+            solver._w, solver._log_p, solver._support, s,
+            solver._w @ solver._table[j].q, solver.gap_tol, solver.max_iter)
+        assert sol.gap <= solver.gap_tol and sol.iterations <= 20
+        assert np.isfinite([sol.f, sol.d, sol.i]).all()
+        assert np.isfinite(sol.q).all()
 
 
 def _s0_channel(kind: str, seed: int) -> wx.ChannelSpec:
@@ -601,8 +662,8 @@ class TestVertexAtSZero:
         # a vertex that never forms leaves the mirror iterate untouched
         slow = ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
                               table_points=3)
-        args = (slow._w, slow._p, slow._log_p, slow._support, 0.0,
-                slow._table[1].log_q, slow.gap_tol, slow.max_iter)
+        args = (slow._w, slow._log_p, slow._support, slow._table[1].log_q,
+                slow.gap_tol, slow.max_iter)
         calls = []
 
         def never(*a):
@@ -708,19 +769,21 @@ class TestGeneratedScanChannels:
                 assert gap <= solver.gap_tol
 
     def test_debug_record_for_frank_wolfe_steps(self, caplog):
+        # rows that put all their mass on their least likely output hold
+        # zeros that no multiplicative step revives; Frank-Wolfe steps do
         spec = wx.load_channel_spec(_scan_path("scan7_046_6x2"))
+        solver = ExponentSolver(spec, table_points=3)
+        worst = np.where(solver._support, solver._log_p, np.inf).argmin(axis=1)
+        start = np.where(np.arange(solver._p.shape[1]) == worst[:, None], 0.0,
+                         exponent._LOGZERO)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            solver = ExponentSolver(spec)
-            solver.solve(wx.RatePair(SCAN_R1, 0.0))
-        stepped = [sol for sol in solver._cache.values() if sol.fw_steps]
-        assert stepped
-        assert all(0.0 < sol.s < 1.0 and sol.gap <= solver.gap_tol
-                   for sol in stepped)
-        for sol in stepped:
-            assert any(r.getMessage() == (
-                f"mirror run at s={sol.s:.9g} took {sol.extrapolations} "
-                f"Anderson steps and {sol.fw_steps} Frank-Wolfe steps in "
-                f"{sol.iterations} iterations") for r in caplog.records)
+            sol = exponent._solve_mirror(solver._w, solver._log_p,
+                                         solver._support, start,
+                                         solver.gap_tol, solver.max_iter)
+        assert sol.fw_steps > 0 and sol.gap <= solver.gap_tol
+        assert any(r.getMessage() == (
+            f"mirror run at s=0 took {sol.fw_steps} Frank-Wolfe steps in "
+            f"{sol.iterations} iterations") for r in caplog.records)
 
     def test_stalled_s_zero_run_takes_the_vertex(self, caplog, monkeypatch):
         # the s = 0 run stalls before the first scheduled vertex; the vertex

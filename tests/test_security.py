@@ -104,6 +104,22 @@ class TestFullSecurityInterval:
         with pytest.raises(ValueError):
             wx.full_security_interval(bsc01, 0.0)
 
+    def test_single_input_channel(self):
+        # the bench's generated 2x2 channel with one input of positive mass:
+        # I_Q = 0 for every Q, so i_max = 0; the divergence there is summed
+        # in the log domain and clamped at 0, so the bracket
+        # [i_max - d_at_imax, i_max] stays valid above i_max
+        spec = wx.ChannelSpec(
+            wx.Distribution([1.0, 0.0]),
+            wx.Dmc([[0.22774931082415298, 0.772250689175847],
+                    [0.09686951916243933, 0.9031304808375608]]))
+        solver = ExponentSolver(spec)
+        assert solver.i_max == 0.0
+        assert 0.0 <= solver.d_at_imax <= 1e-15
+        for r1 in (0.05, 0.5):
+            assert wx.full_security_interval(spec, r1,
+                                             solver=solver).bracket_valid
+
     def test_asymmetric_channel(self):
         spec = make_asym_3x3()
         solver = ExponentSolver(spec)
