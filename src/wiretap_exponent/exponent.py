@@ -36,15 +36,13 @@ At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
 goods, P(z|x) are utilities.  Its optimum, the Eisenberg-Gale equilibrium
 (Eisenberg & Gale 1959), is a vertex that mirror descent only creeps
-towards.  So from iteration 16 on, at every doubling, the s = 0 mirror run
-builds the tie graph of the current marginal (the near-maximal entries of
-ln P - ln Q_Z in each row), solves prices and flows on it exactly, and
-returns that vertex once its own dual bound certifies it.  When no
-backtracked mirror step decreases the objective (entries crushed to zero
-cannot be revived multiplicatively), a Frank-Wolfe step (Frank & Wolfe
-1956; Jaggi 2013) mixes each row towards its linear minimizer of the
-gradient.  A run that still stalls tries the vertex of its marginal once
-more and keeps it if its gap is below the stalled one.
+towards.  So at iterations 0, 1, 2, 4, 8, ..., the s = 0 mirror run grows
+a spanning forest of the current marginal in Kruskal order (support edges
+by their slack below each row's maximum of ln P - ln Q_Z), solves prices
+and flows on it exactly, and returns that vertex once its own dual bound
+certifies it.  A run that stops uncertified, because no backtracked
+mirror step descends or max_iter is reached, tries the vertex once more
+and otherwise raises SolverError.
 """
 from __future__ import annotations
 
@@ -85,12 +83,6 @@ _STEP_FLOOR = 1e-14
 #: relative float noise of a computed objective value: the Armijo slack of
 #: the Newton line search and the least gap a certificate reports
 _NOISE = 4e-16
-
-#: first s = 0 mirror iteration that tries the tie-graph vertex; it is
-#: tried again at every doubling of the iteration count
-_TIE_FIRST = 16
-#: tie tolerances tried in turn, tightest first
-_TIE_TOLS = (1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 3e-2, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +192,6 @@ class _InnerSolution:
     f: float
     gap: float
     iterations: int
-    fw_steps: int = 0
 
     def __post_init__(self):
         # no gap below the float noise of the values it is computed from
@@ -286,11 +277,13 @@ def _solve_newton(w, log_p, support, s, v, gap_tol, max_iter):
         q = np.exp(rows)
         return rows, q, w @ q, -s * float(np.dot(w, lse))
 
-    def certify(rows, q, ln_qz):
+    def certify(rows, q, ln_qz):  # (gap, evaluation of rows or None)
         if s > 1.0:
-            return _linearization_gap(w, log_p, support, s, rows, q, ln_qz)
-        return _evaluate(w, log_p, rows, s)[4] + s * float(
-            np.dot(w, _jump(log_p, support, s, ln_qz)[1]))
+            return _linearization_gap(w, log_p, support, s, rows, q,
+                                      ln_qz), None
+        ev = _evaluate(w, log_p, rows, s)
+        return ev[4] + s * float(
+            np.dot(w, _jump(log_p, support, s, ln_qz)[1])), ev
 
     sign = math.copysign(1.0, s - 1.0)
     ln_v = np.log(v)
@@ -301,7 +294,7 @@ def _solve_newton(w, log_p, support, s, v, gap_tol, max_iter):
         # certificate: it is computed once V is this near its fixed point
         gap = abs(1.0 - s) * float(np.dot(qz, ln_qz - ln_v))
         if gap <= gap_tol:
-            gap = certify(rows, q, ln_qz)
+            gap, ev = certify(rows, q, ln_qz)
         if gap <= gap_tol or it == max_iter:
             break
         act = qz > _QZ_FLOOR
@@ -335,8 +328,9 @@ def _solve_newton(w, log_p, support, s, v, gap_tol, max_iter):
         v, ln_v = v_t, ln_t
         rows, q, qz, g = trial
     if gap > gap_tol:
-        gap = certify(rows, q, ln_qz)
-    q, qz, d, i, f = _evaluate(w, log_p, rows, s)
+        gap, ev = certify(rows, q, ln_qz)
+    # the certificate of an s < 1 solve has evaluated the final rows
+    q, qz, d, i, f = ev or _evaluate(w, log_p, rows, s)
     if gap <= gap_tol:
         return _InnerSolution(s, rows, q, d, i, f, gap, it)
     _log.debug("Newton solve at s=%.9g stopped uncertified with gap %.3g "
@@ -345,158 +339,149 @@ def _solve_newton(w, log_p, support, s, v, gap_tol, max_iter):
                       best_value=f, residual=gap, iterations=it)
 
 
-def _tie_vertex(w, log_p, support, ln_v, tau) -> np.ndarray | None:
-    """Candidate s = 0 minimizer on the tie graph of the log marginal ln_v.
+def _preorder(adj, root):
+    """Nodes of root's tree in the forest adj, each after its parent, and
+    each node's parent (the root's is -1)."""
+    order, parent, stack = [], {root: -1}, [root]
+    while stack:
+        a = stack.pop()
+        order.append(a)
+        for b in adj[a]:
+            if b not in parent:
+                parent[b] = a
+                stack.append(b)
+    return order, parent
 
-    At s = 0 the inner problem is Shmyrev's convex program for a linear
-    Fisher market: buyers x with budgets w_x, goods z, utilities P(z|x).
-    Its optimum, the Eisenberg-Gale equilibrium, puts each row's mass on
-    the row's argmax of ln P - ln Q_Z.  The edges within ``tau`` of each
-    row's maximum of ln P - ln v fix log prices u_z and row levels t_x by
-    u_z - t_x = ln P(z|x) along a spanning forest; each component's prices
-    are scaled to sum to its budgets, and the edge flows with row sums w_x
-    and column sums e^u are solved by least squares.  Returns the log rows
-    flow / w_x, or None when the graph is inconsistent, leaves an output
-    without an edge or needs a negative flow.
+
+def _forest_rows(w, log_p, support, adj) -> np.ndarray | None:
+    """Log rows of the s = 0 vertex on the forest adj (nodes are rows x,
+    then outputs nx + z), or None when it needs a negative flow.
+
+    Log prices u_z and row levels t_x follow u_z - t_x = ln P(z|x) along
+    each tree, and each tree's prices are scaled to sum to its budgets.
+    The flows, with row sums w_x and column sums e^u, are peeled from the
+    leaves towards the tree's largest node, which is never peeled: its
+    balance takes the rounding, so no small flow is the difference of two
+    large ones.
     """
-    nx, nz = log_p.shape
-    score = np.where(support, log_p - ln_v[None, :], -np.inf)
-    xs, zs = np.nonzero(score >= score.max(axis=1, keepdims=True) - tau)
-    outs = [zs[xs == x] for x in range(nx)]
-    ins = [xs[zs == z] for z in range(nz)]
-    t, u = np.zeros(nx), np.zeros(nz)
-    comp_x, comp_z = np.full(nx, -1), np.full(nz, -1)
-    ncomp = 0
-    for root in range(nx):
-        if comp_x[root] >= 0:
+    nx = w.size
+    level, demand = np.zeros(len(adj)), np.zeros(len(adj))
+    rows = np.full(log_p.shape, _LOGZERO)
+    done = np.zeros(len(adj), dtype=bool)
+    for start in range(len(adj)):
+        if done[start]:
             continue
-        comp_x[root] = ncomp
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for z in outs[x]:
-                if comp_z[z] < 0:
-                    comp_z[z] = ncomp
-                    u[z] = log_p[x, z] + t[x]
-                    for x2 in ins[z]:
-                        if comp_x[x2] < 0:
-                            comp_x[x2] = ncomp
-                            t[x2] = u[z] - log_p[x2, z]
-                            queue.append(x2)
-        ncomp += 1
-    if (comp_z < 0).any() or \
-            np.abs(u[zs] - t[xs] - log_p[xs, zs]).max() > 1e-9:
-        return None
-    for c in range(ncomp):
-        in_c = comp_z == c
-        top = u[in_c].max()
-        u[in_c] += math.log(w[comp_x == c].sum()) - top \
-            - math.log(np.exp(u[in_c] - top).sum())
-    edges = np.arange(xs.size)
-    a = np.zeros((nx + nz, xs.size))
-    a[xs, edges] = 1.0
-    a[nx + zs, edges] = 1.0
-    flow = np.linalg.lstsq(a, np.concatenate((w, np.exp(u))), rcond=None)[0]
-    if (flow < 0.0).any():
-        return None
-    rows = np.full((nx, nz), _LOGZERO)
-    rows[xs, zs] = np.log(np.maximum(flow / w[xs], _TINY))
+        order, parent = _preorder(adj, start)
+        for b in order[1:]:
+            a = parent[b]
+            lp = log_p[min(a, b), max(a, b) - nx]
+            level[b] = level[a] + (lp if b >= nx else -lp)
+        xs = [a for a in order if a < nx]
+        zs = [a for a in order if a >= nx]
+        u = level[zs]
+        top = u.max()
+        u += math.log(w[xs].sum()) - top - math.log(np.exp(u - top).sum())
+        demand[xs], demand[zs] = w[xs], np.exp(u)
+        order, parent = _preorder(adj, max(order, key=demand.__getitem__))
+        for b in reversed(order[1:]):
+            a, flow = parent[b], demand[b]
+            if flow < 0.0:
+                return None
+            demand[a] -= flow
+            x, z = min(a, b), max(a, b) - nx
+            rows[x, z] = math.log(max(flow / w[x], _TINY))
+        done[order] = True
     return _normalize_log_rows(rows, support)
 
 
-def _vertex_within(w, log_p, support, ln_qz, limit, it):
-    """The s = 0 tie-graph vertex of ln_qz whose dual gap is at most limit.
+def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
+    """The s = 0 vertex of the log marginal ln_v that its own dual bound
+    certifies within gap_tol, or None.
 
-    Tries the tie tolerances tightest first; returns None when none of them
-    gives a vertex within the limit.
+    At s = 0 the inner problem is Shmyrev's convex program for a linear
+    Fisher market: buyers x with budgets w_x, goods z, utilities P(z|x).
+    Its optimum, the Eisenberg-Gale equilibrium, spends each budget on the
+    row's argmax of ln P - ln Q_Z, along a forest.  The support edges join
+    a forest in the order of their slack below the row maximum of
+    ln P - ln_v (Kruskal order, a stable sort), skipping any edge that
+    would close a cycle.  Once every row and output lies on an edge, and
+    again after each further edge, the vertex on the forest is tried.
     """
-    for tau in _TIE_TOLS:
-        rows = _tie_vertex(w, log_p, support, ln_qz, tau)
+    nx, nz = log_p.shape
+    score = np.where(support, log_p - ln_v[None, :], -np.inf)
+    xs, zs = np.nonzero(support)
+    slack = (score.max(axis=1)[:, None] - score)[xs, zs]
+    root = list(range(nx + nz))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    adj = [[] for _ in range(nx + nz)]
+    bare = nx + nz
+    for e in np.argsort(slack, kind="stable"):
+        x, z = int(xs[e]), nx + int(zs[e])
+        rx, rz = find(x), find(z)
+        if rx == rz:
+            continue
+        root[rx] = rz
+        bare -= (not adj[x]) + (not adj[z])
+        adj[x].append(z)
+        adj[z].append(x)
+        if bare:
+            continue
+        rows = _forest_rows(w, log_p, support, adj)
         if rows is None:
             continue
         q, qz, d, i, f = _evaluate(w, log_p, rows, 0.0)
         gap = f - _dual_bound(w, log_p, support,
                               np.log(np.maximum(qz, _TINY)))
-        if gap <= limit:
-            _log.debug("s=0 vertex on the tie graph (tau %g) certifies gap "
-                       "%.3g at iteration %d", tau, gap, it)
+        if gap <= gap_tol:
+            _log.debug("s=0 forest vertex certifies gap %.3g at iteration "
+                       "%d", gap, it)
             return _InnerSolution(0.0, rows, q, d, i, f, gap, it)
     return None
 
 
 def _solve_mirror(w, log_p, support, log_q, gap_tol, max_iter):
     """Mirror descent at s = 0, where g_s is not smooth: one run from the
-    log rows log_q.  Where no tie-graph vertex certifies, the dual bound is
-    only first-order tight in the marginal and bottoms out around 1e-8
-    while the value itself is converged, hence the relaxed stall ceiling;
-    the achieved gap is recorded on the solution.
+    log rows log_q.  Mirror steps only creep towards the vertex optimum,
+    so the forest vertex of the current marginal is tried at iterations
+    0, 1, 2, 4, 8, ..., when no backtracked step descends and at max_iter.
+    Returns the iterate or the vertex, whichever certifies first; a run
+    that ends uncertified raises SolverError.
     """
     eta = 0.5
     q, qz, d, i, f = _evaluate(w, log_p, log_q, 0.0)
-    fw_steps = 0
-    sol = None
     for it in range(max_iter + 1):
         ln_qz = np.log(np.maximum(qz, _TINY))
         gap = f - _dual_bound(w, log_p, support, ln_qz)
-        if gap <= gap_tol or it == max_iter:
-            sol = _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
-            break
-        if it >= _TIE_FIRST and not it & (it - 1):
-            # mirror steps only creep towards the vertex optimum; solve the
-            # vertex on the tie graph of the current marginal and keep it
-            # only if it certifies
-            sol = _vertex_within(w, log_p, support, ln_qz, gap_tol, it)
-            if sol is not None:
-                break
+        if gap <= gap_tol:
+            return _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
         moved = False
-        ghat = np.where(support, ln_qz[None, :] - log_p, 0.0)
-        while eta >= 1e-12:
-            trial = _normalize_log_rows(log_q - eta * ghat, support)
-            qt, qzt, dt, it_, ft = _evaluate(w, log_p, trial, 0.0)
-            if ft <= f - 1e-15:
-                log_q, q, qz, d, i, f = trial, qt, qzt, dt, it_, ft
-                eta = min(eta * 1.25, 64.0)
-                moved = True
-                break
-            eta *= 0.5
-        if not moved:
-            # Frank-Wolfe step: mixing towards each row's linear minimizer
-            # of the gradient descends while the linearization gap is
-            # positive, and being additive it revives entries crushed to
-            # zero, which multiplicative steps cannot
-            corner = np.eye(q.shape[1])[
-                np.where(support, ghat, np.inf).argmin(axis=1)]
-            for beta in (0.5, 0.25, 0.1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9):
-                cand = np.where(support, np.log(np.maximum(
-                    (1.0 - beta) * q + beta * corner, _TINY)), _LOGZERO)
-                qc, qzc, dc, ic, fc = _evaluate(w, log_p, cand, 0.0)
-                if fc <= f - 1e-15:
-                    log_q, q, qz, d, i, f = cand, qc, qzc, dc, ic, fc
-                    eta = 0.5
+        if it < max_iter:
+            ghat = np.where(support, ln_qz[None, :] - log_p, 0.0)
+            while eta >= 1e-12:
+                trial = _normalize_log_rows(log_q - eta * ghat, support)
+                step = _evaluate(w, log_p, trial, 0.0)
+                if step[4] <= f - 1e-15:
                     moved = True
-                    fw_steps += 1
                     break
+                eta *= 0.5
+        if not moved or not it & (it - 1):
+            sol = _forest_vertex(w, log_p, support, ln_qz, gap_tol, it)
+            if sol is not None:
+                return sol
         if not moved:
-            # stalled; the vertex of the stalled marginal may still be
-            # closer to the optimum than the iterate
-            sol = _vertex_within(w, log_p, support, ln_qz, gap, it) or \
-                _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
             break
-    sol.fw_steps = fw_steps
-    if fw_steps:
-        _log.debug("mirror run at s=0 took %d Frank-Wolfe steps in %d "
-                   "iterations", fw_steps, sol.iterations)
-    if sol.gap <= gap_tol:
-        return sol
+        log_q, (q, qz, d, i, f) = trial, step
+        eta = min(eta * 1.25, 64.0)
     _log.debug("mirror run stalled at s=0 with gap %.3g after %d "
-               "iterations", sol.gap, sol.iterations)
-    if sol.gap <= max(100 * gap_tol, 1e-6):
-        _log.debug("mirror descent at s=0 accepts stalled gap %.3g "
-                   "(gap_tol %.3g)", sol.gap, gap_tol)
-        return sol
-    raise SolverError("mirror descent stalled at s=0",
-                      best_value=sol.f, residual=sol.gap,
-                      iterations=sol.iterations)
+               "iterations", gap, it)
+    raise SolverError("mirror descent stalled at s=0", best_value=f,
+                      residual=gap, iterations=it)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,

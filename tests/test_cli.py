@@ -54,6 +54,18 @@ class TestExponentCommand:
         assert err == ""
         assert abs(float(record_to_dict(out)["rep_discrepancy"])) <= 1e-6
 
+    def test_s_zero_cut_short_exits_3(self, capsys, tmp_path):
+        # from the true channel the s = 0 vertex certifies at iteration 16;
+        # a run cut short before it ends in the solver error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"table_points": 3}), encoding="utf-8")
+        argv = ["exponent", SLOW_FIXED_POINT, "--r1", "1.15", "--r2", "0.5",
+                "--config", str(cfg), "--max-iter"]
+        code, out, err = run(capsys, argv + ["15"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: mirror descent stalled at s=0 ")
+        assert run(capsys, argv + ["16"])[0] == 0
+
     def test_equal_rates_zero(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
         code, out, _ = run(capsys, ["exponent", path, "--r1", "0.4", "--r2", "0.4"])

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import os
@@ -8,11 +9,13 @@ from scipy.special import rel_entr, xlogy
 
 import wiretap_exponent as wx
 from wiretap_exponent import exponent
+from wiretap_exponent.channels import parse_channel_spec
 from wiretap_exponent.cli import main
 from wiretap_exponent.exponent import ExponentSolver
 
 from conftest import (SLOW_FIXED_POINT, make_asym_3x3, make_bsc,
                       random_channel, random_test_channel)
+from scan_generated import generated
 
 LN2 = math.log(2.0)
 
@@ -444,11 +447,11 @@ class TestAndersonStep:
                              ids=["asym3x3", "bsc01"])
     def test_short_solves_untouched(self, spec):
         # the s > 0 table solves of small channels take a few Newton steps,
-        # and the s = 0 run needs no Frank-Wolfe step
+        # and the s = 0 run certifies at its first iteration
         solver = ExponentSolver(spec)
         assert all(sol.gap <= solver.gap_tol for sol in solver._table)
         assert max(sol.iterations for sol in solver._table[:-1]) <= 4
-        assert solver._table[-1].fw_steps == 0
+        assert solver._table[-1].iterations == 0
 
     def test_query_order_independent(self, slow):
         spec = wx.load_channel_spec(SLOW_FIXED_POINT)
@@ -465,38 +468,42 @@ class TestAndersonStep:
             assert sa.log_q.tobytes() == sb.log_q.tobytes()
 
     def test_debug_records_for_stalled_runs(self, caplog):
-        # a run cut off before it certifies (the s = 0 solve needs 8
-        # iterations) is not restarted: it leaves one stall record, and its
-        # gap, below the stall ceiling, is accepted as stalled
+        # from the true channel the s = 0 vertex certifies at iteration 16;
+        # a run cut off before it is not restarted: it leaves one stall
+        # record and raises, whatever its gap
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            solver = ExponentSolver(make_bsc(0.1), table_points=3,
-                                    max_iter=7)
-        sol = solver._table[-1]
-        assert sol.iterations == 7 and sol.gap > solver.gap_tol
+            with pytest.raises(wx.SolverError,
+                               match="stalled at s=0 ") as exc:
+                ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
+                               table_points=3, max_iter=15)
+        assert exc.value.iterations == 15
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 2
-        assert messages[0].startswith("mirror run stalled at s=0 with gap ")
-        assert messages[1].startswith("mirror descent at s=0 accepts "
-                                      "stalled gap ")
+        assert messages == [
+            f"mirror run stalled at s=0 with gap {exc.value.residual:.3g} "
+            "after 15 iterations"]
 
 
 class TestSolverRecords:
     """Iteration counts and debug records of the fallback exits."""
 
     def test_iterations_count_every_run(self, caplog):
-        # an s = 0 run cut off at 14 iterations (it certifies at 16) is
-        # accepted as stalled without a second run, and the accepted
-        # solution's count is the count of that single run
-        solver = ExponentSolver(make_asym_3x3(), table_points=3)
+        # an s = 0 run from the true channel certifies at iteration 16, and
+        # one capped at 10 takes the vertex at its last iteration; one cut
+        # off at 14 iterations reports the count of that single run
+        solver = ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
+                                table_points=3)
+        args = (solver._w, solver._log_p, solver._support,
+                solver._table[1].log_q, solver.gap_tol)
+        assert solver._table[-1].iterations == 16
+        assert exponent._solve_mirror(*args, 10).iterations == 10
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = exponent._solve_mirror(
-                solver._w, solver._log_p, solver._support,
-                solver._table[1].log_q, solver.gap_tol, 14)
+            with pytest.raises(wx.SolverError) as exc:
+                exponent._solve_mirror(*args, 14)
         stalls = [r for r in caplog.records
                   if r.getMessage().startswith("mirror run stalled")]
-        assert sol.s == 0.0 and len(stalls) == 1
-        assert sol.iterations == 14 and sol.gap > solver.gap_tol
-        assert solver._table[-1].iterations == 16
+        assert len(stalls) == 1
+        assert exc.value.iterations == 14
+        assert exc.value.residual > solver.gap_tol
 
     def test_debug_record_for_uncertified_newton_solve(self, caplog,
                                                        monkeypatch):
@@ -610,8 +617,9 @@ class TestVertexAtSZero:
     plain numpy against the optimality conditions of the inner problem."""
 
     @staticmethod
-    def _check_vertex(spec):
-        solver = ExponentSolver(spec)
+    def _check_vertex(spec, caplog):
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            solver = ExponentSolver(spec)
         sol = solver._table[-1]
         assert sol.s == 0.0 and sol.gap <= solver.gap_tol
         w = spec.input_dist.probs
@@ -628,7 +636,8 @@ class TestVertexAtSZero:
         bound = -float(np.dot(w, top[:, 0]))
         # the objective is within gap_tol of the dual bound in any case
         assert abs(f - bound) <= solver.gap_tol
-        if sol.iterations >= exponent._TIE_FIRST:
+        if any(r.getMessage().startswith("s=0 forest vertex certifies")
+               for r in caplog.records):
             # the solve reached the vertex rather than certifying by mirror
             # descent before trying it: every row's mass sits on its argmax
             # set of ln P - ln Q_Z, and the objective meets the bound
@@ -640,56 +649,65 @@ class TestVertexAtSZero:
 
     @pytest.mark.parametrize("kind,seed", _S0_CHANNELS,
                              ids=[f"{k}-{s}" for k, s in _S0_CHANNELS])
-    def test_seeded_channels(self, kind, seed):
-        self._check_vertex(_s0_channel(kind, seed))
+    def test_seeded_channels(self, kind, seed, caplog):
+        self._check_vertex(_s0_channel(kind, seed), caplog)
 
     def test_slow_fixture_without_restart(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = self._check_vertex(wx.load_channel_spec(SLOW_FIXED_POINT))
+        sol = self._check_vertex(wx.load_channel_spec(SLOW_FIXED_POINT),
+                                 caplog)
         text = "\n".join(r.getMessage() for r in caplog.records)
         assert "stalled" not in text
-        assert "s=0 vertex on the tie graph" in text
-        assert sol.iterations <= 32
+        assert "s=0 forest vertex certifies" in text
+        assert sol.iterations <= 2
 
-    def test_bsc_closed_form(self):
+    def test_bsc_closed_form(self, caplog):
         # certified by mirror descent at its first iteration, before the
         # vertex is tried, so it agrees with the closed form to gap_tol
-        sol = self._check_vertex(make_bsc(0.1))
+        sol = self._check_vertex(make_bsc(0.1), caplog)
+        assert sol.iterations == 0 and not caplog.records
         assert abs(sol.f - float(exponent._bsc_inner_value(0.0, 0.1))) <= \
             sol.gap <= 1e-10
 
     def test_fallback_is_the_mirror_path(self, monkeypatch):
-        # a vertex that never forms leaves the mirror iterate untouched
+        # a vertex that never forms leaves the mirror iterate untouched: a
+        # run whose vertices are all solved and discarded ends where a run
+        # that never solves one does, uncertified, with the vertex tried at
+        # iterations 0, 1, 2, 4, ... and at max_iter
         slow = ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
                               table_points=3)
         args = (slow._w, slow._log_p, slow._support, slow._table[1].log_q,
-                slow.gap_tol, slow.max_iter)
-        calls = []
+                slow.gap_tol, 48)
+        vertex = exponent._forest_vertex
+        ends = []
+        for solve in (lambda *a: None, vertex):
+            calls = []
 
-        def never(*a):
-            calls.append(a[-1])
-            return None
+            def tried(*a, solve=solve):
+                calls.append(a[-1])
+                solve(*a)
 
-        monkeypatch.setattr(exponent, "_tie_vertex", never)
-        fallback = exponent._solve_mirror(*args)
-        assert calls
-        monkeypatch.setattr(exponent, "_TIE_FIRST", 10**9)
-        mirror = exponent._solve_mirror(*args)
-        assert fallback.log_q.tobytes() == mirror.log_q.tobytes()
-        assert (fallback.f, fallback.gap, fallback.iterations) == \
-            (mirror.f, mirror.gap, mirror.iterations)
+            monkeypatch.setattr(exponent, "_forest_vertex", tried)
+            with pytest.raises(wx.SolverError) as exc:
+                exponent._solve_mirror(*args)
+            assert calls == [0, 1, 2, 4, 8, 16, 32, 48]
+            ends.append((exc.value.best_value, exc.value.residual,
+                         exc.value.iterations))
+        assert ends[0] == ends[1] and ends[0][1] > slow.gap_tol
         monkeypatch.undo()
-        vertex = exponent._solve_mirror(*args)
-        assert vertex.gap <= slow.gap_tol < mirror.gap
-        assert abs(vertex.f - mirror.f) <= 1e-10
+        sol = exponent._solve_mirror(*args)
+        assert sol.gap <= slow.gap_tol and sol.iterations == 16
+        # the stalled iterate lies above the vertex optimum by at most its
+        # own gap
+        assert 0.0 < ends[0][0] - sol.f <= ends[0][1]
 
 
-# Channels #46 (6x2), #65 (4x2), #68 (6x3) and #77 (2x6) of the generator
-# scan with seed 7 (tests/scan_generated.py), stored as generated, with E
-# at (SCAN_R1, 0) as computed before the s = 0 vertex solve was added; #77
-# had no value then either.
+# Channels #44 (3x8), #46 (6x2), #65 (4x2), #68 (6x3) and #77 (2x6) of the
+# generator scan with seed 7 (tests/scan_generated.py), stored as generated,
+# with E at (SCAN_R1, 0) as computed before the s = 0 vertex solve was
+# added; #77 had no value then either, and #44 has R1 below I(X;Z).
 SCAN_R1 = 0.5923904318075307
-SCAN_CHANNELS = [("scan7_046_6x2", 0.212510668532),
+SCAN_CHANNELS = [("scan7_044_3x8", 0.0),
+                 ("scan7_046_6x2", 0.212510668532),
                  ("scan7_065_4x2", 0.226781821477),
                  ("scan7_068_6x3", 0.299564740716),
                  ("scan7_077_2x6", None)]
@@ -730,7 +748,9 @@ def _numpy_gap(spec: wx.ChannelSpec, sol) -> float:
 
 class TestGeneratedScanChannels:
     """Generated channels on which the s < 1 solver used to stall: near
-    s = 0.01 for #46, #65 and #68, at the s = 0 table entry for #77."""
+    s = 0.01 for #46, #65 and #68, at the s = 0 table entry for #77 and
+    #44.  #44's s = 0 vertex certifies only with its flows peeled towards
+    each tree's largest node; other peeling orders cancel small flows."""
 
     @pytest.fixture(scope="class", params=SCAN_CHANNELS,
                     ids=[name for name, _ in SCAN_CHANNELS])
@@ -760,45 +780,71 @@ class TestGeneratedScanChannels:
         for sol in solver._cache.values():
             gap = _numpy_gap(spec, sol)
             assert gap <= sol.gap + 1e-14
-            if name == "scan7_077_2x6" and sol.s == 0.0:
-                # the vertex flows come from a least-squares solve whose
-                # absolute error, ~1e-16, is a relative error of ~1e-9 on
-                # this channel's flows of order 1e-7
-                assert gap <= 2e-9
-            else:
-                assert gap <= solver.gap_tol
+            assert gap <= solver.gap_tol
 
-    def test_debug_record_for_frank_wolfe_steps(self, caplog):
+    def test_crushed_start_stalls_uncertified(self, caplog):
         # rows that put all their mass on their least likely output hold
-        # zeros that no multiplicative step revives; Frank-Wolfe steps do
+        # zeros that no multiplicative step revives: the run stalls at its
+        # first iteration, its vertex does not certify, and it raises
         spec = wx.load_channel_spec(_scan_path("scan7_046_6x2"))
         solver = ExponentSolver(spec, table_points=3)
         worst = np.where(solver._support, solver._log_p, np.inf).argmin(axis=1)
         start = np.where(np.arange(solver._p.shape[1]) == worst[:, None], 0.0,
                          exponent._LOGZERO)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = exponent._solve_mirror(solver._w, solver._log_p,
-                                         solver._support, start,
-                                         solver.gap_tol, solver.max_iter)
-        assert sol.fw_steps > 0 and sol.gap <= solver.gap_tol
-        assert any(r.getMessage() == (
-            f"mirror run at s=0 took {sol.fw_steps} Frank-Wolfe steps in "
-            f"{sol.iterations} iterations") for r in caplog.records)
+            with pytest.raises(wx.SolverError,
+                               match="stalled at s=0 ") as exc:
+                exponent._solve_mirror(solver._w, solver._log_p,
+                                       solver._support, start,
+                                       solver.gap_tol, solver.max_iter)
+        assert exc.value.iterations == 0
+        assert exc.value.residual > solver.gap_tol
+        assert [r.getMessage() for r in caplog.records] == [
+            f"mirror run stalled at s=0 with gap {exc.value.residual:.3g} "
+            "after 0 iterations"]
 
-    def test_stalled_s_zero_run_takes_the_vertex(self, caplog, monkeypatch):
-        # the s = 0 run stalls before the first scheduled vertex; the vertex
-        # of the stalled marginal beats the stalled gap, which alone is
-        # above the stall ceiling
-        spec = wx.load_channel_spec(_scan_path("scan7_077_2x6"))
+    @pytest.mark.parametrize("name", ["scan7_044_3x8", "scan7_077_2x6"])
+    def test_s_zero_run_takes_the_vertex(self, name, caplog, monkeypatch):
+        # the s = 0 run from the true channel takes the vertex of its
+        # starting marginal, certified far below gap_tol; without a
+        # vertex the run stalls uncertified
+        spec = wx.load_channel_spec(_scan_path(name))
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             sol = ExponentSolver(spec, table_points=3)._table[-1]
-        assert sol.s == 0.0 and sol.iterations < exponent._TIE_FIRST
+        assert sol.s == 0.0 and sol.iterations == 0
+        assert _numpy_gap(spec, sol) <= 1e-14
         text = "\n".join(r.getMessage() for r in caplog.records)
-        assert "s=0 vertex on the tie graph" in text
-        assert "mirror descent at s=0 accepts stalled gap" in text
-        monkeypatch.setattr(exponent, "_vertex_within", lambda *args: None)
+        assert "s=0 forest vertex certifies gap" in text
+        assert "stalled" not in text
+        monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
         with pytest.raises(wx.SolverError, match="stalled at s=0 "):
             ExponentSolver(spec, table_points=3)
+
+
+def _relabel(doc: dict, seed: int) -> dict:
+    """The channel document doc with its inputs and outputs permuted."""
+    rng = np.random.default_rng(seed)
+    rows = np.array(doc["wiretap"])
+    px = np.array(doc["input_dist"])
+    ix, iz = rng.permutation(rows.shape[0]), rng.permutation(rows.shape[1])
+    return {"input_dist": px[ix].tolist(),
+            "wiretap": rows[ix][:, iz].tolist()}
+
+
+class TestLabelPermutation:
+    """Relabelling inputs and outputs changes no value.  The s = 0 vertex
+    grows its forest in edge order, which a relabelling permutes."""
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_generated_channels(self, k):
+        doc = dict(generated(7))[k]
+        solvers = [ExponentSolver(parse_channel_spec(json.dumps(d)))
+                   for d in (doc, _relabel(doc, k))]
+        base = solvers[0]
+        rates = wx.RatePair(0.9 * base.i_max, 0.2 * base.i_max)
+        values = [(sv.i_max, sv.d_at_imax, sv.exponent_rep1(rates).e)
+                  for sv in solvers]
+        assert np.allclose(values[0], values[1], rtol=0.0, atol=1e-12)
 
 
 class TestSolverArguments:

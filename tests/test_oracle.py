@@ -4,7 +4,9 @@ channel, each refined by zooming, with D and I written out in plain numpy.
 
 E = R1 + min_Q [D(Q||P|P_X) - I_Q - Gamma(I_Q)] over test channels Q with
 Q_X = P_X, Gamma(I) = [R2 - I]_+ - [I - R1]_+, which is the three-branch
-minimum that ``exponent_rep1`` evaluates through the inner solves.
+minimum that ``exponent_rep1`` evaluates through the inner solves.  The
+same grids minimize D - I, the s = 0 inner problem behind
+``compute_qstar``.
 """
 import math
 
@@ -18,8 +20,8 @@ ZOOM = np.linspace(-2.0, 2.0, 21)
 ROUNDS = 16
 
 
-def objective(w, p, r1, r2, a, b):
-    """R1 + D - I - Gamma(I) at the test channels [[1-a, a], [b, 1-b]]."""
+def divergence_information(w, p, a, b):
+    """(D, I) at the test channels [[1-a, a], [b, 1-b]]."""
     a, b = np.broadcast_arrays(a, b)
     q = np.stack([np.stack([1.0 - a, a], axis=-1),
                   np.stack([b, 1.0 - b], axis=-1)], axis=-2)
@@ -28,8 +30,13 @@ def objective(w, p, r1, r2, a, b):
         d_terms = np.where(q > 0, q * np.log(q / p), 0.0)
         d_terms = np.where((q > 0) & (p == 0), np.inf, d_terms)
         i_terms = np.where(q > 0, q * np.log(q / qz[..., None, :]), 0.0)
-    d = np.einsum("x,...xz->...", w, d_terms)
-    i = np.einsum("x,...xz->...", w, i_terms)
+    return (np.einsum("x,...xz->...", w, d_terms),
+            np.einsum("x,...xz->...", w, i_terms))
+
+
+def objective(w, p, r1, r2, a, b):
+    """R1 + D - I - Gamma(I) at the test channels [[1-a, a], [b, 1-b]]."""
+    d, i = divergence_information(w, p, a, b)
     gamma = np.maximum(r2 - i, 0.0) - np.maximum(i - r1, 0.0)
     return r1 + d - i - gamma
 
@@ -50,26 +57,29 @@ def _refine(f, x, fx):
     return fx
 
 
-def oracle_exponent(w, p, r1, r2) -> float:
-    """min over a of min over b of the objective, each a dense grid on
-    [0, 1] refined by zooming, so that the kinks of Gamma along I = R1 and
-    I = R2 are met one dimension at a time."""
-    w, p = np.asarray(w, float), np.asarray(p, float)
+def grid_min(f) -> float:
+    """min over a of min over b of f(a, b), each a dense grid on [0, 1]
+    refined by zooming, so that kinks (those of Gamma along I = R1 and
+    I = R2) are met one dimension at a time."""
     grid = np.linspace(0.0, 1.0, GRID)
 
     def profile(a):
         # min over b for each a in the array a, of any shape
         a = a.ravel()[:, None]
-        vals = objective(w, p, r1, r2, a, grid[None, :])
+        vals = f(a, grid[None, :])
         j = np.argmin(vals, axis=1)
         best = vals[np.arange(a.shape[0]), j]
-        return _refine(lambda zb: objective(w, p, r1, r2, a, zb),
-                       grid[j], best)
+        return _refine(lambda zb: f(a, zb), grid[j], best)
 
     outer = profile(grid)
     j = int(np.argmin(outer))
     return float(_refine(lambda za: profile(za).reshape(za.shape),
                          grid[j:j + 1], outer[j:j + 1])[0])
+
+
+def oracle_exponent(w, p, r1, r2) -> float:
+    w, p = np.asarray(w, float), np.asarray(p, float)
+    return grid_min(lambda a, b: objective(w, p, r1, r2, a, b))
 
 
 CHANNELS = {
@@ -90,3 +100,15 @@ def test_rep1_matches_grid_oracle(name):
         e = solver.exponent_rep1(wx.RatePair(r1, r2)).e
         assert math.isfinite(e)
         assert abs(oracle_exponent(w, rows, r1, r2) - e) <= 1e-6, (r1, r2)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+def test_qstar_matches_grid_oracle(name):
+    # the s = 0 end of the curve: d_qstar - i_qstar is min D - I
+    w, rows = CHANNELS[name]
+    spec = wx.ChannelSpec(wx.Distribution(w), wx.Dmc(rows))
+    qstar = wx.compute_qstar(spec)
+    w, p = np.asarray(w, float), np.asarray(rows, float)
+    oracle = grid_min(lambda a, b: np.subtract(
+        *divergence_information(w, p, a, b)))
+    assert abs(oracle - (qstar.d_qstar - qstar.i_qstar)) <= 1e-9
