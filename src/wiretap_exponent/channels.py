@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,14 @@ class ChannelSpec:
         return ConditionalChannel(self.wiretap, self.input_dist)
 
     def to_json_dict(self) -> dict:
+        """The spec as a channel-spec document.
+
+        Deprecated: nothing in the package uses it, and it will be
+        removed.  Build the document from ``input_dist.probs``,
+        ``wiretap.rows`` and ``main.rows`` instead.
+        """
+        warnings.warn("ChannelSpec.to_json_dict is deprecated and will be "
+                      "removed", DeprecationWarning, stacklevel=2)
         d = {
             "input_dist": self.input_dist.probs.tolist(),
             "wiretap": self.wiretap.rows.tolist(),

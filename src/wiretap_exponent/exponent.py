@@ -30,7 +30,11 @@ in (0, 1), min_V g_s (convex) for s in (1, 2], and the true channel at
 s = 1; a damped Newton method on V (Boyd & Vandenberghe 2004, sec. 10.2)
 reaches its fixed point V = Q_Z(jump(V)) in a few steps.  Each solve ends
 on a certified gap: the dual bound at V = Q_Z for s < 1, a first-order
-linearization bound for s > 1.
+linearization bound for s > 1.  The multiplier table's entries with s not
+in {0, 1} all start from the true output marginal, so they are solved in
+lockstep as one stack: each round does one stacked KKT solve and a line
+search per slice, and a slice leaves the stack once it certifies.  Every
+other s > 0 is the same kernel on a stack of one.
 
 At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
@@ -59,6 +63,12 @@ from .errors import SolverError
 LN2 = math.log(2.0)
 
 _log = logging.getLogger("wiretap_exponent")
+
+# The Newton kernel takes every sum and product slice by slice (np.vecdot,
+# reductions along the last axis, stacked matmul), never as one
+# matrix-vector product over a stack: x @ w on an (S, n) stack rounds each
+# row by how many rows there are, and each slice must round as a lone
+# solve of its s does.
 
 #: sentinel for log(0); finite so that scaled arithmetic never produces NaN
 _LOGZERO = -1.0e30
@@ -199,34 +209,45 @@ class _InnerSolution:
 
 
 def _row_lse(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True)))[:, 0]
+    """Log-sum-exp of each row of a, kept as a column."""
+    m = a.max(axis=-1, keepdims=True)
+    return m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True))
 
 
 def _normalize_log_rows(a: np.ndarray, support: np.ndarray) -> np.ndarray:
     a = np.where(support, a, _LOGZERO)
-    return np.where(support, a - _row_lse(a)[:, None], _LOGZERO)
+    return np.where(support, a - _row_lse(a), _LOGZERO)
 
 
-def _jump(log_p: np.ndarray, support: np.ndarray, s: float,
+def _tilt(log_p: np.ndarray, s, ln_v: np.ndarray) -> np.ndarray:
+    """Log rows (P V^(s-1))^(1/s) before normalization.  s is a float, or
+    an (S, 1, 1) array for a stack ln_v of S log marginals.  Off the
+    support log_p is _LOGZERO, so these entries lie below every supported
+    one and add exactly 0 to a row's log-sum-exp."""
+    return (log_p - (1.0 - s) * ln_v[..., None, :]) / s
+
+
+def _jump(log_p: np.ndarray, support: np.ndarray, s,
           ln_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact row minimization of D + (s-1) I against a frozen output
     marginal V, for s > 0: the log rows (P V^(s-1))^(1/s), normalized, and
     each row's log normalizer lse.  The row minimum is -s * lse, so
     g_s(V) = -s * <w, lse> is the dual function of the Newton solve.
+    Stacks as _tilt does.
     """
-    a = np.where(support, (log_p - (1.0 - s) * ln_v[None, :]) / s, _LOGZERO)
+    a = _tilt(log_p, s, ln_v)
     lse = _row_lse(a)
-    return np.where(support, a - lse[:, None], _LOGZERO), lse
+    return np.where(support, a - lse, _LOGZERO), lse[..., 0]
 
 
-def _linearization_gap(w, log_p, support, s, log_q, q, ln_qz) -> float:
+def _linearization_gap(w, log_p, support, s, log_q, q, ln_qz):
     # F(Q') >= F(Q) + <grad, Q'-Q>; minimizing the inner product over the
     # product of simplices row by row certifies F(Q) - min F <= gap.
-    ghat = s * log_q - log_p + (1.0 - s) * ln_qz[None, :]
-    inner = (q * np.where(support, ghat, 0.0)).sum(axis=1)
-    lows = np.where(support, ghat, np.inf).min(axis=1)
-    return max(float(np.dot(w, inner - lows)), 0.0)
+    # Stacks as _tilt does.  Off the support q is 0 and ghat finite.
+    ghat = s * log_q - log_p + (1.0 - s) * ln_qz[..., None, :]
+    inner = np.vecdot(q, ghat)
+    lows = np.where(support, ghat, np.inf).min(axis=-1)
+    return np.maximum(np.vecdot(inner - lows, w), 0.0)
 
 
 def _dual_bound(w, log_p, support, ln_qz) -> float:
@@ -236,16 +257,27 @@ def _dual_bound(w, log_p, support, ln_qz) -> float:
     return -float(np.dot(w, diff.max(axis=1)))
 
 
+def _divergences(w, log_p, log_q, q, ln_qz, s):
+    """(D, I, F) of each of a stack of log rows log_q, with Q = exp(log_q),
+    ln_qz the log of its output marginal and s the list of their s.  D
+    and I are summed in the log domain and clamped at 0, where Gibbs'
+    inequality puts both."""
+    values = []
+    for a, d, i in zip(s, np.vecdot(np.vecdot(q, log_q - log_p), w).tolist(),
+                       np.vecdot(np.vecdot(q, log_q - ln_qz[..., None, :]),
+                                 w).tolist()):
+        d, i = max(d, 0.0), max(i, 0.0)
+        values.append((d, i, d + (a - 1.0) * i))
+    return values
+
+
 def _evaluate(w, log_p, log_q, s):
-    """(q, Q_Z, D, I, F) of the log rows log_q; D and I are summed in the
-    log domain and clamped at 0, where Gibbs' inequality puts both."""
+    """(q, Q_Z, D, I, F) of the log rows log_q (see _divergences)."""
     q = np.exp(log_q)
     qz = w @ q
     ln_qz = np.log(np.maximum(qz, _TINY))
-    d = max(float(np.dot(w, (q * (log_q - log_p)).sum(axis=1))), 0.0)
-    i = max(float(np.dot(w, (q * (log_q - ln_qz[None, :])).sum(axis=1))),
-            0.0)
-    return q, qz, d, i, d + (s - 1.0) * i
+    return (q, qz) + _divergences(w, log_p, log_q[None], q[None],
+                                  ln_qz[None], [s])[0]
 
 
 def _newton_kkt(w, q, qz, v, s):
@@ -253,86 +285,236 @@ def _newton_kkt(w, q, qz, v, s):
     g_s at V, Q = jump(V): D = diag(V), D H D = (1 - s) [a M - diag(Q_Z)/s],
     M = Q^T diag(w) Q, a = (1 - s)/s.  Row z of the top block is divided by
     (1 - s) Q_Z(z) to keep tiny outputs precise; D grad g_s = (1 - s) Q_Z
-    then scales to all ones."""
-    n = qz.size
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = ((1.0 - s) / s) * ((w * q.T) @ q) / qz[:, None]
-    kkt.flat[:n * (n + 2):n + 2] -= 1.0 / s
-    kkt[:n, n] = v / qz
-    kkt[n, :n] = v
+    then scales to all ones.  Stacks as _tilt does."""
+    n = qz.shape[-1]
+    kkt = np.zeros(qz.shape[:-1] + (n + 1, n + 1))
+    kkt[..., :n, :n] = (1.0 - s) / s * ((q.mT * w) @ q) \
+        / qz[..., :, None] - np.eye(n) / s
+    kkt[..., :n, n] = v / qz
+    kkt[..., n, :n] = v
     return kkt
 
 
+def _pick(at, n, *stacks):
+    """The slices at (a list) of each of the stacks of n slices: arrays,
+    lists, or floats that stand for one value of every slice (see
+    _stacked).  When at takes all n slices, the stacks themselves."""
+    if len(at) == n:
+        return stacks
+    picked = []
+    for a in stacks:
+        if isinstance(a, np.ndarray):
+            a = a[at]
+        elif isinstance(a, list):
+            a = [a[j] for j in at]
+        picked.append(a)
+    return picked
+
+
+def _stacked(values, dims):
+    """The list values, one per slice, as an array with dims trailing axes
+    of length 1 to broadcast against a stack; a float when the stack has
+    one slice, which broadcasts alike and keeps the arithmetic of a one-s
+    solve on scalars."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).reshape((-1,) + (1,) * dims)
+
+
+def _dual_point(w, log_p, support, s, ln_v):
+    """Log rows, Q and Q_Z of jump(V), and <w, lse>, for a stack of log
+    marginals ln_v and its s (see _stacked); g_s(V) = -s <w, lse>."""
+    rows, lse = _jump(log_p, support, s, ln_v)
+    q = np.exp(rows)
+    return rows, q, w @ q, np.vecdot(lse, w)
+
+
+def _certify(w, log_p, support, s, s3, rows, q, ln_qz):
+    """The certified gap of each of a stack of iterates Q = jump(V), with
+    s the list of their s, s3 its _stacked form and ln_qz the log of Q_Z;
+    and their _divergences, or None if every s > 1.  The gap is the dual
+    bound at V = Q_Z, which the rows alone determine, for s < 1, and the
+    linearization bound, which needs no divergences, for s > 1."""
+    high = [a > 1.0 for a in s]
+    if any(high):
+        lin = _linearization_gap(w, log_p, support, s3, rows, q,
+                                 ln_qz).tolist()
+        if all(high):
+            return lin, None
+    values = _divergences(w, log_p, rows, q, ln_qz, s)
+    lse = np.vecdot(_row_lse(_tilt(log_p, s3, ln_qz))[..., 0], w).tolist()
+    return [lin[j] if high[j] else values[j][2] + a * lse[j]
+            for j, a in enumerate(s)], values
+
+
+def _newton_direction(w, q, qz, v, s, rhs, floored, held):
+    """Newton directions u (dV = V * u) of a stack, with s its _stacked
+    (S, 1, 1) form and rhs the right-hand side [-1, ..., -1, 0] of each
+    slice; u = 0 for a slice whose KKT system is singular.  The floored
+    outputs, held in all, are fixed: their rows and columns become an
+    identity block, so that u_z = 0."""
+    n = qz.shape[-1]
+    kkt = _newton_kkt(w, q, qz, v, s)
+    if held:
+        keep = np.append(~floored, np.ones((len(q), 1), bool), axis=1)
+        kkt *= keep[:, :, None] & keep[:, None, :]
+        at, z = np.nonzero(floored)
+        kkt[at, z, z] = 1.0
+        rhs = rhs.copy()
+        rhs[at, z] = 0.0
+    try:
+        u = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        u = np.zeros_like(rhs)
+        for j in range(len(q)):
+            try:
+                u[j] = np.linalg.solve(kkt[j], rhs[j])
+            except np.linalg.LinAlgError:
+                pass
+    return u[:, :n, 0]
+
+
+def _line_search(w, log_p, support, s, s3, v, u, wlse, qz, floored, held):
+    """Damped steps V * (1 + t u) of a stack, each from t = 1 capped to
+    keep V positive and halved until sign(s - 1) g_s improves by the
+    Armijo fraction of its slope, less float noise (g_s is second-order
+    flat at the optimum, the certificates first-order), and no output
+    kept by the step falls to the floor.  Each trial re-evaluates only the
+    slices still searching.  A slice whose u is below _STEP_FLOOR, or whose
+    t falls below 1e-12, takes no step.  s is a list of the stack's s and
+    s3 its _stacked form, g_s = -s wlse, and held counts the floored
+    outputs.  Returns the slices that took a step, in stack order, and
+    their new V, log V, rows, Q, Q_Z and <w, lse>."""
+    g, slope, t = [], [], []
+    for a, wl, du, low, high in zip(s, wlse.tolist(),
+                                    np.vecdot(qz, u).tolist(),
+                                    u.min(axis=-1).tolist(),
+                                    u.max(axis=-1).tolist()):
+        g.append(-a * wl)
+        # sign * g_s changes at rate -|1 - s| <Q_Z, u> along t
+        slope.append(-abs(1.0 - a) * du)
+        t.append(min(1.0, 0.99 / max(-low, 1e-300))
+                 if max(high, -low) > _STEP_FLOOR else 0.0)
+    steps = []                          # (slices, state) of each trial
+    todo = [j for j, tj in enumerate(t) if tj >= 1e-12]
+    while todo:
+        s3j, vj, uj, fj = _pick(todo, len(s), s3, v, u, floored)
+        v_t = vj * (1.0 + _stacked([t[j] for j in todo], 1) * uj)
+        v_t /= v_t.sum(axis=-1, keepdims=True)
+        ln_t = np.log(v_t)
+        trial = _dual_point(w, log_p, support, s3j, ln_t)
+        # a kept output falling to the floor (Q_Z underflows at small s)
+        # means the step left the region the Newton model describes
+        low = (np.where(fj, 1.0, trial[2]) if held else trial[2]).min(
+            axis=-1).tolist()
+        ok = [m for m, (j, wl) in enumerate(zip(todo, trial[3].tolist()))
+              if low[m] > _QZ_FLOOR and math.copysign(1.0, s[j] - 1.0)
+              * (-s[j] * wl - g[j])
+              <= 1e-4 * t[j] * slope[j] + _NOISE * max(1.0, abs(g[j]))]
+        steps.append(([todo[m] for m in ok],
+                      _pick(ok, len(todo), v_t, ln_t, *trial)))
+        if len(ok) == len(todo):
+            break
+        took = set(ok)
+        todo = [j for m, j in enumerate(todo) if m not in took]
+        for j in todo:
+            t[j] *= 0.5
+        todo = [j for j in todo if t[j] >= 1e-12]
+    if len(steps) == 1:
+        return steps[0]
+    at = [j for took, _ in steps for j in took]
+    order = np.argsort(at)
+    return sorted(at), tuple(np.concatenate(parts)[order] for parts in
+                             zip(*(state for _, state in steps)))
+
+
 def _solve_newton(w, log_p, support, s, v, gap_tol, max_iter):
-    """Damped Newton solve of max_V g_s (s < 1) or min_V g_s (s > 1) from
-    the positive output marginal v; the iterate is Q = jump(V), certified
-    for s < 1 by the dual bound at V = Q_Z, which the rows alone determine.
-    Outputs with Q_Z at most _QZ_FLOOR are held fixed.  Steps are capped to
-    keep V positive and backtracked on g_s, with slack for float noise (g_s
-    is second-order flat at the optimum, the certificates first-order),
-    until no kept output falls to the floor.
+    """The Newton solve of the one multiplier s from the positive output
+    marginal v (see _newton_stack)."""
+    return _newton_stack(w, log_p, support, [s], v[None, :], gap_tol,
+                         max_iter)[0]
+
+
+def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
+    """Damped Newton solves of max_V g_s (s < 1) or min_V g_s (s > 1), run
+    in lockstep for a list of s, each from its positive output marginal
+    v[k]; returns the solutions in the order of s.
+
+    The iterate is Q = jump(V), certified for s < 1 by the dual bound at
+    V = Q_Z and for s > 1 by the linearization bound.  Each round solves
+    the KKT systems of all slices still on the stack at once, then line
+    searches them (_line_search); outputs with Q_Z at most _QZ_FLOOR are
+    held fixed.  A slice leaves the stack once it certifies, or when it
+    reaches max_iter or takes no step (its KKT system is singular, its step
+    is below _STEP_FLOOR or its line search fails); it is then certified
+    once more.  The stack reports as if its s were solved one after
+    another: the first uncertified s raises SolverError, and no s after it
+    is solved further.
     """
-    def at(ln_v):  # log rows, Q and Q_Z of jump(V), and g_s(V)
-        rows, lse = _jump(log_p, support, s, ln_v)
-        q = np.exp(rows)
-        return rows, q, w @ q, -s * float(np.dot(w, lse))
-
-    def certify(rows, q, ln_qz):  # (gap, evaluation of rows or None)
-        if s > 1.0:
-            return _linearization_gap(w, log_p, support, s, rows, q,
-                                      ln_qz), None
-        ev = _evaluate(w, log_p, rows, s)
-        return ev[4] + s * float(
-            np.dot(w, _jump(log_p, support, s, ln_qz)[1])), ev
-
-    sign = math.copysign(1.0, s - 1.0)
+    sols = [None] * len(s)
+    failed = None                       # (index, s, gap, F, steps), first
+    k = list(range(len(s)))             # index into s of each live slice
+    s3 = _stacked(s, 2)
+    rhs = np.zeros((len(s), v.shape[1] + 1, 1))
+    rhs[:, :-1] = -1.0
     ln_v = np.log(v)
-    rows, q, qz, g = at(ln_v)
+    rows, q, qz, wlse = _dual_point(w, log_p, support, s3, ln_v)
     for it in range(max_iter + 1):
+        n = len(k)
         ln_qz = np.log(np.maximum(qz, _TINY))
         # |1 - s| D(Q_Z||V), which is F(Q) - g_s(V) for s < 1, screens the
         # certificate: it is computed once V is this near its fixed point
-        gap = abs(1.0 - s) * float(np.dot(qz, ln_qz - ln_v))
-        if gap <= gap_tol:
-            gap, ev = certify(rows, q, ln_qz)
-        if gap <= gap_tol or it == max_iter:
-            break
-        act = qz > _QZ_FLOOR
-        kkt = _newton_kkt(w, q, qz, v, s) if act.all() else \
-            _newton_kkt(w, q[:, act], qz[act], v[act], s)
-        n = len(kkt) - 1
-        u = np.zeros_like(v)
-        try:
-            u[act] = np.linalg.solve(kkt, np.append(np.full(n, -1.0), 0.0))[:n]
-        except np.linalg.LinAlgError:
-            break
-        if np.abs(u).max() <= _STEP_FLOOR:
-            break
-        # sign * g_s changes at rate -|1 - s| <Q_Z, u> along t
-        slope = -abs(1.0 - s) * float(np.dot(qz, u))
-        noise = _NOISE * max(1.0, abs(g))
-        t = min(1.0, 0.99 / max(-u.min(), 1e-300))
-        while t >= 1e-12:
-            v_t = v * (1.0 + t * u)
-            v_t /= v_t.sum()
-            ln_t = np.log(v_t)
-            trial = at(ln_t)
-            # a kept output falling to the floor (Q_Z underflows at small
-            # s) means the step left the region the Newton model describes
-            if sign * (trial[3] - g) <= 1e-4 * t * slope + noise and \
-                    (trial[2][act] > _QZ_FLOOR).all():
+        gap = [abs(1.0 - a) * b for a, b in zip(
+            s, np.vecdot(qz, ln_qz - ln_v).tolist())]
+        values = {}                     # D, I and F by slice, once known
+
+        def certify(at):  # the certificates replace the screen of at
+            if at:
+                gaps, known = _certify(w, log_p, support,
+                                       *_pick(at, n, s, s3, rows, q, ln_qz))
+                for j, gap_j in zip(at, gaps):
+                    gap[j] = gap_j
+                if known:
+                    values.update(zip(at, known))
+
+        certify([j for j in range(n) if gap[j] <= gap_tol])
+        go = [j for j in range(n) if gap[j] > gap_tol] \
+            if it < max_iter else []
+        if go:
+            sj, s3j, vj, qj, qzj, wj = _pick(go, n, s, s3, v, q, qz, wlse)
+            floored = qzj <= _QZ_FLOOR
+            held = np.count_nonzero(floored)
+            moved, state = _line_search(
+                w, log_p, support, sj, s3j, vj,
+                _newton_direction(w, qj, qzj, vj, s3j, rhs[:len(go)],
+                                  floored, held), wj, qzj, floored, held)
+            go = [go[m] for m in moved]
+        if len(go) < n:
+            moving = set(go)
+            ended = [j for j in range(n) if j not in moving]
+            certify([j for j in ended if gap[j] > gap_tol])
+            need = [j for j in ended if j not in values]
+            if need:
+                values.update(zip(need, _divergences(
+                    w, log_p, *_pick(need, n, rows, q, ln_qz, s))))
+            for j in ended:
+                if gap[j] <= gap_tol:
+                    sols[k[j]] = _InnerSolution(
+                        s[j], rows[j].copy(), q[j].copy(), *values[j], gap[j],
+                        it)
+                elif failed is None or k[j] < failed[0]:
+                    failed = (k[j], s[j], gap[j], values[j][2], it)
+            if failed is not None:
+                # no s after the first failure would have been reached
+                keep = [m for m, j in enumerate(go) if k[j] < failed[0]]
+                go, *state = _pick(keep, len(go), go, *state)
+            if not go:
                 break
-            t *= 0.5
-        else:
-            break
-        v, ln_v = v_t, ln_t
-        rows, q, qz, g = trial
-    if gap > gap_tol:
-        gap, ev = certify(rows, q, ln_qz)
-    # the certificate of an s < 1 solve has evaluated the final rows
-    q, qz, d, i, f = ev or _evaluate(w, log_p, rows, s)
-    if gap <= gap_tol:
-        return _InnerSolution(s, rows, q, d, i, f, gap, it)
+            k, s, s3 = _pick(go, n, k, s, s3)
+        v, ln_v, rows, q, qz, wlse = state
+    if failed is None:
+        return sols
+    _, s, gap, f, it = failed
     _log.debug("Newton solve at s=%.9g stopped uncertified with gap %.3g "
                "after %d steps", s, gap, it)
     raise SolverError(f"Newton solve did not certify at s={s:.9g}",
@@ -555,6 +737,11 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
 # per-channel solver with cached inner solutions
 # ---------------------------------------------------------------------------
 
+def _key(s: float) -> float:
+    """The cache key of s: clamped to [0, 2] and quantized to 1e-9."""
+    return round(min(max(s, 0.0), 2.0), 9)
+
+
 class ExponentSolver:
     """Evaluates exponents for a fixed ChannelSpec, reusing inner solves.
 
@@ -603,7 +790,9 @@ class ExponentSolver:
         self._keep_x = keep_x
         self._keep_z = keep_z
         self._w = w_full[keep_x]
-        self._p = p_rows[:, keep_z]
+        # C order: indexing the columns leaves a Fortran-ordered copy, and
+        # the order of the operands fixes the rounding of every row sum
+        self._p = np.ascontiguousarray(p_rows[:, keep_z])
         self._support = self._p > 0
         self._log_p = np.where(self._support,
                                np.log(np.maximum(self._p, _TINY)), _LOGZERO)
@@ -615,9 +804,19 @@ class ExponentSolver:
         self._phi_cache: dict[float, tuple[float, _InnerSolution]] = {}
         self._embed_cache: dict[float, ConditionalChannel] = {}
         self._table_s = np.linspace(2.0, 0.0, int(table_points))
-        self._table: list[_InnerSolution] = []
-        for s in self._table_s:
-            self._table.append(self._solve_s(float(s), qz_p))
+        # the table's other s > 0 are one Newton stack from the true output
+        # marginal; s = 0 then runs from the smallest of them
+        keys = [_key(float(s)) for s in self._table_s]
+        stack = [key for key in dict.fromkeys(keys)
+                 if key > 0.0 and key not in self._cache]
+        if stack:
+            self._cache.update(zip(stack, _newton_stack(
+                self._w, self._log_p, self._support, stack,
+                np.tile(qz_p, (len(stack), 1)), self.gap_tol,
+                self.max_iter)))
+        self._starts = [self._cache[key] for key in keys if key > 0.0]
+        self._start_s = np.array([sol.s for sol in self._starts])
+        self._table = [self._solve_s(float(s)) for s in self._table_s]
         self._table_i = np.array([sol.i for sol in self._table])  # ascending
         self.i_min = self._table[0].i
         self.i_max = self._table[-1].i
@@ -625,26 +824,23 @@ class ExponentSolver:
 
     # -- inner solves --------------------------------------------------
 
-    def _solve_s(self, s: float,
-                 v0: np.ndarray | None = None) -> _InnerSolution:
+    def _solve_s(self, s: float) -> _InnerSolution:
         # inner solutions are cached on s quantized to 1e-9.  An uncached
-        # s > 0 runs Newton from the output marginal v0, or else from the
-        # marginal of the nearest table entry with s > 0; s = 0 runs mirror
+        # s > 0 runs Newton from the marginal of the nearest table entry
+        # with s > 0 (the first of two equally near); s = 0 runs mirror
         # descent from the smallest positive table entry.
-        key = round(min(max(s, 0.0), 2.0), 9)
+        key = _key(s)
         sol = self._cache.get(key)
         if sol is None:
-            positive = [entry for entry in self._table if entry.s > 0.0]
             if key == 0.0:
-                start = min(positive, key=lambda entry: entry.s)
                 sol = _solve_mirror(self._w, self._log_p, self._support,
-                                    start.log_q, self.gap_tol, self.max_iter)
+                                    self._starts[-1].log_q, self.gap_tol,
+                                    self.max_iter)
             else:
-                if v0 is None:
-                    near = min(positive, key=lambda entry: abs(entry.s - key))
-                    v0 = np.maximum(self._w @ near.q, _TINY)
+                near = self._starts[int(np.abs(self._start_s - key).argmin())]
                 sol = _solve_newton(self._w, self._log_p, self._support, key,
-                                    v0, self.gap_tol, self.max_iter)
+                                    np.maximum(self._w @ near.q, _TINY),
+                                    self.gap_tol, self.max_iter)
             self._cache[key] = sol
         return sol
 

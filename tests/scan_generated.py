@@ -11,8 +11,9 @@ channels whose certified gap exceeds ``gap_tol`` and names each of them,
 worst first, with its channel and s.  Exits 1 if any channel raised
 ``SolverError`` or any cached solve's gap exceeds ``gap_tol``.  It then
 prints the p50, p99 and max iteration counts of the cached solves in each
-s-band: s = 0 (mirror iterations), s in (0, 1) and s > 1 (Newton steps).
-The last line, ``digest <sha256>``, hashes every channel's cached inner
+s-band: s = 0 (mirror iterations), s in (0, 1) and s > 1 (Newton steps),
+and the p50, p99 and max wall time of the table builds (the solver
+constructions) of each seed.  The last line, ``digest <sha256>``, hashes every channel's cached inner
 solves in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap`` and
 ``iterations``) and every ``SolverError`` message, so equal digests from
 two versions of the solver show that they solve all scanned channels byte
@@ -26,6 +27,7 @@ import hashlib
 import json
 import pathlib
 import sys
+import time
 
 import numpy as np
 
@@ -53,17 +55,20 @@ BANDS = (("s = 0", lambda s: s == 0.0),
          ("s > 1", lambda s: s > 1.0))
 
 
-def scan(seed: int, digest) -> tuple[int, list, list]:
+def scan(seed: int, digest) -> tuple[int, list, list, list]:
     """Failures of one seed's channels, (gap, channel, s) for every cached
-    inner solve that certified only a gap above ``gap_tol``, and (s,
-    iterations) for every cached solve; feeds every solve and failure to
-    the hash ``digest``."""
-    failures, honest, counts = 0, [], []
+    inner solve that certified only a gap above ``gap_tol``, (s,
+    iterations) for every cached solve and the wall time of every table
+    build; feeds every solve and failure to the hash ``digest``."""
+    failures, honest, counts, builds = 0, [], [], []
     for k, doc in generated(seed):
         channel = f"seed {seed} #{k} ({len(doc['wiretap'])}x" \
                   f"{len(doc['wiretap'][0])})"
+        spec = parse_channel_spec(json.dumps(doc))
         try:
-            solver = ExponentSolver(parse_channel_spec(json.dumps(doc)))
+            start = time.perf_counter()
+            solver = ExponentSolver(spec)
+            builds.append(time.perf_counter() - start)
             for t in np.linspace(0.0, 1.05 * solver.i_max, TARGETS):
                 solver.phi(float(t))
         except SolverError as exc:
@@ -79,16 +84,16 @@ def scan(seed: int, digest) -> tuple[int, list, list]:
         honest += [(sol.gap, channel, sol.s) for sol in solver._cache.values()
                    if sol.gap > solver.gap_tol]
         counts += [(sol.s, sol.iterations) for sol in solver._cache.values()]
-    return failures, honest, counts
+    return failures, honest, counts, builds
 
 
 def main(argv) -> int:
     seeds = [int(a) for a in argv] or [7, 8]
     digest = hashlib.sha256()
     results = [scan(seed, digest) for seed in seeds]
-    failures = sum(f for f, _, _ in results)
-    above = [entry for _, honest, _ in results for entry in honest]
-    counts = [entry for _, _, c in results for entry in c]
+    failures = sum(f for f, _, _, _ in results)
+    above = [entry for _, honest, _, _ in results for entry in honest]
+    counts = [entry for _, _, c, _ in results for entry in c]
     print(f"{failures} failures in {CHANNELS_PER_SEED * len(seeds)} channels")
     print(f"{len(above)} cached inner solves above gap_tol")
     for gap, channel, s in sorted(above, reverse=True):
@@ -99,6 +104,12 @@ def main(argv) -> int:
             p50, p99 = np.percentile(its, [50, 99], method="lower")
             print(f"{band}: {its.size} solves, iterations p50 {p50} "
                   f"p99 {p99} max {its.max()}")
+    for seed, (_, _, _, builds) in zip(seeds, results):
+        if builds:
+            ms = 1e3 * np.array(builds)
+            p50, p99 = np.percentile(ms, [50, 99], method="lower")
+            print(f"seed {seed}: {ms.size} table builds, wall ms p50 "
+                  f"{p50:.1f} p99 {p99:.1f} max {ms.max():.1f}")
     print(f"digest {digest.hexdigest()}")
     return 1 if failures or above else 0
 

@@ -511,8 +511,10 @@ class TestSolverRecords:
         # float noise, well before max_iter, with a record and a
         # SolverError: an s > 0 solve has no stall acceptance
         solver = ExponentSolver(make_asym_3x3(), table_points=3)
+        # one gap per slice of the stack the certificate is given
         monkeypatch.setattr(exponent, "_linearization_gap",
-                            lambda *args: 1e-9)
+                            lambda w, log_p, support, s, log_q, *rest:
+                            np.full(len(log_q), 1e-9))
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             with pytest.raises(wx.SolverError,
                                match="did not certify at s=2 ") as exc:
@@ -583,6 +585,106 @@ class TestNewtonSolve:
         assert sol.gap <= solver.gap_tol and sol.iterations <= 20
         assert np.isfinite([sol.f, sol.d, sol.i]).all()
         assert np.isfinite(sol.q).all()
+
+
+# every channel under tests/data, slow_fixed_point_16x16 among them, and
+# the 24 generated channels of TestLabelPermutation
+PARITY_CHANNELS = sorted(
+    os.path.splitext(n)[0] for n in os.listdir(
+        os.path.join(os.path.dirname(__file__), "data"))) + \
+    [f"seed7_{k:03d}" for k in range(24)]
+
+
+def _parity_spec(name: str) -> wx.ChannelSpec:
+    if name.startswith("seed7_"):
+        doc = dict(generated(7))[int(name[6:])]
+        return parse_channel_spec(json.dumps(doc))
+    return wx.load_channel_spec(_scan_path(name))
+
+
+class TestLockstepTable:
+    """The table's entries with s not in {0, 1} are solved as one Newton
+    stack; each must be the one-s solve of its s from the true output
+    marginal, and a failing stack must report as the one-s solves would
+    have, taken in table order."""
+
+    @pytest.mark.parametrize("name", PARITY_CHANNELS)
+    def test_entries_match_one_s_solves(self, name):
+        solver = ExponentSolver(_parity_spec(name))
+        w, log_p = solver._w, solver._log_p
+        qz_p = exponent._evaluate(w, log_p, log_p, 1.0)[1]
+        stacked = [sol for sol in solver._table if sol.s not in (0.0, 1.0)]
+        assert len(stacked) == len(solver._table) - 2
+        for sol in stacked:
+            one = exponent._solve_newton(w, log_p, solver._support, sol.s,
+                                         qz_p, solver.gap_tol,
+                                         solver.max_iter)
+            assert one.iterations == sol.iterations
+            assert abs(one.f - sol.f) <= 1e-13
+            assert abs(one.d - sol.d) <= 1e-13
+            assert abs(one.i - sol.i) <= 1e-13
+            assert sol.gap <= solver.gap_tol
+
+    def test_first_stuck_slice_raises_as_the_one_s_solves(self, caplog,
+                                                           monkeypatch):
+        # certificates stuck above gap_tol at s = 1.5 and s = 1.25: the
+        # one-s solves in table order stop at s = 1.5, and so does the stack
+        spec = make_asym_3x3()
+        solver = ExponentSolver(spec)
+        args = (solver._w, solver._log_p, solver._support)
+        qz_p = exponent._evaluate(solver._w, solver._log_p, solver._log_p,
+                                  1.0)[1]
+        real = exponent._linearization_gap
+
+        def stuck(w, log_p, support, s, *rest):
+            gap = real(w, log_p, support, s, *rest)
+            return np.where(np.isin(np.ravel(s), (1.5, 1.25)), 1e-9, gap)
+
+        monkeypatch.setattr(exponent, "_linearization_gap", stuck)
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            with pytest.raises(wx.SolverError) as one:
+                for s in solver._table_s:
+                    if s not in (0.0, 1.0):
+                        exponent._solve_newton(*args, float(s), qz_p,
+                                               solver.gap_tol,
+                                               solver.max_iter)
+        records = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            with pytest.raises(wx.SolverError) as stack:
+                ExponentSolver(spec)
+        assert "did not certify at s=1.5 " in str(one.value)
+        assert str(stack.value) == str(one.value)
+        assert (stack.value.best_value, stack.value.residual,
+                stack.value.iterations) == (one.value.best_value,
+                                            one.value.residual,
+                                            one.value.iterations)
+        assert [r.getMessage() for r in caplog.records] == records
+        assert len(records) == 1
+
+    def test_held_outputs_get_an_identity_block(self):
+        # a slice with a floored output solves the KKT system of its kept
+        # outputs, with u = 0 on the floored one; its neighbour in the
+        # stack is untouched
+        solver = ExponentSolver(make_asym_3x3(), table_points=2)
+        w = solver._w
+        s = [0.3, 1.6]
+        v = np.random.default_rng(3).dirichlet(np.ones(3), size=2)
+        s3 = exponent._stacked(s, 2)
+        _, q, qz, _ = exponent._dual_point(w, solver._log_p,
+                                           solver._support, s3, np.log(v))
+        rhs = np.append(-np.ones((2, 3, 1)), np.zeros((2, 1, 1)), axis=1)
+        floored = np.array([[False, True, False], [False, False, False]])
+        u = exponent._newton_direction(w, q, qz, v, s3, rhs, floored, 1)
+        kept = ~floored[0]
+        kkt = exponent._newton_kkt(w, q[0][:, kept], qz[0][kept], v[0][kept],
+                                   s[0])
+        reduced = np.linalg.solve(kkt, np.append(-np.ones(2), 0.0))[:2]
+        assert u[0, 1] == 0.0
+        assert np.allclose(u[0, kept], reduced, rtol=1e-12, atol=1e-15)
+        alone = exponent._newton_direction(
+            w, q[1:], qz[1:], v[1:], s[1], rhs[1:], floored[1:], 0)
+        assert np.array_equal(u[1], alone[0])
 
 
 def _s0_channel(kind: str, seed: int) -> wx.ChannelSpec:
