@@ -7,16 +7,18 @@ freely between worker processes.
 Zero handling follows the usual conventions 0*ln(0) = 0 and 0*ln(0/q) = 0;
 a divergence whose support condition fails returns ``math.inf`` rather than
 raising, because optimizers treat that as an infeasible direction.
+
+The information measures take scipy's ``xlogy`` and ``rel_entr`` kernels
+and the degradedness check its ``linprog``; each imports them on first use,
+so importing the package loads no scipy module.
 """
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 from .errors import ChannelFileError, SolverError
 
@@ -171,23 +173,6 @@ class ChannelSpec:
         """The wiretap channel viewed as a test channel (Q = P)."""
         return ConditionalChannel(self.wiretap, self.input_dist)
 
-    def to_json_dict(self) -> dict:
-        """The spec as a channel-spec document.
-
-        Deprecated: nothing in the package uses it, and it will be
-        removed.  Build the document from ``input_dist.probs``,
-        ``wiretap.rows`` and ``main.rows`` instead.
-        """
-        warnings.warn("ChannelSpec.to_json_dict is deprecated and will be "
-                      "removed", DeprecationWarning, stacklevel=2)
-        d = {
-            "input_dist": self.input_dist.probs.tolist(),
-            "wiretap": self.wiretap.rows.tolist(),
-        }
-        if self.main is not None:
-            d["main"] = self.main.rows.tolist()
-        return d
-
     def __repr__(self) -> str:
         return (f"ChannelSpec(input_dist={self.input_dist!r}, "
                 f"wiretap={self.wiretap!r}, main={self.main!r})")
@@ -199,6 +184,7 @@ class ChannelSpec:
 
 def entropy(d: Distribution) -> float:
     """Shannon entropy -sum p ln p in nats; lies in [0, ln K]."""
+    from scipy.special import xlogy
     return float(-xlogy(d.probs, d.probs).sum())
 
 
@@ -208,6 +194,7 @@ def mutual_information(q: ConditionalChannel) -> float:
     Equals the Q_X-weighted divergence of the rows from the output
     marginal; rows of inputs with zero mass contribute nothing.
     """
+    from scipy.special import rel_entr
     w = q.input_marginal.probs
     qz = w @ q.rows
     per_row = rel_entr(q.rows, qz[None, :]).sum(axis=1)
@@ -224,6 +211,7 @@ def weighted_divergence(q: ConditionalChannel, p: Dmc) -> float:
         raise ValueError(
             f"shape mismatch: test channel {q.rows.shape} vs reference "
             f"{p.rows.shape}")
+    from scipy.special import rel_entr
     w = q.input_marginal.probs
     per_row = rel_entr(q.rows, p.rows).sum(axis=1)
     active = per_row[w > 0]

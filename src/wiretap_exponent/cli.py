@@ -15,6 +15,7 @@ non-convergence, 4 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -380,6 +381,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", dest="workers", type=int)
 
 
+# built once per process: parsing leaves the tree unchanged, and in-process
+# callers (tests, the bench, library users) would otherwise pay the six
+# subcommands' construction on every `main` call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wiretap-exponent",

@@ -11,7 +11,9 @@ its codewords' half-block tables, because P(z|x) factors over the halves.
 
 Also provides the finite-n exponent obtained by exhaustive enumeration of
 conditional types, which converges to the asymptotic exponent and serves as
-an independent brute-force check of it.
+an independent brute-force check of it.  It takes scipy's ``xlogy`` and
+``rel_entr`` kernels, imported on first use, so importing the package loads
+no scipy module.
 
 Per-trial randomness comes from seed-derived child streams, so trials are
 reproducible independently of execution order or worker count, and runs at
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 from .channels import ChannelSpec, Dmc
 from .errors import BudgetExceededError
@@ -390,6 +391,7 @@ def type_enum_exponent(spec: ChannelSpec, rates: RatePair, n: int,
     sequence given that composition.  Types violating absolute continuity
     have infinite divergence and drop out of the minimum.
     """
+    from scipy.special import rel_entr, xlogy
     comp = quantize_composition(spec.input_dist.probs, n)
     keep = [k for k, c in enumerate(comp) if c > 0]
     counts = np.array([comp[k] for k in keep], dtype=np.int64)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -190,16 +189,6 @@ class TestChannelFiles:
         spec = wx.load_channel_spec(path)
         assert spec.main is not None
         assert np.allclose(spec.wiretap.rows, [[0.9, 0.1], [0.1, 0.9]])
-
-    def test_to_json_dict_is_deprecated(self, channel_file):
-        spec = wx.load_channel_spec(channel_file(
-            [0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],
-            main=[[0.95, 0.05], [0.05, 0.95]]))
-        with pytest.warns(DeprecationWarning, match="to_json_dict"):
-            doc = spec.to_json_dict()
-        again = parse_channel_spec(json.dumps(doc))
-        assert np.array_equal(again.wiretap.rows, spec.wiretap.rows)
-        assert np.array_equal(again.main.rows, spec.main.rows)
 
     def test_row_within_tolerance_renormalized(self):
         doc = '{"input_dist": [0.5, 0.5], "wiretap": [[0.9, 0.1000000001], [0.1, 0.9]]}'

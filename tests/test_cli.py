@@ -502,17 +502,29 @@ class TestCheckCommand:
         assert "Traceback" not in err
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.3 s of every CLI start; only `check`
-    # may load it, inside check_degraded
+def test_import_leaves_scipy_unloaded(channel_file):
+    # importing scipy costs about 0.3 s of every CLI start, and no command
+    # but `check` calls into it: the package and the CLI load no scipy
+    # module, and `check` still runs its LP by importing scipy.optimize
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    code = ("import wiretap_exponent, sys; print(sorted(m for m in "
-            "sys.modules if m.startswith('scipy.optimize')))")
-    done = subprocess.run([sys.executable, "-c", code], check=True,
+    path = channel_file([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]],
+                        main=[[0.9, 0.1], [0.1, 0.9]])
+    code = ("import sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import wiretap_exponent\n"
+            "print(loaded())\n"
+            "import wiretap_exponent.cli\n"
+            "print(loaded())\n"
+            "code = wiretap_exponent.cli.main(['check', sys.argv[1]])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, path], check=True,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.strip().splitlines()
+    assert lines[:2] == ["[]", "[]"]
+    assert lines[-2:] == ["degraded: yes (residual 0)", "0 True"]
 
 
 class TestConfig:
