@@ -115,7 +115,10 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         raise ChannelFileError(f"{what}: cannot parse {text!r}") from None
     if steps < 0 or hi < lo:
         raise ChannelFileError(f"{what}: empty or inverted grid {text!r}")
-    return np.linspace(lo, hi, steps) if steps else np.array([])
+    try:
+        return np.linspace(lo, hi, steps) if steps else np.array([])
+    except MemoryError:
+        raise ChannelFileError(f"{what}: too many steps in {text!r}") from None
 
 
 def _emit(lines: list[str], output: str | None, skipped: int = 0) -> None:

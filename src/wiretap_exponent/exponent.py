@@ -39,14 +39,14 @@ other s > 0 is the same kernel on a stack of one.
 At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
 goods, P(z|x) are utilities.  Its optimum, the Eisenberg-Gale equilibrium
-(Eisenberg & Gale 1959), is a vertex that mirror descent only creeps
-towards.  So at iterations 0, 1, 2, 4, 8, ..., the s = 0 mirror run grows
-a spanning forest of the current marginal in Kruskal order (support edges
-by their slack below each row's maximum of ln P - ln Q_Z), solves prices
-and flows on it exactly, and returns that vertex once its own dual bound
-certifies it.  A run that stops uncertified, because no backtracked
-mirror step descends or max_iter is reached, tries the vertex once more
-and otherwise raises SolverError.
+(Eisenberg & Gale 1959), is a vertex, which the Newton solutions approach
+as s falls to 0.  So the s = 0 solve continues from the smallest positive
+table entry.  Each level returns its iterate if the s = 0 dual bound
+certifies it, else the vertex of a spanning forest of its marginal grown
+in Kruskal order (support edges by their slack below each row's maximum
+of ln P - ln Q_Z), with prices and flows solved exactly on the forest, if
+that certifies; else s is halved and Newton run from the marginal.  Below
+s = 2^-20 the continuation raises SolverError.
 """
 from __future__ import annotations
 
@@ -93,6 +93,8 @@ _STEP_FLOOR = 1e-14
 #: relative float noise of a computed objective value: the Armijo slack of
 #: the Newton line search and the least gap a certificate reports
 _NOISE = 4e-16
+#: the s = 0 continuation halves s no further than this
+_S_FLOOR = 2.0 ** -20
 
 
 # ---------------------------------------------------------------------------
@@ -621,49 +623,40 @@ def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
         gap = f - _dual_bound(w, log_p, support,
                               np.log(np.maximum(qz, _TINY)))
         if gap <= gap_tol:
-            _log.debug("s=0 forest vertex certifies gap %.3g at iteration "
-                       "%d", gap, it)
+            _log.debug("s=0 forest vertex certifies gap %.3g after %d "
+                       "Newton steps", gap, it)
             return _InnerSolution(0.0, rows, q, d, i, f, gap, it)
     return None
 
 
-def _solve_mirror(w, log_p, support, log_q, gap_tol, max_iter):
-    """Mirror descent at s = 0, where g_s is not smooth: one run from the
-    log rows log_q.  Mirror steps only creep towards the vertex optimum,
-    so the forest vertex of the current marginal is tried at iterations
-    0, 1, 2, 4, 8, ..., when no backtracked step descends and at max_iter.
-    Returns the iterate or the vertex, whichever certifies first; a run
-    that ends uncertified raises SolverError.
-    """
-    eta = 0.5
-    q, qz, d, i, f = _evaluate(w, log_p, log_q, 0.0)
-    for it in range(max_iter + 1):
+def _solve_zero(w, log_p, support, start, gap_tol, max_iter):
+    """The s = 0 solve by continuation from the s > 0 solution start (a
+    homotopy; Boyd & Vandenberghe 2004, sec. 11): each level returns its
+    iterate or the iterate's forest vertex, whichever certifies at s = 0,
+    or else halves s and runs Newton from the iterate's marginal.  Raises
+    SolverError below _S_FLOOR; iterations counts every level's steps."""
+    sol, steps, rows = start, 0, start.log_q
+    while True:
+        q, qz, d, i, f = _evaluate(w, log_p, rows, 0.0)
         ln_qz = np.log(np.maximum(qz, _TINY))
         gap = f - _dual_bound(w, log_p, support, ln_qz)
         if gap <= gap_tol:
-            return _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
-        moved = False
-        if it < max_iter:
-            ghat = np.where(support, ln_qz[None, :] - log_p, 0.0)
-            while eta >= 1e-12:
-                trial = _normalize_log_rows(log_q - eta * ghat, support)
-                step = _evaluate(w, log_p, trial, 0.0)
-                if step[4] <= f - 1e-15:
-                    moved = True
-                    break
-                eta *= 0.5
-        if not moved or not it & (it - 1):
-            sol = _forest_vertex(w, log_p, support, ln_qz, gap_tol, it)
-            if sol is not None:
-                return sol
-        if not moved:
+            return _InnerSolution(0.0, rows, q, d, i, f, gap, steps)
+        vertex = _forest_vertex(w, log_p, support, ln_qz, gap_tol, steps)
+        if vertex is not None:
+            return vertex
+        if sol.s / 2 < _S_FLOOR:
             break
-        log_q, (q, qz, d, i, f) = trial, step
-        eta = min(eta * 1.25, 64.0)
-    _log.debug("mirror run stalled at s=0 with gap %.3g after %d "
-               "iterations", gap, it)
-    raise SolverError("mirror descent stalled at s=0", best_value=f,
-                      residual=gap, iterations=it)
+        sol = _solve_newton(w, log_p, support, sol.s / 2,
+                            np.maximum(qz, _TINY), gap_tol, max_iter)
+        steps += sol.iterations
+        # the rows of jump(V) sum to 1 only to about 1e-16 / s
+        rows = _normalize_log_rows(sol.log_q, support)
+    _log.debug("s=0 continuation stopped uncertified at s=%.9g with gap "
+               "%.3g after %d Newton steps", sol.s, gap, steps)
+    raise SolverError(f"s=0 continuation did not certify down to "
+                      f"s={sol.s:.9g}", best_value=f, residual=gap,
+                      iterations=steps)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
@@ -763,7 +756,8 @@ class ExponentSolver:
     gap_tol : float
         Certified optimality gap at which inner solves stop.
     max_iter : int
-        Iteration cap per inner solve; at least 1.
+        Newton-step cap per solve, each s = 0 continuation level included;
+        at least 1.
     table_points : int
         Size of the precomputed multiplier table; at least 2, so that the
         table spans both ends of the multiplier range.  Both integer
@@ -827,15 +821,15 @@ class ExponentSolver:
     def _solve_s(self, s: float) -> _InnerSolution:
         # inner solutions are cached on s quantized to 1e-9.  An uncached
         # s > 0 runs Newton from the marginal of the nearest table entry
-        # with s > 0 (the first of two equally near); s = 0 runs mirror
-        # descent from the smallest positive table entry.
+        # with s > 0 (the first of two equally near); s = 0 continues
+        # from the smallest positive table entry.
         key = _key(s)
         sol = self._cache.get(key)
         if sol is None:
             if key == 0.0:
-                sol = _solve_mirror(self._w, self._log_p, self._support,
-                                    self._starts[-1].log_q, self.gap_tol,
-                                    self.max_iter)
+                sol = _solve_zero(self._w, self._log_p, self._support,
+                                  self._starts[-1], self.gap_tol,
+                                  self.max_iter)
             else:
                 near = self._starts[int(np.abs(self._start_s - key).argmin())]
                 sol = _solve_newton(self._w, self._log_p, self._support, key,

@@ -95,8 +95,8 @@ def full_security_interval(spec: ChannelSpec, r1: float,
     nonincreasing along the curve).  A verification pass recomputes the
     exponent at the lower endpoint and the midpoint.
     """
-    if r1 <= 0:
-        raise ValueError("r1 must be positive")
+    if not (math.isfinite(r1) and r1 > 0):
+        raise ValueError(f"r1 must be positive and finite, got {r1!r}")
     sv = _resolve(spec, solver, kwargs)
 
     e3v = sv.e3(r1)[0]

@@ -10,16 +10,16 @@ summary.  The summary also counts the cached inner solves of the other
 channels whose certified gap exceeds ``gap_tol`` and names each of them,
 worst first, with its channel and s.  Exits 1 if any channel raised
 ``SolverError`` or any cached solve's gap exceeds ``gap_tol``.  It then
-prints the p50, p99 and max iteration counts of the cached solves in each
-s-band: s = 0 (mirror iterations), s in (0, 1) and s > 1 (Newton steps),
-and the p50, p99 and max wall time of the table builds (the solver
-constructions) of each seed.  The last line, ``digest <sha256>``, hashes every channel's cached inner
-solves in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap`` and
+prints the p50, p99 and max Newton steps of the cached solves in each
+s-band: s = 0 (summed over its continuation levels), s in (0, 1) and
+s > 1.  Then come the p50, p99 and max wall time of the table builds (the
+solver constructions) of each seed, with the channel of the slowest.  The
+last line, ``digest <sha256>``, hashes every channel's cached inner solves
+in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap`` and
 ``iterations``) and every ``SolverError`` message, so equal digests from
 two versions of the solver show that they solve all scanned channels byte
-for byte alike.  Takes about ten seconds
-per seed, so it is kept out of the tier-1 suite (pytest does not collect
-this file).
+for byte alike.  Takes about ten seconds per seed, so it is kept out of
+the tier-1 suite (pytest does not collect this file).
 """
 from __future__ import annotations
 
@@ -58,8 +58,8 @@ BANDS = (("s = 0", lambda s: s == 0.0),
 def scan(seed: int, digest) -> tuple[int, list, list, list]:
     """Failures of one seed's channels, (gap, channel, s) for every cached
     inner solve that certified only a gap above ``gap_tol``, (s,
-    iterations) for every cached solve and the wall time of every table
-    build; feeds every solve and failure to the hash ``digest``."""
+    iterations) for every cached solve and (wall time, channel) of every
+    table build; feeds every solve and failure to the hash ``digest``."""
     failures, honest, counts, builds = 0, [], [], []
     for k, doc in generated(seed):
         channel = f"seed {seed} #{k} ({len(doc['wiretap'])}x" \
@@ -68,7 +68,7 @@ def scan(seed: int, digest) -> tuple[int, list, list, list]:
         try:
             start = time.perf_counter()
             solver = ExponentSolver(spec)
-            builds.append(time.perf_counter() - start)
+            builds.append((time.perf_counter() - start, channel))
             for t in np.linspace(0.0, 1.05 * solver.i_max, TARGETS):
                 solver.phi(float(t))
         except SolverError as exc:
@@ -102,14 +102,15 @@ def main(argv) -> int:
         its = np.array([n for s, n in counts if within(s)])
         if its.size:
             p50, p99 = np.percentile(its, [50, 99], method="lower")
-            print(f"{band}: {its.size} solves, iterations p50 {p50} "
+            print(f"{band}: {its.size} solves, Newton steps p50 {p50} "
                   f"p99 {p99} max {its.max()}")
     for seed, (_, _, _, builds) in zip(seeds, results):
         if builds:
-            ms = 1e3 * np.array(builds)
+            ms = 1e3 * np.array([t for t, _ in builds])
             p50, p99 = np.percentile(ms, [50, 99], method="lower")
+            slowest = builds[int(ms.argmax())][1]
             print(f"seed {seed}: {ms.size} table builds, wall ms p50 "
-                  f"{p50:.1f} p99 {p99:.1f} max {ms.max():.1f}")
+                  f"{p50:.1f} p99 {p99:.1f} max {ms.max():.1f} ({slowest})")
     print(f"digest {digest.hexdigest()}")
     return 1 if failures or above else 0
 

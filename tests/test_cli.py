@@ -54,17 +54,29 @@ class TestExponentCommand:
         assert err == ""
         assert abs(float(record_to_dict(out)["rep_discrepancy"])) <= 1e-6
 
-    def test_s_zero_cut_short_exits_3(self, capsys, tmp_path):
-        # from the true channel the s = 0 vertex certifies at iteration 16;
-        # a run cut short before it ends in the solver error
+    def test_s_zero_cut_short_exits_3(self, capsys, monkeypatch, tmp_path):
+        # from the true channel the s = 0 vertex certifies at s = 2^-6; a
+        # continuation cut short, by a Newton level that stops
+        # uncertified or by finding no vertex down to s = 2^-20, ends in
+        # the solver error
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"table_points": 3}), encoding="utf-8")
         argv = ["exponent", SLOW_FIXED_POINT, "--r1", "1.15", "--r2", "0.5",
-                "--config", str(cfg), "--max-iter"]
-        code, out, err = run(capsys, argv + ["15"])
+                "--config", str(cfg)]
+        assert run(capsys, argv)[0] == 0
+        solve = exponent._solve_newton
+        # the table's own solves do not go through _solve_newton
+        monkeypatch.setattr(exponent, "_solve_newton",
+                            lambda *args: solve(*args[:-1], 1))
+        code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
-        assert err.startswith("error: mirror descent stalled at s=0 ")
-        assert run(capsys, argv + ["16"])[0] == 0
+        assert err.startswith("error: Newton solve did not certify at s=0.5 ")
+        monkeypatch.setattr(exponent, "_solve_newton", solve)
+        monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: s=0 continuation did not certify down "
+                              "to s=9.53674316e-07 ")
 
     def test_equal_rates_zero(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
@@ -340,6 +352,16 @@ class TestRegionCommand:
         code, _, _ = run(capsys, ["region", path])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--r1-list", "--r1"])
+    def test_non_finite_r1(self, capsys, channel_file, flag, value):
+        # nan reached the root-finder and exited 2 with a message about
+        # the function value at x=-1
+        path = channel_file(*BSC01_ARGS)
+        code, out, err = run(capsys, ["region", path, flag, value])
+        assert code == 2 and out == ""
+        assert err == f"error: r1 must be positive and finite, got {value}\n"
+
 
 @pytest.mark.parametrize("command", ["check", "exponent"])
 @pytest.mark.parametrize("doc,field", [
@@ -379,6 +401,19 @@ def test_boolean_channel_entries(capsys, tmp_path, command, doc, field):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"error: {path}: {field} must be an array of numbers\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "gaussian"])
+def test_grid_too_large_to_allocate(capsys, channel_file, command):
+    # numpy refuses 10^15 steps (8 PB) without touching memory; the
+    # allocation error ended in a traceback with exit 1
+    argv = (["sweep", channel_file(*BSC01_ARGS), "--r2-fractions", "0:1:2"]
+            if command == "sweep" else
+            ["gaussian", "--power", "1", "--noise", "1", "--r2-grid", "0:1:2"])
+    grid = "0:1:1000000000000000"
+    code, out, err = run(capsys, argv + ["--r1-grid", grid])
+    assert code == 2 and out == ""
+    assert err == f"error: --r1-grid: too many steps in {grid!r}\n"
 
 
 class TestGaussianCommand:

@@ -447,7 +447,7 @@ class TestAndersonStep:
                              ids=["asym3x3", "bsc01"])
     def test_short_solves_untouched(self, spec):
         # the s > 0 table solves of small channels take a few Newton steps,
-        # and the s = 0 run certifies at its first iteration
+        # and the s = 0 solve certifies at its first level
         solver = ExponentSolver(spec)
         assert all(sol.gap <= solver.gap_tol for sol in solver._table)
         assert max(sol.iterations for sol in solver._table[:-1]) <= 4
@@ -467,43 +467,51 @@ class TestAndersonStep:
             assert va == vb
             assert sa.log_q.tobytes() == sb.log_q.tobytes()
 
-    def test_debug_records_for_stalled_runs(self, caplog):
-        # from the true channel the s = 0 vertex certifies at iteration 16;
-        # a run cut off before it is not restarted: it leaves one stall
+    def test_debug_records_for_stalled_runs(self, caplog, monkeypatch):
+        # without a vertex the continuation from the true channel reaches
+        # s = 2^-20 with its iterate still uncertified: it leaves one
         # record and raises, whatever its gap
+        monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            with pytest.raises(wx.SolverError,
-                               match="stalled at s=0 ") as exc:
+            with pytest.raises(wx.SolverError, match=r"continuation did not "
+                               r"certify down to s=9\.53674316e-07 ") as exc:
                 ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
-                               table_points=3, max_iter=15)
-        assert exc.value.iterations == 15
+                               table_points=3)
+        assert exc.value.residual > 1e-10
         messages = [r.getMessage() for r in caplog.records]
         assert messages == [
-            f"mirror run stalled at s=0 with gap {exc.value.residual:.3g} "
-            "after 15 iterations"]
+            "s=0 continuation stopped uncertified at s=9.53674316e-07 with "
+            f"gap {exc.value.residual:.3g} after {exc.value.iterations} "
+            "Newton steps"]
 
 
 class TestSolverRecords:
     """Iteration counts and debug records of the fallback exits."""
 
-    def test_iterations_count_every_run(self, caplog):
-        # an s = 0 run from the true channel certifies at iteration 16, and
-        # one capped at 10 takes the vertex at its last iteration; one cut
-        # off at 14 iterations reports the count of that single run
-        solver = ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
-                                table_points=3)
-        args = (solver._w, solver._log_p, solver._support,
-                solver._table[1].log_q, solver.gap_tol)
-        assert solver._table[-1].iterations == 16
-        assert exponent._solve_mirror(*args, 10).iterations == 10
-        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            with pytest.raises(wx.SolverError) as exc:
-                exponent._solve_mirror(*args, 14)
-        stalls = [r for r in caplog.records
-                  if r.getMessage().startswith("mirror run stalled")]
-        assert len(stalls) == 1
-        assert exc.value.iterations == 14
-        assert exc.value.residual > solver.gap_tol
+    def test_iterations_count_every_run(self, monkeypatch):
+        # the s = 0 solve from the true channel halves s six times before
+        # a vertex certifies, and counts the Newton steps of every level;
+        # so does the error of a continuation that finds no vertex down to
+        # s = 2^-20
+        levels = []
+        solve = exponent._solve_newton
+
+        def counted(*args):
+            sol = solve(*args)
+            levels.append((sol.s, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(exponent, "_solve_newton", counted)
+        spec = wx.load_channel_spec(SLOW_FIXED_POINT)
+        sol = ExponentSolver(spec, table_points=3)._table[-1]
+        assert [s for s, _ in levels] == [2.0 ** -k for k in range(1, 7)]
+        assert sol.iterations == sum(n for _, n in levels) > 0
+        levels.clear()
+        monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
+        with pytest.raises(wx.SolverError) as exc:
+            ExponentSolver(spec, table_points=3)
+        assert [s for s, _ in levels] == [2.0 ** -k for k in range(1, 21)]
+        assert exc.value.iterations == sum(n for _, n in levels)
 
     def test_debug_record_for_uncertified_newton_solve(self, caplog,
                                                        monkeypatch):
@@ -740,8 +748,8 @@ class TestVertexAtSZero:
         assert abs(f - bound) <= solver.gap_tol
         if any(r.getMessage().startswith("s=0 forest vertex certifies")
                for r in caplog.records):
-            # the solve reached the vertex rather than certifying by mirror
-            # descent before trying it: every row's mass sits on its argmax
+            # the solve reached the vertex rather than certifying its
+            # iterate before trying it: every row's mass sits on its argmax
             # set of ln P - ln Q_Z, and the objective meets the bound
             assert (np.where(score < top - 1e-9, q, 0.0).sum(axis=1)
                     <= 1e-9).all()
@@ -758,27 +766,24 @@ class TestVertexAtSZero:
         sol = self._check_vertex(wx.load_channel_spec(SLOW_FIXED_POINT),
                                  caplog)
         text = "\n".join(r.getMessage() for r in caplog.records)
-        assert "stalled" not in text
+        assert "continuation stopped" not in text
         assert "s=0 forest vertex certifies" in text
-        assert sol.iterations <= 2
+        assert sol.iterations <= 8
 
     def test_bsc_closed_form(self, caplog):
-        # certified by mirror descent at its first iteration, before the
-        # vertex is tried, so it agrees with the closed form to gap_tol
+        # the first level's iterate certifies itself before the vertex is
+        # tried, so it agrees with the closed form to gap_tol
         sol = self._check_vertex(make_bsc(0.1), caplog)
         assert sol.iterations == 0 and not caplog.records
         assert abs(sol.f - float(exponent._bsc_inner_value(0.0, 0.1))) <= \
             sol.gap <= 1e-10
 
-    def test_fallback_is_the_mirror_path(self, monkeypatch):
-        # a vertex that never forms leaves the mirror iterate untouched: a
-        # run whose vertices are all solved and discarded ends where a run
-        # that never solves one does, uncertified, with the vertex tried at
-        # iterations 0, 1, 2, 4, ... and at max_iter
-        slow = ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
-                              table_points=3)
-        args = (slow._w, slow._log_p, slow._support, slow._table[1].log_q,
-                slow.gap_tol, 48)
+    def test_fallback_is_the_continuation(self, monkeypatch):
+        # a vertex that does not certify leaves the iterate untouched: a
+        # continuation whose vertices are all solved and discarded ends
+        # where one that never solves one does, uncertified at s = 2^-20,
+        # with the vertex tried once per level, after that level's steps
+        spec = wx.load_channel_spec(SLOW_FIXED_POINT)
         vertex = exponent._forest_vertex
         ends = []
         for solve in (lambda *a: None, vertex):
@@ -790,14 +795,16 @@ class TestVertexAtSZero:
 
             monkeypatch.setattr(exponent, "_forest_vertex", tried)
             with pytest.raises(wx.SolverError) as exc:
-                exponent._solve_mirror(*args)
-            assert calls == [0, 1, 2, 4, 8, 16, 32, 48]
+                ExponentSolver(spec, table_points=3)
+            assert len(calls) == 21 and calls[0] == 0
+            assert calls == sorted(calls)
+            assert calls[-1] == exc.value.iterations
             ends.append((exc.value.best_value, exc.value.residual,
                          exc.value.iterations))
-        assert ends[0] == ends[1] and ends[0][1] > slow.gap_tol
+        assert ends[0] == ends[1] and ends[0][1] > 1e-10
         monkeypatch.undo()
-        sol = exponent._solve_mirror(*args)
-        assert sol.gap <= slow.gap_tol and sol.iterations == 16
+        sol = ExponentSolver(spec, table_points=3)._table[-1]
+        assert sol.gap <= 1e-10 and sol.iterations < ends[0][2]
         # the stalled iterate lies above the vertex optimum by at most its
         # own gap
         assert 0.0 < ends[0][0] - sol.f <= ends[0][1]
@@ -884,32 +891,32 @@ class TestGeneratedScanChannels:
             assert gap <= sol.gap + 1e-14
             assert gap <= solver.gap_tol
 
-    def test_crushed_start_stalls_uncertified(self, caplog):
-        # rows that put all their mass on their least likely output hold
-        # zeros that no multiplicative step revives: the run stalls at its
-        # first iteration, its vertex does not certify, and it raises
+    def test_crushed_start_certifies(self, caplog):
+        # rows that put all their mass on their least likely output start
+        # the continuation at s = 1 with zeros in the marginal and a vertex
+        # that does not certify; the Newton level at s = 1/2 starts from
+        # the floored marginal and revives them, and s = 0 certifies
         spec = wx.load_channel_spec(_scan_path("scan7_046_6x2"))
         solver = ExponentSolver(spec, table_points=3)
         worst = np.where(solver._support, solver._log_p, np.inf).argmin(axis=1)
-        start = np.where(np.arange(solver._p.shape[1]) == worst[:, None], 0.0,
-                         exponent._LOGZERO)
+        rows = np.where(np.arange(solver._p.shape[1]) == worst[:, None], 0.0,
+                        exponent._LOGZERO)
+        start = exponent._InnerSolution(1.0, rows, np.exp(rows), 0.0, 0.0,
+                                        0.0, 0.0, 0)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            with pytest.raises(wx.SolverError,
-                               match="stalled at s=0 ") as exc:
-                exponent._solve_mirror(solver._w, solver._log_p,
+            sol = exponent._solve_zero(solver._w, solver._log_p,
                                        solver._support, start,
                                        solver.gap_tol, solver.max_iter)
-        assert exc.value.iterations == 0
-        assert exc.value.residual > solver.gap_tol
-        assert [r.getMessage() for r in caplog.records] == [
-            f"mirror run stalled at s=0 with gap {exc.value.residual:.3g} "
-            "after 0 iterations"]
+        assert sol.s == 0.0 and sol.iterations > 0
+        assert _numpy_gap(spec, sol) <= solver.gap_tol
+        assert "continuation stopped" not in caplog.text
 
     @pytest.mark.parametrize("name", ["scan7_044_3x8", "scan7_077_2x6"])
     def test_s_zero_run_takes_the_vertex(self, name, caplog, monkeypatch):
-        # the s = 0 run from the true channel takes the vertex of its
-        # starting marginal, certified far below gap_tol; without a
-        # vertex the run stalls uncertified
+        # the s = 0 solve from the true channel takes the vertex of its
+        # starting marginal, certified far below gap_tol.  Without a
+        # vertex the continuation goes on: #77's iterate certifies itself
+        # deep down, and #44's is still uncertified at s = 2^-20
         spec = wx.load_channel_spec(_scan_path(name))
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             sol = ExponentSolver(spec, table_points=3)._table[-1]
@@ -917,10 +924,28 @@ class TestGeneratedScanChannels:
         assert _numpy_gap(spec, sol) <= 1e-14
         text = "\n".join(r.getMessage() for r in caplog.records)
         assert "s=0 forest vertex certifies gap" in text
-        assert "stalled" not in text
+        assert "continuation stopped" not in text
         monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
-        with pytest.raises(wx.SolverError, match="stalled at s=0 "):
-            ExponentSolver(spec, table_points=3)
+        if name == "scan7_044_3x8":
+            with pytest.raises(wx.SolverError, match="continuation did not "
+                               "certify down to s=9.53674316e-07 "):
+                ExponentSolver(spec, table_points=3)
+        else:
+            sol = ExponentSolver(spec, table_points=3)._table[-1]
+            assert sol.iterations > 0
+            assert _numpy_gap(spec, sol) <= 1e-10
+
+
+# Channels #116 (8x6) of the scan's seed 8 and #94 (8x8) of its seed 23,
+# stored as generated.  Their s = 0 vertices certify only deep in the
+# continuation, at s = 2^-10 and 2^-16.
+@pytest.mark.parametrize("name", ["scan8_116_8x6", "scan23_094_8x8"])
+def test_deep_s_zero_certifies_within_64_steps(name):
+    spec = wx.load_channel_spec(_scan_path(name))
+    solver = ExponentSolver(spec)
+    sol = solver._table[-1]
+    assert sol.s == 0.0 and 0 < sol.iterations <= 64
+    assert _numpy_gap(spec, sol) <= solver.gap_tol
 
 
 def _relabel(doc: dict, seed: int) -> dict:
