@@ -18,9 +18,19 @@ information of the minimizer), which gives
 a support-line envelope whose value is first-order insensitive to errors in
 the maximizing mu.  All branch evaluations go through this envelope, so
 their accuracy is set by the certified gap of the inner solves rather than
-by root-finding tolerances.  The maximizing mu is found by ``_brentq``, a
-port of scipy's Brent root-finder that returns its roots bit for bit and
-keeps scipy's optimizers off the import path.
+by root-finding tolerances.  Each solved s gives phi(I0) a certified
+sandwich: below it, the support line f - gap - (s-1) I0 of every solve
+(f its objective, gap its certified gap); above it, the chord through the
+(I, D) points of two solves whose I bracket I0, since phi is convex and
+each (I, D) is attained.  phi starts from the two multiplier-table entries
+that bracket I0 and refines by Anderson-Bjorck regula falsi on I(s) - I0
+until the sandwich is at most 2 gap_tol wide; it returns the best support
+line at its own s.  Targets above the I of the smallest positive table
+entry are bracketed by halving levels below it, each solved from the
+marginal of the level above and built lazily down to the first level that
+does not certify.  No s is solved that two certified solves do not
+bracket: above the deepest level, or when a solve inside the bracket
+fails, phi returns its current, wider sandwich.
 
 The inner solver works on the output marginal V.  For s > 0 the rows
 minimizing the objective against a frozen V are closed-form (Arimoto
@@ -52,7 +62,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +86,8 @@ _TINY = 1e-320
 
 #: default certified optimality gap for the inner convex solves (nats)
 DEFAULT_GAP_TOL = 1e-10
-DEFAULT_MAX_ITER = 200_000
+#: default Newton-step cap per inner solve and per s = 0 continuation level
+DEFAULT_MAX_ITER = 1_000
 #: number of support points precomputed along mu in [-1, 1]
 DEFAULT_TABLE_POINTS = 65
 #: default mu-grid size for the exported trade-off curve
@@ -154,8 +165,11 @@ class ExponentResult:
     """E(R1, R2) with its branch breakdown and achieving test channel.
 
     ``e`` equals ``min(e1, e2, e3)``; ``active_branch`` reports the
-    smallest-index branch within 1e-9 of the minimum.  The representation-2
-    fields are populated by :func:`solve_exponent`.
+    smallest-index branch within 1e-9 of the minimum.  ``gap_bound`` is
+    the width of the certified sandwich around the ``phi`` value of the
+    active branch, which bounds the error of ``e``; 0 for a branch that
+    needs no ``phi``.  The representation-2 fields are populated by
+    :func:`solve_exponent`.
     """
 
     e: float
@@ -167,6 +181,7 @@ class ExponentResult:
     rep2_value: float | None = None
     lambda1: float | None = None
     lambda2: float | None = None
+    gap_bound: float = 0.0
 
 
 def gamma_dmc(i_value: float, rates: RatePair) -> float:
@@ -235,11 +250,16 @@ def _jump(log_p: np.ndarray, support: np.ndarray, s,
     marginal V, for s > 0: the log rows (P V^(s-1))^(1/s), normalized, and
     each row's log normalizer lse.  The row minimum is -s * lse, so
     g_s(V) = -s * <w, lse> is the dual function of the Newton solve.
-    Stacks as _tilt does.
+    The rows are normalized about their maximum m before m is added back:
+    a - (m + ln sum) would round to the ulp of m, about 1/s, and leave the
+    rows of a small s summing to 1 only to about 1e-16 / s.  Stacks as
+    _tilt does.
     """
     a = _tilt(log_p, s, ln_v)
-    lse = _row_lse(a)
-    return np.where(support, a - lse, _LOGZERO), lse[..., 0]
+    m = a.max(axis=-1, keepdims=True)
+    a = a - m
+    tail = np.log(np.exp(a).sum(axis=-1, keepdims=True))
+    return np.where(support, a - tail, _LOGZERO), (m + tail)[..., 0]
 
 
 def _linearization_gap(w, log_p, support, s, log_q, q, ln_qz):
@@ -287,8 +307,12 @@ def _newton_kkt(w, q, qz, v, s):
     g_s at V, Q = jump(V): D = diag(V), D H D = (1 - s) [a M - diag(Q_Z)/s],
     M = Q^T diag(w) Q, a = (1 - s)/s.  Row z of the top block is divided by
     (1 - s) Q_Z(z) to keep tiny outputs precise; D grad g_s = (1 - s) Q_Z
-    then scales to all ones.  Stacks as _tilt does."""
+    then scales to all ones.  Outputs with Q_Z at most _QZ_FLOOR, which
+    _newton_direction holds fixed, are divided by _QZ_FLOOR instead, so
+    that a Q_Z that underflows to 0 leaves no inf or NaN behind.  Stacks as
+    _tilt does."""
     n = qz.shape[-1]
+    qz = np.maximum(qz, _QZ_FLOOR)
     kkt = np.zeros(qz.shape[:-1] + (n + 1, n + 1))
     kkt[..., :n, :n] = (1.0 - s) / s * ((q.mT * w) @ q) \
         / qz[..., :, None] - np.eye(n) / s
@@ -506,7 +530,7 @@ def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
                         it)
                 elif failed is None or k[j] < failed[0]:
                     failed = (k[j], s[j], gap[j], values[j][2], it)
-            if failed is not None:
+            if failed is not None and go:
                 # no s after the first failure would have been reached
                 keep = [m for m, j in enumerate(go) if k[j] < failed[0]]
                 go, *state = _pick(keep, len(go), go, *state)
@@ -650,80 +674,14 @@ def _solve_zero(w, log_p, support, start, gap_tol, max_iter):
         sol = _solve_newton(w, log_p, support, sol.s / 2,
                             np.maximum(qz, _TINY), gap_tol, max_iter)
         steps += sol.iterations
-        # the rows of jump(V) sum to 1 only to about 1e-16 / s
+        # the s = 0 certificate reads the rows as a test channel, so they
+        # are normalized as the forest vertex's are
         rows = _normalize_log_rows(sol.log_q, support)
     _log.debug("s=0 continuation stopped uncertified at s=%.9g with gap "
                "%.3g after %d Newton steps", sol.s, gap, steps)
     raise SolverError(f"s=0 continuation did not certify down to "
                       f"s={sol.s:.9g}", best_value=f, residual=gap,
                       iterations=steps)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
-            rtol: float = 4 * math.ulp(1.0), maxiter: int = 100) -> float:
-    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
-
-    A line-by-line port of ``scipy/optimize/Zeros/brentq.c`` (Brent 1973,
-    ch. 4), which returns the same root bit for bit: inverse quadratic or
-    secant steps, bisection whenever a step is too long or shrinks too
-    slowly, and the root once the bracket is within 2*delta.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x:.6g} is NaN")
-        return fx
-
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise SolverError("Brent root-finding did not converge",
-                      best_value=xcur, residual=abs(fcur), iterations=maxiter)
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +697,16 @@ class ExponentSolver:
     """Evaluates exponents for a fixed ChannelSpec, reusing inner solves.
 
     A table of support points along mu in [-1, 1] is precomputed once, each
-    entry solved from the true output marginal; every later inner solve
-    starts from the nearest table entry, which makes each solution a
-    deterministic function of its multiplier alone, independent of query
-    order.  Rate points can therefore be evaluated concurrently and
-    reproduce bit-for-bit.  For the same reason ``phi`` values (keyed on the
-    clamped target) and embedded test channels (keyed on s) are memoized per
-    instance without changing any result; all caches live and die with the
-    solver.
+    entry solved from the true output marginal.  Below the table's smallest
+    positive s, halving levels extend it lazily, each solved from the level
+    above.  Every other inner solve starts from the nearest table entry or
+    level, after building the levels down to its s; that makes each
+    solution a deterministic function of its multiplier alone, independent
+    of query order.  Rate points can therefore be evaluated concurrently
+    and reproduce bit-for-bit.  For the same reason ``phi`` values (keyed
+    on the clamped target) and embedded test channels (keyed on s) are
+    memoized per instance without changing any result; all caches live and
+    die with the solver.
 
     Parameters
     ----------
@@ -754,7 +714,8 @@ class ExponentSolver:
         Channel under study.  Inputs with zero mass and outputs outside
         every row's support are dropped before optimization.
     gap_tol : float
-        Certified optimality gap at which inner solves stop.
+        Certified optimality gap at which inner solves stop; ``phi`` stops
+        refining once its sandwich is at most twice as wide.
     max_iter : int
         Newton-step cap per solve, each s = 0 continuation level included;
         at least 1.
@@ -795,7 +756,7 @@ class ExponentSolver:
                                             self._log_p, 1.0)
         self._cache: dict[float, _InnerSolution] = {1.0: _InnerSolution(
             1.0, self._log_p, q, d, self.i_p, f, 0.0, 0)}
-        self._phi_cache: dict[float, tuple[float, _InnerSolution]] = {}
+        self._phi_cache: dict[float, tuple[float, _InnerSolution, float]] = {}
         self._embed_cache: dict[float, ConditionalChannel] = {}
         self._table_s = np.linspace(2.0, 0.0, int(table_points))
         # the table's other s > 0 are one Newton stack from the true output
@@ -808,8 +769,10 @@ class ExponentSolver:
                 self._w, self._log_p, self._support, stack,
                 np.tile(qz_p, (len(stack), 1)), self.gap_tol,
                 self.max_iter)))
+        # the warm starts: the table's s > 0 entries, then the halving
+        # levels below them, all in decreasing s
         self._starts = [self._cache[key] for key in keys if key > 0.0]
-        self._start_s = np.array([sol.s for sol in self._starts])
+        self._deepest = False           # no further level certifies
         self._table = [self._solve_s(float(s)) for s in self._table_s]
         self._table_i = np.array([sol.i for sol in self._table])  # ascending
         self.i_min = self._table[0].i
@@ -818,11 +781,35 @@ class ExponentSolver:
 
     # -- inner solves --------------------------------------------------
 
+    def _deepen(self) -> bool:
+        """Solve the next halving level below the table from the marginal
+        of the level above and append it to the starts; False, from then
+        on, once a level does not certify or its key would not fall below
+        the level above (the 1e-9 cache quantum rounds 5e-10 up to 1e-9)."""
+        if self._deepest:
+            return False
+        above = self._starts[-1]
+        key = _key(above.s / 2.0)
+        sol = self._cache.get(key)
+        if sol is None and 0.0 < key < above.s:
+            try:
+                sol = self._cache[key] = _solve_newton(
+                    self._w, self._log_p, self._support, key,
+                    np.maximum(self._w @ above.q, _TINY), self.gap_tol,
+                    self.max_iter)
+            except SolverError:
+                pass
+        self._deepest = sol is None or not 0.0 < key < above.s
+        if not self._deepest:
+            self._starts.append(sol)
+        return not self._deepest
+
     def _solve_s(self, s: float) -> _InnerSolution:
         # inner solutions are cached on s quantized to 1e-9.  An uncached
         # s > 0 runs Newton from the marginal of the nearest table entry
-        # with s > 0 (the first of two equally near); s = 0 continues
-        # from the smallest positive table entry.
+        # or level (the first of two equally near), once the levels reach
+        # down to s.  s = 0, solved with the table before any level,
+        # continues from the smallest positive table entry.
         key = _key(s)
         sol = self._cache.get(key)
         if sol is None:
@@ -831,7 +818,11 @@ class ExponentSolver:
                                   self._starts[-1], self.gap_tol,
                                   self.max_iter)
             else:
-                near = self._starts[int(np.abs(self._start_s - key).argmin())]
+                while self._starts[-1].s > key and self._deepen():
+                    pass
+                sol = self._cache.get(key)
+            if sol is None:
+                near = min(self._starts, key=lambda start: abs(start.s - key))
                 sol = _solve_newton(self._w, self._log_p, self._support, key,
                                     np.maximum(self._w @ near.q, _TINY),
                                     self.gap_tol, self.max_iter)
@@ -849,6 +840,90 @@ class ExponentSolver:
             channel = ConditionalChannel(rows, self.spec.input_dist)
             self._embed_cache[sol.s] = channel
         return channel
+
+    def _bracket(self, target: float):
+        """The two certified solves whose I bracket the interior target,
+        (lo, hi) with I(lo) >= target >= I(hi), from the table and, above
+        the I of its smallest positive entry, the halving levels (built on
+        demand); and whether solves between them may refine it, which is
+        not so above the deepest level."""
+        j = int(np.searchsorted(self._table_i, target, side="left"))
+        j = min(max(j, 1), len(self._table) - 1)
+        lo, hi = self._table[j], self._table[j - 1]
+        if lo.s > 0.0:
+            return lo, hi, True
+        k = len(self._table) - 2            # hi is self._starts[k]
+        while True:
+            if k + 1 == len(self._starts) and not self._deepen():
+                return lo, hi, False
+            k += 1
+            if self._starts[k].i >= target:
+                return self._starts[k], hi, True
+            hi = self._starts[k]
+
+    def _sandwich(self, target: float) -> tuple[float, _InnerSolution, float]:
+        """(phi, the solve whose support line gives it, the certified width
+        of the sandwich around it) at a target within [i_min, i_max]."""
+        if target >= self.i_max or target <= self.i_min:
+            sol = self._table[-1 if target >= self.i_max else 0]
+            return max(sol.f - (sol.s - 1.0) * target, 0.0), sol, sol.gap
+        lo, hi, refine = self._bracket(target)
+        g_lo, g_hi = lo.i - target, hi.i - target
+        best, lower = None, -math.inf
+        side, why = 0, "the bracket lies above the deepest level"
+        new = (hi, lo)
+        while True:
+            for sol in new:
+                line = sol.f - (sol.s - 1.0) * target
+                if best is None or line > best[0]:
+                    best = (line, sol)
+                lower = max(lower, line - sol.gap)
+            span = lo.i - hi.i
+            upper = (hi.d + (lo.d - hi.d) * (target - hi.i) / span
+                     if span > 0.0 else min(lo.d, hi.d))
+            width = max(upper - lower, 0.0)
+            if width <= 2.0 * self.gap_tol or not refine:
+                break
+            # Anderson-Bjorck regula falsi on I(s) - target: when a new s
+            # lands on the same side twice in a row, the retained end's
+            # value is scaled down
+            key = _key(lo.s + g_lo * (hi.s - lo.s) / (g_lo - g_hi)
+                       if g_lo > g_hi else 0.5 * (lo.s + hi.s))
+            if not lo.s < key < hi.s:
+                key = _key(0.5 * (lo.s + hi.s))
+            if not lo.s < key < hi.s:
+                why = "the bracket is one cache quantum wide"
+                break
+            try:
+                sol = self._solve_s(key)
+            except SolverError:
+                why = f"the solve at s={key:.9g} failed"
+                break
+            g = sol.i - target
+            if g >= 0.0:
+                if side < 0:
+                    m = 1.0 - g / g_lo if g_lo > 0.0 else 0.0
+                    g_hi *= m if m > 0.0 else 0.5
+                lo, g_lo, side = sol, g, -1
+            else:
+                if side > 0:
+                    m = 1.0 - g / g_hi if g_hi < 0.0 else 0.0
+                    g_lo *= m if m > 0.0 else 0.5
+                hi, g_hi, side = sol, g, 1
+            new = (sol,)
+        if width > 2.0 * self.gap_tol:
+            _log.debug("phi at I=%.9g keeps a sandwich of width %.3g: %s",
+                       target, width, why)
+        return max(best[0], 0.0), best[1], width
+
+    def _phi(self, target_i: float) -> tuple[float, _InnerSolution, float]:
+        """phi at target_i clamped to [i_min, i_max], memoized: see
+        _sandwich."""
+        target = min(max(target_i, self.i_min), self.i_max)
+        hit = self._phi_cache.get(target)
+        if hit is None:
+            hit = self._phi_cache[target] = self._sandwich(target)
+        return hit
 
     # -- public operations ----------------------------------------------
 
@@ -880,44 +955,22 @@ class ExponentSolver:
         return ParetoCurve(points=tuple(pts),
                            i_range=(pts[0].i_value, pts[-1].i_value))
 
-    def _mu_for_i(self, target: float, xtol: float = 1e-9) -> float:
-        """Multiplier whose minimizer has mutual information ``target``.
-
-        I(1+mu) is nonincreasing in mu; outside the attained range the
-        endpoint multiplier is returned.
-        """
-        if target >= self.i_max:
-            return -1.0
-        if target <= self.i_min:
-            return 1.0
-        j = int(np.searchsorted(self._table_i, target, side="left"))
-        j = min(max(j, 1), len(self._table_i) - 1)
-        mu_hi = float(self._table_s[j - 1] - 1.0)   # I <= target here
-        mu_lo = float(self._table_s[j] - 1.0)       # I >= target here
-        f_lo = self._solve_s(1.0 + mu_lo).i - target
-        f_hi = self._solve_s(1.0 + mu_hi).i - target
-        if f_lo <= 0.0:
-            return mu_lo
-        if f_hi >= 0.0:
-            return mu_hi
-        return _brentq(lambda mu: self._solve_s(1.0 + mu).i - target,
-                       mu_lo, mu_hi, xtol=xtol)
-
     def phi(self, target_i: float) -> tuple[float, _InnerSolution]:
         """Minimal divergence at mutual-information level ``target_i``.
 
         Evaluated as the support-line envelope max_mu [m(1+mu) - mu*I0],
-        which is exact on linear segments of the curve and second-order
-        accurate elsewhere.  ``target_i`` is clamped to the attained range.
+        at the best support line of a certified sandwich at most 2 gap_tol
+        wide, or wider where the solves cannot refine it (see the module
+        docstring).  ``target_i`` is clamped to the attained range.
         """
-        target = min(max(target_i, self.i_min), self.i_max)
-        hit = self._phi_cache.get(target)
-        if hit is None:
-            mu = self._mu_for_i(target)
-            sol = self._solve_s(1.0 + mu)
-            hit = (max(sol.f - mu * target, 0.0), sol)
-            self._phi_cache[target] = hit
-        return hit
+        return self._phi(target_i)[:2]
+
+    def _e3(self, r1: float) -> tuple[float, _InnerSolution | None, float]:
+        if r1 > self.i_max:
+            return math.inf, None, 0.0
+        if r1 <= self.i_p:
+            return 0.0, self._solve_s(1.0), 0.0
+        return self._phi(r1)
 
     def e3(self, r1: float) -> tuple[float, _InnerSolution | None]:
         """Third branch E3(R1) = min {D : I >= R1} and its inner solution.
@@ -925,11 +978,7 @@ class ExponentSolver:
         +inf (no solution) above the curve's range, 0 at the true channel
         when R1 <= I(P), and ``phi(R1)`` in between.
         """
-        if r1 > self.i_max:
-            return math.inf, None
-        if r1 <= self.i_p:
-            return 0.0, self._solve_s(1.0)
-        return self.phi(r1)
+        return self._e3(r1)[:2]
 
     def exponent_rep1(self, rates: RatePair) -> ExponentResult:
         """Branch-form evaluation of E(R1, R2).
@@ -941,43 +990,43 @@ class ExponentSolver:
         dominated by another branch, so ``e`` is unaffected.)
         """
         r1, r2 = rates.r1, rates.r2
-        true_sol = self._solve_s(1.0)
-
         if r2 < self.i_min:
-            e1, q1 = math.inf, None
+            e1, q1 = math.inf, (None, 0.0)
         elif r2 >= self.i_p:
-            e1, q1 = r1 - r2, true_sol
+            e1, q1 = r1 - r2, (self._solve_s(1.0), 0.0)
         else:
-            val, sol = self.phi(r2)
-            e1, q1 = r1 - r2 + val, sol
+            val, sol, width = self._phi(r2)
+            e1, q1 = r1 - r2 + val, (sol, width)
 
         a, b = max(r2, self.i_min), min(r1, self.i_max)
         if a > b:
-            e2, q2 = math.inf, None
+            e2, q2 = math.inf, (None, 0.0)
         else:
-            val, sol = self.phi(b)
-            e2, q2 = r1 + val - b, sol
+            val, sol, width = self._phi(b)
+            e2, q2 = r1 + val - b, (sol, width)
 
-        e3, q3 = self.e3(r1)
+        e3, sol, width = self._e3(r1)
+        q3 = (sol, width)
 
-        e, branch, achiever = _pick_branch((e1, e2, e3), (q1, q2, q3))
+        e, branch, (achiever, width) = _pick_branch((e1, e2, e3),
+                                                    (q1, q2, q3))
         return ExponentResult(e=e, e1=e1, e2=e2, e3=e3, active_branch=branch,
-                              q_star=self._embed(achiever))
+                              q_star=self._embed(achiever), gap_bound=width)
 
     def exponent_rep2(self, rates: RatePair) -> tuple[float, float, float]:
         """Min-max evaluation of E(R1, R2); returns (value, lambda1, lambda2).
 
         The inner maximization over lambda1 is solved by stationarity of the
-        concave objective (its derivative is I(lambda1+lambda2) - R1).  The
-        outer function h(lambda2) = max_lambda1 [m(lambda1 + lambda2)
-        + (1 - lambda1) R1 - lambda2 R2], with m(s) the inner minimum (a
-        minimum of affine functions of s, so concave), is a partial maximum
-        of a jointly concave function.  h is therefore concave, its minimum
-        over [0, 1] sits at an endpoint, and only lambda2 = 0 and 1 are
-        evaluated.
+        concave objective (its derivative is I(lambda1+lambda2) - R1), at
+        the s of ``phi(R1)``'s support line.  The outer function
+        h(lambda2) = max_lambda1 [m(lambda1 + lambda2) + (1 - lambda1) R1
+        - lambda2 R2], with m(s) the inner minimum (a minimum of affine
+        functions of s, so concave), is a partial maximum of a jointly
+        concave function.  h is therefore concave, its minimum over [0, 1]
+        sits at an endpoint, and only lambda2 = 0 and 1 are evaluated.
         """
         r1, r2 = rates.r1, rates.r2
-        s_star = 1.0 + self._mu_for_i(r1)
+        s_star = self._phi(r1)[1].s
         best = None
         for lam2 in (0.0, 1.0):
             lam1 = min(max(s_star - lam2, 0.0), 1.0)
@@ -987,21 +1036,21 @@ class ExponentSolver:
         return best
 
     def exponent_r2_zero(self, r: float) -> float:
-        """E(R, 0): max over lambda1 of min_Q {D + lambda1 [R - I_Q]}."""
+        """E(R, 0): max over lambda1 of min_Q {D + lambda1 [R - I_Q]}, at
+        lambda1 = 1 - s for the s of ``phi(R)``'s support line, capped at
+        s = 1."""
         if r < 0:
             raise ValueError("rate must be nonnegative")
-        s_star = min(max(1.0 + self._mu_for_i(r), 0.0), 1.0)
-        lam1 = 1.0 - s_star
-        return self._solve_s(s_star).f + lam1 * r
+        sol = self._phi(r)[1]
+        if sol.s > 1.0:
+            sol = self._solve_s(1.0)
+        return sol.f + (1.0 - sol.s) * r
 
     def solve(self, rates: RatePair) -> ExponentResult:
         """Full evaluation: representation-1 branches plus the min-max value."""
         res = self.exponent_rep1(rates)
         value, lam1, lam2 = self.exponent_rep2(rates)
-        return ExponentResult(e=res.e, e1=res.e1, e2=res.e2, e3=res.e3,
-                              active_branch=res.active_branch,
-                              q_star=res.q_star, rep2_value=value,
-                              lambda1=lam1, lambda2=lam2)
+        return replace(res, rep2_value=value, lambda1=lam1, lambda2=lam2)
 
 
 # ---------------------------------------------------------------------------

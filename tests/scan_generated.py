@@ -5,15 +5,20 @@
 For each seed (default 7 and 8) draws 120 channels with
 ``bench/workloads.generate_channel``, sizes nx, nz from ``integers(2, 9)``,
 builds each solver's multiplier table and evaluates ``phi`` at 25 targets
-from 0 to 1.05 * i_max.  Prints one line per failing channel and a
-summary.  The summary also counts the cached inner solves of the other
+from 0 to 1.05 * i_max and at the targets i_max - 10^-e, e = 1...9, just
+below i_max.  Prints one line per failing channel and a summary.  The
+summary also counts the cached inner solves of the other
 channels whose certified gap exceeds ``gap_tol`` and names each of them,
 worst first, with its channel and s.  Exits 1 if any channel raised
 ``SolverError`` or any cached solve's gap exceeds ``gap_tol``.  It then
 prints the p50, p99 and max Newton steps of the cached solves in each
 s-band: s = 0 (summed over its continuation levels), s in (0, 1) and
-s > 1.  Then come the p50, p99 and max wall time of the table builds (the
-solver constructions) of each seed, with the channel of the slowest.  The
+s > 1.  Then come the p50 and max of the new inner solves each ``phi``
+target takes (table builds aside), the widest certified sandwich width
+behind a ``phi`` value, with its channel and target, and the number of
+fallbacks: targets whose sandwich stayed wider than 2 gap_tol.  Then come
+the p50, p99 and max wall time of the table builds (the solver
+constructions) of each seed, with the channel of the slowest.  The
 last line, ``digest <sha256>``, hashes every channel's cached inner solves
 in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap`` and
 ``iterations``) and every ``SolverError`` message, so equal digests from
@@ -55,12 +60,22 @@ BANDS = (("s = 0", lambda s: s == 0.0),
          ("s > 1", lambda s: s > 1.0))
 
 
-def scan(seed: int, digest) -> tuple[int, list, list, list]:
+def targets(solver) -> list[float]:
+    """The ``phi`` targets of one channel: a grid over [0, 1.05 i_max] and
+    i_max - 10^-e for e = 1...9."""
+    grid = np.linspace(0.0, 1.05 * solver.i_max, TARGETS)
+    near = solver.i_max - 10.0 ** -np.arange(1.0, 10.0)
+    return [float(t) for t in (*grid, *near)]
+
+
+def scan(seed: int, digest) -> tuple[int, list, list, list, list, list]:
     """Failures of one seed's channels, (gap, channel, s) for every cached
     inner solve that certified only a gap above ``gap_tol``, (s,
-    iterations) for every cached solve and (wall time, channel) of every
-    table build; feeds every solve and failure to the hash ``digest``."""
-    failures, honest, counts, builds = 0, [], [], []
+    iterations) for every cached solve, (wall time, channel) of every
+    table build, the new inner solves of every ``phi`` target and (width,
+    channel, target, fallback) of every ``phi`` sandwich; feeds every
+    solve and failure to the hash ``digest``."""
+    failures, honest, counts, builds, solves, widths = 0, [], [], [], [], []
     for k, doc in generated(seed):
         channel = f"seed {seed} #{k} ({len(doc['wiretap'])}x" \
                   f"{len(doc['wiretap'][0])})"
@@ -69,8 +84,10 @@ def scan(seed: int, digest) -> tuple[int, list, list, list]:
             start = time.perf_counter()
             solver = ExponentSolver(spec)
             builds.append((time.perf_counter() - start, channel))
-            for t in np.linspace(0.0, 1.05 * solver.i_max, TARGETS):
-                solver.phi(float(t))
+            for t in targets(solver):
+                before = len(solver._cache)
+                solver.phi(t)
+                solves.append(len(solver._cache) - before)
         except SolverError as exc:
             failures += 1
             print(f"{channel}: {exc}")
@@ -84,16 +101,20 @@ def scan(seed: int, digest) -> tuple[int, list, list, list]:
         honest += [(sol.gap, channel, sol.s) for sol in solver._cache.values()
                    if sol.gap > solver.gap_tol]
         counts += [(sol.s, sol.iterations) for sol in solver._cache.values()]
-    return failures, honest, counts, builds
+        widths += [(width, channel, t, width > 2.0 * solver.gap_tol)
+                   for t, (_, _, width) in solver._phi_cache.items()]
+    return failures, honest, counts, builds, solves, widths
 
 
 def main(argv) -> int:
     seeds = [int(a) for a in argv] or [7, 8]
     digest = hashlib.sha256()
     results = [scan(seed, digest) for seed in seeds]
-    failures = sum(f for f, _, _, _ in results)
-    above = [entry for _, honest, _, _ in results for entry in honest]
-    counts = [entry for _, _, c, _ in results for entry in c]
+    failures = sum(r[0] for r in results)
+    above = [entry for r in results for entry in r[1]]
+    counts = [entry for r in results for entry in r[2]]
+    solves = np.array([n for r in results for n in r[4]])
+    widths = [entry for r in results for entry in r[5]]
     print(f"{failures} failures in {CHANNELS_PER_SEED * len(seeds)} channels")
     print(f"{len(above)} cached inner solves above gap_tol")
     for gap, channel, s in sorted(above, reverse=True):
@@ -104,7 +125,15 @@ def main(argv) -> int:
             p50, p99 = np.percentile(its, [50, 99], method="lower")
             print(f"{band}: {its.size} solves, Newton steps p50 {p50} "
                   f"p99 {p99} max {its.max()}")
-    for seed, (_, _, _, builds) in zip(seeds, results):
+    if solves.size:
+        print(f"phi: {solves.size} targets, new inner solves per target "
+              f"p50 {int(np.percentile(solves, 50, method='lower'))} "
+              f"max {solves.max()}")
+    if widths:
+        width, channel, t, _ = max(widths)
+        print(f"widest sandwich {width:.3g} at {channel}, I = {t:.9g}; "
+              f"{sum(entry[3] for entry in widths)} fallbacks")
+    for seed, (_, _, _, builds, _, _) in zip(seeds, results):
         if builds:
             ms = 1e3 * np.array([t for t, _ in builds])
             p50, p99 = np.percentile(ms, [50, 99], method="lower")

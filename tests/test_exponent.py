@@ -948,6 +948,170 @@ def test_deep_s_zero_certifies_within_64_steps(name):
     assert _numpy_gap(spec, sol) <= solver.gap_tol
 
 
+FIXTURES = sorted(name[:-5] for name in os.listdir(
+    os.path.join(os.path.dirname(__file__), "data")))
+
+
+def _fixture_spec(name: str) -> wx.ChannelSpec:
+    return make_asym_3x3() if name == "asym3x3" else \
+        wx.load_channel_spec(_scan_path(name))
+
+
+def _numpy_points(solver) -> tuple[np.ndarray, np.ndarray]:
+    """(I, D) of every cached inner solve, from its rows ``sol.q`` in
+    plain numpy."""
+    w, p = solver._w, solver._p
+    points = []
+    for sol in solver._cache.values():
+        q = sol.q
+        on = q > 0
+        with np.errstate(divide="ignore"):
+            ln_q = np.log(np.where(on, q, 1.0))
+            ln_qz = np.log(w @ q)
+        d = w @ np.where(on, q * (ln_q - np.log(np.where(on, p, 1.0))),
+                         0.0).sum(axis=1)
+        i = w @ np.where(on, q * (ln_q - ln_qz), 0.0).sum(axis=1)
+        points.append((i, d))
+    return tuple(np.array(points).T)
+
+
+def _chord_bound(i, d, t: float) -> float:
+    """The least chord through two (I, D) points whose I bracket t: phi is
+    convex and each point is attained, so every such chord bounds phi(t)
+    from above."""
+    a, b = i <= t, i >= t
+    ia, da = i[a][:, None], d[a][:, None]
+    ib, db = i[b][None, :], d[b][None, :]
+    span = ib - ia
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = np.where(span > 0.0, da + (db - da) * (t - ia) / span,
+                         np.minimum(da, db))
+    return float(chord.min())
+
+
+def _fallbacks(records) -> int:
+    return sum("keeps a sandwich" in r.getMessage() for r in records)
+
+
+class TestSandwich:
+    """phi as the best support line of a certified sandwich."""
+
+    @pytest.fixture(scope="class", params=["asym3x3"] + FIXTURES)
+    def swept(self, request):
+        # 300 interior targets, each phi a function of its target alone
+        solver = ExponentSolver(_fixture_spec(request.param))
+        targets = np.linspace(solver.i_min, solver.i_max, 302)[1:-1]
+        return solver, [(float(t), solver.phi(float(t))[0])
+                        for t in targets]
+
+    def test_phi_below_every_chord(self, swept):
+        # a chord through two solves bounds phi from above; the value
+        # printed at the solve's own s stays below it within gap_tol
+        solver, values = swept
+        i, d = _numpy_points(solver)
+        for t, value in values:
+            assert value <= _chord_bound(i, d, t) + solver.gap_tol
+
+    def test_sandwich_certifies(self, swept):
+        # no fixture target falls back: every width is within 2 gap_tol,
+        # and the value lies inside its sandwich
+        solver, values = swept
+        for t, value in values:
+            _, sol, width = solver._phi(t)
+            assert 0.0 <= width <= 2.0 * solver.gap_tol
+            assert value >= sol.f - sol.gap - (sol.s - 1.0) * t
+
+    @pytest.mark.parametrize("name", ["asym3x3"] + FIXTURES)
+    def test_gap_bound_of_the_active_branch(self, name, caplog):
+        solver = ExponentSolver(_fixture_spec(name))
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            for r1 in np.linspace(0.0, 1.1 * solver.i_max, 45)[1:]:
+                for r2 in (0.0, 0.5 * r1):
+                    n = len(caplog.records)
+                    res = solver.solve(wx.RatePair(float(r1), r2))
+                    if res.active_branch == "E1" and r2 >= solver.i_p or \
+                            res.active_branch == "E3" and r1 <= solver.i_p:
+                        assert res.gap_bound == 0.0
+                    elif res.active_branch == "E2":
+                        b = min(r1, solver.i_max)
+                        assert res.gap_bound == solver._phi(b)[2]
+                    if not _fallbacks(caplog.records[n:]):
+                        assert res.gap_bound <= 2.0 * solver.gap_tol
+        assert _fallbacks(caplog.records) == 0
+
+    def test_failed_solves_return_the_sandwich(self, caplog, monkeypatch):
+        # with every solve off the table failing, no level is built and no
+        # target is refined: phi keeps the table bracket's sandwich, which
+        # holds the certified value, and reports its width
+        spec = make_asym_3x3()
+        solver = ExponentSolver(spec)
+        targets = (0.5 * (solver.i_min + solver.i_max),
+                   0.5 * (solver._table_i[-2] + solver.i_max))
+        certified = [ExponentSolver(spec).phi(t)[0] for t in targets]
+
+        def fail(w, log_p, support, s, *rest):
+            raise wx.SolverError(f"Newton solve did not certify at s={s}",
+                                 best_value=0.0, residual=1.0, iterations=0)
+
+        monkeypatch.setattr(exponent, "_solve_newton", fail)
+        table = len(solver._cache)
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            for t, phi in zip(targets, certified):
+                value, _, width = solver._phi(t)
+                assert width > 2.0 * solver.gap_tol
+                assert abs(value - phi) <= width
+                res = solver.exponent_rep1(wx.RatePair(t, 0.0))
+                assert res.active_branch == "E2" and res.gap_bound == width
+        assert len(solver._cache) == table
+        assert solver._starts[-1] is solver._table[-2]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert "failed" in messages[0]
+        assert "above the deepest level" in messages[1]
+
+    def test_levels_bracket_targets_near_i_max(self):
+        # targets just below i_max lie above the smallest positive table
+        # entry's I; the halving levels below it bracket them, each level
+        # a certified solve at half the s of the level above.  Above the
+        # deepest level (here s = 6e-8), the sandwich between it and the
+        # s = 0 entry is already narrow
+        solver = ExponentSolver(wx.load_channel_spec(
+            _scan_path("scan23_094_8x8")))
+        for e in range(1, 10):
+            value, sol, width = solver._phi(solver.i_max - 10.0 ** -e)
+            assert sol.s < solver._table_s[-2]
+            assert width <= 2.0 * solver.gap_tol
+        levels = solver._starts[len(solver._table) - 1:]
+        assert levels
+        for above, level in zip(solver._starts[len(solver._table) - 2:],
+                                levels):
+            assert level.s == exponent._key(above.s / 2.0)
+            assert level.gap <= solver.gap_tol and level.i >= above.i
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--r1-grid", "0:1.3:131", "--r2-fractions", "0:1:3"],
+    ["exponent", "--r1", "1.2889", "--r2", "0"],
+    ["region", "--r1-list", "1.2889"],
+], ids=["sweep", "exponent", "region"])
+def test_rates_just_below_i_max_exit_zero(argv, capsys):
+    # R1 up to 0.011 below i_max = 1.29897 of seed 23 #94
+    code = main(argv[:1] + [_scan_path("scan23_094_8x8")] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out and not captured.err
+
+
+def test_newton_nan_gap_raises_solver_error():
+    # at s = 0 the jump divides by zero, every gap of the first round is
+    # NaN and no slice reaches a line search
+    solver = ExponentSolver(make_asym_3x3())
+    with np.errstate(all="ignore"), pytest.raises(
+            wx.SolverError, match="did not certify at s=0 "):
+        exponent._solve_newton(solver._w, solver._log_p, solver._support,
+                               0.0, solver._w @ solver._p, solver.gap_tol,
+                               solver.max_iter)
+
+
 def _relabel(doc: dict, seed: int) -> dict:
     """The channel document doc with its inputs and outputs permuted."""
     rng = np.random.default_rng(seed)
@@ -995,81 +1159,3 @@ class TestSolverArguments:
                                    else exponent.DEFAULT_MAX_ITER)
         assert len(solver._table) == (int(value) if name == "table_points"
                                       else exponent.DEFAULT_TABLE_POINTS)
-
-
-# monotone shapes with their root at r; k sets the steepness
-_BRENT_SHAPES = {
-    "linear": lambda x, r, k: k * (x - r),
-    "cubic": lambda x, r, k: (x - r) ** 3 + 1e-3 * k * (x - r),
-    "expm1": lambda x, r, k: math.expm1(k * (x - r)),
-    "atan": lambda x, r, k: math.atan(k * (x - r)) - 0.3 * (x - r),
-}
-
-
-class TestBrentq:
-    """``exponent._brentq`` is a port of scipy's Brent root-finder."""
-
-    def test_matches_scipy_bit_for_bit(self):
-        from scipy.optimize import brentq
-        rng = np.random.default_rng(1973)
-        compared = 0
-        for shape in _BRENT_SHAPES.values():
-            for flip in (False, True):
-                for xtol in (1e-9, 2e-12):
-                    for _ in range(1250):
-                        a, b = sorted(rng.uniform(-2.0, 2.0, 2))
-                        r, k = rng.uniform(a, b), rng.uniform(0.5, 20.0)
-                        f = (lambda x, r=r, k=k: shape(x, r, k))
-                        xa, xb = (b, a) if flip else (a, b)
-                        ours = exponent._brentq(f, xa, xb, xtol=xtol)
-                        assert type(ours) is float
-                        assert ours == brentq(f, xa, xb, xtol=xtol)
-                        compared += 1
-        assert compared == 20_000
-
-    def test_root_at_an_endpoint_is_returned_at_once(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - 1.0
-
-        assert exponent._brentq(f, 1.0, 3.0) == 1.0
-        assert exponent._brentq(f, -1.0, 1.0) == 1.0
-        assert calls == [1.0, 3.0, -1.0, 1.0]
-
-    def test_invalid_brackets_raise_value_error(self):
-        with pytest.raises(ValueError, match="different signs"):
-            exponent._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError, match="NaN"):
-            exponent._brentq(lambda x: math.nan if x > 0.5 else x - 0.75,
-                             0.0, 1.0)
-
-    def test_exhausted_iterations_raise_solver_error(self):
-        f = (lambda x: _BRENT_SHAPES["atan"](x, 0.3, 20.0))
-        with pytest.raises(wx.SolverError, match="did not converge") as exc:
-            exponent._brentq(f, -2.0, 2.0, maxiter=1)
-        assert exc.value.iterations == 1
-        assert exponent._brentq(f, -2.0, 2.0) == pytest.approx(0.3)
-
-    @pytest.mark.parametrize("load", [make_asym_3x3,
-                                      lambda: wx.load_channel_spec(
-                                          SLOW_FIXED_POINT)])
-    def test_phi_matches_scipy_root_finder(self, load, monkeypatch):
-        from scipy.optimize import brentq
-        spec = load()
-        ours = ExponentSolver(spec)
-        theirs = ExponentSolver(spec)
-        targets = np.linspace(ours.i_min, ours.i_max, 27)[1:-1]
-        expected = [ours.phi(float(t)) for t in targets]
-        calls = []
-
-        def scipy_brentq(f, xa, xb, xtol):
-            calls.append(xtol)
-            return float(brentq(f, xa, xb, xtol=xtol))
-
-        monkeypatch.setattr(exponent, "_brentq", scipy_brentq)
-        for t, (value, sol) in zip(targets, expected):
-            ref_value, ref_sol = theirs.phi(float(t))
-            assert (value, sol.s) == (ref_value, ref_sol.s)
-        assert calls and set(calls) == {1e-9}
