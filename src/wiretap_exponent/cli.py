@@ -26,8 +26,8 @@ import numpy as np
 from . import simulate as sim
 from .channels import DEFAULT_DEGRADED_TOL, check_degraded, load_channel_spec
 from .errors import BudgetExceededError, ChannelFileError, SolverError
-from .exponent import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, DEFAULT_TABLE_POINTS,
-                       ExponentSolver, RatePair)
+from .exponent import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, ExponentSolver,
+                       RatePair)
 from .gaussian import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL, GaussianSpec,
                        gaussian_exponent)
 from .security import (DEFAULT_CLASSIFY_TOL, classify_exponent, compute_qstar,
@@ -40,7 +40,6 @@ LN2 = math.log(2.0)
 _SETTINGS = {
     "gap_tol": (DEFAULT_GAP_TOL, 0, False),
     "max_iter": (DEFAULT_MAX_ITER, 1, True),
-    "table_points": (DEFAULT_TABLE_POINTS, 2, True),
     "classify_tol": (DEFAULT_CLASSIFY_TOL, 0, True),
     "gaussian_grid": (DEFAULT_GRID_POINTS, 1, True),
     "refine_tol": (DEFAULT_REFINE_TOL, 0, False),
@@ -102,7 +101,7 @@ def _settings(args) -> dict:
 
 
 def _solver_kwargs(cfg) -> dict:
-    return {key: cfg[key] for key in ("gap_tol", "max_iter", "table_points")}
+    return {key: cfg[key] for key in ("gap_tol", "max_iter")}
 
 
 def _parse_grid(text: str, what: str) -> np.ndarray:

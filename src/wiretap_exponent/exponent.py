@@ -50,13 +50,16 @@ At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
 goods, P(z|x) are utilities.  Its optimum, the Eisenberg-Gale equilibrium
 (Eisenberg & Gale 1959), is a vertex, which the Newton solutions approach
-as s falls to 0.  So the s = 0 solve continues from the smallest positive
-table entry.  Each level returns its iterate if the s = 0 dual bound
-certifies it, else the vertex of a spanning forest of its marginal grown
-in Kruskal order (support edges by their slack below each row's maximum
-of ln P - ln Q_Z), with prices and flows solved exactly on the forest, if
-that certifies; else s is halved and Newton run from the marginal.  Below
-s = 2^-20 the continuation raises SolverError.
+as s falls to 0.  So the s = 0 solve walks down one ladder of warm starts,
+the table's positive entries and then the halving levels below them that
+phi brackets with, from the smallest positive table entry.  Each rung
+returns its own rows if the s = 0 dual bound certifies them, else the
+vertex of a spanning forest of its marginal grown in Kruskal order
+(support edges by their slack below each row's maximum of ln P - ln Q_Z),
+with prices and flows solved exactly on the forest, if that certifies;
+else the walk steps down a rung, building the next level.  Below the
+deepest level, the first that does not certify or that the 1e-9 cache
+quantum stops, the walk raises SolverError.
 """
 from __future__ import annotations
 
@@ -86,12 +89,12 @@ _TINY = 1e-320
 
 #: default certified optimality gap for the inner convex solves (nats)
 DEFAULT_GAP_TOL = 1e-10
-#: default Newton-step cap per inner solve and per s = 0 continuation level
+#: default Newton-step cap per inner solve, each halving level included
 DEFAULT_MAX_ITER = 1_000
-#: number of support points precomputed along mu in [-1, 1]
-DEFAULT_TABLE_POINTS = 65
 #: default mu-grid size for the exported trade-off curve
 DEFAULT_CURVE_POINTS = 401
+#: the multiplier table: s = k/32 for k = 64, 63, ..., 0, so mu in [-1, 1]
+_TABLE_S = np.linspace(2.0, 0.0, 65)
 
 #: branch values within this of the minimum tie; the smallest index wins
 _BRANCH_TIE_TOL = 1e-9
@@ -104,8 +107,6 @@ _STEP_FLOOR = 1e-14
 #: relative float noise of a computed objective value: the Armijo slack of
 #: the Newton line search and the least gap a certificate reports
 _NOISE = 4e-16
-#: the s = 0 continuation halves s no further than this
-_S_FLOOR = 2.0 ** -20
 
 
 # ---------------------------------------------------------------------------
@@ -653,37 +654,6 @@ def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
     return None
 
 
-def _solve_zero(w, log_p, support, start, gap_tol, max_iter):
-    """The s = 0 solve by continuation from the s > 0 solution start (a
-    homotopy; Boyd & Vandenberghe 2004, sec. 11): each level returns its
-    iterate or the iterate's forest vertex, whichever certifies at s = 0,
-    or else halves s and runs Newton from the iterate's marginal.  Raises
-    SolverError below _S_FLOOR; iterations counts every level's steps."""
-    sol, steps, rows = start, 0, start.log_q
-    while True:
-        q, qz, d, i, f = _evaluate(w, log_p, rows, 0.0)
-        ln_qz = np.log(np.maximum(qz, _TINY))
-        gap = f - _dual_bound(w, log_p, support, ln_qz)
-        if gap <= gap_tol:
-            return _InnerSolution(0.0, rows, q, d, i, f, gap, steps)
-        vertex = _forest_vertex(w, log_p, support, ln_qz, gap_tol, steps)
-        if vertex is not None:
-            return vertex
-        if sol.s / 2 < _S_FLOOR:
-            break
-        sol = _solve_newton(w, log_p, support, sol.s / 2,
-                            np.maximum(qz, _TINY), gap_tol, max_iter)
-        steps += sol.iterations
-        # the s = 0 certificate reads the rows as a test channel, so they
-        # are normalized as the forest vertex's are
-        rows = _normalize_log_rows(sol.log_q, support)
-    _log.debug("s=0 continuation stopped uncertified at s=%.9g with gap "
-               "%.3g after %d Newton steps", sol.s, gap, steps)
-    raise SolverError(f"s=0 continuation did not certify down to "
-                      f"s={sol.s:.9g}", best_value=f, residual=gap,
-                      iterations=steps)
-
-
 # ---------------------------------------------------------------------------
 # per-channel solver with cached inner solutions
 # ---------------------------------------------------------------------------
@@ -696,17 +666,18 @@ def _key(s: float) -> float:
 class ExponentSolver:
     """Evaluates exponents for a fixed ChannelSpec, reusing inner solves.
 
-    A table of support points along mu in [-1, 1] is precomputed once, each
-    entry solved from the true output marginal.  Below the table's smallest
-    positive s, halving levels extend it lazily, each solved from the level
-    above.  Every other inner solve starts from the nearest table entry or
-    level, after building the levels down to its s; that makes each
-    solution a deterministic function of its multiplier alone, independent
-    of query order.  Rate points can therefore be evaluated concurrently
-    and reproduce bit-for-bit.  For the same reason ``phi`` values (keyed
-    on the clamped target) and embedded test channels (keyed on s) are
-    memoized per instance without changing any result; all caches live and
-    die with the solver.
+    A table of 65 support points along mu in [-1, 1], s = k/32, is
+    precomputed once, each entry with s > 0 solved from the true output
+    marginal.  Its s > 0 entries and the halving levels below them form one
+    ladder of warm starts, the levels built lazily, each solved from the
+    level above; s = 0 sits at its foot.  Every other inner solve starts
+    from the nearest start, after building the levels down to its s; that
+    makes each solution a deterministic function of its multiplier alone,
+    independent of query order.  Rate points can therefore be evaluated
+    concurrently and reproduce bit-for-bit.  For the same reason ``phi``
+    values (keyed on the target) and embedded test channels (keyed on s)
+    are memoized per instance without changing any result; all caches live
+    and die with the solver.
 
     Parameters
     ----------
@@ -717,23 +688,16 @@ class ExponentSolver:
         Certified optimality gap at which inner solves stop; ``phi`` stops
         refining once its sandwich is at most twice as wide.
     max_iter : int
-        Newton-step cap per solve, each s = 0 continuation level included;
-        at least 1.
-    table_points : int
-        Size of the precomputed multiplier table; at least 2, so that the
-        table spans both ends of the multiplier range.  Both integer
-        arguments accept integral floats such as ``1e5``; any other value
-        raises ``ValueError``.
+        Newton-step cap per solve, each halving level included; an integer
+        of at least 1, integral floats such as ``1e5`` included; any other
+        value raises ``ValueError``.
     """
 
     def __init__(self, spec: ChannelSpec, *, gap_tol: float = DEFAULT_GAP_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 table_points: int = DEFAULT_TABLE_POINTS):
-        for name, value, low in (("table_points", table_points, 2),
-                                 ("max_iter", max_iter, 1)):
-            if not (float(value).is_integer() and value >= low):
-                raise ValueError(
-                    f"{name} = {value!r} must be an integer of at least {low}")
+                 max_iter: int = DEFAULT_MAX_ITER):
+        if not (float(max_iter).is_integer() and max_iter >= 1):
+            raise ValueError(
+                f"max_iter = {max_iter!r} must be an integer of at least 1")
         self.spec = spec
         self.gap_tol = float(gap_tol)
         self.max_iter = int(max_iter)
@@ -758,22 +722,18 @@ class ExponentSolver:
             1.0, self._log_p, q, d, self.i_p, f, 0.0, 0)}
         self._phi_cache: dict[float, tuple[float, _InnerSolution, float]] = {}
         self._embed_cache: dict[float, ConditionalChannel] = {}
-        self._table_s = np.linspace(2.0, 0.0, int(table_points))
-        # the table's other s > 0 are one Newton stack from the true output
-        # marginal; s = 0 then runs from the smallest of them
-        keys = [_key(float(s)) for s in self._table_s]
-        stack = [key for key in dict.fromkeys(keys)
-                 if key > 0.0 and key not in self._cache]
-        if stack:
-            self._cache.update(zip(stack, _newton_stack(
-                self._w, self._log_p, self._support, stack,
-                np.tile(qz_p, (len(stack), 1)), self.gap_tol,
-                self.max_iter)))
-        # the warm starts: the table's s > 0 entries, then the halving
-        # levels below them, all in decreasing s
+        # the table's s not in {0, 1} are one Newton stack from the true
+        # output marginal; s = 0 then walks down from the smallest of them
+        keys = [_key(float(s)) for s in _TABLE_S]
+        stack = [key for key in keys if key not in (0.0, 1.0)]
+        self._cache.update(zip(stack, _newton_stack(
+            self._w, self._log_p, self._support, stack,
+            np.tile(qz_p, (len(stack), 1)), self.gap_tol, self.max_iter)))
+        # the ladder: the table's s > 0 entries, then the halving levels
+        # below them, all in decreasing s
         self._starts = [self._cache[key] for key in keys if key > 0.0]
         self._deepest = False           # no further level certifies
-        self._table = [self._solve_s(float(s)) for s in self._table_s]
+        self._table = [self._solve_s(float(s)) for s in _TABLE_S]
         self._table_i = np.array([sol.i for sol in self._table])  # ascending
         self.i_min = self._table[0].i
         self.i_max = self._table[-1].i
@@ -781,45 +741,77 @@ class ExponentSolver:
 
     # -- inner solves --------------------------------------------------
 
-    def _deepen(self) -> bool:
-        """Solve the next halving level below the table from the marginal
-        of the level above and append it to the starts; False, from then
-        on, once a level does not certify or its key would not fall below
-        the level above (the 1e-9 cache quantum rounds 5e-10 up to 1e-9)."""
-        if self._deepest:
-            return False
-        above = self._starts[-1]
-        key = _key(above.s / 2.0)
-        sol = self._cache.get(key)
-        if sol is None and 0.0 < key < above.s:
+    def _start(self, k: int) -> _InnerSolution | None:
+        """The k-th start of the ladder, or None below its deepest level.
+        Below the table's s > 0 entries each level is Newton-solved at half
+        the s of the level above, from its marginal, and built on demand.
+        The ladder ends at the first level that does not certify (the
+        failed solve leaves a debug record) or whose key would not fall
+        below the level above (the 1e-9 cache quantum rounds 5e-10 up to
+        1e-9)."""
+        while k >= len(self._starts) and not self._deepest:
+            above = self._starts[-1]
+            key = _key(above.s / 2.0)
+            self._deepest = not 0.0 < key < above.s
+            if self._deepest:
+                break
+            v = np.maximum(self._w @ above.q, _TINY)
             try:
-                sol = self._cache[key] = _solve_newton(
-                    self._w, self._log_p, self._support, key,
-                    np.maximum(self._w @ above.q, _TINY), self.gap_tol,
-                    self.max_iter)
+                sol = _solve_newton(self._w, self._log_p, self._support, key,
+                                    v, self.gap_tol, self.max_iter)
             except SolverError:
-                pass
-        self._deepest = sol is None or not 0.0 < key < above.s
-        if not self._deepest:
-            self._starts.append(sol)
-        return not self._deepest
+                self._deepest = True
+            else:
+                self._cache[key] = sol
+                self._starts.append(sol)
+        return self._starts[k] if k < len(self._starts) else None
+
+    def _solve_zero(self) -> _InnerSolution:
+        """The s = 0 solve by continuation down the ladder from its last
+        start (a homotopy; Boyd & Vandenberghe 2004, sec. 11): each rung
+        returns its own rows or their forest vertex, whichever certifies at
+        s = 0, or else the walk steps down a rung.  Raises SolverError below
+        the deepest level; iterations counts the Newton steps of every rung
+        below the first."""
+        w, log_p, support = self._w, self._log_p, self._support
+        k = len(self._starts) - 1
+        sol, steps = self._starts[k], 0
+        while True:
+            q, qz, d, i, f = _evaluate(w, log_p, sol.log_q, 0.0)
+            ln_qz = np.log(np.maximum(qz, _TINY))
+            gap = f - _dual_bound(w, log_p, support, ln_qz)
+            if gap <= self.gap_tol:
+                return _InnerSolution(0.0, sol.log_q, q, d, i, f, gap, steps)
+            vertex = _forest_vertex(w, log_p, support, ln_qz, self.gap_tol,
+                                    steps)
+            if vertex is not None:
+                return vertex
+            k += 1
+            if self._start(k) is None:
+                break
+            sol = self._starts[k]
+            steps += sol.iterations
+        _log.debug("s=0 continuation stopped uncertified at s=%.9g with gap "
+                   "%.3g after %d Newton steps", sol.s, gap, steps)
+        raise SolverError(f"s=0 continuation did not certify down to "
+                          f"s={sol.s:.9g}", best_value=f, residual=gap,
+                          iterations=steps)
 
     def _solve_s(self, s: float) -> _InnerSolution:
-        # inner solutions are cached on s quantized to 1e-9.  An uncached
-        # s > 0 runs Newton from the marginal of the nearest table entry
-        # or level (the first of two equally near), once the levels reach
-        # down to s.  s = 0, solved with the table before any level,
-        # continues from the smallest positive table entry.
+        # inner solutions are cached on s quantized to 1e-9.  s = 0, solved
+        # with the table, walks down the ladder.  An uncached s > 0 runs
+        # Newton from the marginal of the nearest start (the first of two
+        # equally near), once the ladder reaches down to s; one of its
+        # levels may be s itself.
         key = _key(s)
         sol = self._cache.get(key)
         if sol is None:
             if key == 0.0:
-                sol = _solve_zero(self._w, self._log_p, self._support,
-                                  self._starts[-1], self.gap_tol,
-                                  self.max_iter)
+                sol = self._solve_zero()
             else:
-                while self._starts[-1].s > key and self._deepen():
-                    pass
+                k = len(self._starts) - 1
+                while self._starts[k].s > key and self._start(k + 1):
+                    k += 1
                 sol = self._cache.get(key)
             if sol is None:
                 near = min(self._starts, key=lambda start: abs(start.s - key))
@@ -853,20 +845,15 @@ class ExponentSolver:
         if lo.s > 0.0:
             return lo, hi, True
         k = len(self._table) - 2            # hi is self._starts[k]
-        while True:
-            if k + 1 == len(self._starts) and not self._deepen():
-                return lo, hi, False
-            k += 1
-            if self._starts[k].i >= target:
-                return self._starts[k], hi, True
-            hi = self._starts[k]
+        while (below := self._start(k + 1)) is not None:
+            if below.i >= target:
+                return below, hi, True
+            hi, k = below, k + 1
+        return lo, hi, False
 
     def _sandwich(self, target: float) -> tuple[float, _InnerSolution, float]:
         """(phi, the solve whose support line gives it, the certified width
-        of the sandwich around it) at a target within [i_min, i_max]."""
-        if target >= self.i_max or target <= self.i_min:
-            sol = self._table[-1 if target >= self.i_max else 0]
-            return max(sol.f - (sol.s - 1.0) * target, 0.0), sol, sol.gap
+        of the sandwich around it) at a target inside (i_min, i_max)."""
         lo, hi, refine = self._bracket(target)
         g_lo, g_hi = lo.i - target, hi.i - target
         best, lower = None, -math.inf
@@ -917,12 +904,18 @@ class ExponentSolver:
         return max(best[0], 0.0), best[1], width
 
     def _phi(self, target_i: float) -> tuple[float, _InnerSolution, float]:
-        """phi at target_i clamped to [i_min, i_max], memoized: see
-        _sandwich."""
-        target = min(max(target_i, self.i_min), self.i_max)
-        hit = self._phi_cache.get(target)
+        """phi at target_i clamped to [i_min, i_max]; inside, memoized: see
+        _sandwich.  At or beyond an end it is the support line of that
+        end's table entry, picked from the unclamped target: when every row
+        of P is one-hot the curve is one point, i_min == i_max, and a
+        target below it still takes the s = 2 end."""
+        if target_i <= self.i_min or target_i >= self.i_max:
+            sol = self._table[0 if target_i <= self.i_min else -1]
+            target = min(max(target_i, self.i_min), self.i_max)
+            return max(sol.f - (sol.s - 1.0) * target, 0.0), sol, sol.gap
+        hit = self._phi_cache.get(target_i)
         if hit is None:
-            hit = self._phi_cache[target] = self._sandwich(target)
+            hit = self._phi_cache[target_i] = self._sandwich(target_i)
         return hit
 
     # -- public operations ----------------------------------------------
@@ -943,11 +936,11 @@ class ExponentSolver:
                      mu_values: Sequence[float] | None = None) -> ParetoCurve:
         """Sweep mu over [-1, 1] and return the (I, D) trade-off curve."""
         if mu_values is None:
-            mus = np.linspace(1.0, -1.0, int(num_mu))
+            mus = np.linspace(1.0, -1.0, max(int(num_mu), 0))
         else:
             mus = np.sort(np.asarray(list(mu_values), dtype=float))[::-1]
-            if mus.size == 0 or mus[0] > 1.0 or mus[-1] < -1.0:
-                raise ValueError("mu grid must be nonempty and within [-1, 1]")
+        if mus.size == 0 or mus[0] > 1.0 or mus[-1] < -1.0:
+            raise ValueError("mu grid must be nonempty and within [-1, 1]")
         pts = []
         for mu in mus:
             sol = self._solve_s(1.0 + float(mu))

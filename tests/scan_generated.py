@@ -17,8 +17,11 @@ s > 1.  Then come the p50 and max of the new inner solves each ``phi``
 target takes (table builds aside), the widest certified sandwich width
 behind a ``phi`` value, with its channel and target, and the number of
 fallbacks: targets whose sandwich stayed wider than 2 gap_tol.  Then come
-the p50, p99 and max wall time of the table builds (the solver
-constructions) of each seed, with the channel of the slowest.  The
+the p50 and max of the halving levels each channel built below the
+multiplier table, and of those the s = 0 solve built on its walk down
+them, with both totals.  Then come the p50, p99 and max wall time of the
+table builds (the solver constructions) of each seed, with the channel of
+the slowest.  The
 last line, ``digest <sha256>``, hashes every channel's cached inner solves
 in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap`` and
 ``iterations``) and every ``SolverError`` message, so equal digests from
@@ -68,14 +71,22 @@ def targets(solver) -> list[float]:
     return [float(t) for t in (*grid, *near)]
 
 
-def scan(seed: int, digest) -> tuple[int, list, list, list, list, list]:
+def _levels(solver) -> int:
+    """The halving levels built so far below the table's s > 0 entries."""
+    return len(solver._starts) - (len(solver._table) - 1)
+
+
+def scan(seed: int, digest) -> tuple[int, list, list, list, list, list,
+                                     list]:
     """Failures of one seed's channels, (gap, channel, s) for every cached
     inner solve that certified only a gap above ``gap_tol``, (s,
     iterations) for every cached solve, (wall time, channel) of every
-    table build, the new inner solves of every ``phi`` target and (width,
-    channel, target, fallback) of every ``phi`` sandwich; feeds every
-    solve and failure to the hash ``digest``."""
-    failures, honest, counts, builds, solves, widths = 0, [], [], [], [], []
+    table build, the new inner solves of every ``phi`` target, (width,
+    channel, target, fallback) of every ``phi`` sandwich and (levels,
+    levels built by the s = 0 solve) of every channel; feeds every solve
+    and failure to the hash ``digest``."""
+    failures, honest, counts, builds, solves, widths, levels = \
+        0, [], [], [], [], [], []
     for k, doc in generated(seed):
         channel = f"seed {seed} #{k} ({len(doc['wiretap'])}x" \
                   f"{len(doc['wiretap'][0])})"
@@ -84,6 +95,7 @@ def scan(seed: int, digest) -> tuple[int, list, list, list, list, list]:
             start = time.perf_counter()
             solver = ExponentSolver(spec)
             builds.append((time.perf_counter() - start, channel))
+            zero = _levels(solver)
             for t in targets(solver):
                 before = len(solver._cache)
                 solver.phi(t)
@@ -103,7 +115,8 @@ def scan(seed: int, digest) -> tuple[int, list, list, list, list, list]:
         counts += [(sol.s, sol.iterations) for sol in solver._cache.values()]
         widths += [(width, channel, t, width > 2.0 * solver.gap_tol)
                    for t, (_, _, width) in solver._phi_cache.items()]
-    return failures, honest, counts, builds, solves, widths
+        levels.append((_levels(solver), zero))
+    return failures, honest, counts, builds, solves, widths, levels
 
 
 def main(argv) -> int:
@@ -115,6 +128,7 @@ def main(argv) -> int:
     counts = [entry for r in results for entry in r[2]]
     solves = np.array([n for r in results for n in r[4]])
     widths = [entry for r in results for entry in r[5]]
+    levels = np.array([entry for r in results for entry in r[6]])
     print(f"{failures} failures in {CHANNELS_PER_SEED * len(seeds)} channels")
     print(f"{len(above)} cached inner solves above gap_tol")
     for gap, channel, s in sorted(above, reverse=True):
@@ -133,7 +147,14 @@ def main(argv) -> int:
         width, channel, t, _ = max(widths)
         print(f"widest sandwich {width:.3g} at {channel}, I = {t:.9g}; "
               f"{sum(entry[3] for entry in widths)} fallbacks")
-    for seed, (_, _, _, builds, _, _) in zip(seeds, results):
+    if levels.size:
+        (p50, p50_zero), (top, top_zero) = \
+            np.percentile(levels, 50, axis=0, method="lower"), levels.max(0)
+        total, zero = levels.sum(axis=0)
+        print(f"halving levels per channel p50 {p50} max {top}; built by "
+              f"the s = 0 solve p50 {p50_zero} max {top_zero} ({zero} of "
+              f"{total} levels)")
+    for seed, (_, _, _, builds, *_) in zip(seeds, results):
         if builds:
             ms = 1e3 * np.array([t for t, _ in builds])
             p50, p99 = np.percentile(ms, [50, 99], method="lower")

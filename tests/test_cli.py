@@ -54,15 +54,12 @@ class TestExponentCommand:
         assert err == ""
         assert abs(float(record_to_dict(out)["rep_discrepancy"])) <= 1e-6
 
-    def test_s_zero_cut_short_exits_3(self, capsys, monkeypatch, tmp_path):
-        # from the true channel the s = 0 vertex certifies at s = 2^-6; a
-        # continuation cut short, by a Newton level that stops
-        # uncertified or by finding no vertex down to s = 2^-20, ends in
-        # the solver error
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"table_points": 3}), encoding="utf-8")
-        argv = ["exponent", SLOW_FIXED_POINT, "--r1", "1.15", "--r2", "0.5",
-                "--config", str(cfg)]
+    def test_s_zero_cut_short_exits_3(self, capsys, monkeypatch):
+        # the s = 0 vertex certifies at the first halving level, s = 2^-6;
+        # a walk cut short, by that level's Newton solve stopping
+        # uncertified or by finding no vertex down to the deepest level,
+        # ends in the solver error
+        argv = ["exponent", SLOW_FIXED_POINT, "--r1", "1.15", "--r2", "0.5"]
         assert run(capsys, argv)[0] == 0
         solve = exponent._solve_newton
         # the table's own solves do not go through _solve_newton
@@ -70,13 +67,14 @@ class TestExponentCommand:
                             lambda *args: solve(*args[:-1], 1))
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
-        assert err.startswith("error: Newton solve did not certify at s=0.5 ")
+        assert err.startswith("error: s=0 continuation did not certify down "
+                              "to s=0.03125 ")
         monkeypatch.setattr(exponent, "_solve_newton", solve)
         monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
         assert err.startswith("error: s=0 continuation did not certify down "
-                              "to s=9.53674316e-07 ")
+                              "to s=6e-08 ")
 
     def test_equal_rates_zero(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
@@ -582,7 +580,6 @@ class TestConfig:
         assert cli._settings(argparse.Namespace()) == {
             "gap_tol": exponent.DEFAULT_GAP_TOL,
             "max_iter": exponent.DEFAULT_MAX_ITER,
-            "table_points": exponent.DEFAULT_TABLE_POINTS,
             "classify_tol": security.DEFAULT_CLASSIFY_TOL,
             "gaussian_grid": gaussian.DEFAULT_GRID_POINTS,
             "refine_tol": gaussian.DEFAULT_REFINE_TOL,
@@ -599,6 +596,8 @@ class TestConfig:
                                      "workers"])
     def test_non_numeric_setting_rejected(self, capsys, channel_file,
                                           tmp_path, key, value):
+        # table_points is no setting (the multiplier table has a fixed 65
+        # points): it is rejected as an unknown key whatever its value
         path = channel_file(*BSC01_ARGS)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}), encoding="utf-8")
@@ -658,13 +657,12 @@ class TestConfig:
                                     "--r2", "0.1", "--config", str(cfg)])
         assert code == 0 and err == ""
 
-    @pytest.mark.parametrize("key,value", [("table_points", 2.9),
+    @pytest.mark.parametrize("key,value", [("gaussian_grid", 2.9),
                                            ("max_iter", 100.7),
                                            ("workers", 1.5)])
     def test_non_integral_setting_rejected(self, capsys, channel_file,
                                            tmp_path, key, value):
-        # these were truncated without a word: table_points 2.9 ran a
-        # 2-point table
+        # an integer setting takes whole numbers only
         path = channel_file(*BSC01_ARGS)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}), encoding="utf-8")
@@ -677,8 +675,10 @@ class TestConfig:
                                              tmp_path):
         path = channel_file(*BSC01_ARGS)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iter": 2e5, "table_points": 65.0}),
-                       encoding="utf-8")
+        cfg.write_text(json.dumps({
+            "max_iter": 2e5,
+            "gaussian_grid": float(gaussian.DEFAULT_GRID_POINTS)}),
+            encoding="utf-8")
         argv = ["exponent", path, "--r1", "0.6", "--r2", "0.1"]
         _, ref, _ = run(capsys, argv)
         code, out, err = run(capsys, argv + ["--config", str(cfg)])
@@ -687,6 +687,8 @@ class TestConfig:
     @pytest.mark.parametrize("points", [0, 1])
     def test_table_points_below_two_rejected(self, capsys, channel_file,
                                              tmp_path, points):
+        # the multiplier table has a fixed 65 points, so table_points is an
+        # unknown key, whatever its value
         path = channel_file(*BSC01_ARGS)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"table_points": points}), encoding="utf-8")
@@ -694,7 +696,7 @@ class TestConfig:
                                       "--r2", "0.1", "--config", str(cfg)])
         assert code == 2
         assert out == ""
-        assert "table_points" in err
+        assert "unknown keys ['table_points']" in err
 
     def test_unknown_config_key(self, capsys, channel_file, tmp_path):
         path = channel_file(*BSC01_ARGS)

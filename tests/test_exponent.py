@@ -144,6 +144,13 @@ class TestParetoCurve:
         assert curve.i_range[0] == curve.points[0].i_value
         assert curve.i_range[1] == curve.points[-1].i_value
 
+    @pytest.mark.parametrize("kwargs", [{"num_mu": 0}, {"num_mu": -3},
+                                        {"mu_values": []}],
+                             ids=["zero", "negative", "empty"])
+    def test_empty_grid_rejected(self, bsc01, kwargs):
+        with pytest.raises(ValueError, match="mu grid must be nonempty"):
+            wx.pareto_curve(bsc01, **kwargs)
+
 
 class TestExponentRep1:
     def test_equal_rates_give_zero(self):
@@ -229,6 +236,46 @@ class TestExponentRep2:
         assert 0.0 <= res.lambda1 <= 1.0
         assert 0.0 <= res.lambda2 <= 1.0
         assert abs(res.e - res.rep2_value) <= 1e-4
+
+
+class TestOnePointCurve:
+    """Channels whose rows are all one-hot: P is the only test channel, so
+    the trade-off curve is one point, i_min == i_max == H(X), and
+    E(R, 0) = [R - H(X)]_+."""
+
+    @pytest.fixture(params=[[0.5, 0.5], [0.2, 0.3, 0.5]],
+                    ids=["identity2", "identity3"])
+    def solver(self, request):
+        px = np.array(request.param)
+        return ExponentSolver(wx.ChannelSpec(wx.Distribution(px),
+                                             wx.Dmc(np.eye(px.size))))
+
+    def test_rep2_matches_rep1(self, solver):
+        assert solver.i_min == solver.i_max
+        for r1 in (0.0, 0.3, 0.6, solver.i_max, 1.0, 1.5):
+            for r2 in (0.0, 0.5 * r1):
+                res = solver.solve(wx.RatePair(r1, r2))
+                assert res.rep2_value == pytest.approx(res.e, abs=1e-12)
+                assert res.e >= 0.0
+                if r2 == 0.0:
+                    assert res.e == pytest.approx(
+                        max(r1 - solver.i_max, 0.0), abs=1e-12)
+
+    def test_r2_zero_nonnegative(self, solver):
+        for r in np.linspace(0.0, 1.5, 31):
+            assert solver.exponent_r2_zero(float(r)) == pytest.approx(
+                max(r - solver.i_max, 0.0), abs=1e-12)
+
+    def test_cli_rep_discrepancy_zero(self, capsys, tmp_path):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"input_dist": [0.5, 0.5],
+                                    "wiretap": [[1, 0], [0, 1]]}),
+                        encoding="utf-8")
+        assert main(["exponent", str(path), "--r1", "0.3", "--r2", "0.1"]) == 0
+        out = dict(line.split(" ", 1)
+                   for line in capsys.readouterr().out.splitlines())
+        assert (out["E"], out["rep2"], out["lambda1"],
+                out["rep_discrepancy"]) == ("0", "0", "1", "0")
 
 
 class TestExponentR2Zero:
@@ -429,7 +476,7 @@ class TestAndersonStep:
     def test_plain_jumps_alone_crawl(self, slow):
         # from the neighbouring table entry's marginal, 500 plain jumps
         # V <- Q_Z(jump(V)) leave the dual gap far above gap_tol
-        j = int(np.flatnonzero(slow._table_s == 0.5)[0])
+        j = int(np.flatnonzero(exponent._TABLE_S == 0.5)[0])
         v = slow._w @ slow._table[j - 1].q
         for _ in range(500):
             rows, lse = exponent._jump(slow._log_p, slow._support, 0.5,
@@ -455,44 +502,56 @@ class TestAndersonStep:
 
     def test_query_order_independent(self, slow):
         spec = wx.load_channel_spec(SLOW_FIXED_POINT)
-        j = int(np.flatnonzero(slow._table_s == 0.5)[0])
+        j = int(np.flatnonzero(exponent._TABLE_S == 0.5)[0])
         # targets between the s = 0.53125 and s = 0.5 table entries
         targets = [float(t) for t in
                    np.linspace(slow._table_i[j - 1], slow._table_i[j], 5)[1:-1]]
         fwd, rev = ExponentSolver(spec), ExponentSolver(spec)
         a = [fwd.phi(t) for t in targets]
         b = [rev.phi(t) for t in reversed(targets)][::-1]
-        assert all(sol.s not in slow._table_s for _, sol in a)
+        assert all(sol.s not in exponent._TABLE_S for _, sol in a)
         for (va, sa), (vb, sb) in zip(a, b):
             assert va == vb
             assert sa.log_q.tobytes() == sb.log_q.tobytes()
 
     def test_debug_records_for_stalled_runs(self, caplog, monkeypatch):
-        # without a vertex the continuation from the true channel reaches
-        # s = 2^-20 with its iterate still uncertified: it leaves one
-        # record and raises, whatever its gap
+        # without a vertex the walk from the smallest positive table entry
+        # reaches the deepest level, s = 6e-08, with its rows still
+        # uncertified: the next level's Newton solve stops uncertified and
+        # the walk leaves one record of its own and raises, whatever its
+        # gap
         monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             with pytest.raises(wx.SolverError, match=r"continuation did not "
-                               r"certify down to s=9\.53674316e-07 ") as exc:
-                ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT),
-                               table_points=3)
+                               r"certify down to s=6e-08 ") as exc:
+                ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT))
         assert exc.value.residual > 1e-10
         messages = [r.getMessage() for r in caplog.records]
-        assert messages == [
-            "s=0 continuation stopped uncertified at s=9.53674316e-07 with "
+        assert len(messages) == 2
+        assert messages[0].startswith("Newton solve at s=3e-08 stopped "
+                                      "uncertified")
+        assert messages[1] == (
+            "s=0 continuation stopped uncertified at s=6e-08 with "
             f"gap {exc.value.residual:.3g} after {exc.value.iterations} "
-            "Newton steps"]
+            "Newton steps")
+
+
+def _halvings(n: int) -> list[float]:
+    """The keys of the first n halving levels below s = 1/32."""
+    keys = [1 / 32]
+    for _ in range(n):
+        keys.append(exponent._key(keys[-1] / 2.0))
+    return keys[1:]
 
 
 class TestSolverRecords:
     """Iteration counts and debug records of the fallback exits."""
 
     def test_iterations_count_every_run(self, monkeypatch):
-        # the s = 0 solve from the true channel halves s six times before
-        # a vertex certifies, and counts the Newton steps of every level;
-        # so does the error of a continuation that finds no vertex down to
-        # s = 2^-20
+        # the s = 0 solve of scan23_094 walks down eleven halving levels
+        # before a vertex certifies, and counts the Newton steps of every
+        # level; so does the error of a walk that finds no vertex down to
+        # the slow fixture's deepest level
         levels = []
         solve = exponent._solve_newton
 
@@ -502,15 +561,15 @@ class TestSolverRecords:
             return sol
 
         monkeypatch.setattr(exponent, "_solve_newton", counted)
-        spec = wx.load_channel_spec(SLOW_FIXED_POINT)
-        sol = ExponentSolver(spec, table_points=3)._table[-1]
-        assert [s for s, _ in levels] == [2.0 ** -k for k in range(1, 7)]
+        sol = ExponentSolver(wx.load_channel_spec(
+            _scan_path("scan23_094_8x8")))._table[-1]
+        assert [s for s, _ in levels] == _halvings(11)
         assert sol.iterations == sum(n for _, n in levels) > 0
         levels.clear()
         monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
         with pytest.raises(wx.SolverError) as exc:
-            ExponentSolver(spec, table_points=3)
-        assert [s for s, _ in levels] == [2.0 ** -k for k in range(1, 21)]
+            ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT))
+        assert [s for s, _ in levels] == _halvings(19)
         assert exc.value.iterations == sum(n for _, n in levels)
 
     def test_debug_record_for_uncertified_newton_solve(self, caplog,
@@ -518,7 +577,7 @@ class TestSolverRecords:
         # a gap stuck above gap_tol ends the solve once its steps fall to
         # float noise, well before max_iter, with a record and a
         # SolverError: an s > 0 solve has no stall acceptance
-        solver = ExponentSolver(make_asym_3x3(), table_points=3)
+        solver = ExponentSolver(make_asym_3x3())
         # one gap per slice of the stack the certificate is given
         monkeypatch.setattr(exponent, "_linearization_gap",
                             lambda w, log_p, support, s, log_q, *rest:
@@ -546,7 +605,7 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize("s", [0.5, 1.5])
     def test_scaled_hessian_matches_finite_differences(self, s):
-        solver = ExponentSolver(make_asym_3x3(), table_points=2)
+        solver = ExponentSolver(make_asym_3x3())
         v = np.array([0.5, 0.2, 0.3])
         q = np.exp(exponent._jump(solver._log_p, solver._support, s,
                                   np.log(v))[0])
@@ -586,7 +645,7 @@ class TestNewtonSolve:
         # kept output above the floor
         solver = ExponentSolver(wx.load_channel_spec(
             _scan_path("scan7_077_2x6")))
-        j = int(np.flatnonzero(solver._table_s == 1 / 32)[0])
+        j = int(np.flatnonzero(exponent._TABLE_S == 1 / 32)[0])
         sol = exponent._solve_newton(
             solver._w, solver._log_p, solver._support, s,
             solver._w @ solver._table[j].q, solver.gap_tol, solver.max_iter)
@@ -651,7 +710,7 @@ class TestLockstepTable:
         monkeypatch.setattr(exponent, "_linearization_gap", stuck)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             with pytest.raises(wx.SolverError) as one:
-                for s in solver._table_s:
+                for s in exponent._TABLE_S:
                     if s not in (0.0, 1.0):
                         exponent._solve_newton(*args, float(s), qz_p,
                                                solver.gap_tol,
@@ -674,7 +733,7 @@ class TestLockstepTable:
         # a slice with a floored output solves the KKT system of its kept
         # outputs, with u = 0 on the floored one; its neighbour in the
         # stack is untouched
-        solver = ExponentSolver(make_asym_3x3(), table_points=2)
+        solver = ExponentSolver(make_asym_3x3())
         w = solver._w
         s = [0.3, 1.6]
         v = np.random.default_rng(3).dirichlet(np.ones(3), size=2)
@@ -779,10 +838,11 @@ class TestVertexAtSZero:
             sol.gap <= 1e-10
 
     def test_fallback_is_the_continuation(self, monkeypatch):
-        # a vertex that does not certify leaves the iterate untouched: a
-        # continuation whose vertices are all solved and discarded ends
-        # where one that never solves one does, uncertified at s = 2^-20,
-        # with the vertex tried once per level, after that level's steps
+        # a vertex that does not certify leaves the rung untouched: a walk
+        # whose vertices are all solved and discarded ends where one that
+        # never solves one does, uncertified at the deepest level, with the
+        # vertex tried once per rung (s = 1/32 and 19 levels), after that
+        # rung's steps
         spec = wx.load_channel_spec(SLOW_FIXED_POINT)
         vertex = exponent._forest_vertex
         ends = []
@@ -795,15 +855,15 @@ class TestVertexAtSZero:
 
             monkeypatch.setattr(exponent, "_forest_vertex", tried)
             with pytest.raises(wx.SolverError) as exc:
-                ExponentSolver(spec, table_points=3)
-            assert len(calls) == 21 and calls[0] == 0
+                ExponentSolver(spec)
+            assert len(calls) == 20 and calls[0] == 0
             assert calls == sorted(calls)
             assert calls[-1] == exc.value.iterations
             ends.append((exc.value.best_value, exc.value.residual,
                          exc.value.iterations))
         assert ends[0] == ends[1] and ends[0][1] > 1e-10
         monkeypatch.undo()
-        sol = ExponentSolver(spec, table_points=3)._table[-1]
+        sol = ExponentSolver(spec)._table[-1]
         assert sol.gap <= 1e-10 and sol.iterations < ends[0][2]
         # the stalled iterate lies above the vertex optimum by at most its
         # own gap
@@ -892,34 +952,36 @@ class TestGeneratedScanChannels:
             assert gap <= solver.gap_tol
 
     def test_crushed_start_certifies(self, caplog):
-        # rows that put all their mass on their least likely output start
-        # the continuation at s = 1 with zeros in the marginal and a vertex
-        # that does not certify; the Newton level at s = 1/2 starts from
-        # the floored marginal and revives them, and s = 0 certifies
+        # rows that put all their mass on their least likely output, the
+        # only start of a fresh ladder at s = 1, leave zeros in the
+        # marginal and a vertex that does not certify; the Newton level at
+        # s = 1/2 starts from the floored marginal and revives them, and
+        # s = 0 certifies further down
         spec = wx.load_channel_spec(_scan_path("scan7_046_6x2"))
-        solver = ExponentSolver(spec, table_points=3)
+        solver = ExponentSolver(spec)
         worst = np.where(solver._support, solver._log_p, np.inf).argmin(axis=1)
         rows = np.where(np.arange(solver._p.shape[1]) == worst[:, None], 0.0,
                         exponent._LOGZERO)
         start = exponent._InnerSolution(1.0, rows, np.exp(rows), 0.0, 0.0,
                                         0.0, 0.0, 0)
+        solver._starts, solver._deepest = [start], False
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = exponent._solve_zero(solver._w, solver._log_p,
-                                       solver._support, start,
-                                       solver.gap_tol, solver.max_iter)
+            sol = solver._solve_zero()
+        assert solver._starts[1].s == 0.5
         assert sol.s == 0.0 and sol.iterations > 0
         assert _numpy_gap(spec, sol) <= solver.gap_tol
         assert "continuation stopped" not in caplog.text
 
     @pytest.mark.parametrize("name", ["scan7_044_3x8", "scan7_077_2x6"])
     def test_s_zero_run_takes_the_vertex(self, name, caplog, monkeypatch):
-        # the s = 0 solve from the true channel takes the vertex of its
-        # starting marginal, certified far below gap_tol.  Without a
-        # vertex the continuation goes on: #77's iterate certifies itself
-        # deep down, and #44's is still uncertified at s = 2^-20
+        # the s = 0 solve takes the vertex of the marginal of the smallest
+        # positive table entry, certified far below gap_tol.  Without a
+        # vertex the walk goes on: #77's rows certify themselves deep
+        # down, and #44's are still uncertified at the deepest level,
+        # s = 6e-08
         spec = wx.load_channel_spec(_scan_path(name))
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = ExponentSolver(spec, table_points=3)._table[-1]
+            sol = ExponentSolver(spec)._table[-1]
         assert sol.s == 0.0 and sol.iterations == 0
         assert _numpy_gap(spec, sol) <= 1e-14
         text = "\n".join(r.getMessage() for r in caplog.records)
@@ -928,17 +990,17 @@ class TestGeneratedScanChannels:
         monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
         if name == "scan7_044_3x8":
             with pytest.raises(wx.SolverError, match="continuation did not "
-                               "certify down to s=9.53674316e-07 "):
-                ExponentSolver(spec, table_points=3)
+                               "certify down to s=6e-08 "):
+                ExponentSolver(spec)
         else:
-            sol = ExponentSolver(spec, table_points=3)._table[-1]
+            sol = ExponentSolver(spec)._table[-1]
             assert sol.iterations > 0
             assert _numpy_gap(spec, sol) <= 1e-10
 
 
 # Channels #116 (8x6) of the scan's seed 8 and #94 (8x8) of its seed 23,
-# stored as generated.  Their s = 0 vertices certify only deep in the
-# continuation, at s = 2^-10 and 2^-16.
+# stored as generated.  Their s = 0 vertices certify only deep down the
+# ladder, at s = 2^-10 and 2^-16.
 @pytest.mark.parametrize("name", ["scan8_116_8x6", "scan23_094_8x8"])
 def test_deep_s_zero_certifies_within_64_steps(name):
     spec = wx.load_channel_spec(_scan_path(name))
@@ -1069,6 +1131,28 @@ class TestSandwich:
         assert "failed" in messages[0]
         assert "above the deepest level" in messages[1]
 
+    def test_s_zero_levels_serve_phi(self, monkeypatch):
+        # the s = 0 walk of scan23_094 leaves the levels down to 2^-16 on
+        # the ladder; the targets just below i_max bracket with them and
+        # then solve no s twice and none of those levels again
+        solver = ExponentSolver(wx.load_channel_spec(
+            _scan_path("scan23_094_8x8")))
+        built = _halvings(11)
+        assert [sol.s for sol in solver._starts[len(solver._table) - 1:]] \
+            == built
+        keys = []
+        solve = exponent._solve_newton
+
+        def counted(w, log_p, support, s, *rest):
+            keys.append(s)
+            return solve(w, log_p, support, s, *rest)
+
+        monkeypatch.setattr(exponent, "_solve_newton", counted)
+        for e in range(1, 10):
+            solver.phi(solver.i_max - 10.0 ** -e)
+        assert keys and len(set(keys)) == len(keys)
+        assert not set(keys) & set(built)
+
     def test_levels_bracket_targets_near_i_max(self):
         # targets just below i_max lie above the smallest positive table
         # entry's I; the halving levels below it bracket them, each level
@@ -1079,7 +1163,7 @@ class TestSandwich:
             _scan_path("scan23_094_8x8")))
         for e in range(1, 10):
             value, sol, width = solver._phi(solver.i_max - 10.0 ** -e)
-            assert sol.s < solver._table_s[-2]
+            assert sol.s < exponent._TABLE_S[-2]
             assert width <= 2.0 * solver.gap_tol
         levels = solver._starts[len(solver._table) - 1:]
         assert levels
@@ -1140,9 +1224,6 @@ class TestLabelPermutation:
 
 class TestSolverArguments:
     @pytest.mark.parametrize("name, value, accepted", [
-        ("table_points", 2.9, False),
-        ("table_points", 1, False),
-        ("table_points", 3.0, True),
         ("max_iter", 0.5, False),
         ("max_iter", 0, False),
         ("max_iter", 100.7, False),
@@ -1155,7 +1236,4 @@ class TestSolverArguments:
                 ExponentSolver(make_bsc(0.1), **{name: value})
             return
         solver = ExponentSolver(make_bsc(0.1), **{name: value})
-        assert solver.max_iter == (int(value) if name == "max_iter"
-                                   else exponent.DEFAULT_MAX_ITER)
-        assert len(solver._table) == (int(value) if name == "table_points"
-                                      else exponent.DEFAULT_TABLE_POINTS)
+        assert solver.max_iter == int(value)
