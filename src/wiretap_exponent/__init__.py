@@ -8,6 +8,13 @@ also characterizes the rate regions where the exponent vanishes and where
 it equals the blind-guessing exponent R1 - R2, and validates the
 asymptotic formulas against finite-blocklength simulation of the actual
 coding ensemble.
+
+Every exponent and region quantity of a finite-alphabet channel is read
+through one :class:`ExponentSolver`, which builds the channel's
+divergence/information trade-off curve once and reuses it across queries:
+``ExponentSolver(spec).solve(RatePair(r1, r2))`` evaluates E(R1, R2), and
+the region functions (:func:`compute_qstar`, :func:`full_security_interval`,
+:func:`classify_rate_point`) take the solver as their first argument.
 """
 from .channels import (ChannelSpec, ConditionalChannel, DegradednessResult,
                        Distribution, Dmc, check_degraded, entropy,
@@ -16,9 +23,7 @@ from .channels import (ChannelSpec, ConditionalChannel, DegradednessResult,
 from .errors import (BudgetExceededError, ChannelFileError, SolverError,
                      WiretapError)
 from .exponent import (ExponentResult, ExponentSolver, ParetoCurve, RatePair,
-                       bsc_exponent_closed_form, exponent_r2_zero,
-                       exponent_rep1, exponent_rep2, gamma_dmc,
-                       inner_lagrangian_min, pareto_curve, solve_exponent)
+                       bsc_exponent_closed_form, gamma_dmc)
 from .gaussian import (GaussianOptimum, GaussianSpec, gamma_gaussian,
                        gaussian_divergence_term, gaussian_exponent,
                        gaussian_mutual_info, sigma_z_star)
@@ -42,10 +47,9 @@ __all__ = [
     "check_degraded", "classify_exponent", "classify_rate_point",
     "compute_qstar",
     "decoder_log_score", "decoder_score", "entropy", "estimate_ensemble_pc",
-    "exact_pc_for_codebook", "exponent_r2_zero", "exponent_rep1",
-    "exponent_rep2", "full_security_interval", "gamma_dmc", "gamma_gaussian",
-    "gaussian_divergence_term", "gaussian_exponent", "gaussian_mutual_info",
-    "inner_lagrangian_min", "load_channel_spec", "mutual_information",
-    "pareto_curve", "parse_channel_spec", "quantize_composition",
-    "sample_codebook", "sigma_z_star", "solve_exponent", "type_enum_exponent",
+    "exact_pc_for_codebook", "full_security_interval", "gamma_dmc",
+    "gamma_gaussian", "gaussian_divergence_term", "gaussian_exponent",
+    "gaussian_mutual_info", "load_channel_spec", "mutual_information",
+    "parse_channel_spec", "quantize_composition", "sample_codebook",
+    "sigma_z_star", "type_enum_exponent",
 ]

@@ -263,34 +263,22 @@ def check_degraded(main: Dmc, wiretap: Dmc,
     nz = b.shape[1]
     nvar = ny * nz + 1               # vec(W) then the residual bound t
 
-    # |A W - B| <= t, elementwise
-    rows_ub = []
-    rhs_ub = []
-    for x in range(nx):
-        for z in range(nz):
-            coeff = np.zeros(nvar)
-            coeff[z::nz][:ny] = a[x]          # sum_y a[x,y] W[y,z]
-            coeff[-1] = -1.0
-            rows_ub.append(coeff.copy())
-            rhs_ub.append(b[x, z])
-            coeff2 = -coeff
-            coeff2[-1] = -1.0
-            rows_ub.append(coeff2)
-            rhs_ub.append(-b[x, z])
+    # |A W - B| <= t, elementwise: row (x, z) of kron(A, I) is
+    # sum_y a[x,y] W[y,z]; its + and - rows are interleaved per (x, z)
+    aw = np.kron(a, np.eye(nz))
+    t = np.full((nx * nz, 1), -1.0)
+    rows_ub = np.stack((np.hstack((aw, t)), np.hstack((-aw, t))),
+                       axis=1).reshape(-1, nvar)
+    rhs_ub = np.stack((b.ravel(), -b.ravel()), axis=1).ravel()
     # rows of W sum to one
-    rows_eq = []
-    for y in range(ny):
-        coeff = np.zeros(nvar)
-        coeff[y * nz:(y + 1) * nz] = 1.0
-        rows_eq.append(coeff)
+    rows_eq = np.hstack((np.kron(np.eye(ny), np.ones(nz)), np.zeros((ny, 1))))
     cost = np.zeros(nvar)
     cost[-1] = 1.0
     # imported here, not at module level: loading scipy's optimizers would
     # add about 0.3 s to the start of every command, not only `check`
     from scipy.optimize import linprog
     res = linprog(cost,
-                  A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-                  A_eq=np.array(rows_eq), b_eq=np.ones(ny),
+                  A_ub=rows_ub, b_ub=rhs_ub, A_eq=rows_eq, b_eq=np.ones(ny),
                   bounds=[(0, None)] * (ny * nz) + [(0, None)],
                   method="highs")
     if not res.success:

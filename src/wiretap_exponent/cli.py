@@ -229,13 +229,12 @@ def _cmd_region(args) -> int:
     if not r1s:
         raise ChannelFileError("no R1 values given (use --r1 or --r1-list)")
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
-    analysis = compute_qstar(spec, solver=solver)
+    analysis = compute_qstar(solver)
     lines = [",".join(("R1", "lower", "upper", "empty", "bracket_lower",
                        "bracket_upper", "bracket_valid", "i_qstar", "d_qstar",
                        "i_p", "verified"))]
     for r1 in r1s:
-        iv = full_security_interval(spec, r1, tol=cfg["classify_tol"],
-                                    solver=solver)
+        iv = full_security_interval(solver, r1, tol=cfg["classify_tol"])
         lines.append(",".join((
             _fmt(r1 / unit), _fmt(iv.lower / unit), _fmt(iv.upper / unit),
             _fmt(iv.empty), _fmt(iv.bracket_lower / unit),

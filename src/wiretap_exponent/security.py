@@ -5,14 +5,18 @@ secure band, and the fully secure region where E(R1, R2) = R1 - R2, i.e.
 where the wiretap observation does not beat blind guessing among the
 sub-codes.  Also provides the constructive sufficient bracket for full
 security built from the unconstrained minimizer of D - I.
+
+Every function here reads one channel's trade-off curve through the
+:class:`~wiretap_exponent.exponent.ExponentSolver` it is given, so the
+inner solves behind its table and ``phi`` are shared with every other
+query on that solver.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .channels import ChannelSpec, ConditionalChannel
+from .channels import ConditionalChannel
 from .exponent import ExponentSolver, RatePair
 
 DEFAULT_CLASSIFY_TOL = 1e-6
@@ -32,15 +36,14 @@ class SecurityAnalysis:
         Weighted divergence of the returned minimizer.
     i_p : float
         Mutual information of the true channel.
-    e3_curve : callable
-        Maps R1 to the third branch value E3(R1) (may return ``inf``).
+
+    The third branch value E3(R1) is ``solver.e3(r1)[0]``.
     """
 
     q_star: ConditionalChannel
     i_qstar: float
     d_qstar: float
     i_p: float
-    e3_curve: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -65,27 +68,16 @@ class FullSecurityInterval:
     verified: bool
 
 
-def _resolve(spec: ChannelSpec, solver: ExponentSolver | None,
-             kwargs: dict) -> ExponentSolver:
-    if solver is not None:
-        return solver
-    return ExponentSolver(spec, **kwargs)
+def compute_qstar(solver: ExponentSolver) -> SecurityAnalysis:
+    """Unconstrained minimizer of D - I on ``solver``'s channel and the
+    derived region quantities."""
+    q, d, i = solver.inner_lagrangian_min(-1.0)
+    return SecurityAnalysis(q_star=q, i_qstar=i, d_qstar=d, i_p=solver.i_p)
 
 
-def compute_qstar(spec: ChannelSpec, solver: ExponentSolver | None = None,
-                  **kwargs) -> SecurityAnalysis:
-    """Unconstrained minimizer of D - I and the derived region quantities."""
-    sv = _resolve(spec, solver, kwargs)
-    q, d, i = sv.inner_lagrangian_min(-1.0)
-
-    return SecurityAnalysis(q_star=q, i_qstar=i, d_qstar=d, i_p=sv.i_p,
-                            e3_curve=lambda r1: sv.e3(r1)[0])
-
-
-def full_security_interval(spec: ChannelSpec, r1: float,
-                           tol: float = DEFAULT_CLASSIFY_TOL,
-                           solver: ExponentSolver | None = None,
-                           **kwargs) -> FullSecurityInterval:
+def full_security_interval(solver: ExponentSolver, r1: float,
+                           tol: float = DEFAULT_CLASSIFY_TOL
+                           ) -> FullSecurityInterval:
     """R2 interval at fixed R1 where the exponent equals R1 - R2.
 
     The interval is cut out by two monotone boundary conditions evaluated
@@ -97,14 +89,12 @@ def full_security_interval(spec: ChannelSpec, r1: float,
     """
     if not (math.isfinite(r1) and r1 > 0):
         raise ValueError(f"r1 must be positive and finite, got {r1!r}")
-    sv = _resolve(spec, solver, kwargs)
-
-    e3v = sv.e3(r1)[0]
+    e3v = solver.e3(r1)[0]
     lower_e3 = -math.inf if math.isinf(e3v) else r1 - e3v
 
-    if r1 >= sv.i_min:
-        b = min(r1, sv.i_max)
-        lower_e2 = b - sv.phi(b)[0]
+    if r1 >= solver.i_min:
+        b = min(r1, solver.i_max)
+        lower_e2 = b - solver.phi(b)[0]
     else:
         lower_e2 = 0.0     # the middle branch has no curve point below I_min
 
@@ -112,15 +102,15 @@ def full_security_interval(spec: ChannelSpec, r1: float,
     upper = r1
     empty = not lower < upper
 
-    bracket_lower = max(sv.i_max - sv.d_at_imax, lower_e3)
-    bracket_upper = sv.i_max
-    bracket_valid = (r1 > sv.i_max) and (bracket_lower <= bracket_upper)
+    bracket_lower = max(solver.i_max - solver.d_at_imax, lower_e3)
+    bracket_upper = solver.i_max
+    bracket_valid = (r1 > solver.i_max) and (bracket_lower <= bracket_upper)
 
     verified = False
     if not empty:
         probes = [lower, 0.5 * (lower + upper)]
         verified = all(
-            abs(sv.exponent_rep1(RatePair(r1, p)).e - (r1 - p)) <= tol
+            abs(solver.exponent_rep1(RatePair(r1, p)).e - (r1 - p)) <= tol
             for p in probes)
     return FullSecurityInterval(r1=r1, lower=lower, upper=upper, empty=empty,
                                 bracket_lower=bracket_lower,
@@ -129,16 +119,13 @@ def full_security_interval(spec: ChannelSpec, r1: float,
                                 verified=verified)
 
 
-def classify_rate_point(spec: ChannelSpec, rates: RatePair,
-                        tol: float = DEFAULT_CLASSIFY_TOL,
-                        solver: ExponentSolver | None = None,
-                        **kwargs) -> str:
+def classify_rate_point(solver: ExponentSolver, rates: RatePair,
+                        tol: float = DEFAULT_CLASSIFY_TOL) -> str:
     """Classify a rate pair as ``"ZERO"``, ``"PARTIAL"`` or ``"FULL"``.
 
-    Evaluates E(R1, R2) and applies :func:`classify_exponent`.
+    Evaluates E(R1, R2) on ``solver`` and applies :func:`classify_exponent`.
     """
-    sv = _resolve(spec, solver, kwargs)
-    return classify_exponent(sv.exponent_rep1(rates).e, rates, tol)
+    return classify_exponent(solver.exponent_rep1(rates).e, rates, tol)
 
 
 def classify_exponent(e: float, rates: RatePair,

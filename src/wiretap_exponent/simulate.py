@@ -351,7 +351,11 @@ def per_trial_pc(spec: EnsembleSpec, budget: int = DEFAULT_Z_BUDGET,
 
 
 def summarize_trials(spec: EnsembleSpec, pcs: list[float]) -> SimulationResult:
-    """Aggregate per-trial P_c values; the mean uses exact summation."""
+    """Aggregate per-trial P_c values; the mean uses exact summation.
+
+    The empirical exponent -ln(P_c) / n is ``inf`` when no sample decoded
+    correctly (P_c = 0), and +0.0 when the mean reaches 1.
+    """
     t = len(pcs)
     mean = math.fsum(pcs) / t
     if t > 1:
@@ -359,9 +363,11 @@ def summarize_trials(spec: EnsembleSpec, pcs: list[float]) -> SimulationResult:
         stderr = math.sqrt(var / t)
     else:
         stderr = 0.0
+    # P_c <= 1, so a mean that rounds to 1 or just above it gives 0.0,
+    # not -0.0 or -1e-17
+    exponent = max(0.0, -math.log(mean) / spec.n) if mean > 0 else math.inf
     return SimulationResult(pc_mean=mean, pc_std_err=stderr,
-                            empirical_exponent=-math.log(mean) / spec.n,
-                            trials_used=t)
+                            empirical_exponent=exponent, trials_used=t)
 
 
 # ---------------------------------------------------------------------------

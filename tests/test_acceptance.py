@@ -120,9 +120,9 @@ def test_criterion_5_full_security_construction():
     for name, spec in (("BSC(0.1)", make_bsc(0.1)),
                        ("asymmetric 3x3", make_asym_3x3())):
         solver = ExponentSolver(spec)
-        analysis = wx.compute_qstar(spec, solver=solver)
+        analysis = wx.compute_qstar(solver)
         r1 = analysis.i_qstar + 0.05
-        interval = wx.full_security_interval(spec, r1, solver=solver)
+        interval = wx.full_security_interval(solver, r1)
         assert not interval.empty
         assert interval.bracket_valid
         assert interval.bracket_lower <= interval.bracket_upper
@@ -139,7 +139,7 @@ def test_criterion_6_type_enumeration_convergence():
     """Finite-n type enumeration approaches the asymptotic exponent."""
     spec = make_bsc(0.1)
     rates = wx.RatePair(0.6, 0.1)
-    e = wx.exponent_rep1(spec, rates).e
+    e = ExponentSolver(spec).exponent_rep1(rates).e
     gaps = []
     for n in (50, 100, 200, 400):
         te = wx.type_enum_exponent(spec, rates, n)
@@ -260,7 +260,8 @@ def test_criterion_9_determinism(tmp_path):
                            res.q_star.rows.tolist())))
         parts.append(repr(wx.bsc_exponent_closed_form(
             0.1, wx.RatePair(0.6, 0.1))))
-        iv = wx.full_security_interval(make_bsc(0.1), LN2 + 0.05)
+        iv = wx.full_security_interval(ExponentSolver(make_bsc(0.1)),
+                                       LN2 + 0.05)
         parts.append(repr((iv.lower, iv.upper, iv.bracket_lower,
                            iv.bracket_upper)))
         parts.append(repr(wx.type_enum_exponent(

@@ -202,11 +202,12 @@ class TestSweepCommand:
             "sweep", path, "--r1-grid", "0.1:0.9:5", "--r2-fractions", "0:0.8:3"])
         spec = wx.load_channel_spec(path)
         i_p = wx.mutual_information(spec.true_channel())
+        solver = ExponentSolver(spec)
         for line in out.strip().splitlines()[1:]:
             parts = line.split(",")
             r1, r2, e = float(parts[0]), float(parts[1]), float(parts[2])
             cls = parts[7]
-            assert cls == wx.classify_rate_point(spec, wx.RatePair(r1, r2))
+            assert cls == wx.classify_rate_point(solver, wx.RatePair(r1, r2))
             if cls == "ZERO" and r1 > r2:
                 assert r1 <= i_p + 1e-9 or e <= 1e-6
 
@@ -326,7 +327,7 @@ class TestRegionCommand:
     def test_csv_and_bracket(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
         spec = wx.load_channel_spec(path)
-        an = wx.compute_qstar(spec)
+        an = wx.compute_qstar(ExponentSolver(spec))
         r1 = an.i_qstar + 0.05
         code, out, _ = run(capsys, ["region", path, "--r1", str(r1),
                                     "--r1", "0.2"])
@@ -486,6 +487,24 @@ class TestSimulateCommand:
         _, seq, _ = run(capsys, args)
         _, par, _ = run(capsys, args + ["--workers", "2"])
         assert seq == par
+
+    @pytest.mark.parametrize("doc, argv, pc, emp", [
+        # one sampled output that no sub-code decodes
+        ((ASYM_3X3_INPUT, ASYM_3X3_ROWS),
+         ["--n", "6", "--r1", "1.8", "--r2", "0", "--trials", "1",
+          "--seed", "3", "--budget", "10", "--z-samples", "1"], "0", "inf"),
+        # the noiseless channel: every codebook decodes
+        (([0.5, 0.5], [[1, 0], [0, 1]]),
+         ["--n", "4", "--r1", "0.3", "--r2", "0.1", "--trials", "3",
+          "--seed", "1"], "1", "0"),
+    ], ids=["pc_zero", "pc_one"])
+    def test_extreme_pc(self, capsys, channel_file, doc, argv, pc, emp):
+        path = channel_file(*doc)
+        code, out, _ = run(capsys, ["simulate", path] + argv)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert (values["pc_mean"], values["emp_exponent"]) == (pc, emp)
 
     def test_budget_exceeded_exit_code(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)

@@ -63,7 +63,7 @@ class TestRatePair:
 
 class TestInnerLagrangianMin:
     def test_mu_zero_returns_true_channel(self, bsc01):
-        q, d, i = wx.inner_lagrangian_min(bsc01, 0.0)
+        q, d, i = ExponentSolver(bsc01).inner_lagrangian_min(0.0)
         assert d == pytest.approx(0.0, abs=1e-12)
         assert i == pytest.approx(LN2 - (-0.1 * math.log(0.1) - 0.9 * math.log(0.9)),
                                   abs=1e-10)
@@ -71,12 +71,12 @@ class TestInnerLagrangianMin:
 
     def test_bsc_tilted_crossover_s1(self, bsc01):
         # s = 1 keeps the true channel: crossover p
-        q, _, _ = wx.inner_lagrangian_min(bsc01, 0.0)
+        q, _, _ = ExponentSolver(bsc01).inner_lagrangian_min(0.0)
         assert q.rows[0, 1] == pytest.approx(0.1, abs=1e-9)
 
     def test_bsc_tilted_crossover_s2(self, bsc01):
         # s = 2 gives p^{1/2} / (p^{1/2} + (1-p)^{1/2}) = 1/4 exactly for p = 0.1
-        q, _, _ = wx.inner_lagrangian_min(bsc01, 1.0)
+        q, _, _ = ExponentSolver(bsc01).inner_lagrangian_min(1.0)
         assert q.rows[0, 1] == pytest.approx(0.25, abs=1e-9)
 
     def test_mu_out_of_range(self, bsc01):
@@ -106,13 +106,13 @@ class TestInnerLagrangianMin:
 
 class TestParetoCurve:
     def test_contains_true_channel(self, bsc01):
-        curve = wx.pareto_curve(bsc01, num_mu=41)
+        curve = ExponentSolver(bsc01).pareto_curve(num_mu=41)
         best = min(curve.points, key=lambda p: abs(p.mu))
         assert best.mu == 0.0
         assert best.d_value == pytest.approx(0.0, abs=1e-12)
 
     def test_bsc_noiseless_endpoint(self, bsc01):
-        curve = wx.pareto_curve(bsc01, num_mu=41)
+        curve = ExponentSolver(bsc01).pareto_curve(num_mu=41)
         end = curve.points[-1]
         assert end.mu == -1.0
         assert end.i_value == pytest.approx(LN2, abs=1e-7)
@@ -121,7 +121,7 @@ class TestParetoCurve:
     def test_monotone_and_convex(self):
         rng = np.random.default_rng(5)
         spec = random_channel(rng, 3, 4)
-        curve = wx.pareto_curve(spec, num_mu=101)
+        curve = ExponentSolver(spec).pareto_curve(num_mu=101)
         iv = np.array([p.i_value for p in curve.points])
         dv = np.array([p.d_value for p in curve.points])
         assert np.all(np.diff(iv) >= -1e-10)
@@ -140,7 +140,7 @@ class TestParetoCurve:
                 assert abs(p.i_value - solver.i_p) <= 1e-4
 
     def test_i_range(self, bsc01):
-        curve = wx.pareto_curve(bsc01, num_mu=21)
+        curve = ExponentSolver(bsc01).pareto_curve(num_mu=21)
         assert curve.i_range[0] == curve.points[0].i_value
         assert curve.i_range[1] == curve.points[-1].i_value
 
@@ -149,7 +149,7 @@ class TestParetoCurve:
                              ids=["zero", "negative", "empty"])
     def test_empty_grid_rejected(self, bsc01, kwargs):
         with pytest.raises(ValueError, match="mu grid must be nonempty"):
-            wx.pareto_curve(bsc01, **kwargs)
+            ExponentSolver(bsc01).pareto_curve(**kwargs)
 
 
 class TestExponentRep1:
@@ -169,10 +169,11 @@ class TestExponentRep1:
         assert res.active_branch in ("E2", "E3")
 
     def test_bsc_against_grid_oracle(self, bsc01):
-        res = wx.exponent_rep1(bsc01, wx.RatePair(0.6, 0.1))
+        solver = ExponentSolver(bsc01)
+        res = solver.exponent_rep1(wx.RatePair(0.6, 0.1))
         brute = bsc_brute_force(0.1, 0.6, 0.1)
         assert res.e == pytest.approx(brute, abs=1e-4)
-        v2 = wx.exponent_rep2(bsc01, wx.RatePair(0.6, 0.1))[0]
+        v2 = solver.exponent_rep2(wx.RatePair(0.6, 0.1))[0]
         assert abs(res.e - v2) <= 1e-4
 
     def test_min_and_branch_reporting(self, bsc01):
@@ -224,14 +225,15 @@ class TestExponentRep2:
         assert value == pytest.approx(solver.exponent_r2_zero(0.5), abs=1e-9)
 
     def test_bsc_against_closed_form(self, bsc01):
+        solver = ExponentSolver(bsc01)
         for rates in (wx.RatePair(0.6, 0.1), wx.RatePair(0.9, 0.4),
                       wx.RatePair(0.4, 0.0)):
-            generic = wx.exponent_rep2(bsc01, rates)[0]
+            generic = solver.exponent_rep2(rates)[0]
             closed = wx.bsc_exponent_closed_form(0.1, rates)
             assert generic == pytest.approx(closed, abs=1e-5)
 
     def test_solve_populates_all_fields(self, bsc01):
-        res = wx.solve_exponent(bsc01, wx.RatePair(0.6, 0.1))
+        res = ExponentSolver(bsc01).solve(wx.RatePair(0.6, 0.1))
         assert res.rep2_value is not None
         assert 0.0 <= res.lambda1 <= 1.0
         assert 0.0 <= res.lambda2 <= 1.0
@@ -280,7 +282,8 @@ class TestOnePointCurve:
 
 class TestExponentR2Zero:
     def test_zero_rate(self, bsc01):
-        assert wx.exponent_r2_zero(bsc01, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert ExponentSolver(bsc01).exponent_r2_zero(0.0) == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_beyond_curve_matches_rep1(self, bsc01):
         solver = ExponentSolver(bsc01)
@@ -311,10 +314,10 @@ class TestBscClosedForm:
             wx.bsc_exponent_closed_form(0.6, wx.RatePair(0.5, 0.1))
 
     def test_useless_channel_p_half(self):
-        spec = make_bsc(0.5)
+        solver = ExponentSolver(make_bsc(0.5))
         for rates in (wx.RatePair(0.5, 0.1), wx.RatePair(0.3, 0.0)):
             closed = wx.bsc_exponent_closed_form(0.5, rates)
-            generic = wx.exponent_rep2(spec, rates)[0]
+            generic = solver.exponent_rep2(rates)[0]
             assert closed == pytest.approx(generic, abs=1e-6)
             assert closed == pytest.approx(rates.r, abs=1e-6)
 
@@ -322,15 +325,15 @@ class TestBscClosedForm:
         # p -> 0 hands the eavesdropper the codeword: zero exponent below
         # ln 2, and min(R1 - R2, R1 - ln 2) above it
         p = 1e-6
-        spec = make_bsc(p)
+        solver = ExponentSolver(make_bsc(p))
         rates = wx.RatePair(0.5, 0.2)
         closed = wx.bsc_exponent_closed_form(p, rates)
-        generic = wx.exponent_rep2(spec, rates)[0]
+        generic = solver.exponent_rep2(rates)[0]
         assert abs(closed - generic) <= 1e-3
         assert closed == pytest.approx(0.0, abs=1e-3)
         rates = wx.RatePair(0.8, 0.2)
         closed = wx.bsc_exponent_closed_form(p, rates)
-        generic = wx.exponent_rep2(spec, rates)[0]
+        generic = solver.exponent_rep2(rates)[0]
         assert abs(closed - generic) <= 1e-3
         assert closed == pytest.approx(min(rates.r, rates.r1 - LN2), abs=1e-3)
 
@@ -426,8 +429,8 @@ class TestSparseSupport:
 class TestDeterminism:
     def test_bitwise_reproducible(self, bsc01):
         rates = wx.RatePair(0.6, 0.1)
-        a = wx.solve_exponent(bsc01, rates)
-        b = wx.solve_exponent(bsc01, rates)
+        a = ExponentSolver(bsc01).solve(rates)
+        b = ExponentSolver(bsc01).solve(rates)
         assert (a.e, a.e1, a.e2, a.e3, a.rep2_value, a.lambda1, a.lambda2) == \
             (b.e, b.e1, b.e2, b.e3, b.rep2_value, b.lambda1, b.lambda2)
         assert np.array_equal(a.q_star.rows, b.q_star.rows)

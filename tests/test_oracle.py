@@ -107,7 +107,7 @@ def test_qstar_matches_grid_oracle(name):
     # the s = 0 end of the curve: d_qstar - i_qstar is min D - I
     w, rows = CHANNELS[name]
     spec = wx.ChannelSpec(wx.Distribution(w), wx.Dmc(rows))
-    qstar = wx.compute_qstar(spec)
+    qstar = wx.compute_qstar(wx.ExponentSolver(spec))
     w, p = np.asarray(w, float), np.asarray(rows, float)
     oracle = grid_min(lambda a, b: np.subtract(
         *divergence_information(w, p, a, b)))

@@ -28,7 +28,7 @@ def grid_min_d_minus_i(p_rows, w, steps=221):
 
 class TestComputeQstar:
     def test_bsc_unconstrained_minimizer(self, bsc01):
-        an = wx.compute_qstar(bsc01)
+        an = wx.compute_qstar(ExponentSolver(bsc01))
         # dense grid over all 2x2 channels confirms the minimum of D - I
         oracle = grid_min_d_minus_i(bsc01.wiretap.rows,
                                     bsc01.input_dist.probs)
@@ -38,7 +38,7 @@ class TestComputeQstar:
         assert an.d_qstar == pytest.approx(math.log(1 / 0.9), abs=1e-6)
 
     def test_symmetric_channel_symmetric_qstar(self, bsc01):
-        an = wx.compute_qstar(bsc01)
+        an = wx.compute_qstar(ExponentSolver(bsc01))
         r = an.q_star.rows
         assert r[0, 0] == pytest.approx(r[1, 1], abs=1e-6)
         assert r[0, 1] == pytest.approx(r[1, 0], abs=1e-6)
@@ -46,7 +46,7 @@ class TestComputeQstar:
     def test_noiseless_channel_qstar_is_p(self):
         spec = wx.ChannelSpec(wx.Distribution([0.5, 0.5]),
                               wx.Dmc([[1.0, 0.0], [0.0, 1.0]]))
-        an = wx.compute_qstar(spec)
+        an = wx.compute_qstar(ExponentSolver(spec))
         assert np.allclose(an.q_star.rows, np.eye(2), atol=1e-9)
         assert an.d_qstar == pytest.approx(0.0, abs=1e-9)
         assert an.i_qstar == pytest.approx(LN2, abs=1e-9)
@@ -56,35 +56,35 @@ class TestComputeQstar:
         for _ in range(8):
             spec = random_channel(rng, int(rng.integers(2, 4)),
                                   int(rng.integers(2, 4)))
-            an = wx.compute_qstar(spec)
+            an = wx.compute_qstar(ExponentSolver(spec))
             assert an.i_qstar >= an.i_p - 1e-8
             assert an.d_qstar - an.i_qstar <= -an.i_p + 1e-8
             assert an.i_qstar >= an.i_p + an.d_qstar - 1e-8
 
     def test_e3_curve_shape(self, bsc01):
         solver = ExponentSolver(bsc01)
-        an = wx.compute_qstar(bsc01, solver=solver)
+        an = wx.compute_qstar(solver)
         r1s = np.linspace(0.05, solver.i_max - 1e-6, 12)
-        vals = [an.e3_curve(float(r)) for r in r1s]
+        vals = [solver.e3(float(r))[0] for r in r1s]
         for r, v in zip(r1s, vals):
             if r <= an.i_p:
                 assert v == 0.0
             assert v >= r - an.i_qstar - 1e-8
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
-        assert an.e3_curve(solver.i_max + 0.1) == math.inf
+        assert solver.e3(solver.i_max + 0.1)[0] == math.inf
 
 
 class TestFullSecurityInterval:
     def test_empty_below_ip(self, bsc01):
         solver = ExponentSolver(bsc01)
-        iv = wx.full_security_interval(bsc01, solver.i_p * 0.9, solver=solver)
+        iv = wx.full_security_interval(solver, solver.i_p * 0.9)
         assert iv.empty
 
     def test_bracket_contained_and_verified(self, bsc01):
         solver = ExponentSolver(bsc01)
-        an = wx.compute_qstar(bsc01, solver=solver)
+        an = wx.compute_qstar(solver)
         r1 = an.i_qstar + 0.05
-        iv = wx.full_security_interval(bsc01, r1, solver=solver)
+        iv = wx.full_security_interval(solver, r1)
         assert not iv.empty
         assert iv.bracket_valid
         assert iv.lower <= iv.bracket_lower + 1e-9
@@ -93,16 +93,16 @@ class TestFullSecurityInterval:
 
     def test_exponent_on_sampled_points(self, bsc01):
         solver = ExponentSolver(bsc01)
-        an = wx.compute_qstar(bsc01, solver=solver)
+        an = wx.compute_qstar(solver)
         r1 = an.i_qstar + 0.05
-        iv = wx.full_security_interval(bsc01, r1, solver=solver)
+        iv = wx.full_security_interval(solver, r1)
         for r2 in np.linspace(iv.bracket_lower, iv.bracket_upper, 10):
             e = solver.exponent_rep1(wx.RatePair(r1, float(r2))).e
             assert abs(e - (r1 - r2)) <= 1e-5
 
     def test_rejects_nonpositive_r1(self, bsc01):
         with pytest.raises(ValueError):
-            wx.full_security_interval(bsc01, 0.0)
+            wx.full_security_interval(ExponentSolver(bsc01), 0.0)
 
     def test_single_input_channel(self):
         # the bench's generated 2x2 channel with one input of positive mass:
@@ -117,41 +117,39 @@ class TestFullSecurityInterval:
         assert solver.i_max == 0.0
         assert 0.0 <= solver.d_at_imax <= 1e-15
         for r1 in (0.05, 0.5):
-            assert wx.full_security_interval(spec, r1,
-                                             solver=solver).bracket_valid
+            assert wx.full_security_interval(solver, r1).bracket_valid
 
     def test_asymmetric_channel(self):
         spec = make_asym_3x3()
         solver = ExponentSolver(spec)
-        an = wx.compute_qstar(spec, solver=solver)
+        an = wx.compute_qstar(solver)
         r1 = an.i_qstar + 0.05
-        iv = wx.full_security_interval(spec, r1, solver=solver)
+        iv = wx.full_security_interval(solver, r1)
         assert not iv.empty and iv.bracket_valid and iv.verified
 
 
 class TestClassifyRatePoint:
     def test_zero_region(self, bsc01):
         solver = ExponentSolver(bsc01)
-        assert wx.classify_rate_point(bsc01, wx.RatePair(0.3, 0.1),
-                                      solver=solver) == "ZERO"
+        assert wx.classify_rate_point(solver, wx.RatePair(0.3, 0.1)) == "ZERO"
 
     def test_equal_rates_zero(self, bsc01):
-        assert wx.classify_rate_point(bsc01, wx.RatePair(0.5, 0.5)) == "ZERO"
+        assert wx.classify_rate_point(ExponentSolver(bsc01),
+                                      wx.RatePair(0.5, 0.5)) == "ZERO"
 
     def test_constructed_pair_full(self, bsc01):
         solver = ExponentSolver(bsc01)
-        an = wx.compute_qstar(bsc01, solver=solver)
+        an = wx.compute_qstar(solver)
         r1 = an.i_qstar + 0.05
-        iv = wx.full_security_interval(bsc01, r1, solver=solver)
+        iv = wx.full_security_interval(solver, r1)
         mid = 0.5 * (iv.bracket_lower + iv.bracket_upper)
-        assert wx.classify_rate_point(bsc01, wx.RatePair(r1, mid),
-                                      solver=solver) == "FULL"
+        assert wx.classify_rate_point(solver, wx.RatePair(r1, mid)) == "FULL"
 
     def test_partial_band(self, bsc01):
         solver = ExponentSolver(bsc01)
         # above the zero threshold but below the full-security boundary
-        assert wx.classify_rate_point(bsc01, wx.RatePair(0.6, 0.1),
-                                      solver=solver) == "PARTIAL"
+        assert wx.classify_rate_point(solver,
+                                      wx.RatePair(0.6, 0.1)) == "PARTIAL"
 
     def test_full_points_satisfy_middle_branch_condition(self, bsc01):
         solver = ExponentSolver(bsc01)
@@ -160,7 +158,7 @@ class TestClassifyRatePoint:
             r1 = float(rng.uniform(0.05, 1.1))
             r2 = float(rng.uniform(0.0, r1))
             rates = wx.RatePair(r1, r2)
-            if wx.classify_rate_point(bsc01, rates, solver=solver) != "FULL":
+            if wx.classify_rate_point(solver, rates) != "FULL":
                 continue
             b = min(r1, solver.i_max)
             if r2 <= b:
@@ -199,7 +197,7 @@ class TestClassifyExponent:
         assert 0.0 < e <= tol
         pairs.append(zero_edge)
         for r1 in (0.6, 1.2):
-            lower = wx.full_security_interval(spec, r1, solver=solver).lower
+            lower = wx.full_security_interval(solver, r1).lower
             for delta, expect in ((0.5 * tol, "FULL"), (2 * tol, "PARTIAL")):
                 edge = wx.RatePair(r1, lower - delta)
                 e = solver.exponent_rep1(edge).e
@@ -209,7 +207,6 @@ class TestClassifyExponent:
         for rates in pairs:
             cls = wx.classify_exponent(solver.exponent_rep1(rates).e, rates,
                                        tol)
-            assert cls == wx.classify_rate_point(spec, rates, tol,
-                                                 solver=solver)
+            assert cls == wx.classify_rate_point(solver, rates, tol)
             seen.add(cls)
         assert seen == {"ZERO", "PARTIAL", "FULL"}

@@ -198,6 +198,8 @@ class TestEstimateEnsemblePc:
         es = spec_for(6, 0.3, 0.3, trials=5, seed=5)
         res = wx.estimate_ensemble_pc(es)
         assert res.pc_mean == pytest.approx(1.0, abs=1e-12)
+        assert res.empirical_exponent == 0.0
+        assert math.copysign(1.0, res.empirical_exponent) == 1.0
 
     def test_determinism(self):
         es = spec_for(8, 0.6, 0.2, trials=10, seed=123)
@@ -261,6 +263,18 @@ class TestEstimateEnsemblePc:
         res = wx.estimate_ensemble_pc(es, budget=16, z_samples=64)
         assert 0.0 <= res.pc_mean <= 1.0
 
+    def test_no_correct_sample_gives_infinite_exponent(self):
+        # one sampled output that no sub-code decodes: P_c = 0
+        es = wx.EnsembleSpec(
+            n=6, rates=wx.RatePair(1.8, 0.0),
+            p_x_type=wx.quantize_composition([0.5, 0.3, 0.2], 6),
+            channel=wx.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3],
+                            [0.2, 0.2, 0.6]]),
+            trials=1, seed=3)
+        res = wx.estimate_ensemble_pc(es, budget=10, z_samples=1)
+        assert res.pc_mean == 0.0
+        assert res.empirical_exponent == math.inf
+
 
 class TestTypeEnumExponent:
     def test_tiny_case_hand_enumeration(self):
@@ -290,7 +304,7 @@ class TestTypeEnumExponent:
 
     def test_convergence_toward_asymptotic(self, bsc01):
         rates = wx.RatePair(0.6, 0.1)
-        e = wx.exponent_rep1(bsc01, rates).e
+        e = wx.ExponentSolver(bsc01).exponent_rep1(rates).e
         gaps = []
         for n in (50, 100, 200, 400):
             te = wx.type_enum_exponent(bsc01, rates, n)
