@@ -332,7 +332,8 @@ def _cmd_simulate(args) -> int:
                           seed=args.seed)
     parts = _fan_out(_simulate_trials, lambda lo, hi: (es, cfg, lo, hi),
                      args.trials, cfg["workers"])
-    result = sim.summarize_trials(es, [pc for part in parts for pc in part])
+    result = sim.summarize_trials(es, [pc for part in parts for pc in part],
+                                  budget=cfg["z_budget"])
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
     asymptotic = solver.exponent_rep1(rates).e
     lines = [",".join(("n", "R1_req", "R2_req", "R1_real", "R2_real", "trials",

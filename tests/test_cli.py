@@ -506,6 +506,28 @@ class TestSimulateCommand:
         values = dict(zip(header.split(","), row.split(",")))
         assert (values["pc_mean"], values["emp_exponent"]) == (pc, emp)
 
+    @pytest.mark.parametrize("extra", [[], ["--budget", "10"]],
+                             ids=["exact", "sampled"])
+    def test_wide_channel_matches_its_narrow_form(self, capsys, channel_file,
+                                                  extra):
+        # all input mass on inputs 3 and 150 of 200; an int8 codebook
+        # wrapped 150 to -106 and read row 94
+        rows_a, rows_b = [0.9, 0.1], [0.2, 0.8]
+        wide = [[0.5, 0.5]] * 200
+        wide[3], wide[150] = rows_a, rows_b
+        px = [0.0] * 200
+        px[3] = px[150] = 0.5
+        args = ["--n", "6", "--r1", "0.3", "--r2", "0.1", "--trials", "3",
+                "--seed", "1"] + extra
+        outs = []
+        for doc, name in (((px, wide), "wide.json"),
+                          (([0.5, 0.5], [rows_a, rows_b]), "narrow.json")):
+            path = channel_file(*doc, name=name)
+            code, out, _ = run(capsys, ["simulate", path] + args)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_budget_exceeded_exit_code(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
         code, _, err = run(capsys, [

@@ -19,6 +19,16 @@ def spec_for(n, r1, r2, trials=4, seed=7, channel=BSC01):
                            channel=channel, trials=trials, seed=seed)
 
 
+def wide_and_narrow(nx, a, b, row_a, row_b):
+    """A channel with nx inputs and all input mass on a and b, and the same
+    two rows as a two-input channel; the other rows are noise."""
+    rows = np.random.default_rng(nx).dirichlet(np.ones(len(row_a)), size=nx)
+    rows[a], rows[b] = row_a, row_b
+    px = np.zeros(nx)
+    px[a] = px[b] = 0.5
+    return (wx.Dmc(rows), px), (wx.Dmc([row_a, row_b]), [0.5, 0.5])
+
+
 class TestQuantizeComposition:
     def test_exact_type(self):
         assert wx.quantize_composition([0.5, 0.5], 10) == (5, 5)
@@ -167,9 +177,67 @@ class TestExactPc:
                   BSC01, 2)]
         whole = [wx.exact_pc_for_codebook(cb, ch, m2) for cb, ch, m2 in cases]
         monkeypatch.setattr(simulate, "_BLOCK", 64)
+        # tiles of one sub-code, so a block of several takes several tiles
+        monkeypatch.setattr(simulate, "_TILE", 1)
         for (cb, ch, m2), ref in zip(cases, whole):
             assert wx.exact_pc_for_codebook(cb, ch, m2) == pytest.approx(
                 ref, rel=1e-13)
+
+    @pytest.mark.parametrize("rows, n, m2, m", [
+        ([[0.9, 0.1], [0.1, 0.9]], 4, 5, 12),
+        ([[0.8, 0.2], [0.35, 0.65]], 5, 4, 16),
+        ([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]], 3, 6, 10),
+        ([[1.0, 0.0], [0.25, 0.75]], 4, 8, 8),
+    ], ids=["bsc", "binary", "3x3", "z_channel"])
+    def test_repeated_half_words_match_brute_force_oracle(self, rows, n, m2,
+                                                          m):
+        # M1 is many times |X|^ceil(n/2), so every half-word recurs
+        channel = wx.Dmc(rows)
+        rng = np.random.default_rng(m * m2 + n)
+        cb = rng.integers(0, len(rows), size=(m * m2, n)).astype(np.int8)
+        assert m * m2 >= 4 * len(rows) ** ((n + 1) // 2)
+        assert wx.exact_pc_for_codebook(cb, channel, m2) == pytest.approx(
+            self.brute_force_pc(cb, channel, m2), rel=1e-12)
+
+    def test_tiles_give_identical_result(self, monkeypatch):
+        # a tile only bounds how many sub-code tables one max takes at a
+        # time, and a max is exact: one sub-code per tile, or a partial
+        # last tile, gives the same bits
+        es = spec_for(12, 0.69, 0.23, trials=1, seed=20140324)
+        channel = wx.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+        rng = np.random.default_rng(8)
+        cases = [(wx.sample_codebook(es, np.random.default_rng(1)), BSC01,
+                  es.m2),
+                 (rng.integers(0, 3, size=(25 * 5, 8)).astype(np.int8),
+                  channel, 5)]
+        whole = [wx.exact_pc_for_codebook(cb, ch, m2) for cb, ch, m2 in cases]
+        for tile in (1, 3 * 81 * 81):
+            monkeypatch.setattr(simulate, "_TILE", tile)
+            assert [wx.exact_pc_for_codebook(cb, ch, m2)
+                    for cb, ch, m2 in cases] == whole
+
+    def test_wide_input_alphabet_half_keys(self):
+        # half-words of 8 symbols over 256 inputs: their base-256 keys
+        # would reach 256^8 = 2^64, past int64.  The one-hot product sums
+        # |X| * 8 terms in BLAS blocks, so the wide and the narrow channel
+        # agree to rounding; through per_trial_pc, which drops the unused
+        # inputs, they agree exactly
+        (wide, px), (narrow, _) = wide_and_narrow(256, 7, 250, [0.85, 0.15],
+                                                  [0.3, 0.7])
+        n = 16
+        specs = [wx.EnsembleSpec(n=n, rates=wx.RatePair(0.3, 0.1),
+                                 p_x_type=wx.quantize_composition(p, n),
+                                 channel=ch, trials=2, seed=2)
+                 for ch, p in ((wide, px), (narrow, [0.5, 0.5]))]
+        cb = wx.sample_codebook(specs[0], np.random.default_rng(3))
+        assert set(np.unique(cb)) == {7, 250}
+        narrow_cb = (cb == 250).astype(np.int8)
+        assert np.array_equal(
+            narrow_cb, wx.sample_codebook(specs[1], np.random.default_rng(3)))
+        m2 = specs[0].m2
+        assert wx.exact_pc_for_codebook(cb, wide, m2) == pytest.approx(
+            wx.exact_pc_for_codebook(narrow_cb, narrow, m2), rel=1e-13)
+        assert per_trial_pc(specs[0]) == per_trial_pc(specs[1])
 
     def test_pc_bounds(self):
         es = spec_for(8, 0.6, 0.2, trials=6, seed=3)
@@ -262,6 +330,21 @@ class TestEstimateEnsemblePc:
         es = spec_for(8, 0.5, 0.25, trials=3, seed=2)
         res = wx.estimate_ensemble_pc(es, budget=16, z_samples=64)
         assert 0.0 <= res.pc_mean <= 1.0
+        assert res.exact is False
+        assert wx.estimate_ensemble_pc(es).exact is True
+
+    @pytest.mark.parametrize("budget", [simulate.DEFAULT_Z_BUDGET, 10],
+                             ids=["exact", "sampled"])
+    def test_wide_channel_matches_its_narrow_form(self, budget):
+        # input 150 of a 200-input channel: an int8 codebook wrapped it to
+        # -106, which read row 94
+        specs = [wx.EnsembleSpec(n=6, rates=wx.RatePair(0.3, 0.1),
+                                 p_x_type=wx.quantize_composition(p, 6),
+                                 channel=ch, trials=3, seed=1)
+                 for ch, p in wide_and_narrow(200, 3, 150, [0.9, 0.1],
+                                              [0.2, 0.8])]
+        wide, narrow = (per_trial_pc(es, budget=budget) for es in specs)
+        assert wide == narrow
 
     def test_no_correct_sample_gives_infinite_exponent(self):
         # one sampled output that no sub-code decodes: P_c = 0
