@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -28,8 +29,7 @@ from .channels import DEFAULT_DEGRADED_TOL, check_degraded, load_channel_spec
 from .errors import BudgetExceededError, ChannelFileError, SolverError
 from .exponent import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, ExponentSolver,
                        RatePair)
-from .gaussian import (DEFAULT_GRID_POINTS, DEFAULT_REFINE_TOL, GaussianSpec,
-                       gaussian_exponent)
+from .gaussian import GaussianSpec, gaussian_exponent
 from .security import (DEFAULT_CLASSIFY_TOL, classify_exponent, compute_qstar,
                        full_security_interval)
 
@@ -41,8 +41,6 @@ _SETTINGS = {
     "gap_tol": (DEFAULT_GAP_TOL, 0, False),
     "max_iter": (DEFAULT_MAX_ITER, 1, True),
     "classify_tol": (DEFAULT_CLASSIFY_TOL, 0, True),
-    "gaussian_grid": (DEFAULT_GRID_POINTS, 1, True),
-    "refine_tol": (DEFAULT_REFINE_TOL, 0, False),
     "z_budget": (sim.DEFAULT_Z_BUDGET, 1, True),
     "codebook_budget": (sim.DEFAULT_CODEBOOK_BUDGET, 1, True),
     "z_samples": (sim.DEFAULT_Z_SAMPLES, 1, True),
@@ -248,10 +246,12 @@ def _cmd_region(args) -> int:
 def _fan_out(worker, payload, count: int, workers: int) -> list:
     """worker(payload(lo, hi)) over contiguous chunks [lo, hi) of range(count).
 
-    One chunk per worker, at most one per item; with more than one chunk
-    each runs in its own process.  Results come back in chunk order.
+    One chunk per worker, at most one per item and per usable CPU; with more
+    than one chunk each runs in its own process.  Results keep chunk order.
     """
-    bounds = np.linspace(0, count, min(workers, count) + 1).astype(int)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    bounds = np.linspace(0, count, min(workers, count, cpus) + 1).astype(int)
     payloads = [payload(int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(payloads) <= 1:
@@ -261,10 +261,8 @@ def _fan_out(worker, payload, count: int, workers: int) -> list:
 
 
 def _gaussian_rows(payload):
-    s, sigma2, r1_values, r2_values, grid, rtol = payload
-    g = GaussianSpec(s, sigma2)
-    return [(r1, r2, gaussian_exponent(g, RatePair(float(r1), float(r2)),
-                                       grid_points=grid, refine_tol=rtol))
+    g, r1_values, r2_values = payload
+    return [(r1, r2, gaussian_exponent(g, RatePair(float(r1), float(r2))))
             for r1 in r1_values for r2 in r2_values if r2 <= r1]
 
 
@@ -283,9 +281,10 @@ def _gaussian_fields(g, r1, r2, opt, unit) -> tuple[str, ...]:
 def _cmd_gaussian(args) -> int:
     cfg = _settings(args)
     unit = LN2 if args.bits else 1.0
+    if args.gaussian_grid is not None:
+        print("warning: --gaussian-grid is deprecated and ignored; the "
+              "Gaussian search uses a fixed grid", file=sys.stderr)
     g = GaussianSpec(args.power, args.noise)
-    grid = cfg["gaussian_grid"]
-    rtol = cfg["refine_tol"]
     if args.r1_grid or args.r2_grid:
         if not (args.r1_grid and args.r2_grid):
             raise ChannelFileError(
@@ -293,8 +292,7 @@ def _cmd_gaussian(args) -> int:
         r1s = _parse_grid(args.r1_grid, "--r1-grid") * unit
         r2s = _parse_grid(args.r2_grid, "--r2-grid") * unit
         parts = _fan_out(_gaussian_rows,
-                         lambda lo, hi: (g.s, g.sigma2, r1s[lo:hi], r2s,
-                                         grid, rtol),
+                         lambda lo, hi: (g, r1s[lo:hi], r2s),
                          r1s.size, cfg["workers"])
         rows = [row for part in parts for row in part]
         skipped = r1s.size * r2s.size - len(rows)
@@ -306,7 +304,7 @@ def _cmd_gaussian(args) -> int:
     if args.r1 is None or args.r2 is None:
         raise ChannelFileError("need --r1/--r2 or --r1-grid/--r2-grid")
     rates = RatePair(args.r1 * unit, args.r2 * unit)
-    opt = gaussian_exponent(g, rates, grid_points=grid, refine_tol=rtol)
+    opt = gaussian_exponent(g, rates)
     fields = _gaussian_fields(g, rates.r1, rates.r2, opt, unit)
     _emit([f"{c} {v}" for c, v in zip(_GAUSSIAN_COLUMNS, fields)],
           args.output)
@@ -427,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=float)
     p.add_argument("--r1-grid", metavar="MIN:MAX:STEPS")
     p.add_argument("--r2-grid", metavar="MIN:MAX:STEPS")
-    p.add_argument("--gaussian-grid", dest="gaussian_grid", type=int)
+    p.add_argument("--gaussian-grid", type=int, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_gaussian)
 
@@ -468,7 +466,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ChannelFileError, ValueError, OSError) as exc:
+    except (ChannelFileError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ eavesdropper sees them through additive white Gaussian noise of variance
 sigma^2.  The large-deviations variables are the empirical output power
 sigma_z^2 and the empirical input-output correlation rho; the minimization
 over sigma_z is available in closed form, which leaves one-dimensional
-searches over rho per branch.
+searches over rho per branch, each a dense grid with golden-section
+refinement whose density and tolerance are fixed, not settings.
 
 All branch objectives at negative rho dominate their positive-rho mirror
 pointwise (the divergence term grows by 2*rho*sigma_z*sqrt(S)/sigma^2 when
@@ -22,8 +23,9 @@ import numpy as np
 from .exponent import (RatePair, _golden_min_scalar, _pick_branch,
                        gamma_dmc)
 
-DEFAULT_GRID_POINTS = 100_000
-DEFAULT_REFINE_TOL = 1e-9
+#: grid points across (-1, 1), and the width at which refinement stops
+_GRID_POINTS = 100_000
+_REFINE_TOL = 1e-9
 
 #: searches never reach |rho| = 1; rate endpoints clamp here as well
 _RHO_CAP = 1.0 - 1e-12
@@ -135,41 +137,35 @@ def rho_from_rate(r: float) -> float:
     return min(rho, _RHO_CAP)
 
 
-def _min_on_interval(fun, lo: float, hi: float, density: float,
-                     refine_tol: float) -> tuple[float, float]:
-    """Dense grid plus cell-local golden refinement; ties go to smaller rho."""
-    if lo > hi:
-        return math.inf, math.nan
-    if hi - lo <= refine_tol:
-        return float(fun(np.asarray([lo]))[0]), lo
-    count = max(9, int(math.ceil((hi - lo) * density)) + 1)
+def _min_on_interval(fun, lo: float, hi: float) -> tuple[float, float]:
+    """Min and argmin on [lo, hi] by a grid of at least 9 points, both ends
+    included, and golden refinement of its best cell; ties go to smaller
+    rho."""
+    count = max(9, int(math.ceil((hi - lo) * _GRID_POINTS / 2.0)) + 1)
     xs = np.linspace(lo, hi, count)
     vals = fun(xs)
     j = int(np.argmin(vals))
     a = xs[max(0, j - 1)]
     b = xs[min(count - 1, j + 1)]
     x, v = _golden_min_scalar(lambda t: float(fun(np.asarray([t]))[0]),
-                              float(a), float(b), refine_tol)
+                              float(a), float(b), _REFINE_TOL)
     if v <= vals[j]:
         return float(v), float(x)
     return float(vals[j]), float(xs[j])
 
 
-def gaussian_exponent(g: GaussianSpec, rates: RatePair,
-                      grid_points: int = DEFAULT_GRID_POINTS,
-                      refine_tol: float = DEFAULT_REFINE_TOL) -> GaussianOptimum:
+def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     """Exponent of the Gaussian eavesdropper at the given rate pair.
 
     Each branch restricts rho to the interval mapped from the rates via
-    rho^2 = 1 - e^{-2R} and minimizes its objective by a dense grid (the
-    default density matches 10^5 points across (-1, 1)) with golden-section
-    refinement; minima over empty intervals are +inf.  When R1 <= C the
-    third branch is 0 and when R2 >= C the first is R1 - R2, both attained
-    at the true channel's correlation rho_P = sqrt(S / (S + sigma^2)).
+    rho^2 = 1 - e^{-2R} and minimizes its objective by a fixed dense grid
+    (10^5 points across (-1, 1)) with golden-section refinement to 1e-9.
+    When R1 <= C the third branch is 0 and when R2 >= C the first is
+    R1 - R2, both attained at the true channel's correlation
+    rho_P = sqrt(S / (S + sigma^2)).
     """
     rho1 = rho_from_rate(rates.r1)
     rho2 = rho_from_rate(rates.r2)
-    density = grid_points / 2.0
 
     def f_div(x: np.ndarray) -> np.ndarray:
         return _profile(x, g)
@@ -179,20 +175,19 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair,
 
     # the divergence term's global minimum is 0, at the true channel's
     # correlation rho_P; a branch whose interval holds rho_P takes it there
-    # exactly, since the grid can miss it within refine_tol of rho = 1
+    # exactly, since the grid can miss it within _REFINE_TOL of rho = 1
     rho_p = min(math.sqrt(g.s / (g.s + g.sigma2)), _RHO_CAP)
     if rates.r2 >= g.capacity:
         v1, r1_arg = 0.0, rho_p
     else:
-        v1, r1_arg = _min_on_interval(f_div, 0.0, rho2, density, refine_tol)
+        v1, r1_arg = _min_on_interval(f_div, 0.0, rho2)
     e1 = rates.r1 - rates.r2 + v1
-    v2, r2_arg = _min_on_interval(f_mid, rho2, rho1, density, refine_tol)
+    v2, r2_arg = _min_on_interval(f_mid, rho2, rho1)
     e2 = rates.r1 + v2
     if rates.r1 <= g.capacity:
         e3, r3_arg = 0.0, rho_p
     else:
-        e3, r3_arg = _min_on_interval(f_div, rho1, _RHO_CAP, density,
-                                      refine_tol)
+        e3, r3_arg = _min_on_interval(f_div, rho1, _RHO_CAP)
 
     e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))
     return GaussianOptimum(e=e, e1=e1, e2=e2, e3=e3, rho_star=rho_star,

@@ -228,8 +228,7 @@ def test_criterion_8_gaussian_branch():
     for r1 in r1s:
         for r2 in r2s[r2s <= r1 + 1e-12]:
             rates = wx.RatePair(float(r1), min(float(r2), float(r1)))
-            grid[(float(r1), float(r2))] = wx.gaussian_exponent(
-                g, rates, grid_points=20000).e
+            grid[(float(r1), float(r2))] = wx.gaussian_exponent(g, rates).e
     for r2 in r2s:
         col = [grid[(float(r1), float(r2))] for r1 in r1s
                if (float(r1), float(r2)) in grid]

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import wiretap_exponent as wx
-from wiretap_exponent import channels, cli, exponent, gaussian, security, simulate
+from wiretap_exponent import channels, cli, exponent, security, simulate
 from wiretap_exponent.cli import main
 from wiretap_exponent.exponent import ExponentSolver
 
@@ -415,6 +416,27 @@ def test_grid_too_large_to_allocate(capsys, channel_file, command):
     assert err == f"error: --r1-grid: too many steps in {grid!r}\n"
 
 
+@pytest.mark.parametrize("case", ["z_samples", "codebook_budget"])
+def test_size_too_large_to_allocate(capsys, channel_file, tmp_path, case):
+    # numpy refuses 10^15 output samples (7 PiB) and a sub-code block of
+    # 10^13 codewords (2.28 PiB) without touching memory; both ended in a
+    # traceback with exit 1
+    if case == "z_samples":
+        argv = ["simulate", channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS),
+                "--n", "8", "--r1", "0.6", "--r2", "0.2", "--budget", "10",
+                "--z-samples", str(10 ** 15)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"codebook_budget": 1e15}),
+                       encoding="utf-8")
+        argv = ["simulate", channel_file(*BSC01_ARGS), "--n", "30",
+                "--r1", "1.0", "--r2", "0.5", "--config", str(cfg)]
+    code, out, err = run(capsys, argv + ["--trials", "1", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestGaussianCommand:
     def test_record(self, capsys):
         code, out, _ = run(capsys, ["gaussian", "--power", "1.0",
@@ -440,6 +462,17 @@ class TestGaussianCommand:
         _, seq, _ = run(capsys, base)
         _, par, _ = run(capsys, base + ["--workers", "3"])
         assert seq == par
+
+    def test_deprecated_grid_flag_warns_and_changes_nothing(self, capsys):
+        argv = ["gaussian", "--power", "1", "--noise", "1",
+                "--r1", "0.6", "--r2", "0.1"]
+        _, ref, ref_err = run(capsys, argv)
+        code, out, err = run(capsys, argv + ["--gaussian-grid", "7"])
+        assert (code, out, ref_err) == (0, ref, "")
+        assert err.count("\n") == 1 and err.startswith("warning: ")
+        assert "--gaussian-grid" in err
+        _, usage, _ = run(capsys, ["gaussian", "--help"])
+        assert "--power" in usage and "--gaussian-grid" not in usage
 
     def test_validation(self, capsys):
         code, _, _ = run(capsys, ["gaussian", "--power", "-1", "--noise", "1",
@@ -602,6 +635,18 @@ def test_import_leaves_scipy_unloaded(channel_file):
 
 
 class TestConfig:
+    def test_readme_lists_every_setting(self):
+        # the README names the config keys in one sentence; it must follow
+        # _SETTINGS when a setting is added or removed
+        readme = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = " ".join(fh.read().split())
+        match = re.search(r"the config file may set (.*?)\. ", text)
+        assert match, "README lost its 'the config file may set' sentence"
+        names = re.findall(r"`(\w+)`", match.group(1))
+        assert names == list(cli._SETTINGS)
+
     def test_config_file_and_flag_precedence(self, capsys, channel_file, tmp_path):
         path = channel_file(*BSC01_ARGS)
         cfg = tmp_path / "cfg.json"
@@ -622,8 +667,6 @@ class TestConfig:
             "gap_tol": exponent.DEFAULT_GAP_TOL,
             "max_iter": exponent.DEFAULT_MAX_ITER,
             "classify_tol": security.DEFAULT_CLASSIFY_TOL,
-            "gaussian_grid": gaussian.DEFAULT_GRID_POINTS,
-            "refine_tol": gaussian.DEFAULT_REFINE_TOL,
             "z_budget": simulate.DEFAULT_Z_BUDGET,
             "codebook_budget": simulate.DEFAULT_CODEBOOK_BUDGET,
             "z_samples": simulate.DEFAULT_Z_SAMPLES,
@@ -650,10 +693,9 @@ class TestConfig:
 
     _OUT_OF_RANGE = [(key, value) for key in
                      ("workers", "max_iter", "z_samples", "z_budget",
-                      "codebook_budget", "gaussian_grid")
+                      "codebook_budget")
                      for value in (0, -3)] + \
-        [(key, value) for key in ("gap_tol", "refine_tol")
-         for value in (0.0, -1.0)] + \
+        [("gap_tol", value) for value in (0.0, -1.0)] + \
         [(key, -1e-3) for key in ("classify_tol", "degraded_tol")]
 
     @pytest.mark.parametrize("key,value", _OUT_OF_RANGE,
@@ -698,7 +740,7 @@ class TestConfig:
                                     "--r2", "0.1", "--config", str(cfg)])
         assert code == 0 and err == ""
 
-    @pytest.mark.parametrize("key,value", [("gaussian_grid", 2.9),
+    @pytest.mark.parametrize("key,value", [("z_samples", 2.9),
                                            ("max_iter", 100.7),
                                            ("workers", 1.5)])
     def test_non_integral_setting_rejected(self, capsys, channel_file,
@@ -718,26 +760,30 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "max_iter": 2e5,
-            "gaussian_grid": float(gaussian.DEFAULT_GRID_POINTS)}),
+            "codebook_budget": float(simulate.DEFAULT_CODEBOOK_BUDGET)}),
             encoding="utf-8")
         argv = ["exponent", path, "--r1", "0.6", "--r2", "0.1"]
         _, ref, _ = run(capsys, argv)
         code, out, err = run(capsys, argv + ["--config", str(cfg)])
         assert (code, out, err) == (0, ref, "")
 
-    @pytest.mark.parametrize("points", [0, 1])
+    @pytest.mark.parametrize("key,value", [
+        ("table_points", 0), ("table_points", 1),
+        ("gaussian_grid", 100_000), ("refine_tol", 0.9)],
+        ids=["0", "1", "gaussian_grid", "refine_tol"])
     def test_table_points_below_two_rejected(self, capsys, channel_file,
-                                             tmp_path, points):
-        # the multiplier table has a fixed 65 points, so table_points is an
-        # unknown key, whatever its value
+                                             tmp_path, key, value):
+        # the multiplier table has a fixed 65 points, and the Gaussian
+        # search a fixed grid and tolerance, so these are unknown keys,
+        # whatever their value
         path = channel_file(*BSC01_ARGS)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"table_points": points}), encoding="utf-8")
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
         code, out, err = run(capsys, ["exponent", path, "--r1", "0.5",
                                       "--r2", "0.1", "--config", str(cfg)])
         assert code == 2
         assert out == ""
-        assert "unknown keys ['table_points']" in err
+        assert f"unknown keys [{key!r}]" in err
 
     def test_unknown_config_key(self, capsys, channel_file, tmp_path):
         path = channel_file(*BSC01_ARGS)
@@ -799,7 +845,35 @@ class TestPoolSize:
     def pool(self, monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
         return _RecordingPool
+
+    def test_chunks_capped_at_cpus(self, capsys, pool, monkeypatch,
+                                   tmp_path):
+        # 5000 workers on 5000 items asked for 5000 processes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        parts = cli._fan_out(lambda item: item, lambda lo, hi: (lo, hi),
+                             5000, 5000)
+        assert pool.sizes == [3]
+        assert parts == [(0, 1666), (1666, 3333), (3333, 5000)]
+        base = ["gaussian", "--power", "1.0", "--noise", "1.0",
+                "--r1-grid", "0.4:0.8:4", "--r2-grid", "0:0.2:2"]
+        _, seq, _ = run(capsys, base)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 5000}), encoding="utf-8")
+        code, par, _ = run(capsys, base + ["--config", str(cfg)])
+        assert code == 0 and par == seq
+        assert pool.sizes == [3, 3]
+
+    def test_cpu_count_without_affinity(self, pool, monkeypatch):
+        # where the platform has no affinity mask, os.cpu_count() caps
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        parts = cli._fan_out(lambda item: item, lambda lo, hi: hi - lo,
+                             100, 100)
+        assert pool.sizes == [7] and sum(parts) == 100
 
     def test_gaussian(self, capsys, pool):
         base = ["gaussian", "--power", "1.0", "--noise", "1.0",

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import wiretap_exponent as wx
-from wiretap_exponent.gaussian import _RHO_CAP, _profile, rho_from_rate
+from wiretap_exponent.gaussian import (_REFINE_TOL, _RHO_CAP,
+                                       _min_on_interval, _profile,
+                                       rho_from_rate)
 
 
 class TestDivergenceTerm:
@@ -144,8 +146,7 @@ class TestGaussianExponent:
         for _ in range(20):
             r1 = float(rng.uniform(0.01, 2.0))
             r2 = float(rng.uniform(0.0, r1))
-            opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2),
-                                       grid_points=20000)
+            opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
             assert -1e-10 <= opt.e <= r1 - r2 + 1e-9
             assert opt.e == min(opt.e1, opt.e2, opt.e3)
             assert opt.sigma_z_star == pytest.approx(
@@ -180,6 +181,16 @@ class TestGaussianExponent:
         a = wx.gaussian_exponent(g, wx.RatePair(0.9, 0.3))
         b = wx.gaussian_exponent(g, wx.RatePair(0.9, 0.3))
         assert a == b
+
+    def test_interval_narrower_than_tolerance_is_searched(self):
+        # an interval narrower than the refinement tolerance returned its
+        # low end unsearched, though a decreasing function is lowest at hi
+        lo = 0.3
+        hi = lo + 0.5 * _REFINE_TOL
+        v, x = _min_on_interval(lambda t: -t, lo, hi)
+        assert (v, x) == (-hi, hi)
+        # a zero-width interval still evaluates its one point
+        assert _min_on_interval(lambda t: t * t, lo, lo) == (lo * lo, lo)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
