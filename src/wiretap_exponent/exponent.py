@@ -199,7 +199,14 @@ def gamma_dmc(i_value: float, rates: RatePair) -> float:
 
 def _pick_branch(values, achievers):
     """(e, name, achiever) of the smallest-index branch within the tie
-    tolerance of the minimum of the branch values (e1, e2, e3)."""
+    tolerance of the minimum of the branch values (e1, e2, e3).
+
+    Raises SolverError when a value is NaN: no branch could be picked.
+    """
+    if any(math.isnan(v) for v in values):
+        raise SolverError(f"branch values {tuple(values)} include NaN",
+                          best_value=math.nan, residual=math.inf,
+                          iterations=0)
     e = min(values)
     for k, (value, achiever) in enumerate(zip(values, achievers)):
         if value <= e + _BRANCH_TIE_TOL:
@@ -739,8 +746,11 @@ class ExponentSolver:
         self._deepest = False           # no further level certifies
         self._table = [self._solve_s(float(s)) for s in _TABLE_S]
         self._table_i = np.array([sol.i for sol in self._table])  # ascending
-        self.i_min = self._table[0].i
+        # I rises along the table, but rounding can lift a one-point
+        # curve's first I above its last (by up to 7e-17), which would
+        # leave all three branches of exponent_rep1 without a constraint set
         self.i_max = self._table[-1].i
+        self.i_min = min(self._table[0].i, self.i_max)
         self.d_at_imax = self._table[-1].d
 
     # -- inner solves --------------------------------------------------

@@ -46,6 +46,10 @@ class GaussianSpec:
                 f"noise variance must be positive and finite, got {self.sigma2}")
         if not math.isfinite(self.s / self.sigma2):
             raise ValueError(f"S/sigma^2 = {self.s}/{self.sigma2} overflows")
+        # sigma_z_star takes the square root of up to S + 4 sigma^2
+        if not math.isfinite(self.s + 4.0 * self.sigma2):
+            raise ValueError(
+                f"S + 4 sigma^2 = {self.s} + 4*{self.sigma2} overflows")
 
     @property
     def capacity(self) -> float:
@@ -181,13 +185,16 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
         v1, r1_arg = 0.0, rho_p
     else:
         v1, r1_arg = _min_on_interval(f_div, 0.0, rho2)
-    e1 = rates.r1 - rates.r2 + v1
+    # every branch is nonnegative, but a minimum can round below 0: at
+    # R1 = C, E2's log term cancels R1 (to -9.1e-14 on a 10x10 sweep)
+    e1 = rates.r1 - rates.r2 + max(0.0, v1)
     v2, r2_arg = _min_on_interval(f_mid, rho2, rho1)
-    e2 = rates.r1 + v2
+    e2 = max(0.0, rates.r1 + v2)
     if rates.r1 <= g.capacity:
         e3, r3_arg = 0.0, rho_p
     else:
         e3, r3_arg = _min_on_interval(f_div, rho1, _RHO_CAP)
+        e3 = max(0.0, e3)
 
     e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))
     return GaussianOptimum(e=e, e1=e1, e2=e2, e3=e3, rho_star=rho_star,

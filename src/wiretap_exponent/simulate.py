@@ -23,6 +23,14 @@ Per-trial randomness comes from seed-derived child streams, so trials are
 reproducible independently of execution order or worker count, and runs at
 different total rates share codeword randomness (a codebook is always a
 prefix of the codebook drawn for a larger rate at the same seed and trial).
+A codeword is the stable argsort of n uniform doubles applied to the
+composition's symbols.  Every trial's generator (PCG64) makes a double from
+the top 53 bits of one raw 64-bit draw, so the sampler sorts the raw draws
+with each symbol's position in the 11 low bits that a double drops: the
+same permutation as the argsort, with the generator left in the same state,
+so the stream after the codebook, and with it every P_c, is unchanged.
+The sampled path draws each output symbol by comparing its uniform draw
+with the sent input's CDF cuts, from tables built once per run.
 """
 from __future__ import annotations
 
@@ -55,6 +63,13 @@ _LOG_ZERO = -1e200
 #: 0.38 ms at 2^17, and 3.18 and 0.41 ms with no tiling (medians of 15,
 #: one CPU)
 _TILE = 1 << 16
+#: the bit generators whose ``random()`` makes each double as
+#: (d >> 11) * 2^-53 from one raw 64-bit draw d (MT19937 draws two 32-bit
+#: words per double), named so that importing this module does not import
+#: numpy.random
+_TOP53 = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+#: the low bits of a raw draw that such a double drops
+_LOW_BITS = 11
 
 
 def quantize_composition(probs, n: int) -> tuple[int, ...]:
@@ -157,21 +172,37 @@ def sample_codebook(spec: EnsembleSpec, rng: np.random.Generator,
     Returns an (M1, n) integer array; sub-code w occupies the contiguous row
     block [w*M2, (w+1)*M2).  Codeword k is produced from the k-th row of the
     generator's stream, so a smaller codebook drawn from an identically
-    seeded generator is a prefix of a larger one.
+    seeded generator is a prefix of a larger one.  The codebook, and the
+    generator's state after it, are those of the template permuted by the
+    stable argsort of each row of ``rng.random((M1, n))``, for every bit
+    generator.
     """
     m1 = spec.m1
     if m1 > codebook_budget:
         raise BudgetExceededError("M1 codewords", m1, codebook_budget)
-    nx = len(spec.p_x_type)
+    nx, n = len(spec.p_x_type), spec.n
     template = np.repeat(np.arange(nx, dtype=np.min_scalar_type(nx - 1)),
                          spec.p_x_type)
-    order = np.argsort(rng.random((m1, spec.n)), axis=1, kind="stable")
-    return template[order]
+    top53 = any(type(rng.bit_generator) is getattr(np.random, name)
+                for name in _TOP53)
+    if not top53 or n > 1 << _LOW_BITS:
+        order = np.argsort(rng.random((m1, n)), axis=1, kind="stable")
+        return template[order]
+    # the raw draws that rng.random() would turn into doubles, with each
+    # position in the low bits: distinct keys, ordered as the argsort
+    # orders the doubles, ties by position
+    low = np.uint64((1 << _LOW_BITS) - 1)
+    keys = rng.bit_generator.random_raw(m1 * n).reshape(m1, n)
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    keys &= low
+    return template[keys.view(np.int64)]
 
 
-def _log_rows(channel: Dmc) -> np.ndarray:
+def _log_rows(rows: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.where(channel.rows > 0, np.log(channel.rows), -np.inf)
+        return np.where(rows > 0, np.log(rows), -np.inf)
 
 
 def decoder_log_score(codebook: np.ndarray, m2: int, w: int, z,
@@ -179,7 +210,7 @@ def decoder_log_score(codebook: np.ndarray, m2: int, w: int, z,
     """ln P(z | C_w), the log-likelihood of sub-code w, via log-sum-exp."""
     z = np.asarray(z, dtype=np.int64)
     sub = codebook[w * m2:(w + 1) * m2]
-    logp = _log_rows(channel)
+    logp = _log_rows(channel.rows)
     ll = logp[sub, z[None, :]].sum(axis=1)
     hi = float(ll.max())
     if not math.isfinite(hi):
@@ -234,7 +265,16 @@ def exact_pc_for_codebook(codebook: np.ndarray, channel: Dmc, m2: int,
     total = channel.num_outputs ** n
     if total > budget:
         raise BudgetExceededError("|Z|^n", total, budget)
-    return _exact_pc(codebook, np.maximum(_log_rows(channel), _LOG_ZERO), m2)
+    # inputs no codeword uses cannot change P_c; without them the kernel
+    # sees exactly the relabelled narrow form.  A codeword of a type class
+    # uses every input of its type, so the first one mostly settles it
+    rows = channel.rows
+    used = np.zeros(len(rows), dtype=bool)
+    used[codebook[0]] = True
+    if not used.all():
+        used[codebook] = True
+        codebook, rows = (np.cumsum(used) - 1)[codebook], rows[used]
+    return _exact_pc(codebook, np.maximum(_log_rows(rows), _LOG_ZERO), m2)
 
 
 def _exact_pc(codebook: np.ndarray, log_rows: np.ndarray, m2: int) -> float:
@@ -320,22 +360,38 @@ def _dense(key: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     return rank[key] - 1, int(rank[-1])
 
 
-def _sampled_pc(codebook: np.ndarray, channel: Dmc, m2: int,
-                rng: np.random.Generator, z_samples: int) -> float:
-    """Unbiased estimate of one codebook's P_c by forward sampling."""
+def _sampling_tables(channel: Dmc) -> tuple[np.ndarray, np.ndarray]:
+    """What forward sampling needs of ``channel``: its log rows with ln 0
+    clipped to _LOG_ZERO, and its CDF cuts, whose row k holds P(Z <= k | x)
+    for every input x, for k below |Z| - 1."""
+    return (np.maximum(_log_rows(channel.rows), _LOG_ZERO),
+            np.cumsum(channel.rows, axis=1)[:, :-1].T.copy())
+
+
+def _outputs(xs: np.ndarray, u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The output symbol drawn for each input symbol of ``xs`` at the
+    uniform draw beside it in ``u``: how many of its CDF ``cuts`` lie below
+    that draw."""
+    z = np.zeros(u.shape, dtype=np.int64)
+    for cut in cuts:
+        z += u > cut[xs]
+    return z
+
+
+def _sampled_pc(codebook: np.ndarray, log_rows: np.ndarray, cuts: np.ndarray,
+                m2: int, rng: np.random.Generator, z_samples: int) -> float:
+    """Unbiased estimate of one codebook's P_c by forward sampling, from
+    the channel's ``_sampling_tables``."""
     m1, n = codebook.shape
     m = m1 // m2
     sent = rng.integers(0, m1, size=z_samples)
     xs = codebook[sent]
-    cdf = np.cumsum(channel.rows, axis=1)
-    u = rng.random((z_samples, n))
-    z = (u[:, :, None] > cdf[xs][:, :, :-1]).sum(axis=2)
-    log_rows = np.maximum(_log_rows(channel), _LOG_ZERO)
+    z = _outputs(xs, rng.random((z_samples, n)), cuts)
     # blocks of g sub-codes, taken in chunks of h codewords each, keep every
     # likelihood array and one-hot within _BLOCK entries.  A sub-code's log
     # sum is rescaled only when it spans chunks, so it is bit for bit the
     # one-pass value whenever h = m2
-    width = max(z_samples, n * channel.num_inputs)
+    width = max(z_samples, n * len(log_rows))
     h = max(1, min(m2, _BLOCK // width))
     g = max(1, _BLOCK // (h * width))
     subs = codebook.reshape(m, m2, n)
@@ -343,15 +399,16 @@ def _sampled_pc(codebook: np.ndarray, channel: Dmc, m2: int,
     decoded = np.zeros(z_samples, dtype=np.int64)
     for w0 in range(0, m, g):
         block = subs[w0:w0 + g]
-        hi = np.full((len(block), z_samples), -np.inf)
-        acc = np.zeros((len(block), z_samples))
         for j in range(0, m2, h):
             part = block[:, j:j + h]
             ll = _loglik(part.reshape(-1, n), log_rows, z).reshape(
                 part.shape[0], part.shape[1], z_samples)
-            top = np.maximum(hi, ll.max(axis=1))
+            top = ll.max(axis=1)
+            if j:
+                np.maximum(hi, top, out=top)
             ll -= top[:, None, :]
-            acc = acc * np.exp(hi - top) + np.exp(ll, out=ll).sum(axis=1)
+            tail = np.exp(ll, out=ll).sum(axis=1)
+            acc = acc * np.exp(hi - top) + tail if j else tail
             hi = top
         lse = hi + np.log(acc)
         k = np.argmax(lse, axis=0)
@@ -359,7 +416,7 @@ def _sampled_pc(codebook: np.ndarray, channel: Dmc, m2: int,
         # strictly greater, so ties go to the first sub-code as in argmax
         wins = score > best
         best[wins], decoded[wins] = score[wins], w0 + k[wins]
-    return float(np.mean(decoded == sent // m2))
+    return np.count_nonzero(decoded == sent // m2) / z_samples
 
 
 def estimate_ensemble_pc(spec: EnsembleSpec, budget: int = DEFAULT_Z_BUDGET,
@@ -399,7 +456,8 @@ def per_trial_pc(spec: EnsembleSpec, budget: int = DEFAULT_Z_BUDGET,
         _log.debug("|Z|^n = %d exceeds the budget %d; each trial samples %d "
                    "outputs instead of enumerating them",
                    spec.channel.num_outputs ** spec.n, budget, z_samples)
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.trials)
+        tables = _sampling_tables(spec.channel)
+    streams = np.random.SeedSequence(spec.seed).spawn(hi)
     pcs = []
     for k in range(lo, hi):
         rng = np.random.default_rng(streams[k])
@@ -408,7 +466,7 @@ def per_trial_pc(spec: EnsembleSpec, budget: int = DEFAULT_Z_BUDGET,
             pcs.append(exact_pc_for_codebook(cb, spec.channel, spec.m2,
                                              budget=budget))
         else:
-            pcs.append(_sampled_pc(cb, spec.channel, spec.m2, rng, z_samples))
+            pcs.append(_sampled_pc(cb, *tables, spec.m2, rng, z_samples))
     return pcs
 
 

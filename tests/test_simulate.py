@@ -1,12 +1,14 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
 import wiretap_exponent as wx
 from wiretap_exponent import simulate
-from wiretap_exponent.simulate import _sampled_pc, per_trial_pc
+from wiretap_exponent.simulate import (_sampled_pc, _sampling_tables,
+                                       per_trial_pc)
 
 BSC01 = wx.Dmc([[0.9, 0.1], [0.1, 0.9]])
 USELESS = wx.Dmc([[0.3, 0.7], [0.3, 0.7]])
@@ -27,6 +29,23 @@ def wide_and_narrow(nx, a, b, row_a, row_b):
     px = np.zeros(nx)
     px[a] = px[b] = 0.5
     return (wx.Dmc(rows), px), (wx.Dmc([row_a, row_b]), [0.5, 0.5])
+
+
+def argsort_codebook(spec, rng):
+    """The codebook drawn as a stable argsort of one double per symbol."""
+    nx = len(spec.p_x_type)
+    template = np.repeat(np.arange(nx, dtype=np.min_scalar_type(nx - 1)),
+                         spec.p_x_type)
+    order = np.argsort(rng.random((spec.m1, spec.n)), axis=1, kind="stable")
+    return template[order]
+
+
+def one_subcode_spec(n, probs, m1):
+    """A spec of m1 codewords in one sub-code, over len(probs) inputs."""
+    return wx.EnsembleSpec(n=n, rates=wx.RatePair(math.log(m1) / n, 0.0),
+                           p_x_type=wx.quantize_composition(probs, n),
+                           channel=wx.Dmc(np.full((len(probs), 2), 0.5)),
+                           trials=1, seed=0)
 
 
 class TestQuantizeComposition:
@@ -96,6 +115,37 @@ class TestSampleCodebook:
         es = spec_for(30, 0.9, 0.1)
         with pytest.raises(wx.BudgetExceededError):
             wx.sample_codebook(es, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 2048, 2049])
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+        np.random.SFC64, np.random.MT19937])
+    def test_matches_stable_argsort(self, bit_generator, n, monkeypatch):
+        # the raw draws sorted with their positions in the low bits give
+        # the stable argsort's codebook, and leave the generator where
+        # rng.random() would; MT19937 and n > 2048 take the argsort itself
+        es = one_subcode_spec(n, [0.5, 0.3, 0.2], 40 if n < 100 else 6)
+        ref_rng = np.random.Generator(bit_generator(n))
+        ref = argsort_codebook(es, ref_rng)
+        argsort = np.argsort
+        sorts = []
+        monkeypatch.setattr(np, "argsort",
+                            lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+        rng = np.random.Generator(bit_generator(n))
+        cb = wx.sample_codebook(es, rng)
+        assert cb.dtype == ref.dtype and np.array_equal(cb, ref)
+        assert np.array_equal(rng.random(5), ref_rng.random(5))
+        assert np.array_equal(rng.integers(0, 1000, 5),
+                              ref_rng.integers(0, 1000, 5))
+        assert bool(sorts) == (bit_generator is np.random.MT19937 or n > 2048)
+
+    def test_matches_stable_argsort_past_255_inputs(self):
+        # 300 inputs twice each: the codebook is uint16
+        es = one_subcode_spec(600, np.full(300, 1 / 300), 5)
+        cb = wx.sample_codebook(es, np.random.default_rng(4))
+        ref = argsort_codebook(es, np.random.default_rng(4))
+        assert cb.dtype == np.uint16
+        assert np.array_equal(cb, ref)
 
 
 class TestDecoderScore:
@@ -217,11 +267,9 @@ class TestExactPc:
                     for cb, ch, m2 in cases] == whole
 
     def test_wide_input_alphabet_half_keys(self):
-        # half-words of 8 symbols over 256 inputs: their base-256 keys
-        # would reach 256^8 = 2^64, past int64.  The one-hot product sums
-        # |X| * 8 terms in BLAS blocks, so the wide and the narrow channel
-        # agree to rounding; through per_trial_pc, which drops the unused
-        # inputs, they agree exactly
+        # a codebook on two inputs of a 256-input channel: exact_pc_for_
+        # codebook and per_trial_pc both drop the unused inputs, so the wide
+        # and the narrow channel agree exactly
         (wide, px), (narrow, _) = wide_and_narrow(256, 7, 250, [0.85, 0.15],
                                                   [0.3, 0.7])
         n = 16
@@ -235,9 +283,36 @@ class TestExactPc:
         assert np.array_equal(
             narrow_cb, wx.sample_codebook(specs[1], np.random.default_rng(3)))
         m2 = specs[0].m2
-        assert wx.exact_pc_for_codebook(cb, wide, m2) == pytest.approx(
-            wx.exact_pc_for_codebook(narrow_cb, narrow, m2), rel=1e-13)
+        assert wx.exact_pc_for_codebook(cb, wide, m2) == \
+            wx.exact_pc_for_codebook(narrow_cb, narrow, m2)
         assert per_trial_pc(specs[0]) == per_trial_pc(specs[1])
+
+    def test_half_keys_past_int64(self):
+        # every one of 256 inputs in use and half-words of 8 symbols: their
+        # base-256 keys would reach 256^8 = 2^64, past int64
+        rng = np.random.default_rng(256)
+        channel = wx.Dmc(rng.dirichlet(np.ones(2), size=256))
+        cb = rng.permutation(np.arange(512) % 256).reshape(32, 16)
+        cb = cb.astype(np.uint8)
+        z = np.array(list(itertools.product(range(2), repeat=16)))
+        lik = channel.rows[cb[:, None, :], z[None, :, :]].prod(axis=2)
+        ref = lik.reshape(8, 4, -1).mean(axis=1).max(axis=0).sum() / 8
+        assert wx.exact_pc_for_codebook(cb, channel, 4) == pytest.approx(
+            ref, rel=1e-12)
+
+    def test_unused_inputs_do_not_change_the_bits(self):
+        # codewords on inputs 7 and 150 of a 200-input channel: the kernel
+        # drops the other 198 rows, so its sums run as in the two-input
+        # form.  With them the one-hot product summed 200 * n / 2 terms in
+        # BLAS blocks and differed in the last bits at some n
+        (wide, _), (narrow, _) = wide_and_narrow(200, 7, 150, [0.9, 0.1],
+                                                 [0.35, 0.65])
+        rng = np.random.default_rng(2)
+        for n in range(2, 19, 2):
+            cb = rng.integers(0, 2, size=(300, n)).astype(np.int8)
+            assert wx.exact_pc_for_codebook(
+                np.where(cb == 1, 150, 7).astype(np.uint8), wide, 3) == \
+                wx.exact_pc_for_codebook(cb, narrow, 3), n
 
     def test_pc_bounds(self):
         es = spec_for(8, 0.6, 0.2, trials=6, seed=3)
@@ -300,7 +375,8 @@ class TestEstimateEnsemblePc:
         rng = np.random.default_rng(np.random.SeedSequence(21).spawn(1)[0])
         cb = wx.sample_codebook(es, rng)
         exact = wx.exact_pc_for_codebook(cb, BSC01, es.m2)
-        sampled = _sampled_pc(cb, BSC01, es.m2, np.random.default_rng(0), 4000)
+        sampled = _sampled_pc(cb, *_sampling_tables(BSC01), es.m2,
+                              np.random.default_rng(0), 4000)
         assert abs(sampled - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 4000)
 
     def test_sampled_small_blocks_give_same_result(self, monkeypatch):
@@ -319,12 +395,49 @@ class TestEstimateEnsemblePc:
                           ).astype(np.int8), BSC01, 3, 16)]
 
         def estimates():
-            return [_sampled_pc(cb, ch, m2, np.random.default_rng(k), zs)
+            return [_sampled_pc(cb, *_sampling_tables(ch), m2,
+                                np.random.default_rng(k), zs)
                     for k, (cb, ch, m2, zs) in enumerate(cases)]
 
         whole = estimates()
         monkeypatch.setattr(simulate, "_BLOCK", 64)
         assert estimates() == whole
+
+    @pytest.mark.parametrize("nz", [1, 2, 3, 6])
+    def test_outputs_match_the_cdf_comparison(self, nz):
+        # one 2-D comparison per CDF cut counts the same cuts below u as
+        # the (samples, n, |Z| - 1) comparison did; u equal to a cut is
+        # not above it
+        rng = np.random.default_rng(nz)
+        rows = rng.dirichlet(np.ones(nz), size=4)
+        rows[0] = np.eye(nz)[-1]
+        channel = wx.Dmc(rows)
+        xs = rng.integers(0, 4, size=(50, 7))
+        u = rng.random((50, 7))
+        cdf = np.cumsum(channel.rows, axis=1)
+        u[:5] = cdf[xs[:5], 0]
+        ref = (u[:, :, None] > cdf[xs][:, :, :-1]).sum(axis=2)
+        z = simulate._outputs(xs, u, _sampling_tables(channel)[1])
+        assert np.array_equal(z, ref)
+
+    def test_trials_keep_their_streams(self):
+        # per-trial P_c of the sampled and the exact path as the argsort
+        # sampler and the 3-D output comparison gave them
+        ch = wx.load_channel_spec(
+            os.path.join(os.path.dirname(__file__), "..", "channels",
+                         "asym3x3.json"))
+
+        def spec(n, trials):
+            return wx.EnsembleSpec(
+                n=n, rates=wx.RatePair(0.6, 0.2), channel=ch.wiretap,
+                p_x_type=wx.quantize_composition(ch.input_dist.probs, n),
+                trials=trials, seed=11)
+
+        sampled = per_trial_pc(spec(8, 6), budget=1000, z_samples=64)
+        assert [pc * 64 for pc in sampled] == [10, 18, 12, 18, 9, 13]
+        assert [pc.hex() for pc in per_trial_pc(spec(5, 3))] == [
+            "0x1.90112a086315ap-2", "0x1.64ce344fd040cp-2",
+            "0x1.738e5384f6c65p-2"]
 
     def test_fallback_used_beyond_budget(self):
         es = spec_for(8, 0.5, 0.25, trials=3, seed=2)
