@@ -1060,25 +1060,6 @@ class ExponentSolver:
         return replace(res, rep2_value=value, lambda1=lam1, lambda2=lam2)
 
 
-# ---------------------------------------------------------------------------
-# binary symmetric channel closed form
-# ---------------------------------------------------------------------------
-
-def _bsc_inner_value(s, p: float):
-    """min over crossover of D(eps||p) + (s-1)[ln2 - h(eps)], vectorized in s.
-
-    Stable for s -> 0:  s*ln(p^{1/s} + (1-p)^{1/s}) -> ln max(p, 1-p).
-    """
-    s = np.asarray(s, dtype=float)
-    la, lb = math.log(p), math.log1p(-p)
-    hi = max(la, lb)
-    lo = min(la, lb)
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.where(s > 0, np.exp(np.minimum((lo - hi) / np.maximum(s, _TINY), 0.0)), 0.0)
-        tilted = hi + np.where(s > 0, s * np.log1p(ratio), 0.0)
-    return (s - 1.0) * LN2 - tilted
-
-
 def _golden_min_scalar(f, a: float, b: float,
                        tol: float) -> tuple[float, float]:
     """Golden-section minimum (x, f(x)) of a unimodal f on [a, b]."""
@@ -1099,37 +1080,52 @@ def _golden_min_scalar(f, a: float, b: float,
     return x, f(x)
 
 
-def bsc_exponent_closed_form(p: float, rates: RatePair,
-                             grid: int = 501) -> float:
-    """Analytic E(R1, R2) for a BSC with uniform input, by dense 1-D searches.
+# ---------------------------------------------------------------------------
+# binary symmetric channel closed form
+# ---------------------------------------------------------------------------
 
-    Evaluates the scalar min-max display over (lambda2, lambda1) where the
-    inner channel minimization is in closed form: a dense joint grid locates
-    the saddle, the inner maximization is refined by golden section, and the
-    outer minimum is refined at its bracketing cell and at both endpoints
-    (the outer function is a minimum of affine functions of lambda2, so its
-    minimum sits at an endpoint up to numerical noise).  Serves as the
-    analytic oracle for the generic solver.
+def _bsc_info(e: float) -> float:
+    """ln 2 - h(e): I of a BSC(e) with uniform input, accurate near e = 1/2."""
+    u = 1.0 - 2.0 * e                                  # exact for e >= 1/4
+    head = math.log1p(-u) if e >= 0.25 else math.log(2.0 * e)
+    return e * head + (1.0 - e) * math.log1p(u)
+
+
+def _bsc_crossover(i: float) -> float:
+    """eps(I) = h^-1(ln 2 - I) on [0, 1/2], by bisection to the last bit."""
+    if i >= LN2:
+        return 0.0
+    lo, hi = 0.0, 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _bsc_info(mid) > i:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def bsc_exponent_closed_form(p: float, rates: RatePair) -> float:
+    """Exact E(R1, R2) of a BSC(p) with uniform input, in plain ``math``.
+
+    Every branch is attained at a test channel BSC(eps), with
+    I = ln 2 - h(eps) and D = d(eps||p).  With T = min(R1, ln 2):
+    E1 = R1 - R2 + d(eps(R2)||p) if R2 < I(p), else R1 - R2;
+    E2 = R1 + d(eps(T)||p) - T, least at the largest I since d + h increases
+    in eps, or +inf if T < R2; E3 = 0 if R1 <= I(p), d(eps(R1)||p) if
+    R1 <= ln 2, +inf above.  The oracle shares no code with the solver.
     """
     if not 0.0 < p <= 0.5:
         raise ValueError(f"crossover p = {p} outside (0, 1/2]")
     r1, r2 = rates.r1, rates.r2
-    lam = np.linspace(0.0, 1.0, grid)
-    step = 1.0 / (grid - 1)
 
-    def h_exact(lam2: float) -> float:
-        vals = _bsc_inner_value(lam + lam2, p) + (1.0 - lam) * r1 - lam2 * r2
-        j = int(np.argmax(vals))
-        lo, hi = max(0.0, lam[j] - step), min(1.0, lam[j] + step)
-        return -_golden_min_scalar(
-            lambda l1: -float(_bsc_inner_value(l1 + lam2, p)
-                              + (1.0 - l1) * r1 - lam2 * r2),
-            lo, hi, 1e-10)[1]
+    def d_at(i: float) -> float:
+        e = _bsc_crossover(i)
+        return ((e * math.log(e / p) if e else 0.0)
+                + (1.0 - e) * math.log((1.0 - e) / (1.0 - p)))
 
-    smat = lam[:, None] + lam[None, :]                 # [lambda2, lambda1]
-    vals = _bsc_inner_value(smat, p) \
-        + (1.0 - lam)[None, :] * r1 - lam[:, None] * r2
-    h_coarse = vals.max(axis=1)
-    j = int(np.argmin(h_coarse))
-    candidates = sorted({0.0, float(lam[j]), 1.0})
-    return min(h_exact(l2) for l2 in candidates)
+    i_p = _bsc_info(p)
+    e1 = r1 - r2 + (d_at(r2) if r2 < i_p else 0.0)
+    t = min(r1, LN2)
+    e2 = math.inf if t < r2 else r1 + d_at(t) - t
+    e3 = 0.0 if r1 <= i_p else d_at(r1) if r1 <= LN2 else math.inf
+    return min(e1, e2, e3)

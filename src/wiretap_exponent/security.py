@@ -102,7 +102,7 @@ def full_security_interval(solver: ExponentSolver, r1: float,
     upper = r1
     empty = not lower < upper
 
-    bracket_lower = max(solver.i_max - solver.d_at_imax, lower_e3)
+    bracket_lower = max(solver.i_max - solver.d_at_imax, lower_e3, 0.0)
     bracket_upper = solver.i_max
     bracket_valid = (r1 > solver.i_max) and (bracket_lower <= bracket_upper)
 

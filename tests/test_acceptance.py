@@ -62,7 +62,7 @@ def test_criterion_1_representation_equivalence():
 
 
 def test_criterion_2_bsc_closed_form(bsc_grids):
-    """Generic solver matches the analytic closed form within 1e-5."""
+    """Generic solver matches the exact closed form within 1e-9."""
     worst = 0.0
     count = 0
     for p, (_, values) in bsc_grids.items():
@@ -70,9 +70,9 @@ def test_criterion_2_bsc_closed_form(bsc_grids):
             closed = wx.bsc_exponent_closed_form(p, wx.RatePair(r1, r2))
             worst = max(worst, abs(e - closed))
             count += 1
-            assert abs(e - closed) <= 1e-5, (p, r1, r2, e, closed)
+            assert abs(e - closed) <= 1e-9, (p, r1, r2, e, closed)
     print(f"\nACCEPTANCE 2 PASS: {count} grid points over p = {BSC_PS}, "
-          f"max |generic - closed form| = {worst:.3e} <= 1e-5")
+          f"max |generic - closed form| = {worst:.3e} <= 1e-9")
 
 
 def test_criterion_3_zero_and_boundary_structure(bsc_grids):

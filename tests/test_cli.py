@@ -347,6 +347,16 @@ class TestRegionCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_bracket_lower_not_negative(self, capsys, channel_file):
+        # one effective input: the s = 2 solve leaves d_at_imax = 5.7e-31 of
+        # rounding above i_max = 0, and bracket_lower printed -5.7e-31
+        path = channel_file([1.0, 0.0], [[1 / 3, 2 / 3], [1 / 2, 1 / 2]])
+        code, out, _ = run(capsys, ["region", path, "--r1-list", "0.1"])
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert row["bracket_lower"] == "0"
+        assert row["bracket_valid"] == "true"
+
     def test_no_r1_given(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
         code, _, _ = run(capsys, ["region", path])

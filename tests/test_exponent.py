@@ -230,7 +230,7 @@ class TestExponentRep2:
                       wx.RatePair(0.4, 0.0)):
             generic = solver.exponent_rep2(rates)[0]
             closed = wx.bsc_exponent_closed_form(0.1, rates)
-            assert generic == pytest.approx(closed, abs=1e-5)
+            assert generic == pytest.approx(closed, abs=1e-9)
 
     def test_solve_populates_all_fields(self, bsc01):
         res = ExponentSolver(bsc01).solve(wx.RatePair(0.6, 0.1))
@@ -318,8 +318,8 @@ class TestBscClosedForm:
         for rates in (wx.RatePair(0.5, 0.1), wx.RatePair(0.3, 0.0)):
             closed = wx.bsc_exponent_closed_form(0.5, rates)
             generic = solver.exponent_rep2(rates)[0]
-            assert closed == pytest.approx(generic, abs=1e-6)
-            assert closed == pytest.approx(rates.r, abs=1e-6)
+            assert closed == pytest.approx(generic, abs=1e-9)
+            assert closed == pytest.approx(rates.r, abs=1e-9)
 
     def test_near_noiseless_limit(self):
         # p -> 0 hands the eavesdropper the codeword: zero exponent below
@@ -329,13 +329,52 @@ class TestBscClosedForm:
         rates = wx.RatePair(0.5, 0.2)
         closed = wx.bsc_exponent_closed_form(p, rates)
         generic = solver.exponent_rep2(rates)[0]
-        assert abs(closed - generic) <= 1e-3
+        assert abs(closed - generic) <= 1e-9
         assert closed == pytest.approx(0.0, abs=1e-3)
         rates = wx.RatePair(0.8, 0.2)
         closed = wx.bsc_exponent_closed_form(p, rates)
         generic = solver.exponent_rep2(rates)[0]
-        assert abs(closed - generic) <= 1e-3
+        assert abs(closed - generic) <= 1e-9
         assert closed == pytest.approx(min(rates.r, rates.r1 - LN2), abs=1e-3)
+
+    @pytest.mark.parametrize("p", [0.5, 0.45, 0.3, 0.2, 0.1, 0.05, 1e-6])
+    def test_whole_plane(self, p, capsys):
+        # every row of the 41x41 plane, R1 in [0, 1] and R2 = fraction * R1;
+        # at p = 0.1 through the CLI sweep of the bundled BSC channel
+        r1_values = np.linspace(0.0, 1.0, 41)
+        fractions = np.linspace(0.0, 1.0, 41)
+        rates = [wx.RatePair(float(r1), float(r2))
+                 for r1 in r1_values for r2 in fractions * r1]
+        if p == 0.1:
+            path = os.path.join(os.path.dirname(__file__), "..", "channels",
+                                "bsc01.json")
+            assert main(["sweep", path, "--r1-grid", "0:1:41",
+                         "--r2-fractions", "0:1:41"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].split(",")[:3] == ["R1", "R2", "E"]
+            values = [float(line.split(",")[2]) for line in lines[1:]]
+        else:
+            solver = ExponentSolver(make_bsc(p))
+            values = [solver.exponent_rep1(r).e for r in rates]
+        assert len(values) == len(rates) == 41 * 41
+        for r, e in zip(rates, values):
+            assert abs(e - wx.bsc_exponent_closed_form(p, r)) <= 1e-9, r
+
+    def test_shares_no_code_with_the_solver(self, monkeypatch):
+        solver = ExponentSolver(make_bsc(0.2))
+        cases = [wx.RatePair(r1, r2) for r1, r2 in
+                 ((0.0, 0.0), (0.1, 0.05), (0.3, 0.1), (0.6, 0.1),
+                  (0.6, 0.6), (0.9, 0.4), (1.2, 0.8))]
+        want = [solver.exponent_rep1(r).e for r in cases]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the closed form called the solver")
+
+        monkeypatch.setattr(exponent, "_newton_stack", fail)
+        monkeypatch.setattr(exponent, "_jump", fail)
+        monkeypatch.setattr(ExponentSolver, "__init__", fail)
+        for r, e in zip(cases, want):
+            assert abs(wx.bsc_exponent_closed_form(0.2, r) - e) <= 1e-9, r
 
 
 class TestShapeProperties:
@@ -834,11 +873,11 @@ class TestVertexAtSZero:
 
     def test_bsc_closed_form(self, caplog):
         # the first level's iterate certifies itself before the vertex is
-        # tried, so it agrees with the closed form to gap_tol
+        # tried, so it agrees with the closed form -ln 2 - ln(1 - p) to
+        # gap_tol
         sol = self._check_vertex(make_bsc(0.1), caplog)
         assert sol.iterations == 0 and not caplog.records
-        assert abs(sol.f - float(exponent._bsc_inner_value(0.0, 0.1))) <= \
-            sol.gap <= 1e-10
+        assert abs(sol.f - (-LN2 - math.log1p(-0.1))) <= sol.gap <= 1e-10
 
     def test_fallback_is_the_continuation(self, monkeypatch):
         # a vertex that does not certify leaves the rung untouched: a walk
