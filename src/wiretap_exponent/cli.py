@@ -160,24 +160,27 @@ def _cmd_exponent(args) -> int:
 _SWEEP_COLUMNS = ("R1", "R2", "E", "E1", "E2", "E3", "branch", "class")
 
 
-def _sweep_rows(spec, r1_values, r2_mode, cfg) -> tuple[list, int]:
+def _sweep_rows(spec, r1_values, r2_mode, cfg,
+                unit: float = 1.0) -> tuple[list, int]:
+    """The values of _SWEEP_COLUMNS at each rate pair of the grid, rates
+    and exponents divided by unit, and the number of pairs with R2 > R1."""
     # always in-process: the rows share one solver's table and phi memo, and
     # splitting them over a process pool was slower on every plane measured
     # (41x41 to 201x201) because each worker rebuilt both
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
+    tol = cfg["classify_tol"]
     kind, r2_values = r2_mode
     rows, skipped = [], 0
-    for r1 in r1_values:
-        r2s = r2_values * r1 if kind == "fractions" else r2_values
+    for r1 in r1_values.tolist():
+        r2s = (r2_values * r1 if kind == "fractions" else r2_values).tolist()
         for r2 in r2s:
             if r2 > r1:
                 skipped += 1
                 continue
-            rates = RatePair(float(r1), float(r2))
-            res = solver.exponent_rep1(rates)
-            rows.append((rates.r1, rates.r2, res.e, res.e1, res.e2, res.e3,
-                         res.active_branch,
-                         classify_exponent(res.e, rates, cfg["classify_tol"])))
+            rates = RatePair(r1, r2)
+            e, e1, e2, e3, branch = solver._branches(rates)[:5]
+            rows.append((r1 / unit, r2 / unit, e / unit, e1 / unit, e2 / unit,
+                         e3 / unit, branch, classify_exponent(e, rates, tol)))
     return rows, skipped
 
 
@@ -203,15 +206,14 @@ def _cmd_sweep(args) -> int:
         if bad:
             raise ChannelFileError(f"unknown sweep columns {sorted(bad)}")
 
-    rows, skipped = _sweep_rows(spec, r1_values, r2_mode, cfg)
+    rows, skipped = _sweep_rows(spec, r1_values, r2_mode, cfg, unit)
 
-    rate_like = {"R1", "R2", "E", "E1", "E2", "E3"}
+    # one %-format per row, floats as _fmt prints them
+    fmt = ",".join("%s" if c in ("branch", "class") else "%.12g"
+                   for c in columns)
+    at = [_SWEEP_COLUMNS.index(c) for c in columns]
     lines = [",".join(columns)]
-    for row in rows:
-        rec = dict(zip(_SWEEP_COLUMNS, row))
-        lines.append(",".join(
-            _fmt(rec[c] / unit) if c in rate_like else _fmt(rec[c])
-            for c in columns))
+    lines += [fmt % tuple([row[i] for i in at]) for row in rows]
     _emit(lines, args.output, skipped)
     return 0
 

@@ -63,6 +63,8 @@ quantum stops, the walk raises SolverError.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -98,6 +100,7 @@ _TABLE_S = np.linspace(2.0, 0.0, 65)
 
 #: branch values within this of the minimum tie; the smallest index wins
 _BRANCH_TIE_TOL = 1e-9
+_BRANCH_NAMES = ("E1", "E2", "E3")
 
 #: outputs whose Q_Z is at most this are held fixed in a Newton step
 _QZ_FLOOR = 1e-200
@@ -203,14 +206,15 @@ def _pick_branch(values, achievers):
 
     Raises SolverError when a value is NaN: no branch could be picked.
     """
-    if any(math.isnan(v) for v in values):
+    e1, e2, e3 = values
+    if e1 != e1 or e2 != e2 or e3 != e3:
         raise SolverError(f"branch values {tuple(values)} include NaN",
                           best_value=math.nan, residual=math.inf,
                           iterations=0)
-    e = min(values)
-    for k, (value, achiever) in enumerate(zip(values, achievers)):
-        if value <= e + _BRANCH_TIE_TOL:
-            return e, f"E{k + 1}", achiever
+    e = min(e1, e2, e3)
+    cut = e + _BRANCH_TIE_TOL
+    k = 0 if e1 <= cut else 1 if e2 <= cut else 2
+    return e, _BRANCH_NAMES[k], achievers[k]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +314,14 @@ def _evaluate(w, log_p, log_q, s):
                                   ln_qz[None], [s])[0]
 
 
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, made once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _newton_kkt(w, q, qz, v, s):
     """KKT matrix [[D H D, V], [V^T, 0]] of the Newton step dV = V * u of
     g_s at V, Q = jump(V): D = diag(V), D H D = (1 - s) [a M - diag(Q_Z)/s],
@@ -323,7 +335,7 @@ def _newton_kkt(w, q, qz, v, s):
     qz = np.maximum(qz, _QZ_FLOOR)
     kkt = np.zeros(qz.shape[:-1] + (n + 1, n + 1))
     kkt[..., :n, :n] = (1.0 - s) / s * ((q.mT * w) @ q) \
-        / qz[..., :, None] - np.eye(n) / s
+        / qz[..., :, None] - _eye(n) / s
     kkt[..., :n, n] = v / qz
     kkt[..., n, :n] = v
     return kkt
@@ -734,12 +746,15 @@ class ExponentSolver:
         self._phi_cache: dict[float, tuple[float, _InnerSolution, float]] = {}
         self._embed_cache: dict[float, ConditionalChannel] = {}
         # the table's s not in {0, 1} are one Newton stack from the true
-        # output marginal; s = 0 then walks down from the smallest of them
+        # output marginal, floored as every start is: an output that
+        # underflows to 0 would leave log 0 in the first jump; s = 0 then
+        # walks down from the smallest of them
         keys = [_key(float(s)) for s in _TABLE_S]
         stack = [key for key in keys if key not in (0.0, 1.0)]
         self._cache.update(zip(stack, _newton_stack(
             self._w, self._log_p, self._support, stack,
-            np.tile(qz_p, (len(stack), 1)), self.gap_tol, self.max_iter)))
+            np.tile(np.maximum(qz_p, _TINY), (len(stack), 1)), self.gap_tol,
+            self.max_iter)))
         # the ladder: the table's s > 0 entries, then the halving levels
         # below them, all in decreasing s
         self._starts = [self._cache[key] for key in keys if key > 0.0]
@@ -828,12 +843,24 @@ class ExponentSolver:
                     k += 1
                 sol = self._cache.get(key)
             if sol is None:
-                near = min(self._starts, key=lambda start: abs(start.s - key))
+                near = self._nearest_start(key)
                 sol = _solve_newton(self._w, self._log_p, self._support, key,
                                     np.maximum(self._w @ near.q, _TINY),
                                     self.gap_tol, self.max_iter)
             self._cache[key] = sol
         return sol
+
+    def _nearest_start(self, key: float) -> _InnerSolution:
+        """The start nearest to key among the levels built so far, the
+        first of two equally near (the larger s), by bisection on the
+        ladder's decreasing s."""
+        starts = self._starts
+        k = bisect.bisect_left(starts, -key, key=lambda start: -start.s)
+        if k == 0:
+            return starts[0]
+        if k == len(starts) or starts[k - 1].s - key <= key - starts[k].s:
+            return starts[k - 1]
+        return starts[k]
 
     def _embed(self, sol: _InnerSolution) -> ConditionalChannel:
         channel = self._embed_cache.get(sol.s)
@@ -996,6 +1023,14 @@ class ExponentSolver:
         outside [-1, 1]; by convexity of the trade-off those regions are
         dominated by another branch, so ``e`` is unaffected.)
         """
+        e, e1, e2, e3, branch, achiever, width = self._branches(rates)
+        return ExponentResult(e=e, e1=e1, e2=e2, e3=e3, active_branch=branch,
+                              q_star=self._embed(achiever), gap_bound=width)
+
+    def _branches(self, rates: RatePair):
+        """(e, e1, e2, e3, active branch, achiever, sandwich width) at rates:
+        the one branch evaluation, which exponent_rep1 wraps in an
+        ExponentResult and the CLI sweep reads as it is."""
         r1, r2 = rates.r1, rates.r2
         if r2 < self.i_min:
             e1, q1 = math.inf, (None, 0.0)
@@ -1017,8 +1052,7 @@ class ExponentSolver:
 
         e, branch, (achiever, width) = _pick_branch((e1, e2, e3),
                                                     (q1, q2, q3))
-        return ExponentResult(e=e, e1=e1, e2=e2, e3=e3, active_branch=branch,
-                              q_star=self._embed(achiever), gap_bound=width)
+        return e, e1, e2, e3, branch, achiever, width
 
     def exponent_rep2(self, rates: RatePair) -> tuple[float, float, float]:
         """Min-max evaluation of E(R1, R2); returns (value, lambda1, lambda2).

@@ -20,6 +20,11 @@ from conftest import ASYM_3X3_INPUT, ASYM_3X3_ROWS, SLOW_FIXED_POINT
 LN2 = math.log(2.0)
 
 BSC01_ARGS = ([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
+# an input of mass 5e-324, the least subnormal, found by the CLI fuzz
+TINY_MASS_ARGS = ([1.0, 5e-324],
+                  [[1e-320, 0.0, 0.0, 1.0],
+                   [0.9966777408637874, 0.0033222591362126247, 0.0,
+                    3.322e-320]])
 
 
 def run(capsys, argv):
@@ -46,6 +51,16 @@ class TestExponentCommand:
                             "rep2", "lambda1", "lambda2", "rep_discrepancy"}
         assert abs(float(rec["rep_discrepancy"])) <= 1e-4
         assert float(rec["E"]) == pytest.approx(0.0534188, abs=1e-5)
+
+    def test_tiny_input_mass(self, capsys, channel_file):
+        # the true output marginal underflows to 0 at the second output,
+        # and the table stack started from it unfloored: log 0 made the
+        # s = 2 solve NaN, which exited 3
+        path = channel_file(*TINY_MASS_ARGS)
+        code, out, _ = run(capsys, ["exponent", path, "--r1", "0.1",
+                                    "--r2", "0"])
+        assert code == 0
+        assert record_to_dict(out)["E"] == "0.1"
 
     def test_extrapolating_solves_keep_stderr_empty(self, capsys):
         # the solver's debug records stay off stderr by default
@@ -292,9 +307,16 @@ class TestSweepCommand:
 
     def test_one_exponent_evaluation_per_row(self, capsys, channel_file,
                                              monkeypatch):
-        calls = {"rep1": 0, "classify": 0}
+        # the sweep reads ExponentSolver._branches, the branch evaluation
+        # that exponent_rep1 also wraps, without building an ExponentResult
+        calls = {"branches": 0, "rep1": 0, "classify": 0}
+        branches = ExponentSolver._branches
         rep1 = ExponentSolver.exponent_rep1
         classify = security.classify_rate_point
+
+        def counted_branches(self, rates):
+            calls["branches"] += 1
+            return branches(self, rates)
 
         def counted_rep1(self, rates):
             calls["rep1"] += 1
@@ -304,6 +326,7 @@ class TestSweepCommand:
             calls["classify"] += 1
             return classify(*args, **kwargs)
 
+        monkeypatch.setattr(ExponentSolver, "_branches", counted_branches)
         monkeypatch.setattr(ExponentSolver, "exponent_rep1", counted_rep1)
         for module in (security, cli):
             monkeypatch.setattr(module, "classify_rate_point",
@@ -312,7 +335,41 @@ class TestSweepCommand:
         code, out, _ = run(capsys, ["sweep", path, "--r1-grid", "0.1:1.1:5",
                                     "--r2-fractions", "0:1:4"])
         assert code == 0
-        assert calls == {"rep1": len(out.splitlines()) - 1, "classify": 0}
+        assert calls == {"branches": len(out.splitlines()) - 1, "rep1": 0,
+                         "classify": 0}
+
+    @pytest.mark.parametrize("extra", [
+        (), ("--bits",), ("--columns", "E3,branch,R2,class"),
+        ("--columns", "E1"), ("--columns", "class,E2,R1", "--bits")],
+        ids=["all", "bits", "reordered", "single", "reordered_bits"])
+    def test_csv_bytes_match_per_field_reference(self, capsys, channel_file,
+                                                 extra):
+        # every field of the reference goes through _fmt on its own; each
+        # selection holds a branch column that reads inf in some row: R2 = 0
+        # lies below i_min (E1), R1 = 0 below it too (E2), and R1 = 1.2
+        # nats above i_max (E3)
+        path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
+        code, out, _ = run(capsys, ["sweep", path, "--r1-grid", "0:1.2:7",
+                                    "--r2-fractions", "0:1:4", *extra])
+        assert code == 0
+        unit = LN2 if "--bits" in extra else 1.0
+        columns = (extra[extra.index("--columns") + 1].split(",")
+                   if "--columns" in extra else cli._SWEEP_COLUMNS)
+        solver = ExponentSolver(wx.load_channel_spec(path))
+        lines = [",".join(columns)]
+        for r1 in np.linspace(0.0, 1.2, 7) * unit:
+            for r2 in np.linspace(0.0, 1.0, 4) * r1:
+                rates = wx.RatePair(float(r1), float(r2))
+                res = solver.exponent_rep1(rates)
+                rec = dict(zip(("R1", "R2", "E", "E1", "E2", "E3"),
+                               (rates.r1, rates.r2, res.e, res.e1, res.e2,
+                                res.e3)))
+                rec = {c: v / unit for c, v in rec.items()}
+                rec["branch"] = res.active_branch
+                rec["class"] = wx.classify_exponent(res.e, rates)
+                lines.append(",".join(cli._fmt(rec[c]) for c in columns))
+        assert out == "\n".join(lines) + "\n"
+        assert any("inf" in line.split(",") for line in lines[1:])
 
     def test_requires_exactly_one_r2_mode(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
@@ -346,6 +403,13 @@ class TestRegionCommand:
         code, out, _ = run(capsys, ["region", path, "--r1-list", "0.2,0.9"])
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_tiny_input_mass(self, capsys, channel_file):
+        # see TestExponentCommand.test_tiny_input_mass
+        path = channel_file(*TINY_MASS_ARGS)
+        code, out, _ = run(capsys, ["region", path, "--r1-list", "0.1,0.5"])
+        assert code == 0
+        assert len(out.splitlines()) == 3 and "nan" not in out
 
     def test_bracket_lower_not_negative(self, capsys, channel_file):
         # one effective input: the s = 2 solve leaves d_at_imax = 5.7e-31 of

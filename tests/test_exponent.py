@@ -1097,6 +1097,44 @@ def _fallbacks(records) -> int:
     return sum("keeps a sandwich" in r.getMessage() for r in records)
 
 
+class TestNearestStart:
+    """An off-table solve starts from the ladder start nearest to its s, the
+    first of two equally near (the larger s).  The bisection must pick the
+    start that a linear scan of the ladder picks."""
+
+    @staticmethod
+    def linear(solver, key):
+        return min(solver._starts, key=lambda start: abs(start.s - key))
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        solver = ExponentSolver(make_asym_3x3())
+        solver._start(len(solver._starts) + 7)      # eight halving levels
+        return solver
+
+    def test_midpoints_tie_to_the_larger_s(self, solver):
+        starts = solver._starts
+        assert len(starts) == 72 and starts[-1].s < 1e-3
+        ties = 0
+        for above, below in zip(starts, starts[1:]):
+            key = 0.5 * (above.s + below.s)
+            near = solver._nearest_start(key)
+            assert near is self.linear(solver, key)
+            if above.s - key == key - below.s:
+                assert near is above
+                ties += 1
+        assert ties >= 63          # each midpoint of two table entries ties
+
+    def test_random_keys(self, solver):
+        rng = np.random.default_rng(23)
+        keys = np.concatenate([rng.uniform(0.0, 2.0, 500),
+                               10.0 ** rng.uniform(-9.0, -1.0, 500)])
+        keys = [exponent._key(float(key)) for key in keys]
+        keys += [start.s for start in solver._starts] + [1e-9, 2.0]
+        for key in keys:
+            assert solver._nearest_start(key) is self.linear(solver, key)
+
+
 class TestSandwich:
     """phi as the best support line of a certified sandwich."""
 
