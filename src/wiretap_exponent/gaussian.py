@@ -8,6 +8,11 @@ over sigma_z is available in closed form, which leaves one-dimensional
 searches over rho per branch, each a dense grid with golden-section
 refinement whose density and tolerance are fixed, not settings.
 
+E1's search depends on R2 alone and E3's on R1 alone, so a spec remembers
+both: an N x M sweep on one spec runs at most N + M of them, plus one E2
+search per rate pair.  The memo lives and dies with the spec and holds one
+entry per distinct rate.
+
 All branch objectives at negative rho dominate their positive-rho mirror
 pointwise (the divergence term grows by 2*rho*sigma_z*sqrt(S)/sigma^2 when
 the sign flips), so searches run over rho >= 0 and yield the same minima as
@@ -16,7 +21,7 @@ a full-range search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +38,17 @@ _RHO_CAP = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Per-symbol power S and noise variance sigma^2, both positive."""
+    """Per-symbol power S and noise variance sigma^2, both positive.
+
+    A spec also remembers the divergence profile's minimum on each interval
+    it has searched (see ``gaussian_exponent``); the memo takes no part in
+    equality, hashing or the repr.
+    """
 
     s: float
     sigma2: float
+    _profile_mins: dict[tuple[float, float], tuple[float, float]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.s) and self.s > 0):
@@ -158,6 +170,16 @@ def _min_on_interval(fun, lo: float, hi: float) -> tuple[float, float]:
     return float(vals[j]), float(xs[j])
 
 
+def _profile_min(g: GaussianSpec, lo: float, hi: float) -> tuple[float, float]:
+    """_min_on_interval of the divergence profile on [lo, hi], memoized on
+    the spec."""
+    hit = g._profile_mins.get((lo, hi))
+    if hit is None:
+        hit = g._profile_mins[(lo, hi)] = _min_on_interval(
+            lambda x: _profile(x, g), lo, hi)
+    return hit
+
+
 def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     """Exponent of the Gaussian eavesdropper at the given rate pair.
 
@@ -167,12 +189,15 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     When R1 <= C the third branch is 0 and when R2 >= C the first is
     R1 - R2, both attained at the true channel's correlation
     rho_P = sqrt(S / (S + sigma^2)).
+
+    E1's search runs on [0, rho2] and so depends on R2 alone; E3's runs on
+    [rho1, 1) and depends on R1 alone.  The spec remembers both, so calls
+    that share g and a rate repeat neither: an N x M sweep runs at most
+    N + M of them, plus one E2 search per pair.  Every value is the one a
+    fresh spec gives.
     """
     rho1 = rho_from_rate(rates.r1)
     rho2 = rho_from_rate(rates.r2)
-
-    def f_div(x: np.ndarray) -> np.ndarray:
-        return _profile(x, g)
 
     def f_mid(x: np.ndarray) -> np.ndarray:
         return _profile(x, g) + 0.5 * np.log1p(-x * x)
@@ -184,7 +209,7 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     if rates.r2 >= g.capacity:
         v1, r1_arg = 0.0, rho_p
     else:
-        v1, r1_arg = _min_on_interval(f_div, 0.0, rho2)
+        v1, r1_arg = _profile_min(g, 0.0, rho2)
     # every branch is nonnegative, but a minimum can round below 0: at
     # R1 = C, E2's log term cancels R1 (to -9.1e-14 on a 10x10 sweep)
     e1 = rates.r1 - rates.r2 + max(0.0, v1)
@@ -193,7 +218,7 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     if rates.r1 <= g.capacity:
         e3, r3_arg = 0.0, rho_p
     else:
-        e3, r3_arg = _min_on_interval(f_div, rho1, _RHO_CAP)
+        e3, r3_arg = _profile_min(g, rho1, _RHO_CAP)
         e3 = max(0.0, e3)
 
     e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import wiretap_exponent as wx
-from wiretap_exponent import channels, cli, exponent, security, simulate
+from wiretap_exponent import (channels, cli, exponent, gaussian, security,
+                              simulate)
 from wiretap_exponent.cli import main
 from wiretap_exponent.exponent import ExponentSolver
 
@@ -537,6 +539,41 @@ class TestGaussianCommand:
         _, par, _ = run(capsys, base + ["--workers", "3"])
         assert seq == par
 
+    def test_one_rate_searches_once_per_rate(self, capsys, monkeypatch):
+        # E1 searches depend on R2 alone and E3 searches on R1 alone, so a
+        # sweep's spec runs each once per rate; E2 searches once per pair
+        searches = []
+        search = gaussian._min_on_interval
+
+        def counted(fun, lo, hi):
+            searches.append((lo, hi))
+            return search(fun, lo, hi)
+
+        monkeypatch.setattr(gaussian, "_min_on_interval", counted)
+        cap = wx.GaussianSpec(1.0, 0.5).capacity
+        grid = f"0:{1.5 * cap!r}:10"
+        code, out, _ = run(capsys, ["gaussian", "--power", "1.0",
+                                    "--noise", "0.5", "--r1-grid", grid,
+                                    "--r2-grid", grid])
+        assert code == 0
+        rates = np.linspace(0.0, 1.5 * cap, 10)
+        pairs = len(out.splitlines()) - 1
+        assert pairs == 55
+        assert len(searches) <= ((rates < cap).sum() + (rates > cap).sum()
+                                 + pairs)
+
+    def test_solver_settings_change_nothing(self, capsys):
+        # gaussian reads only workers; the exponent solver's settings are
+        # accepted, validated and unused
+        base = ["gaussian", "--power", "1.0", "--noise", "0.5",
+                "--r1-grid", "0:0.8:4", "--r2-grid", "0:0.8:4"]
+        _, ref, _ = run(capsys, base)
+        code, out, _ = run(capsys, base + ["--gap-tol", "0.5",
+                                           "--max-iter", "1"])
+        assert (code, out) == (0, ref)
+        code, out, _ = run(capsys, base + ["--gap-tol", "0"])
+        assert (code, out) == (2, "")
+
     def test_deprecated_grid_flag_warns_and_changes_nothing(self, capsys):
         argv = ["gaussian", "--power", "1", "--noise", "1",
                 "--r1", "0.6", "--r2", "0.1"]
@@ -895,7 +932,10 @@ class TestConfig:
 
 
 class _RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records its size."""
+    """In-process stand-in for ProcessPoolExecutor that records its size.
+
+    Each item goes through a pickle round trip, as a process pool sends it.
+    """
 
     sizes: list = []
 
@@ -909,7 +949,7 @@ class _RecordingPool:
         return False
 
     def map(self, fn, items):
-        return map(fn, items)
+        return map(fn, (pickle.loads(pickle.dumps(item)) for item in items))
 
 
 class TestPoolSize:
@@ -956,6 +996,17 @@ class TestPoolSize:
         code, par, _ = run(capsys, base + ["--workers", "64"])
         assert code == 0 and par == seq
         assert pool.sizes == [2]
+        # 10 x 10 grids to 1.5 C, in nats and in bits (C = 0.5 bit): every
+        # R2 value below C recurs in both chunks' E1 searches
+        top = 1.5 * wx.GaussianSpec(1.0, 1.0).capacity
+        for grid, unit in ((f"0:{top!r}:10", []), ("0:0.75:10", ["--bits"])):
+            base = ["gaussian", "--power", "1.0", "--noise", "1.0",
+                    "--r1-grid", grid, "--r2-grid", grid] + unit
+            _, seq, _ = run(capsys, base + ["--workers", "1"])
+            code, par, _ = run(capsys, base + ["--workers", "2"])
+            assert code == 0 and par == seq
+            assert len(seq.splitlines()) == 1 + 55
+        assert pool.sizes == [2, 2, 2]
 
     def test_simulate(self, capsys, channel_file, pool):
         path = channel_file(*BSC01_ARGS)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -203,6 +204,41 @@ class TestGaussianExponent:
             with pytest.raises(ValueError, match="overflows"):
                 wx.GaussianSpec(s, sigma2)
         assert wx.GaussianSpec(1e-10, 1e-300).capacity > 300.0
+
+
+class TestSpecMemo:
+    """A spec remembers E1's search per R2 and E3's per R1; what it
+    remembers must be what a fresh spec computes."""
+
+    @pytest.mark.parametrize("snr", (1e-2, 1.0, 1e2))
+    def test_hits_equal_misses(self, snr):
+        shared = wx.GaussianSpec(2.0, 2.0 / snr)
+        cap = shared.capacity
+        grid = np.linspace(0.0, 1.5 * cap, 7).tolist()
+        pairs = [(r1, r2) for r1 in grid for r2 in grid if r2 <= r1]
+        assert any(r1 == r2 for r1, r2 in pairs)
+        assert any(r2 >= cap for _, r2 in pairs)
+        assert any(0.0 < r1 <= cap for r1, _ in pairs)
+        for r1, r2 in pairs:
+            rates = wx.RatePair(r1, r2)
+            fresh = wx.gaussian_exponent(
+                wx.GaussianSpec(shared.s, shared.sigma2), rates)
+            assert wx.gaussian_exponent(shared, rates) == fresh, rates
+        # one entry per distinct rate: E1's below C, E3's above it
+        assert 0 < len(shared._profile_mins) <= len(grid)
+
+    def test_equality_hash_repr_unchanged(self):
+        used, fresh = wx.GaussianSpec(1.0, 0.5), wx.GaussianSpec(1.0, 0.5)
+        for r1, r2 in ((0.9, 0.1), (0.9, 0.2), (0.3, 0.1)):
+            wx.gaussian_exponent(used, wx.RatePair(r1, r2))
+        assert used._profile_mins and not fresh._profile_mins
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "GaussianSpec(s=1.0, sigma2=0.5)"
+        assert {fresh: 1}[used] == 1
+        assert used != wx.GaussianSpec(1.0, 0.25)
+        # the --workers payload carries the spec to each process
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == used and copy._profile_mins == used._profile_mins
 
 
 def _endpoint_branches(g, rates):
