@@ -4,14 +4,15 @@ Codewords are drawn uniformly on the sphere of squared radius n*S and the
 eavesdropper sees them through additive white Gaussian noise of variance
 sigma^2.  The large-deviations variables are the empirical output power
 sigma_z^2 and the empirical input-output correlation rho; the minimization
-over sigma_z is available in closed form, which leaves one-dimensional
-searches over rho per branch, each a dense grid with golden-section
-refinement whose density and tolerance are fixed, not settings.
+over sigma_z is available in closed form.  E2's objective decreases in rho,
+so E2 is its value at the interval's upper end (see ``gaussian_exponent``).
+E1 and E3 are one-dimensional searches over rho, each a dense grid with
+golden-section refinement whose density and tolerance are fixed, not
+settings.
 
 E1's search depends on R2 alone and E3's on R1 alone, so a spec remembers
-both: an N x M sweep on one spec runs at most N + M of them, plus one E2
-search per rate pair.  The memo lives and dies with the spec and holds one
-entry per distinct rate.
+both: an N x M sweep on one spec runs at most N + M searches.  The memo
+lives and dies with the spec and holds one entry per distinct rate.
 
 All branch objectives at negative rho dominate their positive-rho mirror
 pointwise (the divergence term grows by 2*rho*sigma_z*sqrt(S)/sigma^2 when
@@ -153,30 +154,29 @@ def rho_from_rate(r: float) -> float:
     return min(rho, _RHO_CAP)
 
 
-def _min_on_interval(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Min and argmin on [lo, hi] by a grid of at least 9 points, both ends
-    included, and golden refinement of its best cell; ties go to smaller
-    rho."""
+def _profile_min(g: GaussianSpec, lo: float, hi: float) -> tuple[float, float]:
+    """Min and argmin of the divergence profile on [lo, hi], memoized on
+    the spec.
+
+    A grid of at least 9 points, both ends included, and golden refinement
+    of its best cell; ties go to smaller rho.
+    """
+    hit = g._profile_mins.get((lo, hi))
+    if hit is not None:
+        return hit
     count = max(9, int(math.ceil((hi - lo) * _GRID_POINTS / 2.0)) + 1)
     xs = np.linspace(lo, hi, count)
-    vals = fun(xs)
+    vals = _profile(xs, g)
     j = int(np.argmin(vals))
     a = xs[max(0, j - 1)]
     b = xs[min(count - 1, j + 1)]
-    x, v = _golden_min_scalar(lambda t: float(fun(np.asarray([t]))[0]),
+    x, v = _golden_min_scalar(lambda t: float(_profile(np.asarray([t]), g)[0]),
                               float(a), float(b), _REFINE_TOL)
     if v <= vals[j]:
-        return float(v), float(x)
-    return float(vals[j]), float(xs[j])
-
-
-def _profile_min(g: GaussianSpec, lo: float, hi: float) -> tuple[float, float]:
-    """_min_on_interval of the divergence profile on [lo, hi], memoized on
-    the spec."""
-    hit = g._profile_mins.get((lo, hi))
-    if hit is None:
-        hit = g._profile_mins[(lo, hi)] = _min_on_interval(
-            lambda x: _profile(x, g), lo, hi)
+        hit = float(v), float(x)
+    else:
+        hit = float(vals[j]), float(xs[j])
+    g._profile_mins[(lo, hi)] = hit
     return hit
 
 
@@ -184,23 +184,25 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     """Exponent of the Gaussian eavesdropper at the given rate pair.
 
     Each branch restricts rho to the interval mapped from the rates via
-    rho^2 = 1 - e^{-2R} and minimizes its objective by a fixed dense grid
-    (10^5 points across (-1, 1)) with golden-section refinement to 1e-9.
-    When R1 <= C the third branch is 0 and when R2 >= C the first is
-    R1 - R2, both attained at the true channel's correlation
-    rho_P = sqrt(S / (S + sigma^2)).
+    rho^2 = 1 - e^{-2R} and minimizes its objective there.  E1 and E3
+    minimize the divergence profile f by a fixed dense grid (10^5 points
+    across (-1, 1)) with golden-section refinement to 1e-9.  When R1 <= C
+    the third branch is 0 and when R2 >= C the first is R1 - R2, both
+    attained at the true channel's correlation rho_P = sqrt(S / (S + sigma^2)).
+
+    E2 is in closed form: its objective h(rho) = f(rho) + ln(1 - rho^2)/2
+    decreases on [rho2, rho1], so its minimum is h(rho1).  At the optimal
+    sigma_z, h is (sigma_z^2 - 2 rho sigma_z sqrt(S) + S)/(2 sigma^2)
+    - ln(sigma_z^2/sigma^2)/2 - 1/2, whose partial derivative in rho is
+    -sqrt(S) sigma_z/sigma^2 < 0; by the envelope theorem so is dh/drho.
 
     E1's search runs on [0, rho2] and so depends on R2 alone; E3's runs on
     [rho1, 1) and depends on R1 alone.  The spec remembers both, so calls
     that share g and a rate repeat neither: an N x M sweep runs at most
-    N + M of them, plus one E2 search per pair.  Every value is the one a
-    fresh spec gives.
+    N + M searches.  Every value is the one a fresh spec gives.
     """
     rho1 = rho_from_rate(rates.r1)
     rho2 = rho_from_rate(rates.r2)
-
-    def f_mid(x: np.ndarray) -> np.ndarray:
-        return _profile(x, g) + 0.5 * np.log1p(-x * x)
 
     # the divergence term's global minimum is 0, at the true channel's
     # correlation rho_P; a branch whose interval holds rho_P takes it there
@@ -213,7 +215,8 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     # every branch is nonnegative, but a minimum can round below 0: at
     # R1 = C, E2's log term cancels R1 (to -9.1e-14 on a 10x10 sweep)
     e1 = rates.r1 - rates.r2 + max(0.0, v1)
-    v2, r2_arg = _min_on_interval(f_mid, rho2, rho1)
+    x = np.asarray([rho1])
+    v2, r2_arg = float((_profile(x, g) + 0.5 * np.log1p(-x * x))[0]), rho1
     e2 = max(0.0, rates.r1 + v2)
     if rates.r1 <= g.capacity:
         e3, r3_arg = 0.0, rho_p

@@ -541,15 +541,16 @@ class TestGaussianCommand:
 
     def test_one_rate_searches_once_per_rate(self, capsys, monkeypatch):
         # E1 searches depend on R2 alone and E3 searches on R1 alone, so a
-        # sweep's spec runs each once per rate; E2 searches once per pair
+        # sweep's spec runs each once per rate; E2 is in closed form.  Each
+        # search refines its best grid cell once, by golden section
         searches = []
-        search = gaussian._min_on_interval
+        refine = gaussian._golden_min_scalar
 
-        def counted(fun, lo, hi):
+        def counted(fun, lo, hi, tol):
             searches.append((lo, hi))
-            return search(fun, lo, hi)
+            return refine(fun, lo, hi, tol)
 
-        monkeypatch.setattr(gaussian, "_min_on_interval", counted)
+        monkeypatch.setattr(gaussian, "_golden_min_scalar", counted)
         cap = wx.GaussianSpec(1.0, 0.5).capacity
         grid = f"0:{1.5 * cap!r}:10"
         code, out, _ = run(capsys, ["gaussian", "--power", "1.0",
@@ -559,8 +560,7 @@ class TestGaussianCommand:
         rates = np.linspace(0.0, 1.5 * cap, 10)
         pairs = len(out.splitlines()) - 1
         assert pairs == 55
-        assert len(searches) <= ((rates < cap).sum() + (rates > cap).sum()
-                                 + pairs)
+        assert 0 < len(searches) <= (rates < cap).sum() + (rates > cap).sum()
 
     def test_solver_settings_change_nothing(self, capsys):
         # gaussian reads only workers; the exponent solver's settings are

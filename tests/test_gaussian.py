@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import wiretap_exponent as wx
-from wiretap_exponent.gaussian import (_REFINE_TOL, _RHO_CAP,
-                                       _min_on_interval, _profile,
-                                       rho_from_rate)
+from wiretap_exponent.gaussian import (_REFINE_TOL, _RHO_CAP, _profile,
+                                       _profile_min, rho_from_rate)
 
 
 class TestDivergenceTerm:
@@ -185,13 +184,16 @@ class TestGaussianExponent:
 
     def test_interval_narrower_than_tolerance_is_searched(self):
         # an interval narrower than the refinement tolerance returned its
-        # low end unsearched, though a decreasing function is lowest at hi
+        # low end unsearched, though the profile, decreasing below rho_P,
+        # is lowest at hi
+        g = wx.GaussianSpec(1.0, 1.0)
         lo = 0.3
         hi = lo + 0.5 * _REFINE_TOL
-        v, x = _min_on_interval(lambda t: -t, lo, hi)
-        assert (v, x) == (-hi, hi)
+        at_lo, at_hi = _profile(np.array([lo, hi]), g)
+        assert at_hi < at_lo
+        assert _profile_min(g, lo, hi) == (at_hi, hi)
         # a zero-width interval still evaluates its one point
-        assert _min_on_interval(lambda t: t * t, lo, lo) == (lo * lo, lo)
+        assert _profile_min(g, lo, lo) == (at_lo, lo)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -290,3 +292,58 @@ class TestBranchEndpoints:
                             _endpoint_branches(g, rates), (g, rates)
                         count += 1
         assert count >= 300
+
+
+def _e2_objective(rho, s, sigma2):
+    """h(rho) = f(rho) + ln(1 - rho^2)/2 at sigma_z*(rho), written apart
+    from the solver.
+
+    In sigma_z alone, h = [(sigma_z^2 - 2 rho sigma_z sqrt(S) + S)/sigma^2
+    - ln(sigma_z^2/sigma^2) - 1]/2.  sigma_z* solves sigma_z^2
+    - rho sqrt(S) sigma_z - sigma^2 = 0, so sigma_z - rho sqrt(S)
+    = sigma^2/sigma_z and the first term is sigma^2/sigma_z^2
+    + (1 - rho^2) S/sigma^2, which does not cancel at high SNR.  1 - rho^2
+    is 1 - fl(rho^2), as in the solver: h moves by about S/(2 sigma^2) per
+    unit of rho^2, so near rho = 1 the last bit of rho^2 is worth 5e-9 at
+    S/sigma^2 = 1e8.
+    """
+    t = math.sqrt(s / sigma2)
+    u = 0.5 * (rho * t + np.sqrt(rho * rho * t * t + 4.0))   # sigma_z*/sigma
+    return 0.5 * (1.0 / (u * u) + (1.0 - rho * rho) * t * t
+                  - 2.0 * np.log(u) - 1.0)
+
+
+class TestE2ClosedForm:
+    """E2 is its objective at rho1, the interval's upper end; an
+    independent grid over [rho2, rho1] must find nothing lower."""
+
+    def test_matches_grid_minimum(self):
+        rng = np.random.default_rng(25)
+        kinds = set()
+        for k in range(240):
+            snr = 10.0 ** rng.uniform(-8.0, 8.0)
+            s = 10.0 ** rng.uniform(-3.0, 3.0)
+            g = wx.GaussianSpec(s, s / snr)
+            kind = k % 4
+            if kind == 0:                            # R1 = R2
+                r1 = r2 = float(rng.uniform(0.0, 2.0 * g.capacity))
+            elif kind == 1:                          # rho1 at the cap
+                r1 = float(rng.uniform(30.0, 40.0))
+                r2 = float(rng.uniform(0.0, r1))
+            else:
+                r1 = float(rng.uniform(0.0, 2.0 * g.capacity))
+                r2 = float(rng.uniform(0.0, r1))
+            rho1, rho2 = (min(math.sqrt(-math.expm1(-2.0 * r)), _RHO_CAP)
+                          for r in (r1, r2))
+            kinds.update(name for name, hit in (
+                ("equal", r1 == r2), ("above C", r1 > g.capacity),
+                ("cap", rho1 == _RHO_CAP)) if hit)
+            e2 = wx.gaussian_exponent(g, wx.RatePair(r1, r2)).e2
+            grid = np.linspace(rho2, rho1, 2001)
+            want = max(0.0, r1 + float(_e2_objective(grid, s, s / snr).min()))
+            assert abs(e2 - want) <= 1e-12 * max(1.0, abs(e2)), (g, r1, r2)
+            # dh/drho = -sqrt(S) sigma_z*/sigma^2 < 0: h decreases
+            sigma_z = 0.5 * (grid * math.sqrt(s)
+                             + np.sqrt(grid * grid * s + 4.0 * s / snr))
+            assert np.all(-math.sqrt(s) * sigma_z / (s / snr) < 0.0)
+        assert kinds == {"equal", "above C", "cap"}
