@@ -110,6 +110,10 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ChannelFileError(f"{what}: cannot parse {text!r}") from None
+    # finite only when MIN and MAX both are; NaN would also pass hi < lo
+    if not math.isfinite(hi - lo):
+        raise ChannelFileError(
+            f"{what}: MIN, MAX and MAX - MIN must be finite, got {text!r}")
     if steps < 0 or hi < lo:
         raise ChannelFileError(f"{what}: empty or inverted grid {text!r}")
     try:
@@ -245,29 +249,6 @@ def _cmd_region(args) -> int:
     return 0
 
 
-def _fan_out(worker, payload, count: int, workers: int) -> list:
-    """worker(payload(lo, hi)) over contiguous chunks [lo, hi) of range(count).
-
-    One chunk per worker, at most one per item and per usable CPU; with more
-    than one chunk each runs in its own process.  Results keep chunk order.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    bounds = np.linspace(0, count, min(workers, count, cpus) + 1).astype(int)
-    payloads = [payload(int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(payloads) <= 1:
-        return [worker(item) for item in payloads]
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _gaussian_rows(payload):
-    g, r1_values, r2_values = payload
-    return [(r1, r2, gaussian_exponent(g, RatePair(float(r1), float(r2))))
-            for r1 in r1_values for r2 in r2_values if r2 <= r1]
-
-
 _GAUSSIAN_COLUMNS = ("S", "sigma2", "R1", "R2", "E", "E1", "E2", "E3",
                      "rho_star", "sigma_z_star", "branch")
 
@@ -281,7 +262,7 @@ def _gaussian_fields(g, r1, r2, opt, unit) -> tuple[str, ...]:
 
 
 def _cmd_gaussian(args) -> int:
-    cfg = _settings(args)
+    _settings(args)                     # validated; gaussian reads none
     unit = LN2 if args.bits else 1.0
     if args.gaussian_grid is not None:
         print("warning: --gaussian-grid is deprecated and ignored; the "
@@ -293,14 +274,16 @@ def _cmd_gaussian(args) -> int:
                 "sweep mode needs both --r1-grid and --r2-grid")
         r1s = _parse_grid(args.r1_grid, "--r1-grid") * unit
         r2s = _parse_grid(args.r2_grid, "--r2-grid") * unit
-        parts = _fan_out(_gaussian_rows,
-                         lambda lo, hi: (g, r1s[lo:hi], r2s),
-                         r1s.size, cfg["workers"])
-        rows = [row for part in parts for row in part]
-        skipped = r1s.size * r2s.size - len(rows)
-        lines = [",".join(_GAUSSIAN_COLUMNS)]
-        lines += [",".join(_gaussian_fields(g, r1, r2, opt, unit))
-                  for r1, r2, opt in rows]
+        # in-process: one spec's memo serves every row, and each pair costs
+        # less than starting and feeding a process pool
+        lines, skipped = [",".join(_GAUSSIAN_COLUMNS)], 0
+        for r1 in r1s.tolist():
+            for r2 in r2s.tolist():
+                if r2 > r1:
+                    skipped += 1
+                    continue
+                opt = gaussian_exponent(g, RatePair(r1, r2))
+                lines.append(",".join(_gaussian_fields(g, r1, r2, opt, unit)))
         _emit(lines, args.output, skipped)
         return 0
     if args.r1 is None or args.r2 is None:
@@ -313,8 +296,23 @@ def _cmd_gaussian(args) -> int:
     return 0
 
 
-def _simulate_trials(payload):
-    es, cfg, lo, hi = payload
+def _fan_out(worker, count: int, workers: int) -> list:
+    """worker(lo, hi) over contiguous chunks [lo, hi) of range(count).
+
+    One chunk per worker, at most one per item and per usable CPU; with more
+    than one chunk each runs in its own process.  Results keep chunk order.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n = min(workers, count, cpus)
+    chunks = [(count * k // n, count * (k + 1) // n) for k in range(n)]
+    if len(chunks) <= 1:
+        return [worker(lo, hi) for lo, hi in chunks]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(worker, *zip(*chunks)))
+
+
+def _simulate_trials(es, cfg, lo, hi):
     return sim.per_trial_pc(es, budget=cfg["z_budget"],
                             z_samples=cfg["z_samples"],
                             codebook_budget=cfg["codebook_budget"],
@@ -330,7 +328,7 @@ def _cmd_simulate(args) -> int:
     es = sim.EnsembleSpec(n=args.n, rates=rates, p_x_type=comp,
                           channel=spec.wiretap, trials=args.trials,
                           seed=args.seed)
-    parts = _fan_out(_simulate_trials, lambda lo, hi: (es, cfg, lo, hi),
+    parts = _fan_out(functools.partial(_simulate_trials, es, cfg),
                      args.trials, cfg["workers"])
     result = sim.summarize_trials(es, [pc for part in parts for pc in part],
                                   budget=cfg["z_budget"])

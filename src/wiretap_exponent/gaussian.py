@@ -39,7 +39,7 @@ _RHO_CAP = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Per-symbol power S and noise variance sigma^2, both positive.
+    """Per-symbol power S and noise variance sigma^2, both normal floats.
 
     A spec also remembers the divergence profile's minimum on each interval
     it has searched (see ``gaussian_exponent``); the memo takes no part in
@@ -52,11 +52,11 @@ class GaussianSpec:
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"power must be positive and finite, got {self.s}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(
-                f"noise variance must be positive and finite, got {self.sigma2}")
+        # a subnormal value has too few digits for the 12 printed, and at
+        # S = sigma^2 = 5e-324 the divergence term's variance underflows
+        for name, v in (("power", self.s), ("noise variance", self.sigma2)):
+            if not (math.isfinite(v) and v >= np.finfo(float).smallest_normal):
+                raise ValueError(f"{name} must be finite and normal, got {v}")
         if not math.isfinite(self.s / self.sigma2):
             raise ValueError(f"S/sigma^2 = {self.s}/{self.sigma2} overflows")
         # sigma_z_star takes the square root of up to S + 4 sigma^2

@@ -422,19 +422,14 @@ def _sampled_pc(codebook: np.ndarray, log_rows: np.ndarray, cuts: np.ndarray,
 def estimate_ensemble_pc(spec: EnsembleSpec, budget: int = DEFAULT_Z_BUDGET,
                          z_samples: int = DEFAULT_Z_SAMPLES,
                          codebook_budget: int = DEFAULT_CODEBOOK_BUDGET,
-                         trial_range: tuple[int, int] | None = None,
                          ) -> SimulationResult:
     """Monte-Carlo mean of the exact per-codebook P_c over sampled codebooks.
 
     When |Z|^n fits the budget the inner expectation over channel outputs is
     exact; otherwise each trial forward-samples ``z_samples`` transmissions.
-    ``trial_range`` restricts to trials [lo, hi) (used by worker pools); the
-    per-trial streams make the union over disjoint ranges identical to a
-    single full run.
     """
     pcs = per_trial_pc(spec, budget=budget, z_samples=z_samples,
-                       codebook_budget=codebook_budget,
-                       trial_range=trial_range)
+                       codebook_budget=codebook_budget)
     return summarize_trials(spec, pcs, budget=budget)
 
 
@@ -442,7 +437,11 @@ def per_trial_pc(spec: EnsembleSpec, budget: int = DEFAULT_Z_BUDGET,
                  z_samples: int = DEFAULT_Z_SAMPLES,
                  codebook_budget: int = DEFAULT_CODEBOOK_BUDGET,
                  trial_range: tuple[int, int] | None = None) -> list[float]:
-    """Per-trial P_c values for the trials in ``trial_range``."""
+    """Per-trial P_c values for the trials [lo, hi) in ``trial_range``.
+
+    Each trial draws from its own stream, so the union over disjoint ranges
+    is identical to a single full run (the CLI's worker pools rely on it).
+    """
     lo, hi = trial_range if trial_range is not None else (0, spec.trials)
     if not 0 <= lo <= hi <= spec.trials:
         raise ValueError(f"invalid trial range [{lo}, {hi})")

@@ -492,6 +492,37 @@ def test_grid_too_large_to_allocate(capsys, channel_file, command):
     assert err == f"error: --r1-grid: too many steps in {grid!r}\n"
 
 
+_NON_FINITE_GRIDS = [
+    (command, flag, grid)
+    for command in ("sweep", "gaussian")
+    for flag, grid in (("--r1-grid", "0:inf:3"),
+                       ("--r1-grid", "-1e308:1e308:3"),
+                       ("--r2-grid", "nan:0.5:3"), ("--r2-grid", "-inf:0:2"))
+] + [("sweep", "--r2-fractions", "-inf:1:2"),
+     ("sweep", "--r2-fractions", "0:nan:2")]
+
+
+@pytest.mark.parametrize("command,flag,grid", _NON_FINITE_GRIDS,
+                         ids=[f"{c}{f}={g}" for c, f, g in _NON_FINITE_GRIDS])
+def test_non_finite_grid_bound_rejected(capsys, channel_file, command, flag,
+                                        grid):
+    # a NaN bound passed the inverted-grid check, and gaussian counted its
+    # points as "R2 > R1" and exited 0; an infinite bound or span made
+    # np.linspace warn (an exception here)
+    grids = {"--r1-grid": "1:1:1", "--r2-grid": "0:0.5:2", flag: grid}
+    if command == "sweep":
+        argv = ["sweep", channel_file(*BSC01_ARGS)]
+        if flag == "--r2-fractions":
+            del grids["--r2-grid"]
+    else:
+        argv = ["gaussian", "--power", "1", "--noise", "1"]
+    argv += [f"{f}={g}" for f, g in grids.items()]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: {flag}: MIN, MAX and MAX - MIN must be finite, "
+                   f"got {grid!r}\n")
+
+
 @pytest.mark.parametrize("case", ["z_samples", "codebook_budget"])
 def test_size_too_large_to_allocate(capsys, channel_file, tmp_path, case):
     # numpy refuses 10^15 output samples (7 PiB) and a sub-code block of
@@ -563,7 +594,7 @@ class TestGaussianCommand:
         assert 0 < len(searches) <= (rates < cap).sum() + (rates > cap).sum()
 
     def test_solver_settings_change_nothing(self, capsys):
-        # gaussian reads only workers; the exponent solver's settings are
+        # gaussian reads no setting; the exponent solver's settings are
         # accepted, validated and unused
         base = ["gaussian", "--power", "1.0", "--noise", "0.5",
                 "--r1-grid", "0:0.8:4", "--r2-grid", "0:0.8:4"]
@@ -934,7 +965,8 @@ class TestConfig:
 class _RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records its size.
 
-    Each item goes through a pickle round trip, as a process pool sends it.
+    The worker and each chunk go through a pickle round trip, as a process
+    pool sends them.
     """
 
     sizes: list = []
@@ -948,8 +980,17 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, (pickle.loads(pickle.dumps(item)) for item in items))
+    def map(self, fn, *iterables):
+        return (pickle.loads(pickle.dumps(fn))(*pickle.loads(pickle.dumps(a)))
+                for a in zip(*iterables))
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(max_workers):
+    raise _PoolStarted(max_workers)
 
 
 class TestPoolSize:
@@ -963,17 +1004,16 @@ class TestPoolSize:
                             lambda pid: set(range(64)), raising=False)
         return _RecordingPool
 
-    def test_chunks_capped_at_cpus(self, capsys, pool, monkeypatch,
-                                   tmp_path):
+    def test_chunks_capped_at_cpus(self, capsys, channel_file, pool,
+                                   monkeypatch, tmp_path):
         # 5000 workers on 5000 items asked for 5000 processes
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
-        parts = cli._fan_out(lambda item: item, lambda lo, hi: (lo, hi),
-                             5000, 5000)
+        parts = cli._fan_out(range, 5000, 5000)
         assert pool.sizes == [3]
-        assert parts == [(0, 1666), (1666, 3333), (3333, 5000)]
-        base = ["gaussian", "--power", "1.0", "--noise", "1.0",
-                "--r1-grid", "0.4:0.8:4", "--r2-grid", "0:0.2:2"]
+        assert parts == [range(0, 1666), range(1666, 3333), range(3333, 5000)]
+        base = ["simulate", channel_file(*BSC01_ARGS), "--n", "6",
+                "--r1", "0.6", "--r2", "0.2", "--trials", "5", "--seed", "5"]
         _, seq, _ = run(capsys, base)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workers": 5000}), encoding="utf-8")
@@ -985,28 +1025,8 @@ class TestPoolSize:
         # where the platform has no affinity mask, os.cpu_count() caps
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 7)
-        parts = cli._fan_out(lambda item: item, lambda lo, hi: hi - lo,
-                             100, 100)
-        assert pool.sizes == [7] and sum(parts) == 100
-
-    def test_gaussian(self, capsys, pool):
-        base = ["gaussian", "--power", "1.0", "--noise", "1.0",
-                "--r1-grid", "0.4:0.8:2", "--r2-grid", "0:0.2:2"]
-        _, seq, _ = run(capsys, base)
-        code, par, _ = run(capsys, base + ["--workers", "64"])
-        assert code == 0 and par == seq
-        assert pool.sizes == [2]
-        # 10 x 10 grids to 1.5 C, in nats and in bits (C = 0.5 bit): every
-        # R2 value below C recurs in both chunks' E1 searches
-        top = 1.5 * wx.GaussianSpec(1.0, 1.0).capacity
-        for grid, unit in ((f"0:{top!r}:10", []), ("0:0.75:10", ["--bits"])):
-            base = ["gaussian", "--power", "1.0", "--noise", "1.0",
-                    "--r1-grid", grid, "--r2-grid", grid] + unit
-            _, seq, _ = run(capsys, base + ["--workers", "1"])
-            code, par, _ = run(capsys, base + ["--workers", "2"])
-            assert code == 0 and par == seq
-            assert len(seq.splitlines()) == 1 + 55
-        assert pool.sizes == [2, 2, 2]
+        parts = cli._fan_out(range, 100, 100)
+        assert pool.sizes == [7] and sum(map(len, parts)) == 100
 
     def test_simulate(self, capsys, channel_file, pool):
         path = channel_file(*BSC01_ARGS)
@@ -1016,6 +1036,39 @@ class TestPoolSize:
         code, par, _ = run(capsys, base + ["--workers", "64"])
         assert code == 0 and par == seq
         assert pool.sizes == [2]
+
+    _IN_PROCESS = {
+        "exponent": ["exponent", "CH", "--r1", "0.6", "--r2", "0.1"],
+        "sweep": ["sweep", "CH", "--r1-grid", "0.2:0.8:3",
+                  "--r2-fractions", "0:1:3"],
+        "region": ["region", "CH", "--r1-list", "0.3,0.6"],
+        "gaussian-record": ["gaussian", "--power", "1", "--noise", "1",
+                            "--r1", "0.6", "--r2", "0.1"],
+        "gaussian-grid": ["gaussian", "--power", "1", "--noise", "1",
+                          "--r1-grid", "0:0.8:6", "--r2-grid", "0:0.8:6"],
+        "check": ["check", "CH"],
+    }
+
+    @pytest.mark.parametrize("argv", list(_IN_PROCESS.values()),
+                             ids=list(_IN_PROCESS))
+    def test_only_simulate_starts_a_pool(self, capsys, channel_file,
+                                         monkeypatch, tmp_path, argv):
+        # every subcommand accepts and validates --workers; only simulate
+        # reads it, so no other one may build a pool at any worker count
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        path = channel_file(*BSC01_ARGS)
+        argv = [path if a == "CH" else a for a in argv]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 64}), encoding="utf-8")
+        code, ref, _ = run(capsys, argv + ["--workers", "1"])
+        assert code == 0 and ref
+        for extra in (["--workers", "2"], ["--config", str(cfg)]):
+            assert run(capsys, argv + extra)[:2] == (0, ref)
+        with pytest.raises(_PoolStarted):
+            main(["simulate", path, "--n", "6", "--r1", "0.6", "--r2", "0.2",
+                  "--trials", "2", "--seed", "5", "--workers", "2"])
 
 
 class TestSampledSimulation:

@@ -7,15 +7,21 @@ Every call must end with one of the documented exit codes (0, 2, 3 or 4),
 never in a traceback, never print ``nan``, and print no negative exponent.
 The examples are derandomized and sizes are capped (n, trials, grid steps
 and budgets), so every run checks the same ones within a few seconds; no
-call passes ``--workers``.  ``test_inputs_that_once_failed`` keeps the
-inputs that ended in a traceback or printed ``nan`` before.
+call passes ``--workers``.  Grid bounds may be ``nan`` or ``inf``, passed
+as ``--flag=MIN:MAX:STEPS`` so that argparse takes a leading minus, and a
+``gaussian`` sweep must skip exactly its pairs with R2 > R1.
+``test_inputs_that_once_failed`` keeps the inputs that ended in a
+traceback, printed ``nan`` or miscounted skipped points before.
 """
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -30,11 +36,15 @@ RATES = (0.0, 1e-300, 1e-17, 1e-9, 0.05, 0.1, 0.5, 0.69, 1.0, 2.0, 1e300)
 #: simulate's rates stay low: e^(n R1) codewords are drawn and decoded
 SIM_RATES = (0.0, 1e-9, 0.1, 0.3, 0.6, 1.0)
 GAUSS = (5e-324, 1e-300, 1e-9, 0.5, 1.0, 3.0, 1e9, 1e300, 4e307, 1.7e308)
+#: grid bounds the CLI must reject
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 #: the channel of one effective input: I is 0 on it, E = R1 - R2
 ONE_INPUT = {"input_dist": [1.0, 0.0],
              "wiretap": [[0.3333333333333333, 0.6666666666666666],
                          [0.5, 0.5]]}
+
+BSC = {"input_dist": [0.5, 0.5], "wiretap": [[0.9, 0.1], [0.1, 0.9]]}
 
 #: stdout fields that hold an exponent, per subcommand
 EXPONENT_FIELDS = {"exponent": ("E", "E1", "E2", "E3"),
@@ -77,10 +87,12 @@ def _rate(draw, values=RATES):
     return repr(draw(st.sampled_from(values)))
 
 
-def _grid(draw, values=RATES):
+def _grid(draw, flag, values=RATES):
+    """``flag=MIN:MAX:STEPS`` from values, or from values and NON_FINITE."""
+    values = draw(st.sampled_from((values, values + NON_FINITE)))
     lo, hi = sorted(draw(st.lists(st.sampled_from(values), min_size=2,
                                   max_size=2)))
-    return f"{lo!r}:{hi!r}:{draw(st.integers(0, 4))}"
+    return f"{flag}={lo!r}:{hi!r}:{draw(st.integers(0, 4))}"
 
 
 @st.composite
@@ -91,16 +103,16 @@ def cases(draw, command):
     if command == "exponent":
         argv = ["exponent", "CH", "--r1", _rate(draw), "--r2", _rate(draw)]
     elif command == "sweep":
-        argv = ["sweep", "CH", "--r1-grid", _grid(draw)]
-        argv += (["--r2-grid", _grid(draw)] if draw(st.booleans())
-                 else ["--r2-fractions", _grid(draw, (0.0, 0.3, 1.0))])
+        argv = ["sweep", "CH", _grid(draw, "--r1-grid"),
+                _grid(draw, "--r2-grid") if draw(st.booleans())
+                else _grid(draw, "--r2-fractions", (0.0, 0.3, 1.0))]
     elif command == "region":
         argv = ["region", "CH", "--r1-list",
                 ",".join(_rate(draw) for _ in range(draw(st.integers(1, 3))))]
     elif command == "gaussian":
         argv = ["gaussian", "--power", _rate(draw, GAUSS),
                 "--noise", _rate(draw, GAUSS)]
-        argv += (["--r1-grid", _grid(draw), "--r2-grid", _grid(draw)]
+        argv += ([_grid(draw, "--r1-grid"), _grid(draw, "--r2-grid")]
                  if draw(st.booleans())
                  else ["--r1", _rate(draw), "--r2", _rate(draw)])
     elif command == "simulate":
@@ -146,6 +158,23 @@ def check_call(argv, files):
     for name, value in _fields(argv[0], text):
         if name in EXPONENT_FIELDS.get(argv[0], ()):
             assert not value.startswith("-"), (name, value, text)
+    if argv[0] == "gaussian" and code == 0 and "," in text:
+        _check_skipped(argv, text, err.getvalue())
+
+
+def _check_skipped(argv, text, err):
+    """A gaussian sweep prints one row per pair with R2 <= R1 and counts
+    the pairs with R2 > R1 as skipped, never a pair that is neither (one
+    with a NaN rate)."""
+    unit = math.log(2.0) if "--bits" in argv else 1.0
+    grids = dict(a.split("=", 1) for a in argv if a.startswith("--r"))
+    r1s, r2s = [np.linspace(float(lo), float(hi), int(steps)) * unit
+                for lo, hi, steps in (grids[f].split(":")
+                                      for f in ("--r1-grid", "--r2-grid"))]
+    above = int((r2s[None, :] > r1s[:, None]).sum())
+    found = re.search(r"skipped (\d+) grid points", err)
+    assert (int(found.group(1)) if found else 0) == above, err
+    assert len(text.splitlines()) - 1 + above == r1s.size * r2s.size
 
 
 def _fields(command: str, text: str):
@@ -181,6 +210,24 @@ def test_cli_exits_cleanly(command, data):
       "--r2", "0"], {}),
     (["gaussian", "--power", "1", "--noise", "1.7e308", "--r1", "0.5",
       "--r2", "0.5"], {}),
+    # a NaN bound passed as a grid: gaussian exited 0 and counted both NaN
+    # points as "R2 > R1"
+    (["gaussian", "--power", "1", "--noise", "1", "--r1-grid=1:1:1",
+      "--r2-grid=nan:0.5:3"], {}),
+    # an infinite bound or span: np.linspace's RuntimeWarning escaped
+    (["gaussian", "--power", "1", "--noise", "1", "--r1-grid=0:inf:3",
+      "--r2-grid=0:1:2"], {}),
+    (["gaussian", "--power", "1", "--noise", "1",
+      "--r1-grid=-1e308:1e308:3", "--r2-grid=0:1:2"], {}),
+    (["sweep", "CH", "--r1-grid=0:inf:3", "--r2-grid=0:1:2"], {"CH": BSC}),
+    (["sweep", "CH", "--r1-grid=-1e308:1e308:3", "--r2-grid=0:1:2"],
+     {"CH": BSC}),
+    (["sweep", "CH", "--r1-grid=0:1:3", "--r2-fractions=-inf:1:2"],
+     {"CH": BSC}),
+    # subnormal S and sigma^2: the divergence term's variance underflowed,
+    # log(0) warned and E printed as 0 in place of 0.0264
+    (["gaussian", "--power", "5e-324", "--noise", "5e-324", "--r1", "0.5",
+      "--r2", "0"], {}),
 ])
 def test_inputs_that_once_failed(argv, files):
     check_call(argv, files)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,16 @@ class TestGaussianExponent:
             with pytest.raises(ValueError, match="overflows"):
                 wx.GaussianSpec(s, sigma2)
         assert wx.GaussianSpec(1e-10, 1e-300).capacity > 300.0
+        # at S = sigma^2 = 5e-324 the variance in the divergence term
+        # underflowed to 0 and E printed as 0 in place of 0.0264
+        tiny = sys.float_info.min
+        for value in (5e-324, 1e-320, tiny / 2):
+            for s, sigma2 in ((value, 1.0), (1.0, value), (value, value)):
+                with pytest.raises(ValueError, match="finite and normal"):
+                    wx.GaussianSpec(s, sigma2)
+        rates = wx.RatePair(0.5, 0.0)
+        assert wx.gaussian_exponent(wx.GaussianSpec(tiny, tiny), rates).e == \
+            wx.gaussian_exponent(wx.GaussianSpec(1.0, 1.0), rates).e
 
 
 class TestSpecMemo:
@@ -238,7 +249,7 @@ class TestSpecMemo:
         assert repr(used) == repr(fresh) == "GaussianSpec(s=1.0, sigma2=0.5)"
         assert {fresh: 1}[used] == 1
         assert used != wx.GaussianSpec(1.0, 0.25)
-        # the --workers payload carries the spec to each process
+        # a spec that has served a sweep pickles whole, memo included
         copy = pickle.loads(pickle.dumps(used))
         assert copy == used and copy._profile_mins == used._profile_mins
 
