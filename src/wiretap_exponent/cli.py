@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -264,9 +263,6 @@ def _gaussian_fields(g, r1, r2, opt, unit) -> tuple[str, ...]:
 def _cmd_gaussian(args) -> int:
     _settings(args)                     # validated; gaussian reads none
     unit = LN2 if args.bits else 1.0
-    if args.gaussian_grid is not None:
-        print("warning: --gaussian-grid is deprecated and ignored; the "
-              "Gaussian search uses a fixed grid", file=sys.stderr)
     g = GaussianSpec(args.power, args.noise)
     if args.r1_grid or args.r2_grid:
         if not (args.r1_grid and args.r2_grid):
@@ -308,6 +304,7 @@ def _fan_out(worker, count: int, workers: int) -> list:
     chunks = [(count * k // n, count * (k + 1) // n) for k in range(n)]
     if len(chunks) <= 1:
         return [worker(lo, hi) for lo, hi in chunks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return list(pool.map(worker, *zip(*chunks)))
 
@@ -425,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=float)
     p.add_argument("--r1-grid", metavar="MIN:MAX:STEPS")
     p.add_argument("--r2-grid", metavar="MIN:MAX:STEPS")
-    p.add_argument("--gaussian-grid", type=int, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_gaussian)
 

@@ -4,15 +4,15 @@ Codewords are drawn uniformly on the sphere of squared radius n*S and the
 eavesdropper sees them through additive white Gaussian noise of variance
 sigma^2.  The large-deviations variables are the empirical output power
 sigma_z^2 and the empirical input-output correlation rho; the minimization
-over sigma_z is available in closed form.  E2's objective decreases in rho,
-so E2 is its value at the interval's upper end (see ``gaussian_exponent``).
-E1 and E3 are one-dimensional searches over rho, each a dense grid with
-golden-section refinement whose density and tolerance are fixed, not
-settings.
+over sigma_z is available in closed form.  E2 and E3 are closed forms in
+rho too: each branch's minimum sits at an end of its rho interval or at the
+true channel's correlation (see ``gaussian_exponent``).  E1 is a
+one-dimensional search over rho, a dense grid with golden-section
+refinement whose density and tolerance are fixed, not settings.
 
-E1's search depends on R2 alone and E3's on R1 alone, so a spec remembers
-both: an N x M sweep on one spec runs at most N + M searches.  The memo
-lives and dies with the spec and holds one entry per distinct rate.
+E1's search depends on R2 alone, so a spec remembers it: an N x M sweep on
+one spec runs at most M searches.  The memo lives and dies with the spec
+and holds one entry per distinct R2.
 
 All branch objectives at negative rho dominate their positive-rho mirror
 pointwise (the divergence term grows by 2*rho*sigma_z*sqrt(S)/sigma^2 when
@@ -42,7 +42,7 @@ class GaussianSpec:
     """Per-symbol power S and noise variance sigma^2, both normal floats.
 
     A spec also remembers the divergence profile's minimum on each interval
-    it has searched (see ``gaussian_exponent``); the memo takes no part in
+    E1 has searched (see ``gaussian_exponent``); the memo takes no part in
     equality, hashing or the repr.
     """
 
@@ -184,23 +184,28 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     """Exponent of the Gaussian eavesdropper at the given rate pair.
 
     Each branch restricts rho to the interval mapped from the rates via
-    rho^2 = 1 - e^{-2R} and minimizes its objective there.  E1 and E3
-    minimize the divergence profile f by a fixed dense grid (10^5 points
-    across (-1, 1)) with golden-section refinement to 1e-9.  When R1 <= C
-    the third branch is 0 and when R2 >= C the first is R1 - R2, both
-    attained at the true channel's correlation rho_P = sqrt(S / (S + sigma^2)).
+    rho^2 = 1 - e^{-2R} and minimizes its objective there.  The divergence
+    profile f (the divergence term at the optimal sigma_z) falls to its
+    zero at the true channel's correlation rho_P = sqrt(S / (S + sigma^2))
+    and rises after it.  When R2 >= C the first branch is exactly R1 - R2
+    and when R1 <= C the third is exactly 0, both attained at rho_P.
+
+    E1 minimizes f on [0, rho2] by a fixed dense grid (10^5 points across
+    (-1, 1)) with golden-section refinement to 1e-9.  The search depends
+    on R2 alone, so the spec remembers it: calls that share g and R2 repeat
+    none, and an N x M sweep runs at most M searches.  Every value is the
+    one a fresh spec gives.
+
+    E3 is in closed form: f rises on [rho_P, 1), so when R1 > C its
+    minimum on [rho1, 1) is f(max(rho1, rho_P)).
 
     E2 is in closed form: its objective h(rho) = f(rho) + ln(1 - rho^2)/2
     decreases on [rho2, rho1], so its minimum is h(rho1).  At the optimal
     sigma_z, h is (sigma_z^2 - 2 rho sigma_z sqrt(S) + S)/(2 sigma^2)
     - ln(sigma_z^2/sigma^2)/2 - 1/2, whose partial derivative in rho is
     -sqrt(S) sigma_z/sigma^2 < 0; by the envelope theorem so is dh/drho.
-
-    E1's search runs on [0, rho2] and so depends on R2 alone; E3's runs on
-    [rho1, 1) and depends on R1 alone.  The spec remembers both, so calls
-    that share g and a rate repeat neither: an N x M sweep runs at most
-    N + M searches.  Every value is the one a fresh spec gives.
     """
+    cap = g.capacity
     rho1 = rho_from_rate(rates.r1)
     rho2 = rho_from_rate(rates.r2)
 
@@ -208,23 +213,19 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     # correlation rho_P; a branch whose interval holds rho_P takes it there
     # exactly, since the grid can miss it within _REFINE_TOL of rho = 1
     rho_p = min(math.sqrt(g.s / (g.s + g.sigma2)), _RHO_CAP)
-    if rates.r2 >= g.capacity:
+    if rates.r2 >= cap:
         v1, r1_arg = 0.0, rho_p
     else:
         v1, r1_arg = _profile_min(g, 0.0, rho2)
-    # every branch is nonnegative, but a minimum can round below 0: at
+    r3_arg = rho_p if rates.r1 <= cap else max(rho1, rho_p)
+    f = _profile(np.asarray([rho1, r3_arg]), g)
+    # every branch is nonnegative, but a value can round below 0: at
     # R1 = C, E2's log term cancels R1 (to -9.1e-14 on a 10x10 sweep)
     e1 = rates.r1 - rates.r2 + max(0.0, v1)
-    x = np.asarray([rho1])
-    v2, r2_arg = float((_profile(x, g) + 0.5 * np.log1p(-x * x))[0]), rho1
-    e2 = max(0.0, rates.r1 + v2)
-    if rates.r1 <= g.capacity:
-        e3, r3_arg = 0.0, rho_p
-    else:
-        e3, r3_arg = _profile_min(g, rho1, _RHO_CAP)
-        e3 = max(0.0, e3)
+    e2 = max(0.0, rates.r1 + float(f[0] + 0.5 * np.log1p(-rho1 * rho1)))
+    e3 = 0.0 if rates.r1 <= cap else max(0.0, float(f[1]))
 
-    e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))
+    e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, rho1, r3_arg))
     return GaussianOptimum(e=e, e1=e1, e2=e2, e3=e3, rho_star=rho_star,
                            sigma_z_star=sigma_z_star(rho_star, g),
                            active_branch=branch)

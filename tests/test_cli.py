@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import logging
 import math
@@ -571,9 +572,9 @@ class TestGaussianCommand:
         assert seq == par
 
     def test_one_rate_searches_once_per_rate(self, capsys, monkeypatch):
-        # E1 searches depend on R2 alone and E3 searches on R1 alone, so a
-        # sweep's spec runs each once per rate; E2 is in closed form.  Each
-        # search refines its best grid cell once, by golden section
+        # E1 searches depend on R2 alone, so a sweep's spec runs each once
+        # per R2 below C; E2 and E3 are in closed form.  Each search refines
+        # its best grid cell once, by golden section
         searches = []
         refine = gaussian._golden_min_scalar
 
@@ -591,7 +592,7 @@ class TestGaussianCommand:
         rates = np.linspace(0.0, 1.5 * cap, 10)
         pairs = len(out.splitlines()) - 1
         assert pairs == 55
-        assert 0 < len(searches) <= (rates < cap).sum() + (rates > cap).sum()
+        assert 0 < len(searches) <= (rates < cap).sum()
 
     def test_solver_settings_change_nothing(self, capsys):
         # gaussian reads no setting; the exponent solver's settings are
@@ -605,16 +606,15 @@ class TestGaussianCommand:
         code, out, _ = run(capsys, base + ["--gap-tol", "0"])
         assert (code, out) == (2, "")
 
-    def test_deprecated_grid_flag_warns_and_changes_nothing(self, capsys):
+    def test_retired_grid_flag_is_unknown(self, capsys):
+        # --gaussian-grid was deprecated and ignored, the search's grid
+        # being fixed; retired, it exits 2 like any unknown option
         argv = ["gaussian", "--power", "1", "--noise", "1",
                 "--r1", "0.6", "--r2", "0.1"]
-        _, ref, ref_err = run(capsys, argv)
+        assert run(capsys, argv)[0] == 0
         code, out, err = run(capsys, argv + ["--gaussian-grid", "7"])
-        assert (code, out, ref_err) == (0, ref, "")
-        assert err.count("\n") == 1 and err.startswith("warning: ")
-        assert "--gaussian-grid" in err
-        _, usage, _ = run(capsys, ["gaussian", "--help"])
-        assert "--power" in usage and "--gaussian-grid" not in usage
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --gaussian-grid 7" in err
 
     def test_validation(self, capsys):
         code, _, _ = run(capsys, ["gaussian", "--power", "-1", "--noise", "1",
@@ -774,6 +774,20 @@ def test_import_leaves_scipy_unloaded(channel_file):
     lines = done.stdout.strip().splitlines()
     assert lines[:2] == ["[]", "[]"]
     assert lines[-2:] == ["degraded: yes (residual 0)", "0 True"]
+
+
+def test_import_leaves_process_pool_unloaded():
+    # only simulate starts worker processes, and only with more than one
+    # chunk: the CLI imports the process pool there, not at start-up
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "import wiretap_exponent.cli\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "False\n"
 
 
 class TestConfig:
@@ -998,7 +1012,8 @@ class TestPoolSize:
 
     @pytest.fixture
     def pool(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(64)), raising=False)
@@ -1055,7 +1070,8 @@ class TestPoolSize:
                                          monkeypatch, tmp_path, argv):
         # every subcommand accepts and validates --workers; only simulate
         # reads it, so no other one may build a pool at any worker count
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _no_pool)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(64)), raising=False)
         path = channel_file(*BSC01_ARGS)

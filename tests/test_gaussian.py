@@ -220,8 +220,8 @@ class TestGaussianExponent:
 
 
 class TestSpecMemo:
-    """A spec remembers E1's search per R2 and E3's per R1; what it
-    remembers must be what a fresh spec computes."""
+    """A spec remembers E1's search per R2; what it remembers must be what
+    a fresh spec computes."""
 
     @pytest.mark.parametrize("snr", (1e-2, 1.0, 1e2))
     def test_hits_equal_misses(self, snr):
@@ -237,8 +237,8 @@ class TestSpecMemo:
             fresh = wx.gaussian_exponent(
                 wx.GaussianSpec(shared.s, shared.sigma2), rates)
             assert wx.gaussian_exponent(shared, rates) == fresh, rates
-        # one entry per distinct rate: E1's below C, E3's above it
-        assert 0 < len(shared._profile_mins) <= len(grid)
+        # one entry per distinct R2 below C; E3 is in closed form
+        assert 0 < len(shared._profile_mins) <= sum(r < cap for r in grid)
 
     def test_equality_hash_repr_unchanged(self):
         used, fresh = wx.GaussianSpec(1.0, 0.5), wx.GaussianSpec(1.0, 0.5)
@@ -280,8 +280,8 @@ def _endpoint_branches(g, rates):
 
 
 class TestBranchEndpoints:
-    """The grid search lands exactly on each branch's endpoint form, the
-    fact a closed-form gaussian_exponent would rest on."""
+    """E1's grid search lands exactly on its endpoint form, the fact a
+    closed-form E1 would rest on; E2 and E3 are their endpoint forms."""
 
     def test_bench_like_pairs(self):
         # rate grids from 0 to 1.5 C at SNRs spanning six decades, drawn
@@ -324,37 +324,76 @@ def _e2_objective(rho, s, sigma2):
                   - 2.0 * np.log(u) - 1.0)
 
 
+def _random_cases(seed):
+    """240 seeded (g, r1, r2, rho1, rho2) with S/sigma^2 from 1e-8 to 1e8;
+    every fourth has R1 = R2 and every fourth rho1 at the cap.  The rhos
+    are found apart from the solver."""
+    rng = np.random.default_rng(seed)
+    for k in range(240):
+        snr = 10.0 ** rng.uniform(-8.0, 8.0)
+        s = 10.0 ** rng.uniform(-3.0, 3.0)
+        g = wx.GaussianSpec(s, s / snr)
+        kind = k % 4
+        if kind == 0:                            # R1 = R2
+            r1 = r2 = float(rng.uniform(0.0, 2.0 * g.capacity))
+        elif kind == 1:                          # rho1 at the cap
+            r1 = float(rng.uniform(30.0, 40.0))
+            r2 = float(rng.uniform(0.0, r1))
+        else:
+            r1 = float(rng.uniform(0.0, 2.0 * g.capacity))
+            r2 = float(rng.uniform(0.0, r1))
+        rho1, rho2 = (min(math.sqrt(-math.expm1(-2.0 * r)), _RHO_CAP)
+                      for r in (r1, r2))
+        yield g, r1, r2, rho1, rho2
+
+
 class TestE2ClosedForm:
     """E2 is its objective at rho1, the interval's upper end; an
     independent grid over [rho2, rho1] must find nothing lower."""
 
     def test_matches_grid_minimum(self):
-        rng = np.random.default_rng(25)
         kinds = set()
-        for k in range(240):
-            snr = 10.0 ** rng.uniform(-8.0, 8.0)
-            s = 10.0 ** rng.uniform(-3.0, 3.0)
-            g = wx.GaussianSpec(s, s / snr)
-            kind = k % 4
-            if kind == 0:                            # R1 = R2
-                r1 = r2 = float(rng.uniform(0.0, 2.0 * g.capacity))
-            elif kind == 1:                          # rho1 at the cap
-                r1 = float(rng.uniform(30.0, 40.0))
-                r2 = float(rng.uniform(0.0, r1))
-            else:
-                r1 = float(rng.uniform(0.0, 2.0 * g.capacity))
-                r2 = float(rng.uniform(0.0, r1))
-            rho1, rho2 = (min(math.sqrt(-math.expm1(-2.0 * r)), _RHO_CAP)
-                          for r in (r1, r2))
+        for g, r1, r2, rho1, rho2 in _random_cases(25):
+            s, sigma2 = g.s, g.sigma2
             kinds.update(name for name, hit in (
                 ("equal", r1 == r2), ("above C", r1 > g.capacity),
                 ("cap", rho1 == _RHO_CAP)) if hit)
             e2 = wx.gaussian_exponent(g, wx.RatePair(r1, r2)).e2
             grid = np.linspace(rho2, rho1, 2001)
-            want = max(0.0, r1 + float(_e2_objective(grid, s, s / snr).min()))
+            want = max(0.0, r1 + float(_e2_objective(grid, s, sigma2).min()))
             assert abs(e2 - want) <= 1e-12 * max(1.0, abs(e2)), (g, r1, r2)
             # dh/drho = -sqrt(S) sigma_z*/sigma^2 < 0: h decreases
             sigma_z = 0.5 * (grid * math.sqrt(s)
-                             + np.sqrt(grid * grid * s + 4.0 * s / snr))
-            assert np.all(-math.sqrt(s) * sigma_z / (s / snr) < 0.0)
+                             + np.sqrt(grid * grid * s + 4.0 * sigma2))
+            assert np.all(-math.sqrt(s) * sigma_z / sigma2 < 0.0)
         assert kinds == {"equal", "above C", "cap"}
+
+
+class TestE1E3AgainstGrid:
+    """E1 (searched) is its objective's minimum on [0, rho2] and E3 (closed)
+    at max(rho1, rho_P); an independent grid over each branch's interval
+    must find nothing lower, and each printed value must be attained on
+    it."""
+
+    def test_matches_grid_minimum(self):
+        kinds = set()
+        for g, r1, r2, rho1, rho2 in _random_cases(27):
+            s, sigma2 = g.s, g.sigma2
+            rho_p = math.sqrt(s / (s + sigma2))
+            kinds.update(name for name, hit in (
+                ("equal", r1 == r2), ("R2 below C", r2 < g.capacity),
+                ("R1 above C", r1 > g.capacity),
+                ("cap", rho1 == _RHO_CAP)) if hit)
+            opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
+            # f = h - ln(1 - rho^2)/2, with 1 - rho^2 = 1 - fl(rho^2)
+            for got, lo, hi, base in ((opt.e1, 0.0, rho2, r1 - r2),
+                                      (opt.e3, rho1, _RHO_CAP, 0.0)):
+                grid = np.linspace(lo, hi, 2001)
+                if lo <= rho_p <= hi:
+                    grid = np.append(grid, rho_p)
+                f = (_e2_objective(grid, s, sigma2)
+                     - 0.5 * np.log(1.0 - grid * grid))
+                want = base + max(0.0, float(f.min()))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(got)), \
+                    (g, r1, r2, got, want)
+        assert kinds == {"equal", "R2 below C", "R1 above C", "cap"}
