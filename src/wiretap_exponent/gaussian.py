@@ -4,9 +4,9 @@ Codewords are drawn uniformly on the sphere of squared radius n*S and the
 eavesdropper sees them through additive white Gaussian noise of variance
 sigma^2.  The large-deviations variables are the empirical output power
 sigma_z^2 and the empirical input-output correlation rho; the minimization
-over sigma_z is available in closed form.  E2 and E3 are closed forms in
-rho too: each branch's minimum sits at an end of its rho interval or at the
-true channel's correlation (see ``gaussian_exponent``).  E1 is a
+over sigma_z is available in closed form, and every branch evaluates one
+objective in t = S/sigma^2 (``_objective``).  E2 and E3 are closed forms:
+above capacity E3 is E2's value (see ``gaussian_exponent``).  E1 is a
 one-dimensional search over rho, a dense grid with golden-section
 refinement whose density and tolerance are fixed, not settings.
 
@@ -59,10 +59,6 @@ class GaussianSpec:
                 raise ValueError(f"{name} must be finite and normal, got {v}")
         if not math.isfinite(self.s / self.sigma2):
             raise ValueError(f"S/sigma^2 = {self.s}/{self.sigma2} overflows")
-        # sigma_z_star takes the square root of up to S + 4 sigma^2
-        if not math.isfinite(self.s + 4.0 * self.sigma2):
-            raise ValueError(
-                f"S + 4 sigma^2 = {self.s} + 4*{self.sigma2} overflows")
 
     @property
     def capacity(self) -> float:
@@ -100,14 +96,13 @@ def gamma_gaussian(rho: float, rates: RatePair) -> float:
 
 
 def sigma_z_star(rho: float, g: GaussianSpec) -> float:
-    """Closed-form minimizer of the divergence term over sigma_z > 0.
-
-    Positive root of sigma_z^2 - rho*sqrt(S)*sigma_z - sigma^2 = 0.
+    """Closed-form minimizer of the divergence term over sigma_z > 0, the
+    positive root of sigma_z^2 - rho*sqrt(S)*sigma_z - sigma^2 = 0, formed
+    as sigma x(rho, t) so that no sum of S and sigma^2 can overflow.
     """
     if not abs(rho) < 1.0:
         raise ValueError(f"|rho| must be < 1, got {rho}")
-    return 0.5 * (rho * math.sqrt(g.s)
-                  + math.sqrt(rho * rho * g.s + 4.0 * g.sigma2))
+    return math.sqrt(g.sigma2) * float(_x(rho, g.s / g.sigma2))
 
 
 def gaussian_divergence_term(rho: float, sigma_z: float,
@@ -121,26 +116,32 @@ def gaussian_divergence_term(rho: float, sigma_z: float,
         raise ValueError(f"|rho| must be < 1, got {rho}")
     if not sigma_z > 0:
         raise ValueError(f"sigma_z must be positive, got {sigma_z}")
-    return float(_divergence_reduced(np.asarray([rho]),
-                                     np.asarray([sigma_z]), g)[0])
-
-
-def _divergence_reduced(rho: np.ndarray, sigma_z: np.ndarray,
-                        g: GaussianSpec) -> np.ndarray:
+    rho, sigma_z = np.asarray([rho]), np.asarray([sigma_z])
     resid = (rho * sigma_z - math.sqrt(g.s)) ** 2
     var = sigma_z * sigma_z * (1.0 - rho * rho)
-    return 0.5 * (resid / g.sigma2 + var / g.sigma2
-                  - np.log(var / g.sigma2) - 1.0)
+    return float(0.5 * (resid / g.sigma2 + var / g.sigma2
+                        - np.log(var / g.sigma2) - 1.0)[0])
 
 
-def _sigma_star_vec(rho: np.ndarray, g: GaussianSpec) -> np.ndarray:
-    return 0.5 * (rho * math.sqrt(g.s)
-                  + np.sqrt(rho * rho * g.s + 4.0 * g.sigma2))
+def _x(rho, t):
+    """sigma_z*/sigma: the positive root of x^2 - rho sqrt(t) x - 1 = 0."""
+    return 0.5 * (rho * math.sqrt(t) + np.sqrt(rho * rho * t + 4.0))
+
+
+def _objective(rho, w, t):
+    """h(rho, w) = f + ln(w)/2, f the divergence term at the optimal sigma_z
+    and w = 1 - rho^2 = e^{-2R}, passed apart so no caller must round rho^2.
+    x - rho sqrt(t) = 1/x makes h = (t w - rho sqrt(t)/x)/2 - ln x, free of
+    cancellation at high SNR.
+    """
+    x = _x(rho, t)
+    return 0.5 * (t * w - rho * math.sqrt(t) / x) - np.log(x)
 
 
 def _profile(rho: np.ndarray, g: GaussianSpec) -> np.ndarray:
     """Divergence term minimized over sigma_z, as a function of rho."""
-    return _divergence_reduced(rho, _sigma_star_vec(rho, g), g)
+    w = 1.0 - rho * rho
+    return _objective(rho, w, g.s / g.sigma2) - 0.5 * np.log(w)
 
 
 def rho_from_rate(r: float) -> float:
@@ -184,11 +185,11 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     """Exponent of the Gaussian eavesdropper at the given rate pair.
 
     Each branch restricts rho to the interval mapped from the rates via
-    rho^2 = 1 - e^{-2R} and minimizes its objective there.  The divergence
-    profile f (the divergence term at the optimal sigma_z) falls to its
-    zero at the true channel's correlation rho_P = sqrt(S / (S + sigma^2))
-    and rises after it.  When R2 >= C the first branch is exactly R1 - R2
-    and when R1 <= C the third is exactly 0, both attained at rho_P.
+    w = 1 - rho^2 = e^{-2R} and minimizes its objective there.  The profile
+    f, the divergence term at the optimal sigma_z, falls to its zero at
+    rho_P = sqrt(t/(1 + t)), t = S/sigma^2, and rises after it.  When
+    R2 >= C the first branch is exactly R1 - R2 and when R1 <= C the third
+    is exactly 0, both attained at rho_P.
 
     E1 minimizes f on [0, rho2] by a fixed dense grid (10^5 points across
     (-1, 1)) with golden-section refinement to 1e-9.  The search depends
@@ -196,36 +197,35 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     none, and an N x M sweep runs at most M searches.  Every value is the
     one a fresh spec gives.
 
-    E3 is in closed form: f rises on [rho_P, 1), so when R1 > C its
-    minimum on [rho1, 1) is f(max(rho1, rho_P)).
-
     E2 is in closed form: its objective h(rho) = f(rho) + ln(1 - rho^2)/2
     decreases on [rho2, rho1], so its minimum is h(rho1).  At the optimal
     sigma_z, h is (sigma_z^2 - 2 rho sigma_z sqrt(S) + S)/(2 sigma^2)
     - ln(sigma_z^2/sigma^2)/2 - 1/2, whose partial derivative in rho is
     -sqrt(S) sigma_z/sigma^2 < 0; by the envelope theorem so is dh/drho.
+    f rises on [rho_P, 1), so when R1 > C, E3 is f(rho1) = R1 + h(rho1) = E2.
     """
+    t = g.s / g.sigma2
     cap = g.capacity
-    rho1 = rho_from_rate(rates.r1)
     rho2 = rho_from_rate(rates.r2)
 
     # the divergence term's global minimum is 0, at the true channel's
     # correlation rho_P; a branch whose interval holds rho_P takes it there
     # exactly, since the grid can miss it within _REFINE_TOL of rho = 1
-    rho_p = min(math.sqrt(g.s / (g.s + g.sigma2)), _RHO_CAP)
+    rho_p = min(math.sqrt(t / (1.0 + t)), _RHO_CAP)
     if rates.r2 >= cap:
         v1, r1_arg = 0.0, rho_p
     else:
         v1, r1_arg = _profile_min(g, 0.0, rho2)
-    r3_arg = rho_p if rates.r1 <= cap else max(rho1, rho_p)
-    f = _profile(np.asarray([rho1, r3_arg]), g)
-    # every branch is nonnegative, but a value can round below 0: at
-    # R1 = C, E2's log term cancels R1 (to -9.1e-14 on a 10x10 sweep)
+    # rho1 may round to 1; w1 = e^{-2 R1} keeps the rate's digits
+    rho1 = math.sqrt(-math.expm1(-2.0 * rates.r1))
+    h1 = float(_objective(rho1, math.exp(-2.0 * rates.r1), t))
+    r2_arg = min(rho1, _RHO_CAP)
+    # a branch can round below 0: at R1 = C, E2's log term cancels R1
     e1 = rates.r1 - rates.r2 + max(0.0, v1)
-    e2 = max(0.0, rates.r1 + float(f[0] + 0.5 * np.log1p(-rho1 * rho1)))
-    e3 = 0.0 if rates.r1 <= cap else max(0.0, float(f[1]))
+    e2 = max(0.0, rates.r1 + h1)
+    e3, r3_arg = (0.0, rho_p) if rates.r1 <= cap else (e2, r2_arg)
 
-    e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, rho1, r3_arg))
+    e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))
     return GaussianOptimum(e=e, e1=e1, e2=e2, e3=e3, rho_star=rho_star,
                            sigma_z_star=sigma_z_star(rho_star, g),
                            active_branch=branch)

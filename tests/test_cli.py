@@ -616,6 +616,41 @@ class TestGaussianCommand:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --gaussian-grid 7" in err
 
+    def test_high_rate_e3_is_e2(self, capsys):
+        # E3 was worked from the rounded rho1^2 and printed E = 12.6787192092
+        # on branch E3; above C it is E2's value, and E1 = 15 is the least
+        code, out, _ = run(capsys, ["gaussian", "--power", "1", "--noise", "1",
+                                    "--r1", "20", "--r2", "5"])
+        rec = record_to_dict(out)
+        assert code == 0
+        assert (rec["E"], rec["E1"], rec["branch"]) == ("15", "15", "E1")
+        assert rec["E2"] == rec["E3"] == "19.2097711806"
+
+    def test_scale_free(self, capsys):
+        # S + 4 sigma^2 overflowed at S = sigma^2 = 1e308 (exit 2); every
+        # column but sigma_z_star depends on S/sigma^2 alone
+        grid = ["--r1-grid", "0:0.6:7", "--r2-grid", "0:0.6:7"]
+        rows = []
+        for v in ("1", "1e308"):
+            code, out, _ = run(capsys, ["gaussian", "--power", v,
+                                        "--noise", v] + grid)
+            assert code == 0
+            rows.append([line.split(",") for line in out.splitlines()[1:]])
+        assert len(rows[0]) == len(rows[1]) == 28
+        for a, b in zip(*rows):
+            assert a[2:9] + a[10:] == b[2:9] + b[10:]
+            assert float(b[9]) == pytest.approx(1e154 * float(a[9]), rel=1e-11)
+
+    @pytest.mark.parametrize("r2", ("0", "0.5"))
+    def test_huge_noise_is_finite(self, capsys, r2):
+        # 4 sigma^2 overflowed here; S/sigma^2 = 5.9e-309 needs no sum
+        code, out, _ = run(capsys, ["gaussian", "--power", "1", "--noise",
+                                    "1.7e308", "--r1", "0.5", "--r2", r2])
+        assert code == 0
+        rec = record_to_dict(out)
+        for name in ("E", "E1", "E2", "E3", "rho_star", "sigma_z_star"):
+            assert math.isfinite(float(rec[name])), rec
+
     def test_validation(self, capsys):
         code, _, _ = run(capsys, ["gaussian", "--power", "-1", "--noise", "1",
                                   "--r1", "0.5", "--r2", "0.1"])

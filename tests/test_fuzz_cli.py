@@ -205,7 +205,8 @@ def test_cli_exits_cleanly(command, data):
     (["region", "CH", "--r1-list", "0.1"], {"CH": ONE_INPUT}),
     (["sweep", "CH", "--r1-grid", "0:1:3", "--r2-fractions", "0:1:2"],
      {"CH": ONE_INPUT}),
-    # 4 sigma^2 overflowed: TypeError, or nan and inf printed
+    # 4 sigma^2 overflowed: TypeError, or nan and inf printed; the
+    # branches now use S/sigma^2 alone, and these exit 0
     (["gaussian", "--power", "1", "--noise", "1.7e308", "--r1", "0.5",
       "--r2", "0"], {}),
     (["gaussian", "--power", "1", "--noise", "1.7e308", "--r1", "0.5",

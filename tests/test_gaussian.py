@@ -1,3 +1,4 @@
+import decimal
 import math
 import pickle
 import sys
@@ -254,34 +255,21 @@ class TestSpecMemo:
         assert copy == used and copy._profile_mins == used._profile_mins
 
 
-def _endpoint_branches(g, rates):
-    """(e1, e2, e3) at the endpoints the profile's shape picks.
-
-    f falls to its zero at the true correlation rho_P and rises after it,
-    and the e2 objective f(rho) + ln(1 - rho^2)/2 falls throughout, so
-    each branch minimum sits at an end of its interval or at rho_P.
-    """
-    def f(rho, mid=False):
-        x = np.array([rho])
-        v = _profile(x, g)
-        if mid:
-            v = v + 0.5 * np.log1p(-x * x)
-        return float(v[0])
-
-    rho1, rho2 = rho_from_rate(rates.r1), rho_from_rate(rates.r2)
+def _endpoint_e1(g, rates):
+    """E1 at the endpoint the profile's shape picks: f falls to its zero at
+    the true correlation rho_P, so its minimum on [0, rho2] is at
+    min(rho2, rho_P)."""
+    rho2 = rho_from_rate(rates.r2)
     rho_p = min(math.sqrt(g.s / (g.s + g.sigma2)), _RHO_CAP)
     if rates.r2 >= g.capacity:
-        e1 = rates.r1 - rates.r2
-    else:
-        e1 = rates.r1 - rates.r2 + f(min(rho2, rho_p))
-    e2 = rates.r1 + f(rho1, mid=True)
-    e3 = 0.0 if rates.r1 <= g.capacity else f(max(rho1, rho_p))
-    return e1, e2, e3
+        return rates.r1 - rates.r2
+    return rates.r1 - rates.r2 + float(
+        _profile(np.array([min(rho2, rho_p)]), g)[0])
 
 
 class TestBranchEndpoints:
     """E1's grid search lands exactly on its endpoint form, the fact a
-    closed-form E1 would rest on; E2 and E3 are their endpoint forms."""
+    closed-form E1 would rest on; E3 is 0 up to C and E2's float above."""
 
     def test_bench_like_pairs(self):
         # rate grids from 0 to 1.5 C at SNRs spanning six decades, drawn
@@ -299,29 +287,36 @@ class TestBranchEndpoints:
                     for r2 in grid[:k + 1]:
                         rates = wx.RatePair(float(r1), float(r2))
                         opt = wx.gaussian_exponent(g, rates)
-                        assert (opt.e1, opt.e2, opt.e3) == \
-                            _endpoint_branches(g, rates), (g, rates)
+                        assert opt.e1 == _endpoint_e1(g, rates), (g, rates)
+                        e3 = 0.0 if r1 <= g.capacity else opt.e2
+                        assert opt.e3 == e3, (g, rates)
                         count += 1
         assert count >= 300
 
 
-def _e2_objective(rho, s, sigma2):
-    """h(rho) = f(rho) + ln(1 - rho^2)/2 at sigma_z*(rho), written apart
-    from the solver.
+def _e2_objective(rho, w, s, sigma2):
+    """h(rho) = f(rho) + ln(w)/2 at sigma_z*(rho), w = 1 - rho^2, written
+    apart from the solver.
 
     In sigma_z alone, h = [(sigma_z^2 - 2 rho sigma_z sqrt(S) + S)/sigma^2
     - ln(sigma_z^2/sigma^2) - 1]/2.  sigma_z* solves sigma_z^2
     - rho sqrt(S) sigma_z - sigma^2 = 0, so sigma_z - rho sqrt(S)
     = sigma^2/sigma_z and the first term is sigma^2/sigma_z^2
-    + (1 - rho^2) S/sigma^2, which does not cancel at high SNR.  1 - rho^2
-    is 1 - fl(rho^2), as in the solver: h moves by about S/(2 sigma^2) per
-    unit of rho^2, so near rho = 1 the last bit of rho^2 is worth 5e-9 at
-    S/sigma^2 = 1e8.
+    + w S/sigma^2, which does not cancel at high SNR.  h moves by about
+    S/(2 sigma^2) per unit of w, so w is taken as given: e^{-2R} on a grid
+    in R, or 1 - fl(rho^2) on a grid in rho, where the last bit of rho^2 is
+    worth 5e-9 at S/sigma^2 = 1e8.
     """
     t = math.sqrt(s / sigma2)
     u = 0.5 * (rho * t + np.sqrt(rho * rho * t * t + 4.0))   # sigma_z*/sigma
-    return 0.5 * (1.0 / (u * u) + (1.0 - rho * rho) * t * t
-                  - 2.0 * np.log(u) - 1.0)
+    return 0.5 * (1.0 / (u * u) + w * t * t - 2.0 * np.log(u) - 1.0)
+
+
+def _rate_grid(lo, hi, *extra):
+    """2,001 rates on [lo, hi], and any extra ones, with their rho and
+    exact w = e^{-2R}."""
+    r = np.append(np.linspace(lo, hi, 2001), extra)
+    return r, np.sqrt(-np.expm1(-2.0 * r)), np.exp(-2.0 * r)
 
 
 def _random_cases(seed):
@@ -348,8 +343,8 @@ def _random_cases(seed):
 
 
 class TestE2ClosedForm:
-    """E2 is its objective at rho1, the interval's upper end; an
-    independent grid over [rho2, rho1] must find nothing lower."""
+    """E2 is its objective at R1, the interval's upper end; an independent
+    grid over [R2, R1] must find nothing lower."""
 
     def test_matches_grid_minimum(self):
         kinds = set()
@@ -359,21 +354,20 @@ class TestE2ClosedForm:
                 ("equal", r1 == r2), ("above C", r1 > g.capacity),
                 ("cap", rho1 == _RHO_CAP)) if hit)
             e2 = wx.gaussian_exponent(g, wx.RatePair(r1, r2)).e2
-            grid = np.linspace(rho2, rho1, 2001)
-            want = max(0.0, r1 + float(_e2_objective(grid, s, sigma2).min()))
+            _, rho, w = _rate_grid(r2, r1)
+            want = max(0.0, r1 + float(_e2_objective(rho, w, s, sigma2).min()))
             assert abs(e2 - want) <= 1e-12 * max(1.0, abs(e2)), (g, r1, r2)
             # dh/drho = -sqrt(S) sigma_z*/sigma^2 < 0: h decreases
-            sigma_z = 0.5 * (grid * math.sqrt(s)
-                             + np.sqrt(grid * grid * s + 4.0 * sigma2))
+            sigma_z = 0.5 * (rho * math.sqrt(s)
+                             + np.sqrt(rho * rho * s + 4.0 * sigma2))
             assert np.all(-math.sqrt(s) * sigma_z / sigma2 < 0.0)
         assert kinds == {"equal", "above C", "cap"}
 
 
 class TestE1E3AgainstGrid:
     """E1 (searched) is its objective's minimum on [0, rho2] and E3 (closed)
-    at max(rho1, rho_P); an independent grid over each branch's interval
-    must find nothing lower, and each printed value must be attained on
-    it."""
+    on [R1, R1 + 40]; an independent grid over each branch's interval must
+    find nothing lower, and each printed value must be attained on it."""
 
     def test_matches_grid_minimum(self):
         kinds = set()
@@ -385,15 +379,69 @@ class TestE1E3AgainstGrid:
                 ("R1 above C", r1 > g.capacity),
                 ("cap", rho1 == _RHO_CAP)) if hit)
             opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
-            # f = h - ln(1 - rho^2)/2, with 1 - rho^2 = 1 - fl(rho^2)
-            for got, lo, hi, base in ((opt.e1, 0.0, rho2, r1 - r2),
-                                      (opt.e3, rho1, _RHO_CAP, 0.0)):
-                grid = np.linspace(lo, hi, 2001)
-                if lo <= rho_p <= hi:
-                    grid = np.append(grid, rho_p)
-                f = (_e2_objective(grid, s, sigma2)
-                     - 0.5 * np.log(1.0 - grid * grid))
-                want = base + max(0.0, float(f.min()))
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(got)), \
-                    (g, r1, r2, got, want)
+            # E1 on a grid in rho: f = h - ln(w)/2, w = 1 - fl(rho^2)
+            grid = np.linspace(0.0, rho2, 2001)
+            if rho_p <= rho2:
+                grid = np.append(grid, rho_p)
+            w = 1.0 - grid * grid
+            f = _e2_objective(grid, w, s, sigma2) - 0.5 * np.log(w)
+            want = r1 - r2 + max(0.0, float(f.min()))
+            assert abs(opt.e1 - want) <= 1e-12 * max(1.0, abs(opt.e1)), \
+                (g, r1, r2, opt.e1, want)
+            # E3 on a grid in R, with C where it lies inside: f = h + R
+            inside = [g.capacity] if r1 <= g.capacity else []
+            r, rho, w = _rate_grid(r1, r1 + 40.0, *inside)
+            f = _e2_objective(rho, w, s, sigma2) + r
+            want = max(0.0, float(f.min()))
+            assert abs(opt.e3 - want) <= 1e-12 * max(1.0, abs(opt.e3)), \
+                (g, r1, r2, opt.e3, want)
+        assert kinds == {"equal", "R2 below C", "R1 above C", "cap"}
+
+
+def _f_50_digits(t, r):
+    """f(R) = R + h at 50 digits, in x = sigma_z*/sigma alone.
+
+    With w = e^{-2R}, rho = sqrt(1 - w) and x the positive root of
+    x^2 - rho sqrt(t) x - 1 = 0, rho sqrt(t)/x = 1 - 1/x^2, so
+    h = (t w - 1 + 1/x^2)/2 - ln x.
+    """
+    w = (-2 * r).exp()
+    rt = (1 - w).sqrt() * t.sqrt()
+    x = (rt + (rt * rt + 4).sqrt()) / 2
+    return r + (t * w - 1 + 1 / (x * x)) / 2 - x.ln()
+
+
+class TestFiftyDigitReference:
+    """Every branch against f evaluated at 50 digits with ``decimal``:
+    E1 = R1 - R2 + [f(R2)]_+ below C, E2 = [f(R1)]_+, and E3 = 0 up to C
+    and f(R1) above it."""
+
+    def test_matches_reference(self):
+        kinds = set()
+        for seed in (28, 29):
+            for g, r1, r2, rho1, _ in _random_cases(seed):
+                cap = g.capacity
+                kinds.update(name for name, hit in (
+                    ("equal", r1 == r2), ("R2 below C", r2 < cap),
+                    ("R1 above C", r1 > cap),
+                    ("cap", rho1 == _RHO_CAP)) if hit)
+                opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 50
+                    t = decimal.Decimal(g.s) / decimal.Decimal(g.sigma2)
+                    c = (1 + t).ln() / 2
+                    d1, d2 = decimal.Decimal(r1), decimal.Decimal(r2)
+                    e1 = d1 - d2 + max(0, _f_50_digits(t, d2) if d2 < c else 0)
+                    e2 = max(0, _f_50_digits(t, d1))
+                    e3 = e2 if d1 > c else decimal.Decimal(0)
+                    want = [float(v) for v in (min(e1, e2, e3), e1, e2, e3)]
+                got = (opt.e, opt.e1, opt.e2, opt.e3)
+                # E1's search still rounds rho2^2: about t * 1e-16 near rho_P
+                slack = (0.0, 2e-16 * (1.0 + g.s / g.sigma2), 0.0, 0.0)
+                for name, a, b, extra in zip(("E", "E1", "E2", "E3"),
+                                             got, want, slack):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)) + extra, \
+                        (name, g, r1, r2, a, b)
+                if r1 > cap:
+                    assert opt.e3 == opt.e2, (g, r1, r2)
         assert kinds == {"equal", "R2 below C", "R1 above C", "cap"}
