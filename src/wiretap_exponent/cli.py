@@ -250,13 +250,17 @@ def _cmd_region(args) -> int:
 
 _GAUSSIAN_COLUMNS = ("S", "sigma2", "R1", "R2", "E", "E1", "E2", "E3",
                      "rho_star", "sigma_z_star", "branch")
+# one %-format per CSV row or record, floats as _fmt prints them
+_GAUSSIAN_ROW = ",".join("%s" if c == "branch" else "%.12g"
+                         for c in _GAUSSIAN_COLUMNS)
+_GAUSSIAN_RECORD = "\n".join(
+    f"{c} {f}" for c, f in zip(_GAUSSIAN_COLUMNS, _GAUSSIAN_ROW.split(",")))
 
 
-def _gaussian_fields(g, r1, r2, opt, unit) -> tuple[str, ...]:
-    """The formatted values of _GAUSSIAN_COLUMNS for one rate pair."""
-    return (_fmt(g.s), _fmt(g.sigma2), _fmt(r1 / unit), _fmt(r2 / unit),
-            _fmt(opt.e / unit), _fmt(opt.e1 / unit), _fmt(opt.e2 / unit),
-            _fmt(opt.e3 / unit), _fmt(opt.rho_star), _fmt(opt.sigma_z_star),
+def _gaussian_values(g, r1, r2, opt, unit) -> tuple:
+    """The values of _GAUSSIAN_COLUMNS for one rate pair."""
+    return (g.s, g.sigma2, r1 / unit, r2 / unit, opt.e / unit, opt.e1 / unit,
+            opt.e2 / unit, opt.e3 / unit, opt.rho_star, opt.sigma_z_star,
             opt.active_branch)
 
 
@@ -270,8 +274,8 @@ def _cmd_gaussian(args) -> int:
                 "sweep mode needs both --r1-grid and --r2-grid")
         r1s = _parse_grid(args.r1_grid, "--r1-grid") * unit
         r2s = _parse_grid(args.r2_grid, "--r2-grid") * unit
-        # in-process: one spec's memo serves every row, and each pair costs
-        # less than starting and feeding a process pool
+        # in-process: each pair is a few closed forms, far cheaper than
+        # starting and feeding a process pool
         lines, skipped = [",".join(_GAUSSIAN_COLUMNS)], 0
         for r1 in r1s.tolist():
             for r2 in r2s.tolist():
@@ -279,16 +283,16 @@ def _cmd_gaussian(args) -> int:
                     skipped += 1
                     continue
                 opt = gaussian_exponent(g, RatePair(r1, r2))
-                lines.append(",".join(_gaussian_fields(g, r1, r2, opt, unit)))
+                lines.append(_GAUSSIAN_ROW
+                             % _gaussian_values(g, r1, r2, opt, unit))
         _emit(lines, args.output, skipped)
         return 0
     if args.r1 is None or args.r2 is None:
         raise ChannelFileError("need --r1/--r2 or --r1-grid/--r2-grid")
     rates = RatePair(args.r1 * unit, args.r2 * unit)
     opt = gaussian_exponent(g, rates)
-    fields = _gaussian_fields(g, rates.r1, rates.r2, opt, unit)
-    _emit([f"{c} {v}" for c, v in zip(_GAUSSIAN_COLUMNS, fields)],
-          args.output)
+    _emit([_GAUSSIAN_RECORD % _gaussian_values(g, rates.r1, rates.r2, opt,
+                                               unit)], args.output)
     return 0
 
 

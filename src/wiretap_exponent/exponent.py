@@ -1094,26 +1094,6 @@ class ExponentSolver:
         return replace(res, rep2_value=value, lambda1=lam1, lambda2=lam2)
 
 
-def _golden_min_scalar(f, a: float, b: float,
-                       tol: float) -> tuple[float, float]:
-    """Golden-section minimum (x, f(x)) of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 # ---------------------------------------------------------------------------
 # binary symmetric channel closed form
 # ---------------------------------------------------------------------------

@@ -5,51 +5,34 @@ eavesdropper sees them through additive white Gaussian noise of variance
 sigma^2.  The large-deviations variables are the empirical output power
 sigma_z^2 and the empirical input-output correlation rho; the minimization
 over sigma_z is available in closed form, and every branch evaluates one
-objective in t = S/sigma^2 (``_objective``).  E2 and E3 are closed forms:
-above capacity E3 is E2's value (see ``gaussian_exponent``).  E1 is a
-one-dimensional search over rho, a dense grid with golden-section
-refinement whose density and tolerance are fixed, not settings.
-
-E1's search depends on R2 alone, so a spec remembers it: an N x M sweep on
-one spec runs at most M searches.  The memo lives and dies with the spec
-and holds one entry per distinct R2.
+objective in t = S/sigma^2 (``_objective``).  All three branches are closed
+forms, each taken at a rate endpoint's exact w = e^{-2R} or at the true
+channel's correlation (see ``gaussian_exponent``).
 
 All branch objectives at negative rho dominate their positive-rho mirror
 pointwise (the divergence term grows by 2*rho*sigma_z*sqrt(S)/sigma^2 when
-the sign flips), so searches run over rho >= 0 and yield the same minima as
-a full-range search.
+the sign flips), so each branch's minimum over rho >= 0 is its minimum over
+the full range.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exponent import (RatePair, _golden_min_scalar, _pick_branch,
-                       gamma_dmc)
+from .exponent import RatePair, _pick_branch, gamma_dmc
 
-#: grid points across (-1, 1), and the width at which refinement stops
-_GRID_POINTS = 100_000
-_REFINE_TOL = 1e-9
-
-#: searches never reach |rho| = 1; rate endpoints clamp here as well
+#: printed correlations never reach |rho| = 1: rate endpoints clamp here
 _RHO_CAP = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Per-symbol power S and noise variance sigma^2, both normal floats.
-
-    A spec also remembers the divergence profile's minimum on each interval
-    E1 has searched (see ``gaussian_exponent``); the memo takes no part in
-    equality, hashing or the repr.
-    """
+    """Per-symbol power S and noise variance sigma^2, both normal floats."""
 
     s: float
     sigma2: float
-    _profile_mins: dict[tuple[float, float], tuple[float, float]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # a subnormal value has too few digits for the 12 printed, and at
@@ -138,10 +121,12 @@ def _objective(rho, w, t):
     return 0.5 * (t * w - rho * math.sqrt(t) / x) - np.log(x)
 
 
-def _profile(rho: np.ndarray, g: GaussianSpec) -> np.ndarray:
-    """Divergence term minimized over sigma_z, as a function of rho."""
-    w = 1.0 - rho * rho
-    return _objective(rho, w, g.s / g.sigma2) - 0.5 * np.log(w)
+def _f_at_rate(r: float, t: float) -> float:
+    """f at the correlation of rate r, r + h(rho, e^{-2r}).  rho is not
+    capped: where it rounds to 1, w = e^{-2r} still carries the rate.
+    """
+    rho = math.sqrt(-math.expm1(-2.0 * r))
+    return r + float(_objective(rho, math.exp(-2.0 * r), t))
 
 
 def rho_from_rate(r: float) -> float:
@@ -155,74 +140,41 @@ def rho_from_rate(r: float) -> float:
     return min(rho, _RHO_CAP)
 
 
-def _profile_min(g: GaussianSpec, lo: float, hi: float) -> tuple[float, float]:
-    """Min and argmin of the divergence profile on [lo, hi], memoized on
-    the spec.
-
-    A grid of at least 9 points, both ends included, and golden refinement
-    of its best cell; ties go to smaller rho.
-    """
-    hit = g._profile_mins.get((lo, hi))
-    if hit is not None:
-        return hit
-    count = max(9, int(math.ceil((hi - lo) * _GRID_POINTS / 2.0)) + 1)
-    xs = np.linspace(lo, hi, count)
-    vals = _profile(xs, g)
-    j = int(np.argmin(vals))
-    a = xs[max(0, j - 1)]
-    b = xs[min(count - 1, j + 1)]
-    x, v = _golden_min_scalar(lambda t: float(_profile(np.asarray([t]), g)[0]),
-                              float(a), float(b), _REFINE_TOL)
-    if v <= vals[j]:
-        hit = float(v), float(x)
-    else:
-        hit = float(vals[j]), float(xs[j])
-    g._profile_mins[(lo, hi)] = hit
-    return hit
-
-
 def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
     """Exponent of the Gaussian eavesdropper at the given rate pair.
 
     Each branch restricts rho to the interval mapped from the rates via
     w = 1 - rho^2 = e^{-2R} and minimizes its objective there.  The profile
     f, the divergence term at the optimal sigma_z, falls to its zero at
-    rho_P = sqrt(t/(1 + t)), t = S/sigma^2, and rises after it.  When
-    R2 >= C the first branch is exactly R1 - R2 and when R1 <= C the third
-    is exactly 0, both attained at rho_P.
+    rho_P = sqrt(t/(1 + t)), t = S/sigma^2, the correlation at rate C, and
+    rises after it.  So every branch's minimum lies at an end of its
+    interval or at rho_P, and each is taken at its rate's exact w: rho may
+    round to 1 at high rate, but e^{-2R} keeps the rate's digits.
 
-    E1 minimizes f on [0, rho2] by a fixed dense grid (10^5 points across
-    (-1, 1)) with golden-section refinement to 1e-9.  The search depends
-    on R2 alone, so the spec remembers it: calls that share g and R2 repeat
-    none, and an N x M sweep runs at most M searches.  Every value is the
-    one a fresh spec gives.
+    E1 minimizes f on [0, rho2].  Below C, f decreases there, so E1 is
+    R1 - R2 + f(rho2), with f(rho2) = R2 + h(rho2) and h as below; from C
+    on, the interval holds rho_P and E1 is exactly R1 - R2.
 
     E2 is in closed form: its objective h(rho) = f(rho) + ln(1 - rho^2)/2
     decreases on [rho2, rho1], so its minimum is h(rho1).  At the optimal
     sigma_z, h is (sigma_z^2 - 2 rho sigma_z sqrt(S) + S)/(2 sigma^2)
     - ln(sigma_z^2/sigma^2)/2 - 1/2, whose partial derivative in rho is
     -sqrt(S) sigma_z/sigma^2 < 0; by the envelope theorem so is dh/drho.
-    f rises on [rho_P, 1), so when R1 > C, E3 is f(rho1) = R1 + h(rho1) = E2.
+
+    E3 minimizes f on [rho1, 1): exactly 0 at rho_P when R1 <= C, and
+    f(rho1) = R1 + h(rho1) = E2 when R1 > C.
     """
     t = g.s / g.sigma2
     cap = g.capacity
-    rho2 = rho_from_rate(rates.r2)
-
-    # the divergence term's global minimum is 0, at the true channel's
-    # correlation rho_P; a branch whose interval holds rho_P takes it there
-    # exactly, since the grid can miss it within _REFINE_TOL of rho = 1
     rho_p = min(math.sqrt(t / (1.0 + t)), _RHO_CAP)
     if rates.r2 >= cap:
         v1, r1_arg = 0.0, rho_p
     else:
-        v1, r1_arg = _profile_min(g, 0.0, rho2)
-    # rho1 may round to 1; w1 = e^{-2 R1} keeps the rate's digits
-    rho1 = math.sqrt(-math.expm1(-2.0 * rates.r1))
-    h1 = float(_objective(rho1, math.exp(-2.0 * rates.r1), t))
-    r2_arg = min(rho1, _RHO_CAP)
+        v1, r1_arg = _f_at_rate(rates.r2, t), rho_from_rate(rates.r2)
     # a branch can round below 0: at R1 = C, E2's log term cancels R1
     e1 = rates.r1 - rates.r2 + max(0.0, v1)
-    e2 = max(0.0, rates.r1 + h1)
+    e2 = max(0.0, _f_at_rate(rates.r1, t))
+    r2_arg = rho_from_rate(rates.r1)
     e3, r3_arg = (0.0, rho_p) if rates.r1 <= cap else (e2, r2_arg)
 
     e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))

@@ -571,28 +571,27 @@ class TestGaussianCommand:
         _, par, _ = run(capsys, base + ["--workers", "3"])
         assert seq == par
 
-    def test_one_rate_searches_once_per_rate(self, capsys, monkeypatch):
-        # E1 searches depend on R2 alone, so a sweep's spec runs each once
-        # per R2 below C; E2 and E3 are in closed form.  Each search refines
-        # its best grid cell once, by golden section
-        searches = []
-        refine = gaussian._golden_min_scalar
+    def test_two_objective_calls_per_pair(self, capsys, monkeypatch):
+        # every branch is a closed form: E1 evaluates the objective at R2
+        # below C and E2 at R1, one scalar each, and nothing searches
+        calls = []
+        objective = gaussian._objective
 
-        def counted(fun, lo, hi, tol):
-            searches.append((lo, hi))
-            return refine(fun, lo, hi, tol)
+        def counted(rho, w, t):
+            calls.append((rho, w, t))
+            return objective(rho, w, t)
 
-        monkeypatch.setattr(gaussian, "_golden_min_scalar", counted)
+        monkeypatch.setattr(gaussian, "_objective", counted)
         cap = wx.GaussianSpec(1.0, 0.5).capacity
         grid = f"0:{1.5 * cap!r}:10"
         code, out, _ = run(capsys, ["gaussian", "--power", "1.0",
                                     "--noise", "0.5", "--r1-grid", grid,
                                     "--r2-grid", grid])
         assert code == 0
-        rates = np.linspace(0.0, 1.5 * cap, 10)
         pairs = len(out.splitlines()) - 1
         assert pairs == 55
-        assert 0 < len(searches) <= (rates < cap).sum()
+        assert pairs < len(calls) <= 2 * pairs
+        assert not any(isinstance(v, np.ndarray) for c in calls for v in c)
 
     def test_solver_settings_change_nothing(self, capsys):
         # gaussian reads no setting; the exponent solver's settings are

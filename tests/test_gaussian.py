@@ -1,5 +1,6 @@
 import decimal
 import math
+import pathlib
 import pickle
 import sys
 
@@ -7,8 +8,12 @@ import numpy as np
 import pytest
 
 import wiretap_exponent as wx
-from wiretap_exponent.gaussian import (_REFINE_TOL, _RHO_CAP, _profile,
-                                       _profile_min, rho_from_rate)
+from wiretap_exponent import cli
+from wiretap_exponent.gaussian import _RHO_CAP, rho_from_rate
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 class TestDivergenceTerm:
@@ -165,8 +170,9 @@ class TestGaussianExponent:
         ends = np.array([-rho1, -rho2, rho2, rho1])
         full = np.sort(np.concatenate([
             np.linspace(-1 + 1e-9, 1 - 1e-9, 100001), ends]))
-        prof = _profile(full, g)
-        mid = prof + 0.5 * np.log1p(-full * full)
+        w = 1.0 - full * full
+        mid = _e2_objective(full, w, g.s, g.sigma2)
+        prof = mid - 0.5 * np.log(w)
         e1 = rates.r1 - rates.r2 + prof[np.abs(full) <= rho2].min()
         e2 = rates.r1 + mid[(np.abs(full) >= rho2) & (np.abs(full) <= rho1)].min()
         e3 = prof[np.abs(full) >= rho1].min()
@@ -183,19 +189,6 @@ class TestGaussianExponent:
         a = wx.gaussian_exponent(g, wx.RatePair(0.9, 0.3))
         b = wx.gaussian_exponent(g, wx.RatePair(0.9, 0.3))
         assert a == b
-
-    def test_interval_narrower_than_tolerance_is_searched(self):
-        # an interval narrower than the refinement tolerance returned its
-        # low end unsearched, though the profile, decreasing below rho_P,
-        # is lowest at hi
-        g = wx.GaussianSpec(1.0, 1.0)
-        lo = 0.3
-        hi = lo + 0.5 * _REFINE_TOL
-        at_lo, at_hi = _profile(np.array([lo, hi]), g)
-        assert at_hi < at_lo
-        assert _profile_min(g, lo, hi) == (at_hi, hi)
-        # a zero-width interval still evaluates its one point
-        assert _profile_min(g, lo, lo) == (at_lo, lo)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -221,8 +214,8 @@ class TestGaussianExponent:
 
 
 class TestSpecMemo:
-    """A spec remembers E1's search per R2; what it remembers must be what
-    a fresh spec computes."""
+    """A spec that has served a whole sweep gives what a fresh spec gives,
+    and stays a plain value: equal, hashable, printable and picklable."""
 
     @pytest.mark.parametrize("snr", (1e-2, 1.0, 1e2))
     def test_hits_equal_misses(self, snr):
@@ -238,38 +231,35 @@ class TestSpecMemo:
             fresh = wx.gaussian_exponent(
                 wx.GaussianSpec(shared.s, shared.sigma2), rates)
             assert wx.gaussian_exponent(shared, rates) == fresh, rates
-        # one entry per distinct R2 below C; E3 is in closed form
-        assert 0 < len(shared._profile_mins) <= sum(r < cap for r in grid)
 
     def test_equality_hash_repr_unchanged(self):
         used, fresh = wx.GaussianSpec(1.0, 0.5), wx.GaussianSpec(1.0, 0.5)
         for r1, r2 in ((0.9, 0.1), (0.9, 0.2), (0.3, 0.1)):
             wx.gaussian_exponent(used, wx.RatePair(r1, r2))
-        assert used._profile_mins and not fresh._profile_mins
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "GaussianSpec(s=1.0, sigma2=0.5)"
         assert {fresh: 1}[used] == 1
         assert used != wx.GaussianSpec(1.0, 0.25)
-        # a spec that has served a sweep pickles whole, memo included
         copy = pickle.loads(pickle.dumps(used))
-        assert copy == used and copy._profile_mins == used._profile_mins
+        assert copy == used and copy.__dict__ == used.__dict__
 
 
 def _endpoint_e1(g, rates):
-    """E1 at the endpoint the profile's shape picks: f falls to its zero at
-    the true correlation rho_P, so its minimum on [0, rho2] is at
-    min(rho2, rho_P)."""
-    rho2 = rho_from_rate(rates.r2)
-    rho_p = min(math.sqrt(g.s / (g.s + g.sigma2)), _RHO_CAP)
+    """E1 at the endpoint the profile's shape picks, apart from the solver:
+    f falls to its zero at the true correlation rho_P, at rate C, so its
+    minimum on [0, rho2] is f(rho2) = R2 + h(rho2) at the exact
+    w = e^{-2 R2} below C, and 0 from C on."""
     if rates.r2 >= g.capacity:
         return rates.r1 - rates.r2
-    return rates.r1 - rates.r2 + float(
-        _profile(np.array([min(rho2, rho_p)]), g)[0])
+    rho2 = math.sqrt(-math.expm1(-2.0 * rates.r2))
+    h = float(_e2_objective(rho2, math.exp(-2.0 * rates.r2), g.s, g.sigma2))
+    return rates.r1 - rates.r2 + max(0.0, rates.r2 + h)
 
 
 class TestBranchEndpoints:
-    """E1's grid search lands exactly on its endpoint form, the fact a
-    closed-form E1 would rest on; E3 is 0 up to C and E2's float above."""
+    """E1 is its endpoint form: exactly R1 - R2 from C on, and below C f at
+    rho2, evaluated apart from the solver, so equal up to rounding; E3 is
+    0 up to C and E2's float above."""
 
     def test_bench_like_pairs(self):
         # rate grids from 0 to 1.5 C at SNRs spanning six decades, drawn
@@ -287,11 +277,34 @@ class TestBranchEndpoints:
                     for r2 in grid[:k + 1]:
                         rates = wx.RatePair(float(r1), float(r2))
                         opt = wx.gaussian_exponent(g, rates)
-                        assert opt.e1 == _endpoint_e1(g, rates), (g, rates)
+                        e1 = _endpoint_e1(g, rates)
+                        if r2 >= g.capacity:
+                            assert opt.e1 == e1, (g, rates)
+                        assert abs(opt.e1 - e1) <= 1e-15 * max(1.0, abs(e1)), \
+                            (g, rates, opt.e1, e1)
                         e3 = 0.0 if r1 <= g.capacity else opt.e2
                         assert opt.e3 == e3, (g, rates)
                         count += 1
         assert count >= 300
+
+    def test_e1_argmin_is_rho2(self):
+        # f is flat near its zero at C, where a numerical search's argmin
+        # can miss rho2: by 1.6e-8 on the benchmark pool's rows with
+        # R1 = R2 = C to rounding
+        rows = 0
+        for call in workloads.gaussian_pool(""):
+            argv = dict(zip(call.argv[1::2], call.argv[2::2]))
+            g = wx.GaussianSpec(float(argv["--power"]),
+                                float(argv["--noise"]))
+            grid = cli._parse_grid(argv["--r1-grid"], "").tolist()
+            assert argv["--r2-grid"] == argv["--r1-grid"]
+            for k, r1 in enumerate(grid):
+                for r2 in grid[:k + 1]:
+                    opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
+                    if opt.active_branch == "E1" and r2 < g.capacity:
+                        assert opt.rho_star == rho_from_rate(r2), (g, r1, r2)
+                        rows += 1
+        assert rows >= 8
 
 
 def _e2_objective(rho, w, s, sigma2):
@@ -365,26 +378,23 @@ class TestE2ClosedForm:
 
 
 class TestE1E3AgainstGrid:
-    """E1 (searched) is its objective's minimum on [0, rho2] and E3 (closed)
-    on [R1, R1 + 40]; an independent grid over each branch's interval must
-    find nothing lower, and each printed value must be attained on it."""
+    """E1 is its objective's minimum on [0, R2] and E3 on [R1, R1 + 40]; an
+    independent grid in R over each branch's interval must find nothing
+    lower, and each printed value must be attained on it."""
 
     def test_matches_grid_minimum(self):
         kinds = set()
         for g, r1, r2, rho1, rho2 in _random_cases(27):
             s, sigma2 = g.s, g.sigma2
-            rho_p = math.sqrt(s / (s + sigma2))
             kinds.update(name for name, hit in (
                 ("equal", r1 == r2), ("R2 below C", r2 < g.capacity),
                 ("R1 above C", r1 > g.capacity),
                 ("cap", rho1 == _RHO_CAP)) if hit)
             opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
-            # E1 on a grid in rho: f = h - ln(w)/2, w = 1 - fl(rho^2)
-            grid = np.linspace(0.0, rho2, 2001)
-            if rho_p <= rho2:
-                grid = np.append(grid, rho_p)
-            w = 1.0 - grid * grid
-            f = _e2_objective(grid, w, s, sigma2) - 0.5 * np.log(w)
+            # E1 on a grid in R, with C where it lies inside: f = h + R
+            inside = [g.capacity] if r2 >= g.capacity else []
+            r, rho, w = _rate_grid(0.0, r2, *inside)
+            f = _e2_objective(rho, w, s, sigma2) + r
             want = r1 - r2 + max(0.0, float(f.min()))
             assert abs(opt.e1 - want) <= 1e-12 * max(1.0, abs(opt.e1)), \
                 (g, r1, r2, opt.e1, want)
@@ -411,10 +421,34 @@ def _f_50_digits(t, r):
     return r + (t * w - 1 + 1 / (x * x)) / 2 - x.ln()
 
 
+def _reference(g, r1, r2):
+    """(E, E1, E2, E3) as floats from f at 50 digits: E1 = R1 - R2
+    + [f(R2)]_+ below C and R1 - R2 from C on, E2 = [f(R1)]_+, and E3 = 0
+    up to C and f(R1) above it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t = decimal.Decimal(g.s) / decimal.Decimal(g.sigma2)
+        c = (1 + t).ln() / 2
+        d1, d2 = decimal.Decimal(r1), decimal.Decimal(r2)
+        e1 = d1 - d2 + max(0, _f_50_digits(t, d2) if d2 < c else 0)
+        e2 = max(0, _f_50_digits(t, d1))
+        e3 = e2 if d1 > c else decimal.Decimal(0)
+        return [float(v) for v in (min(e1, e2, e3), e1, e2, e3)]
+
+
 class TestFiftyDigitReference:
-    """Every branch against f evaluated at 50 digits with ``decimal``:
-    E1 = R1 - R2 + [f(R2)]_+ below C, E2 = [f(R1)]_+, and E3 = 0 up to C
-    and f(R1) above it."""
+    """Every branch against f evaluated at 50 digits with ``decimal``."""
+
+    @staticmethod
+    def _check(g, r1, r2, tol):
+        opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
+        got = (opt.e, opt.e1, opt.e2, opt.e3)
+        for name, a, b in zip(("E", "E1", "E2", "E3"), got,
+                              _reference(g, r1, r2)):
+            assert abs(a - b) <= tol * max(1.0, abs(b)), \
+                (name, g, r1, r2, a, b)
+        if r1 > g.capacity:
+            assert opt.e3 == opt.e2, (g, r1, r2)
 
     def test_matches_reference(self):
         kinds = set()
@@ -425,23 +459,22 @@ class TestFiftyDigitReference:
                     ("equal", r1 == r2), ("R2 below C", r2 < cap),
                     ("R1 above C", r1 > cap),
                     ("cap", rho1 == _RHO_CAP)) if hit)
-                opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
-                with decimal.localcontext() as ctx:
-                    ctx.prec = 50
-                    t = decimal.Decimal(g.s) / decimal.Decimal(g.sigma2)
-                    c = (1 + t).ln() / 2
-                    d1, d2 = decimal.Decimal(r1), decimal.Decimal(r2)
-                    e1 = d1 - d2 + max(0, _f_50_digits(t, d2) if d2 < c else 0)
-                    e2 = max(0, _f_50_digits(t, d1))
-                    e3 = e2 if d1 > c else decimal.Decimal(0)
-                    want = [float(v) for v in (min(e1, e2, e3), e1, e2, e3)]
-                got = (opt.e, opt.e1, opt.e2, opt.e3)
-                # E1's search still rounds rho2^2: about t * 1e-16 near rho_P
-                slack = (0.0, 2e-16 * (1.0 + g.s / g.sigma2), 0.0, 0.0)
-                for name, a, b, extra in zip(("E", "E1", "E2", "E3"),
-                                             got, want, slack):
-                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)) + extra, \
-                        (name, g, r1, r2, a, b)
-                if r1 > cap:
-                    assert opt.e3 == opt.e2, (g, r1, r2)
+                self._check(g, r1, r2, 1e-12)
         assert kinds == {"equal", "R2 below C", "R1 above C", "cap"}
+
+    def test_rho2_past_the_cap(self):
+        # from S/sigma^2 = 1e13 on, rho2 just below C lies past _RHO_CAP, by
+        # 0.9e-12 to 1e-12; h must take it uncapped.  Capped, E1 moves by
+        # about that much, which the 1e-12 relative gate above can miss
+        rng = np.random.default_rng(30)
+        above = 0
+        for k in range(60):
+            t = 10.0 ** rng.uniform(13.0, 16.0)
+            s = 10.0 ** rng.uniform(-3.0, 3.0)
+            g = wx.GaussianSpec(s, s / t)
+            r2 = g.capacity - 10.0 ** rng.uniform(-3.0, -0.5)
+            assert math.sqrt(-math.expm1(-2.0 * r2)) > _RHO_CAP
+            r1 = r2 if k % 2 else r2 + float(rng.uniform(0.0, 1.0))
+            above += r1 > g.capacity
+            self._check(g, r1, r2, 1e-13)
+        assert 0 < above < 30
