@@ -6,11 +6,12 @@ intervals per R1), ``gaussian`` (record or CSV sweep), ``simulate``
 (finite-n ensemble estimate), ``check`` (validate a channel file and run
 the degradedness check).
 
-Rates are nats by default; ``--bits`` converts rate-like quantities on both
-input and output.  All numeric output uses 12 significant digits and is
-byte-identical across runs for identical inputs, including seeds and worker
-counts.  Exit status: 0 success, 2 input validation, 3 solver
-non-convergence, 4 enumeration budget exceeded.
+Each subcommand takes only the flags it reads, and no prefix of one.  Rates
+are nats by default; ``--bits`` (all but ``check``) converts rate-like
+quantities on both input and output.  All numeric output uses 12 significant
+digits and is byte-identical across runs for identical inputs, including
+seeds and worker counts.  Exit status: 0 success, 2 input validation, 3
+solver non-convergence, 4 enumeration budget exceeded.
 """
 from __future__ import annotations
 
@@ -62,7 +63,11 @@ def _settings(args) -> dict:
     given = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ChannelFileError(f"{args.config}: line {exc.lineno}, "
+                                       f"column {exc.colno}: {exc.msg}")
         if not isinstance(loaded, dict):
             raise ChannelFileError(
                 f"config file {args.config}: top level must be an object")
@@ -225,12 +230,7 @@ def _cmd_region(args) -> int:
     cfg = _settings(args)
     unit = LN2 if args.bits else 1.0
     spec = load_channel_spec(args.channel)
-    if args.r1_list:
-        r1s = [float(t) * unit for t in args.r1_list.split(",")]
-    else:
-        r1s = [v * unit for v in (args.r1 or [])]
-    if not r1s:
-        raise ChannelFileError("no R1 values given (use --r1 or --r1-list)")
+    r1s = [float(t) * unit for t in args.r1_list.split(",")]
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
     analysis = compute_qstar(solver)
     lines = [",".join(("R1", "lower", "upper", "empty", "bracket_lower",
@@ -265,13 +265,13 @@ def _gaussian_values(g, r1, r2, opt, unit) -> tuple:
 
 
 def _cmd_gaussian(args) -> int:
-    _settings(args)                     # validated; gaussian reads none
     unit = LN2 if args.bits else 1.0
     g = GaussianSpec(args.power, args.noise)
     if args.r1_grid or args.r2_grid:
-        if not (args.r1_grid and args.r2_grid):
-            raise ChannelFileError(
-                "sweep mode needs both --r1-grid and --r2-grid")
+        if (not (args.r1_grid and args.r2_grid)
+                or args.r1 is not None or args.r2 is not None):
+            raise ChannelFileError("sweep mode needs both --r1-grid and "
+                                   "--r2-grid, and neither --r1 nor --r2")
         r1s = _parse_grid(args.r1_grid, "--r1-grid") * unit
         r2s = _parse_grid(args.r2_grid, "--r2-grid") * unit
         # in-process: each pair is a few closed forms, far cheaper than
@@ -351,20 +351,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_check(args) -> int:
     cfg = _settings(args)
     spec = load_channel_spec(args.channel)
-    print(f"channel file ok: |X| = {spec.input_dist.size}, "
-          f"|Z| = {spec.wiretap.num_outputs}" +
-          (f", |Y| = {spec.main.num_outputs}" if spec.main else ""))
+    lines = [f"channel file ok: |X| = {spec.input_dist.size}, "
+             f"|Z| = {spec.wiretap.num_outputs}" +
+             (f", |Y| = {spec.main.num_outputs}" if spec.main else "")]
     if spec.main is None:
-        print("no main channel given; degradedness check skipped")
-        return 0
-    res = check_degraded(spec.main, spec.wiretap, tol=cfg["degraded_tol"])
-    if res.is_degraded:
-        print(f"degraded: yes (residual {_fmt(res.residual)})")
+        lines.append("no main channel given; degradedness check skipped")
     else:
-        print(f"degraded: no (residual {_fmt(res.residual)})")
-        print("warning: wiretap channel is not a degraded version of the "
-              "main channel; exponent computations remain valid",
-              file=sys.stderr)
+        res = check_degraded(spec.main, spec.wiretap, tol=cfg["degraded_tol"])
+        lines.append(f"degraded: {'yes' if res.is_degraded else 'no'} "
+                     f"(residual {_fmt(res.residual)})")
+        if not res.is_degraded:
+            print("warning: wiretap channel is not a degraded version of the "
+                  "main channel; exponent computations remain valid",
+                  file=sys.stderr)
+    _emit(lines, args.output)
     return 0
 
 
@@ -379,7 +379,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write to file instead of stdout")
     p.add_argument("--gap-tol", dest="gap_tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--workers", dest="workers", type=int)
 
 
 # built once per process: parsing leaves the tree unchanged, and in-process
@@ -391,7 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wiretap-exponent",
         description="Correct-decoding exponents of the wiretap channel "
                     "decoder and the associated rate regions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no subcommand reads a prefix of a flag as the flag
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
 
     p = sub.add_parser("exponent", help="exponent at one rate pair")
     p.add_argument("channel")
@@ -408,13 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="R2 as fractions of each R1")
     p.add_argument("--columns", help="comma-separated column selection")
     p.add_argument("--classify-tol", dest="classify_tol", type=float)
+    # accepted and ignored: the benchmark's plane warm-up still passes it
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("region", help="full-security intervals per R1")
     p.add_argument("channel")
-    p.add_argument("--r1", type=float, action="append")
-    p.add_argument("--r1-list", help="comma-separated R1 values")
+    p.add_argument("--r1-list", required=True,
+                   help="comma-separated R1 values")
     p.add_argument("--classify-tol", dest="classify_tol", type=float)
     _add_common(p)
     p.set_defaults(func=_cmd_region)
@@ -426,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=float)
     p.add_argument("--r1-grid", metavar="MIN:MAX:STEPS")
     p.add_argument("--r2-grid", metavar="MIN:MAX:STEPS")
-    _add_common(p)
+    p.add_argument("--bits", action="store_true",
+                   help="rates given and reported in bits instead of nats")
+    p.add_argument("--output", help="write to file instead of stdout")
     p.set_defaults(func=_cmd_gaussian)
 
     p = sub.add_parser("simulate", help="finite-n ensemble estimate")
@@ -440,13 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on |Z|^n for exact enumeration")
     p.add_argument("--z-samples", dest="z_samples", type=int,
                    help="per-trial output samples when beyond the budget")
+    p.add_argument("--workers", type=int, help="processes for the trials")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("check", help="validate a channel file")
     p.add_argument("channel")
     p.add_argument("--tol", dest="degraded_tol", type=float)
-    _add_common(p)
+    p.add_argument("--config", help="JSON file with solver settings")
+    p.add_argument("--output", help="write to file instead of stdout")
     p.set_defaults(func=_cmd_check)
 
     return parser

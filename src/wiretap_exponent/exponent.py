@@ -944,12 +944,19 @@ class ExponentSolver:
                        target, width, why)
         return max(best[0], 0.0), best[1], width
 
-    def _phi(self, target_i: float) -> tuple[float, _InnerSolution, float]:
-        """phi at target_i clamped to [i_min, i_max]; inside, memoized: see
-        _sandwich.  At or beyond an end it is the support line of that
-        end's table entry, picked from the unclamped target: when every row
-        of P is one-hot the curve is one point, i_min == i_max, and a
-        target below it still takes the s = 2 end."""
+    # -- public operations ----------------------------------------------
+
+    def phi(self, target_i: float) -> tuple[float, _InnerSolution, float]:
+        """(minimal divergence, its support line's inner solution, certified
+        sandwich width) at mutual-information level ``target_i``.
+
+        The value is the support-line envelope max_mu [m(1+mu) - mu*I0] on
+        a sandwich at most 2 gap_tol wide, or wider where the solves cannot
+        refine it (module docstring; memoized, see _sandwich).  At or beyond
+        an end of [i_min, i_max] it is that end's table support line, picked
+        from the unclamped target: a one-point curve (every row of P
+        one-hot) still takes the s = 2 end below it.
+        """
         if target_i <= self.i_min or target_i >= self.i_max:
             sol = self._table[0 if target_i <= self.i_min else -1]
             target = min(max(target_i, self.i_min), self.i_max)
@@ -958,8 +965,6 @@ class ExponentSolver:
         if hit is None:
             hit = self._phi_cache[target_i] = self._sandwich(target_i)
         return hit
-
-    # -- public operations ----------------------------------------------
 
     def inner_lagrangian_min(self, mu: float) -> tuple[ConditionalChannel, float, float]:
         """Global minimizer of D + mu*I over test channels with Q_X = P_X.
@@ -989,30 +994,17 @@ class ExponentSolver:
         return ParetoCurve(points=tuple(pts),
                            i_range=(pts[0].i_value, pts[-1].i_value))
 
-    def phi(self, target_i: float) -> tuple[float, _InnerSolution]:
-        """Minimal divergence at mutual-information level ``target_i``.
-
-        Evaluated as the support-line envelope max_mu [m(1+mu) - mu*I0],
-        at the best support line of a certified sandwich at most 2 gap_tol
-        wide, or wider where the solves cannot refine it (see the module
-        docstring).  ``target_i`` is clamped to the attained range.
-        """
-        return self._phi(target_i)[:2]
-
-    def _e3(self, r1: float) -> tuple[float, _InnerSolution | None, float]:
-        if r1 > self.i_max:
-            return math.inf, None, 0.0
-        if r1 <= self.i_p:
-            return 0.0, self._solve_s(1.0), 0.0
-        return self._phi(r1)
-
-    def e3(self, r1: float) -> tuple[float, _InnerSolution | None]:
-        """Third branch E3(R1) = min {D : I >= R1} and its inner solution.
+    def e3(self, r1: float) -> tuple[float, _InnerSolution | None, float]:
+        """(E3(R1) = min {D : I >= R1}, its inner solution, sandwich width).
 
         +inf (no solution) above the curve's range, 0 at the true channel
         when R1 <= I(P), and ``phi(R1)`` in between.
         """
-        return self._e3(r1)[:2]
+        if r1 > self.i_max:
+            return math.inf, None, 0.0
+        if r1 <= self.i_p:
+            return 0.0, self._solve_s(1.0), 0.0
+        return self.phi(r1)
 
     def exponent_rep1(self, rates: RatePair) -> ExponentResult:
         """Branch-form evaluation of E(R1, R2).
@@ -1037,18 +1029,17 @@ class ExponentSolver:
         elif r2 >= self.i_p:
             e1, q1 = r1 - r2, (self._solve_s(1.0), 0.0)
         else:
-            val, sol, width = self._phi(r2)
+            val, sol, width = self.phi(r2)
             e1, q1 = r1 - r2 + val, (sol, width)
 
         a, b = max(r2, self.i_min), min(r1, self.i_max)
         if a > b:
             e2, q2 = math.inf, (None, 0.0)
         else:
-            val, sol, width = self._phi(b)
+            val, sol, width = self.phi(b)
             e2, q2 = r1 + val - b, (sol, width)
 
-        e3, sol, width = self._e3(r1)
-        q3 = (sol, width)
+        e3, *q3 = self.e3(r1)
 
         e, branch, (achiever, width) = _pick_branch((e1, e2, e3),
                                                     (q1, q2, q3))
@@ -1067,7 +1058,7 @@ class ExponentSolver:
         sits at an endpoint, and only lambda2 = 0 and 1 are evaluated.
         """
         r1, r2 = rates.r1, rates.r2
-        s_star = self._phi(r1)[1].s
+        s_star = self.phi(r1)[1].s
         best = None
         for lam2 in (0.0, 1.0):
             lam1 = min(max(s_star - lam2, 0.0), 1.0)
@@ -1082,7 +1073,7 @@ class ExponentSolver:
         s = 1."""
         if r < 0:
             raise ValueError("rate must be nonnegative")
-        sol = self._phi(r)[1]
+        sol = self.phi(r)[1]
         if sol.s > 1.0:
             sol = self._solve_s(1.0)
         return sol.f + (1.0 - sol.s) * r

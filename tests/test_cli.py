@@ -390,8 +390,7 @@ class TestRegionCommand:
         spec = wx.load_channel_spec(path)
         an = wx.compute_qstar(ExponentSolver(spec))
         r1 = an.i_qstar + 0.05
-        code, out, _ = run(capsys, ["region", path, "--r1", str(r1),
-                                    "--r1", "0.2"])
+        code, out, _ = run(capsys, ["region", path, "--r1-list", f"{r1},0.2"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("R1,lower,upper,empty")
@@ -430,7 +429,7 @@ class TestRegionCommand:
         assert code == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("flag", ["--r1-list", "--r1"])
+    @pytest.mark.parametrize("flag", ["--r1-list"])
     def test_non_finite_r1(self, capsys, channel_file, flag, value):
         # nan reached the root-finder and exited 2 with a message about
         # the function value at x=-1
@@ -564,13 +563,6 @@ class TestGaussianCommand:
         assert lines[0] == "S,sigma2,R1,R2,E,E1,E2,E3,rho_star,sigma_z_star,branch"
         assert len(lines) > 1
 
-    def test_workers_match_sequential(self, capsys):
-        base = ["gaussian", "--power", "1.0", "--noise", "1.0",
-                "--r1-grid", "0.2:1.0:4", "--r2-grid", "0:0.4:3"]
-        _, seq, _ = run(capsys, base)
-        _, par, _ = run(capsys, base + ["--workers", "3"])
-        assert seq == par
-
     def test_two_objective_calls_per_pair(self, capsys, monkeypatch):
         # every branch is a closed form: E1 evaluates the objective at R2
         # below C and E2 at R1, one scalar each, and nothing searches
@@ -593,18 +585,6 @@ class TestGaussianCommand:
         assert pairs < len(calls) <= 2 * pairs
         assert not any(isinstance(v, np.ndarray) for c in calls for v in c)
 
-    def test_solver_settings_change_nothing(self, capsys):
-        # gaussian reads no setting; the exponent solver's settings are
-        # accepted, validated and unused
-        base = ["gaussian", "--power", "1.0", "--noise", "0.5",
-                "--r1-grid", "0:0.8:4", "--r2-grid", "0:0.8:4"]
-        _, ref, _ = run(capsys, base)
-        code, out, _ = run(capsys, base + ["--gap-tol", "0.5",
-                                           "--max-iter", "1"])
-        assert (code, out) == (0, ref)
-        code, out, _ = run(capsys, base + ["--gap-tol", "0"])
-        assert (code, out) == (2, "")
-
     def test_retired_grid_flag_is_unknown(self, capsys):
         # --gaussian-grid was deprecated and ignored, the search's grid
         # being fixed; retired, it exits 2 like any unknown option
@@ -614,6 +594,18 @@ class TestGaussianCommand:
         code, out, err = run(capsys, argv + ["--gaussian-grid", "7"])
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --gaussian-grid 7" in err
+
+    def test_record_and_grid_flags_do_not_mix(self, capsys):
+        # the grid ran and --r1 and --r2 were silently dropped
+        argv = ["gaussian", "--power", "1", "--noise", "1",
+                "--r1-grid", "0:1:2", "--r2-grid", "0:1:2"]
+        assert run(capsys, argv)[0] == 0
+        for rates in (["--r1", "0.5", "--r2", "0.1"], ["--r1", "0.5"],
+                      ["--r2", "0.1"]):
+            code, out, err = run(capsys, argv + rates)
+            assert (code, out) == (2, "")
+            assert err == ("error: sweep mode needs both --r1-grid and "
+                           "--r2-grid, and neither --r1 nor --r2\n")
 
     def test_high_rate_e3_is_e2(self, capsys):
         # E3 was worked from the rounded rho1^2 and printed E = 12.6787192092
@@ -769,6 +761,19 @@ class TestCheckCommand:
         assert code == 0
         assert "skipped" in out
 
+    @pytest.mark.parametrize("main_rows", [None, [[0.8, 0.2], [0.2, 0.8]]],
+                             ids=["no-main", "not-degraded"])
+    def test_output_file(self, capsys, channel_file, tmp_path, main_rows):
+        # check printed its lines and ignored --output
+        path = channel_file(*BSC01_ARGS, main=main_rows)
+        code, ref, err = run(capsys, ["check", path])
+        assert code == 0 and ref
+        outfile = tmp_path / "check.txt"
+        code, out, err_out = run(capsys, ["check", path,
+                                          "--output", str(outfile)])
+        assert (code, out, err_out) == (0, "", err)
+        assert outfile.read_text(encoding="utf-8") == ref
+
     def test_lp_failure_exits_3(self, capsys, channel_file, monkeypatch):
         import scipy.optimize
         failed = scipy.optimize.OptimizeResult(
@@ -909,8 +914,8 @@ class TestConfig:
                      "--gap-tol", "-1"]),
         ("max_iter", ["exponent", "--r1", "0.5", "--r2", "0.1",
                       "--max-iter", "0"]),
-        ("workers", ["exponent", "--r1", "0.5", "--r2", "0.1",
-                     "--workers", "0"]),
+        ("workers", ["simulate", "--n", "6", "--r1", "0.6", "--r2", "0.2",
+                     "--trials", "2", "--seed", "1", "--workers", "0"]),
     ], ids=["z_samples", "gap_tol", "max_iter", "workers"])
     def test_flag_out_of_range_rejected(self, capsys, channel_file, key,
                                         argv):
@@ -999,6 +1004,21 @@ class TestConfig:
         assert err == \
             f"error: config file {cfg}: top level must be an object\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["", "{\"gap_tol\": 1e-8,}"],
+                             ids=["empty", "trailing-comma"])
+    def test_malformed_config_names_the_file(self, capsys, channel_file,
+                                             tmp_path, text):
+        # printed only "error: Expecting value: line 1 column 1 (char 0)"
+        path = channel_file(*BSC01_ARGS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.6",
+                                      "--r2", "0.1", "--config", str(cfg)])
+        exc = pytest.raises(json.JSONDecodeError, json.loads, text).value
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}: line {exc.lineno}, column "
+                       f"{exc.colno}: {exc.msg}\n")
 
     def test_output_file(self, channel_file, tmp_path, capsys):
         path = channel_file(*BSC01_ARGS)
@@ -1102,8 +1122,8 @@ class TestPoolSize:
                              ids=list(_IN_PROCESS))
     def test_only_simulate_starts_a_pool(self, capsys, channel_file,
                                          monkeypatch, tmp_path, argv):
-        # every subcommand accepts and validates --workers; only simulate
-        # reads it, so no other one may build a pool at any worker count
+        # only simulate reads workers, so no other subcommand may build a
+        # pool at a config workers of 64, nor sweep at its ignored --workers
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _no_pool)
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -1112,13 +1132,82 @@ class TestPoolSize:
         argv = [path if a == "CH" else a for a in argv]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workers": 64}), encoding="utf-8")
-        code, ref, _ = run(capsys, argv + ["--workers", "1"])
+        code, ref, _ = run(capsys, argv)
         assert code == 0 and ref
-        for extra in (["--workers", "2"], ["--config", str(cfg)]):
+        extras = [] if argv[0] == "gaussian" else [["--config", str(cfg)]]
+        if argv[0] == "sweep":
+            extras.append(["--workers", "2"])
+        for extra in extras:
             assert run(capsys, argv + extra)[:2] == (0, ref)
         with pytest.raises(_PoolStarted):
             main(["simulate", path, "--n", "6", "--r1", "0.6", "--r2", "0.2",
                   "--trials", "2", "--seed", "5", "--workers", "2"])
+
+
+_SUBCOMMANDS = {
+    "exponent": ["exponent", "CH", "--r1", "0.6", "--r2", "0.1"],
+    "sweep": ["sweep", "CH", "--r1-grid", "0.2:0.8:3",
+              "--r2-fractions", "0:1:3"],
+    "region": ["region", "CH", "--r1-list", "0.3,0.6"],
+    "gaussian": ["gaussian", "--power", "1", "--noise", "1",
+                 "--r1", "0.6", "--r2", "0.1"],
+    "simulate": ["simulate", "CH", "--n", "6", "--r1", "0.6", "--r2", "0.2",
+                 "--trials", "2", "--seed", "5", "--budget", "100"],
+    "check": ["check", "CH"],
+}
+
+
+class TestFlagSurface:
+    """Each subcommand takes only the flags it reads, spelled in full."""
+
+    def _argv(self, channel_file, command, extra=()):
+        path = channel_file(*BSC01_ARGS)
+        return [path if a == "CH" else a
+                for a in _SUBCOMMANDS[command]] + list(extra)
+
+    # flags that were accepted and changed nothing, and region's --r1,
+    # which --r1-list silently overrode
+    @pytest.mark.parametrize("command, extra", [
+        ("exponent", ["--workers", "2"]),
+        ("region", ["--workers", "2"]),
+        ("gaussian", ["--workers", "2"]),
+        ("check", ["--workers", "2"]),
+        ("gaussian", ["--gap-tol", "1e-9"]),
+        ("check", ["--gap-tol", "1e-9"]),
+        ("gaussian", ["--max-iter", "50"]),
+        ("check", ["--max-iter", "50"]),
+        ("gaussian", ["--config", "CFG"]),
+        ("check", ["--bits"]),
+        ("region", ["--r1", "0.9"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_flag_exits_2(self, capsys, channel_file, tmp_path,
+                                  command, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}", encoding="utf-8")
+        extra = [str(cfg) if a == "CFG" else a for a in extra]
+        assert run(capsys, self._argv(channel_file, command))[0] == 0
+        code, out, err = run(capsys, self._argv(channel_file, command, extra))
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+    # one prefix per subcommand: argparse read each as its full flag
+    @pytest.mark.parametrize("command, flag, prefix", [
+        ("exponent", "--output", "--out"),
+        ("sweep", "--r1-grid", "--r1"),
+        ("region", "--r1-list", "--r1-l"),
+        ("gaussian", "--power", "--pow"),
+        ("simulate", "--budget", "--bud"),
+        ("check", "--output", "--out"),
+    ], ids=lambda v: v)
+    def test_prefix_exits_2(self, capsys, channel_file, tmp_path, command,
+                            flag, prefix):
+        outfile = tmp_path / "out.txt"
+        argv = self._argv(channel_file, command, ["--output", str(outfile)])
+        assert run(capsys, argv)[:2] == (0, "")
+        outfile.unlink()
+        code, out, _ = run(capsys, [prefix if a == flag else a for a in argv])
+        assert (code, out) == (2, "")
+        assert not outfile.exists()
 
 
 class TestSampledSimulation:

@@ -551,9 +551,9 @@ class TestAndersonStep:
         fwd, rev = ExponentSolver(spec), ExponentSolver(spec)
         a = [fwd.phi(t) for t in targets]
         b = [rev.phi(t) for t in reversed(targets)][::-1]
-        assert all(sol.s not in exponent._TABLE_S for _, sol in a)
-        for (va, sa), (vb, sb) in zip(a, b):
-            assert va == vb
+        assert all(sol.s not in exponent._TABLE_S for _, sol, _ in a)
+        for (va, sa, wa), (vb, sb, wb) in zip(a, b):
+            assert (va, wa) == (vb, wb)
             assert sa.log_q.tobytes() == sb.log_q.tobytes()
 
     def test_debug_records_for_stalled_runs(self, caplog, monkeypatch):
@@ -1159,7 +1159,7 @@ class TestSandwich:
         # and the value lies inside its sandwich
         solver, values = swept
         for t, value in values:
-            _, sol, width = solver._phi(t)
+            _, sol, width = solver.phi(t)
             assert 0.0 <= width <= 2.0 * solver.gap_tol
             assert value >= sol.f - sol.gap - (sol.s - 1.0) * t
 
@@ -1176,7 +1176,7 @@ class TestSandwich:
                         assert res.gap_bound == 0.0
                     elif res.active_branch == "E2":
                         b = min(r1, solver.i_max)
-                        assert res.gap_bound == solver._phi(b)[2]
+                        assert res.gap_bound == solver.phi(b)[2]
                     if not _fallbacks(caplog.records[n:]):
                         assert res.gap_bound <= 2.0 * solver.gap_tol
         assert _fallbacks(caplog.records) == 0
@@ -1199,7 +1199,7 @@ class TestSandwich:
         table = len(solver._cache)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             for t, phi in zip(targets, certified):
-                value, _, width = solver._phi(t)
+                value, _, width = solver.phi(t)
                 assert width > 2.0 * solver.gap_tol
                 assert abs(value - phi) <= width
                 res = solver.exponent_rep1(wx.RatePair(t, 0.0))
@@ -1242,7 +1242,7 @@ class TestSandwich:
         solver = ExponentSolver(wx.load_channel_spec(
             _scan_path("scan23_094_8x8")))
         for e in range(1, 10):
-            value, sol, width = solver._phi(solver.i_max - 10.0 ** -e)
+            value, sol, width = solver.phi(solver.i_max - 10.0 ** -e)
             assert sol.s < exponent._TABLE_S[-2]
             assert width <= 2.0 * solver.gap_tol
         levels = solver._starts[len(solver._table) - 1:]
