@@ -10,8 +10,8 @@ asymptotic formulas against finite-blocklength simulation of the actual
 coding ensemble.
 
 Every exponent and region quantity of a finite-alphabet channel is read
-through one :class:`ExponentSolver`, which builds the channel's
-divergence/information trade-off curve once and reuses it across queries:
+through one :class:`ExponentSolver`, which builds the channel's multiplier
+table once and reuses it across queries:
 ``ExponentSolver(spec).solve(RatePair(r1, r2))`` evaluates E(R1, R2), and
 the region functions (:func:`compute_qstar`, :func:`full_security_interval`,
 :func:`classify_rate_point`) take the solver as their first argument.
@@ -22,7 +22,7 @@ from .channels import (ChannelSpec, ConditionalChannel, DegradednessResult,
                        parse_channel_spec, weighted_divergence)
 from .errors import (BudgetExceededError, ChannelFileError, SolverError,
                      WiretapError)
-from .exponent import (ExponentResult, ExponentSolver, ParetoCurve, RatePair,
+from .exponent import (ExponentResult, ExponentSolver, RatePair,
                        bsc_exponent_closed_form, gamma_dmc)
 from .gaussian import (GaussianOptimum, GaussianSpec, gamma_gaussian,
                        gaussian_divergence_term, gaussian_exponent,
@@ -30,8 +30,8 @@ from .gaussian import (GaussianOptimum, GaussianSpec, gamma_gaussian,
 from .security import (FullSecurityInterval, SecurityAnalysis,
                        classify_exponent, classify_rate_point, compute_qstar,
                        full_security_interval)
-from .simulate import (EnsembleSpec, SimulationResult, TypeEnumExponent,
-                       decoder_log_score, decoder_score, estimate_ensemble_pc,
+from .simulate import (EnsembleSpec, SimulationResult, decoder_log_score,
+                       decoder_score, estimate_ensemble_pc,
                        exact_pc_for_codebook, quantize_composition,
                        sample_codebook, type_enum_exponent)
 
@@ -41,15 +41,14 @@ __all__ = [
     "BudgetExceededError", "ChannelFileError", "ChannelSpec",
     "ConditionalChannel", "DegradednessResult", "Distribution", "Dmc",
     "EnsembleSpec", "ExponentResult", "ExponentSolver",
-    "FullSecurityInterval", "GaussianOptimum", "GaussianSpec", "ParetoCurve",
-    "RatePair", "SecurityAnalysis", "SimulationResult", "SolverError",
-    "TypeEnumExponent", "WiretapError", "bsc_exponent_closed_form",
-    "check_degraded", "classify_exponent", "classify_rate_point",
-    "compute_qstar",
-    "decoder_log_score", "decoder_score", "entropy", "estimate_ensemble_pc",
+    "FullSecurityInterval", "GaussianOptimum", "GaussianSpec", "RatePair",
+    "SecurityAnalysis", "SimulationResult", "SolverError", "WiretapError",
+    "bsc_exponent_closed_form", "check_degraded", "classify_exponent",
+    "classify_rate_point", "compute_qstar", "decoder_log_score",
+    "decoder_score", "entropy", "estimate_ensemble_pc",
     "exact_pc_for_codebook", "full_security_interval", "gamma_dmc",
     "gamma_gaussian", "gaussian_divergence_term", "gaussian_exponent",
     "gaussian_mutual_info", "load_channel_spec", "mutual_information",
     "parse_channel_spec", "quantize_composition", "sample_codebook",
-    "sigma_z_star", "type_enum_exponent",
+    "sigma_z_star", "type_enum_exponent", "weighted_divergence",
 ]

@@ -65,9 +65,6 @@ class Distribution:
     def size(self) -> int:
         return int(self.probs.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:
         return f"Distribution({self.probs.tolist()!r})"
 

@@ -381,6 +381,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", dest="max_iter", type=int)
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports an argument it does not take under its own usage line, which
+    argparse would leave to the top-level one that lists only subcommands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 # built once per process: parsing leaves the tree unchanged, and in-process
 # callers (tests, the bench, library users) would otherwise pay the six
 # subcommands' construction on every `main` call
@@ -393,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no subcommand reads a prefix of a flag as the flag
     sub = parser.add_subparsers(
         dest="command", required=True,
-        parser_class=functools.partial(argparse.ArgumentParser,
-                                       allow_abbrev=False))
+        parser_class=functools.partial(_SubcommandParser, allow_abbrev=False))
 
     p = sub.add_parser("exponent", help="exponent at one rate pair")
     p.add_argument("channel")

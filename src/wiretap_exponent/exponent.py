@@ -68,7 +68,6 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -93,8 +92,6 @@ _TINY = 1e-320
 DEFAULT_GAP_TOL = 1e-10
 #: default Newton-step cap per inner solve, each halving level included
 DEFAULT_MAX_ITER = 1_000
-#: default mu-grid size for the exported trade-off curve
-DEFAULT_CURVE_POINTS = 401
 #: the multiplier table: s = k/32 for k = 64, 63, ..., 0, so mu in [-1, 1]
 _TABLE_S = np.linspace(2.0, 0.0, 65)
 
@@ -137,31 +134,6 @@ class RatePair:
     @property
     def r(self) -> float:
         return self.r1 - self.r2
-
-    def __iter__(self):
-        return iter((self.r1, self.r2))
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One support point of the divergence / mutual-information trade-off."""
-
-    mu: float
-    i_value: float
-    d_value: float
-    q: ConditionalChannel
-
-
-@dataclass(frozen=True)
-class ParetoCurve:
-    """Sampled trade-off phi(I) = min{D : I_Q = I}.
-
-    Points are ordered by decreasing mu (so i_value is nondecreasing along
-    the list) and d_value is convex as a function of i_value.
-    """
-
-    points: tuple[CurvePoint, ...]
-    i_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -978,22 +950,6 @@ class ExponentSolver:
         sol = self._solve_s(1.0 + mu)
         return self._embed(sol), sol.d, sol.i
 
-    def pareto_curve(self, num_mu: int = DEFAULT_CURVE_POINTS,
-                     mu_values: Sequence[float] | None = None) -> ParetoCurve:
-        """Sweep mu over [-1, 1] and return the (I, D) trade-off curve."""
-        if mu_values is None:
-            mus = np.linspace(1.0, -1.0, max(int(num_mu), 0))
-        else:
-            mus = np.sort(np.asarray(list(mu_values), dtype=float))[::-1]
-        if mus.size == 0 or mus[0] > 1.0 or mus[-1] < -1.0:
-            raise ValueError("mu grid must be nonempty and within [-1, 1]")
-        pts = []
-        for mu in mus:
-            sol = self._solve_s(1.0 + float(mu))
-            pts.append(CurvePoint(float(mu), sol.i, sol.d, self._embed(sol)))
-        return ParetoCurve(points=tuple(pts),
-                           i_range=(pts[0].i_value, pts[-1].i_value))
-
     def e3(self, r1: float) -> tuple[float, _InnerSolution | None, float]:
         """(E3(R1) = min {D : I >= R1}, its inner solution, sandwich width).
 
@@ -1009,9 +965,9 @@ class ExponentSolver:
     def exponent_rep1(self, rates: RatePair) -> ExponentResult:
         """Branch-form evaluation of E(R1, R2).
 
-        Branch minima are taken over the multiplier-swept curve; a branch
-        whose constraint set has no curve point is reported as +inf.  (Any
-        part of a constraint set beyond the curve would need multipliers
+        Each branch minimum is read from ``phi`` at its binding I level; a
+        branch whose constraint set misses [i_min, i_max] is +inf.  (Any
+        part of a constraint set beyond that range would need multipliers
         outside [-1, 1]; by convexity of the trade-off those regions are
         dominated by another branch, so ``e`` is unaffected.)
         """
@@ -1066,17 +1022,6 @@ class ExponentSolver:
             if best is None or val < best[0] - 1e-12:
                 best = (val, lam1, lam2)
         return best
-
-    def exponent_r2_zero(self, r: float) -> float:
-        """E(R, 0): max over lambda1 of min_Q {D + lambda1 [R - I_Q]}, at
-        lambda1 = 1 - s for the s of ``phi(R)``'s support line, capped at
-        s = 1."""
-        if r < 0:
-            raise ValueError("rate must be nonnegative")
-        sol = self.phi(r)[1]
-        if sol.s > 1.0:
-            sol = self._solve_s(1.0)
-        return sol.f + (1.0 - sol.s) * r
 
     def solve(self, rates: RatePair) -> ExponentResult:
         """Full evaluation: representation-1 branches plus the min-max value."""

@@ -153,14 +153,6 @@ class SimulationResult:
     exact: bool
 
 
-@dataclass(frozen=True)
-class TypeEnumExponent:
-    """Finite-n exponent from exhaustive conditional-type enumeration."""
-
-    n: int
-    value: float
-
-
 # ---------------------------------------------------------------------------
 # codebook sampling and decoding
 # ---------------------------------------------------------------------------
@@ -516,7 +508,7 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 
 def type_enum_exponent(spec: ChannelSpec, rates: RatePair, n: int,
-                       budget: int = DEFAULT_TYPE_BUDGET) -> TypeEnumExponent:
+                       budget: int = DEFAULT_TYPE_BUDGET) -> float:
     """Finite-n exponent: R1 + min over conditional n-types of D - I - Gamma.
 
     The input distribution is quantized to its nearest n-type, and the
@@ -569,4 +561,4 @@ def type_enum_exponent(spec: ChannelSpec, rates: RatePair, n: int,
         lo = float(np.min(obj))
         if lo < best:
             best = lo
-    return TypeEnumExponent(n=n, value=r1 + best)
+    return r1 + best

@@ -143,7 +143,7 @@ def test_criterion_6_type_enumeration_convergence():
     gaps = []
     for n in (50, 100, 200, 400):
         te = wx.type_enum_exponent(spec, rates, n)
-        gaps.append(abs(te.value - e))
+        gaps.append(abs(te - e))
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-12
     assert gaps[-1] <= 2e-2

@@ -1165,9 +1165,11 @@ class TestFlagSurface:
         return [path if a == "CH" else a
                 for a in _SUBCOMMANDS[command]] + list(extra)
 
-    # flags that were accepted and changed nothing, and region's --r1,
-    # which --r1-list silently overrode
+    # flags that were accepted and changed nothing, region's --r1, which
+    # --r1-list silently overrode, and a flag no subcommand has; each is
+    # reported under the subcommand's usage line, not the top-level one
     @pytest.mark.parametrize("command, extra", [
+        *((command, ["--no-such-flag", "1"]) for command in _SUBCOMMANDS),
         ("exponent", ["--workers", "2"]),
         ("region", ["--workers", "2"]),
         ("gaussian", ["--workers", "2"]),
@@ -1188,6 +1190,7 @@ class TestFlagSurface:
         assert run(capsys, self._argv(channel_file, command))[0] == 0
         code, out, err = run(capsys, self._argv(channel_file, command, extra))
         assert (code, out) == (2, "")
+        assert err.startswith(f"usage: wiretap-exponent {command} ")
         assert f"unrecognized arguments: {' '.join(extra)}" in err
 
     # one prefix per subcommand: argparse read each as its full flag

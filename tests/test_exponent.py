@@ -103,27 +103,19 @@ class TestInnerLagrangianMin:
         assert a[1] == b[1] and a[2] == b[2]
         assert np.array_equal(a[0].rows, b[0].rows)
 
-
-class TestParetoCurve:
-    def test_contains_true_channel(self, bsc01):
-        curve = ExponentSolver(bsc01).pareto_curve(num_mu=41)
-        best = min(curve.points, key=lambda p: abs(p.mu))
-        assert best.mu == 0.0
-        assert best.d_value == pytest.approx(0.0, abs=1e-12)
-
     def test_bsc_noiseless_endpoint(self, bsc01):
-        curve = ExponentSolver(bsc01).pareto_curve(num_mu=41)
-        end = curve.points[-1]
-        assert end.mu == -1.0
-        assert end.i_value == pytest.approx(LN2, abs=1e-7)
-        assert end.d_value == pytest.approx(math.log(1 / 0.9), abs=1e-7)
+        _, d, i = ExponentSolver(bsc01).inner_lagrangian_min(-1.0)
+        assert i == pytest.approx(LN2, abs=1e-7)
+        assert d == pytest.approx(math.log(1 / 0.9), abs=1e-7)
 
     def test_monotone_and_convex(self):
+        # along a decreasing mu grid the minimizers trace the trade-off
+        # phi(I) = min{D : I_Q = I}: I is nondecreasing and D convex in I
         rng = np.random.default_rng(5)
         spec = random_channel(rng, 3, 4)
-        curve = ExponentSolver(spec).pareto_curve(num_mu=101)
-        iv = np.array([p.i_value for p in curve.points])
-        dv = np.array([p.d_value for p in curve.points])
+        solver = ExponentSolver(spec)
+        dv, iv = np.array([solver.inner_lagrangian_min(float(mu))[1:]
+                           for mu in np.linspace(1.0, -1.0, 101)]).T
         assert np.all(np.diff(iv) >= -1e-10)
         for k in range(1, len(iv) - 1):
             if iv[k + 1] - iv[k - 1] < 1e-9:
@@ -134,22 +126,10 @@ class TestParetoCurve:
 
     def test_zero_divergence_only_at_ip(self, bsc01):
         solver = ExponentSolver(bsc01)
-        curve = solver.pareto_curve(num_mu=81)
-        for p in curve.points:
-            if p.d_value <= 1e-10:
-                assert abs(p.i_value - solver.i_p) <= 1e-4
-
-    def test_i_range(self, bsc01):
-        curve = ExponentSolver(bsc01).pareto_curve(num_mu=21)
-        assert curve.i_range[0] == curve.points[0].i_value
-        assert curve.i_range[1] == curve.points[-1].i_value
-
-    @pytest.mark.parametrize("kwargs", [{"num_mu": 0}, {"num_mu": -3},
-                                        {"mu_values": []}],
-                             ids=["zero", "negative", "empty"])
-    def test_empty_grid_rejected(self, bsc01, kwargs):
-        with pytest.raises(ValueError, match="mu grid must be nonempty"):
-            ExponentSolver(bsc01).pareto_curve(**kwargs)
+        for mu in np.linspace(1.0, -1.0, 81):
+            _, d, i = solver.inner_lagrangian_min(float(mu))
+            if d <= 1e-10:
+                assert abs(i - solver.i_p) <= 1e-4
 
 
 class TestExponentRep1:
@@ -222,7 +202,8 @@ class TestExponentRep2:
         solver = ExponentSolver(bsc01)
         value, lam1, lam2 = solver.exponent_rep2(wx.RatePair(0.5, 0.0))
         assert lam2 == 0.0
-        assert value == pytest.approx(solver.exponent_r2_zero(0.5), abs=1e-9)
+        assert value == pytest.approx(
+            solver.exponent_rep1(wx.RatePair(0.5, 0.0)).e, abs=1e-9)
 
     def test_bsc_against_closed_form(self, bsc01):
         solver = ExponentSolver(bsc01)
@@ -265,8 +246,10 @@ class TestOnePointCurve:
 
     def test_r2_zero_nonnegative(self, solver):
         for r in np.linspace(0.0, 1.5, 31):
-            assert solver.exponent_r2_zero(float(r)) == pytest.approx(
-                max(r - solver.i_max, 0.0), abs=1e-12)
+            res = solver.solve(wx.RatePair(float(r), 0.0))
+            expected = max(r - solver.i_max, 0.0)
+            assert res.e == pytest.approx(expected, abs=1e-12)
+            assert res.rep2_value == pytest.approx(expected, abs=1e-12)
 
     def test_cli_rep_discrepancy_zero(self, capsys, tmp_path):
         path = tmp_path / "identity.json"
@@ -281,22 +264,27 @@ class TestOnePointCurve:
 
 
 class TestExponentR2Zero:
+    """E(R, 0) through both representations."""
+
     def test_zero_rate(self, bsc01):
-        assert ExponentSolver(bsc01).exponent_r2_zero(0.0) == \
-            pytest.approx(0.0, abs=1e-12)
+        res = ExponentSolver(bsc01).solve(wx.RatePair(0.0, 0.0))
+        assert res.e == 0.0
+        assert res.rep2_value == pytest.approx(0.0, abs=1e-12)
 
     def test_beyond_curve_matches_rep1(self, bsc01):
         solver = ExponentSolver(bsc01)
-        r = solver.i_max + 0.2
-        assert solver.exponent_r2_zero(r) == pytest.approx(
-            solver.exponent_rep1(wx.RatePair(r, 0.0)).e, abs=1e-8)
+        rates = wx.RatePair(solver.i_max + 0.2, 0.0)
+        assert solver.exponent_rep2(rates)[0] == pytest.approx(
+            solver.exponent_rep1(rates).e, abs=1e-8)
 
     def test_bsc_r_half_scalar_oracle(self, bsc01):
         solver = ExponentSolver(bsc01)
-        value = solver.exponent_r2_zero(0.5)
-        assert value == pytest.approx(
-            solver.exponent_rep2(wx.RatePair(0.5, 0.0))[0], abs=1e-6)
-        # dense scalar grid over (eps, lambda1)
+        rates = wx.RatePair(0.5, 0.0)
+        value = solver.exponent_rep1(rates).e
+        value2 = solver.exponent_rep2(rates)[0]
+        assert value == pytest.approx(value2, abs=1e-6)
+        # dense scalar grid over (eps, lambda1): E(R, 0) is the max over
+        # lambda1 of min_Q {D + lambda1 [R - I_Q]}
         eps = np.linspace(1e-9, 0.5, 4001)
         d = rel_entr(eps, 0.1) + rel_entr(1 - eps, 0.9)
         i = LN2 + xlogy(eps, eps) + xlogy(1 - eps, 1 - eps)
@@ -304,6 +292,7 @@ class TestExponentR2Zero:
         inner = d[None, :] + lam[:, None] * (0.5 - i[None, :])
         oracle = inner.min(axis=1).max()
         assert value == pytest.approx(oracle, abs=1e-4)
+        assert value2 == pytest.approx(oracle, abs=1e-4)
 
 
 class TestBscClosedForm:
@@ -405,6 +394,27 @@ class TestShapeProperties:
             r2 = float(rng.uniform(0, r1)) if r1 else 0.0
             res = solver.exponent_rep1(wx.RatePair(r1, r2))
             assert -1e-12 <= res.e <= r1 - r2 + 1e-9
+
+    @pytest.mark.parametrize("name", ["bsc01", "asym3x3"])
+    def test_branch_structure_on_the_plane(self, name):
+        """Two facts of the branches on a 41x41 plane, R2 = f * R1.
+
+        Below I(P) in R2, E1 never undercuts a finite E2: with b = min(R1,
+        i_max), e1 = R1 - R2 + phi(R2) >= R1 + phi(b) - b = e2, because
+        phi' = 1 - s <= 1 makes phi(I) - I nonincreasing.  For I(P) < R1
+        <= i_max, E2 and E3 both read phi(R1), so they agree to rounding.
+        """
+        path = os.path.join(os.path.dirname(__file__), "..", "channels",
+                            f"{name}.json")
+        solver = ExponentSolver(wx.load_channel_spec(path))
+        for r1 in np.linspace(0.0, 1.2 * solver.i_max + 0.05, 41):
+            for r2 in np.linspace(0.0, 1.0, 41) * r1:
+                rates = wx.RatePair(float(r1), float(r2))
+                _, e1, e2, e3, *_ = solver._branches(rates)
+                if r2 < solver.i_p and math.isfinite(e2):
+                    assert e1 >= e2 - 1e-15, rates
+                if solver.i_p < r1 <= solver.i_max:
+                    assert abs(e2 - e3) <= 1e-15, rates
 
 
 class TestSparseSupport:

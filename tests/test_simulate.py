@@ -489,14 +489,14 @@ class TestTypeEnumExponent:
                 gamma = (rates.r2 - h if h <= rates.r2
                          else (0.0 if h <= rates.r1 else rates.r1 - h))
                 best = min(best, d - h - gamma)
-        assert te.value == pytest.approx(rates.r1 + best, abs=1e-12)
+        assert te == pytest.approx(rates.r1 + best, abs=1e-12)
 
     def test_useless_channel_structure(self):
         # with identical rows the divergence-free type is the row itself,
         # reachable only approximately on a coarse type grid
         spec = wx.ChannelSpec(wx.Distribution([0.5, 0.5]), USELESS)
         te = wx.type_enum_exponent(spec, wx.RatePair(0.6, 0.1), 40)
-        assert te.value == pytest.approx(0.5, abs=0.05)
+        assert te == pytest.approx(0.5, abs=0.05)
 
     def test_convergence_toward_asymptotic(self, bsc01):
         rates = wx.RatePair(0.6, 0.1)
@@ -504,7 +504,7 @@ class TestTypeEnumExponent:
         gaps = []
         for n in (50, 100, 200, 400):
             te = wx.type_enum_exponent(bsc01, rates, n)
-            gaps.append(abs(te.value - e))
+            gaps.append(abs(te - e))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 2e-2
 
@@ -517,7 +517,7 @@ class TestTypeEnumExponent:
         # I = ln 2 > R1, so the objective reduces to R1 + (0 - I - (R1 - I))
         spec = wx.ChannelSpec(wx.Distribution([0.5, 0.5]), NOISELESS)
         te = wx.type_enum_exponent(spec, wx.RatePair(0.5, 0.2), 8)
-        assert te.value == pytest.approx(0.0, abs=1e-12)
+        assert te == pytest.approx(0.0, abs=1e-12)
 
     def test_three_symbol_channel_against_product_oracle(self):
         import itertools
@@ -550,4 +550,4 @@ class TestTypeEnumExponent:
             g = (rates.r2 - i if i <= rates.r2
                  else (0.0 if i <= rates.r1 else rates.r1 - i))
             best = min(best, d - i - g)
-        assert te.value == pytest.approx(rates.r1 + best, abs=1e-12)
+        assert te == pytest.approx(rates.r1 + best, abs=1e-12)
