@@ -23,10 +23,9 @@ from .channels import (ChannelSpec, ConditionalChannel, DegradednessResult,
 from .errors import (BudgetExceededError, ChannelFileError, SolverError,
                      WiretapError)
 from .exponent import (ExponentResult, ExponentSolver, RatePair,
-                       bsc_exponent_closed_form, gamma_dmc)
-from .gaussian import (GaussianOptimum, GaussianSpec, gamma_gaussian,
-                       gaussian_divergence_term, gaussian_exponent,
-                       gaussian_mutual_info, sigma_z_star)
+                       bsc_exponent_closed_form)
+from .gaussian import (GaussianOptimum, GaussianSpec, gaussian_divergence_term,
+                       gaussian_exponent, sigma_z_star)
 from .security import (FullSecurityInterval, SecurityAnalysis,
                        classify_exponent, classify_rate_point, compute_qstar,
                        full_security_interval)
@@ -46,9 +45,9 @@ __all__ = [
     "bsc_exponent_closed_form", "check_degraded", "classify_exponent",
     "classify_rate_point", "compute_qstar", "decoder_log_score",
     "decoder_score", "entropy", "estimate_ensemble_pc",
-    "exact_pc_for_codebook", "full_security_interval", "gamma_dmc",
-    "gamma_gaussian", "gaussian_divergence_term", "gaussian_exponent",
-    "gaussian_mutual_info", "load_channel_spec", "mutual_information",
-    "parse_channel_spec", "quantize_composition", "sample_codebook",
-    "sigma_z_star", "type_enum_exponent", "weighted_divergence",
+    "exact_pc_for_codebook", "full_security_interval",
+    "gaussian_divergence_term", "gaussian_exponent", "load_channel_spec",
+    "mutual_information", "parse_channel_spec", "quantize_composition",
+    "sample_codebook", "sigma_z_star", "type_enum_exponent",
+    "weighted_divergence",
 ]

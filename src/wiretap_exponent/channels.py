@@ -166,10 +166,6 @@ class ChannelSpec:
         self.wiretap = wiretap
         self.main = main
 
-    def true_channel(self) -> ConditionalChannel:
-        """The wiretap channel viewed as a test channel (Q = P)."""
-        return ConditionalChannel(self.wiretap, self.input_dist)
-
     def __repr__(self) -> str:
         return (f"ChannelSpec(input_dist={self.input_dist!r}, "
                 f"wiretap={self.wiretap!r}, main={self.main!r})")

@@ -44,8 +44,8 @@ class BudgetExceededError(WiretapError, RuntimeError):
     ----------
     quantity : str
         Name of the limiting quantity (e.g. ``"|Z|^n"``).
-    required : int
-        Size the computation would need.
+    required : int or float
+        Size the computation would need (inf beyond float range).
     budget : int
         Configured ceiling.
     """

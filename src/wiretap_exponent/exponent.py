@@ -160,18 +160,6 @@ class ExponentResult:
     gap_bound: float = 0.0
 
 
-def gamma_dmc(i_value: float, rates: RatePair) -> float:
-    """Piecewise-linear population exponent of the dominant sub-code.
-
-    Equals ``[R2 - I]_+ - [I - R1]_+``.
-    """
-    if i_value <= rates.r2:
-        return rates.r2 - i_value
-    if i_value <= rates.r1:
-        return 0.0
-    return rates.r1 - i_value
-
-
 def _pick_branch(values, achievers):
     """(e, name, achiever) of the smallest-index branch within the tie
     tolerance of the minimum of the branch values (e1, e2, e3).
@@ -470,8 +458,7 @@ def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
     reaches max_iter or takes no step (its KKT system is singular, its step
     is below _STEP_FLOOR or its line search fails); it is then certified
     once more.  The stack reports as if its s were solved one after
-    another: the first uncertified s raises SolverError, and no s after it
-    is solved further.
+    another: the first uncertified s raises SolverError.
     """
     sols = [None] * len(s)
     failed = None                       # (index, s, gap, F, steps), first
@@ -526,10 +513,6 @@ def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
                         it)
                 elif failed is None or k[j] < failed[0]:
                     failed = (k[j], s[j], gap[j], values[j][2], it)
-            if failed is not None and go:
-                # no s after the first failure would have been reached
-                keep = [m for m, j in enumerate(go) if k[j] < failed[0]]
-                go, *state = _pick(keep, len(go), go, *state)
             if not go:
                 break
             k, s, s3 = _pick(go, n, k, s, s3)
@@ -670,9 +653,8 @@ class ExponentSolver:
     makes each solution a deterministic function of its multiplier alone,
     independent of query order.  Rate points can therefore be evaluated
     concurrently and reproduce bit-for-bit.  For the same reason ``phi``
-    values (keyed on the target) and embedded test channels (keyed on s)
-    are memoized per instance without changing any result; all caches live
-    and die with the solver.
+    values (keyed on the target) are memoized per instance without
+    changing any result; all caches live and die with the solver.
 
     Parameters
     ----------
@@ -716,7 +698,6 @@ class ExponentSolver:
         self._cache: dict[float, _InnerSolution] = {1.0: _InnerSolution(
             1.0, self._log_p, q, d, self.i_p, f, 0.0, 0)}
         self._phi_cache: dict[float, tuple[float, _InnerSolution, float]] = {}
-        self._embed_cache: dict[float, ConditionalChannel] = {}
         # the table's s not in {0, 1} are one Newton stack from the true
         # output marginal, floored as every start is: an output that
         # underflows to 0 would leave log 0 in the first jump; s = 0 then
@@ -835,16 +816,11 @@ class ExponentSolver:
         return starts[k]
 
     def _embed(self, sol: _InnerSolution) -> ConditionalChannel:
-        channel = self._embed_cache.get(sol.s)
-        if channel is None:
-            rows = np.array(self.spec.wiretap.rows, dtype=float)
-            q = sol.q / sol.q.sum(axis=1, keepdims=True)
-            block = np.zeros((q.shape[0], rows.shape[1]))
-            block[:, self._keep_z] = q
-            rows[self._keep_x] = block
-            channel = ConditionalChannel(rows, self.spec.input_dist)
-            self._embed_cache[sol.s] = channel
-        return channel
+        rows = np.array(self.spec.wiretap.rows, dtype=float)
+        block = np.zeros((sol.q.shape[0], rows.shape[1]))
+        block[:, self._keep_z] = sol.q / sol.q.sum(axis=1, keepdims=True)
+        rows[self._keep_x] = block
+        return ConditionalChannel(rows, self.spec.input_dist)
 
     def _bracket(self, target: float):
         """The two certified solves whose I bracket the interior target,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponent import RatePair, _pick_branch, gamma_dmc
+from .exponent import RatePair, _pick_branch
 
 #: printed correlations never reach |rho| = 1: rate endpoints clamp here
 _RHO_CAP = 1.0 - 1e-12
@@ -60,22 +60,6 @@ class GaussianOptimum:
     rho_star: float
     sigma_z_star: float
     active_branch: str
-
-
-def gaussian_mutual_info(rho: float) -> float:
-    """Mutual-information level of correlation rho: -0.5*ln(1 - rho^2)."""
-    if not abs(rho) < 1.0:
-        raise ValueError(f"|rho| must be < 1, got {rho}")
-    return -0.5 * math.log1p(-rho * rho)
-
-
-def gamma_gaussian(rho: float, rates: RatePair) -> float:
-    """[R2 + 0.5 ln(1-rho^2)]_+ - [0.5 ln(1/(1-rho^2)) - R1]_+.
-
-    Identical to the finite-alphabet piecewise form evaluated at the
-    mutual-information level of rho.
-    """
-    return gamma_dmc(gaussian_mutual_info(rho), rates)
 
 
 def sigma_z_star(rho: float, g: GaussianSpec) -> float:

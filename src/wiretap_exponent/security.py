@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import ConditionalChannel
 from .exponent import ExponentSolver, RatePair
 
 DEFAULT_CLASSIFY_TOL = 1e-6
@@ -24,23 +23,21 @@ DEFAULT_CLASSIFY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SecurityAnalysis:
-    """Quantities derived from the unconstrained minimizer of D - I.
+    """Quantities of the unconstrained minimizer of D - I, which is the
+    s = 0 end of the solver's multiplier table.
 
     Attributes
     ----------
-    q_star : ConditionalChannel
-        A minimizer of D(Q||P|P_X) - I_Q(X;Z) (any one, if non-unique).
     i_qstar : float
-        Mutual information of the returned minimizer.
+        Mutual information of the minimizer (``solver.i_max``).
     d_qstar : float
-        Weighted divergence of the returned minimizer.
+        Weighted divergence of the minimizer (``solver.d_at_imax``).
     i_p : float
         Mutual information of the true channel.
 
     The third branch value E3(R1) is ``solver.e3(r1)[0]``.
     """
 
-    q_star: ConditionalChannel
     i_qstar: float
     d_qstar: float
     i_p: float
@@ -69,10 +66,10 @@ class FullSecurityInterval:
 
 
 def compute_qstar(solver: ExponentSolver) -> SecurityAnalysis:
-    """Unconstrained minimizer of D - I on ``solver``'s channel and the
-    derived region quantities."""
-    q, d, i = solver.inner_lagrangian_min(-1.0)
-    return SecurityAnalysis(q_star=q, i_qstar=i, d_qstar=d, i_p=solver.i_p)
+    """The region quantities of the unconstrained minimizer of D - I on
+    ``solver``'s channel: the s = 0 end of its multiplier table."""
+    return SecurityAnalysis(i_qstar=solver.i_max, d_qstar=solver.d_at_imax,
+                            i_p=solver.i_p)
 
 
 def full_security_interval(solver: ExponentSolver, r1: float,

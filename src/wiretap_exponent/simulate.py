@@ -84,14 +84,22 @@ def quantize_composition(probs, n: int) -> tuple[int, ...]:
     return tuple(int(c) for c in base)
 
 
+def _size(log_size: float) -> int | float:
+    """round(e^log_size), at least 1; inf where e^log_size overflows."""
+    try:
+        return max(1, round(math.exp(log_size)))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Description of one finite-n random-coding experiment.
 
     Codebook sizes derive from the rates: M2 = round(e^{n R2}) codewords per
-    sub-code, M = round(e^{n(R1-R2)}) sub-codes, M1 = M*M2 codewords total.
-    Realized rates ln(M2)/n and ln(M1)/n are reported alongside, since
-    integer codebooks quantize the requested rates.
+    sub-code, M = round(e^{n(R1-R2)}) sub-codes, M1 = M*M2 codewords total,
+    each inf beyond float range.  Realized rates ln(M2)/n and ln(M1)/n are
+    reported alongside, since integer codebooks quantize the requested rates.
     """
 
     n: int
@@ -117,15 +125,15 @@ class EnsembleSpec:
                 f"channel has {self.channel.num_inputs} inputs")
 
     @property
-    def m2(self) -> int:
-        return max(1, int(round(math.exp(min(self.n * self.rates.r2, 60.0)))))
+    def m2(self) -> int | float:
+        return _size(self.n * self.rates.r2)
 
     @property
-    def m_subcodes(self) -> int:
-        return max(1, int(round(math.exp(min(self.n * self.rates.r, 60.0)))))
+    def m_subcodes(self) -> int | float:
+        return _size(self.n * self.rates.r)
 
     @property
-    def m1(self) -> int:
+    def m1(self) -> int | float:
         return self.m2 * self.m_subcodes
 
     @property

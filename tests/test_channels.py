@@ -52,7 +52,8 @@ class TestMutualInformation:
         # ln 2 - h(0.1), evaluated directly
         expected = LN2 - h2(0.1)
         assert expected == pytest.approx(0.36806420716849704, abs=1e-15)
-        q = make_bsc(0.1).true_channel()
+        spec = make_bsc(0.1)
+        q = wx.ConditionalChannel(spec.wiretap, spec.input_dist)
         assert wx.mutual_information(q) == pytest.approx(expected, abs=1e-14)
 
     def test_upper_bounds(self):
@@ -70,7 +71,8 @@ class TestMutualInformation:
 class TestWeightedDivergence:
     def test_zero_at_equality(self):
         spec = make_bsc(0.2)
-        assert wx.weighted_divergence(spec.true_channel(), spec.wiretap) == 0.0
+        q = wx.ConditionalChannel(spec.wiretap, spec.input_dist)
+        assert wx.weighted_divergence(q, spec.wiretap) == 0.0
 
     def test_support_violation_is_inf(self):
         p = wx.Dmc([[1.0, 0.0], [0.0, 1.0]])
@@ -88,12 +90,14 @@ class TestWeightedDivergence:
         # 0.2 ln(0.2/0.1) + 0.8 ln(0.8/0.9) under uniform input weighting
         expected = 0.2 * math.log(2.0) + 0.8 * math.log(0.8 / 0.9)
         assert expected == pytest.approx(0.04440300758688234, abs=1e-15)
-        q = make_bsc(0.2).true_channel()
+        spec = make_bsc(0.2)
+        q = wx.ConditionalChannel(spec.wiretap, spec.input_dist)
         assert wx.weighted_divergence(q, make_bsc(0.1).wiretap) == \
             pytest.approx(expected, abs=1e-14)
 
     def test_dimension_mismatch(self):
-        q = make_bsc(0.2).true_channel()
+        spec = make_bsc(0.2)
+        q = wx.ConditionalChannel(spec.wiretap, spec.input_dist)
         with pytest.raises(ValueError):
             wx.weighted_divergence(q, wx.Dmc([[0.2, 0.3, 0.5]]))
 

@@ -220,7 +220,8 @@ class TestSweepCommand:
         _, out, _ = run(capsys, [
             "sweep", path, "--r1-grid", "0.1:0.9:5", "--r2-fractions", "0:0.8:3"])
         spec = wx.load_channel_spec(path)
-        i_p = wx.mutual_information(spec.true_channel())
+        i_p = wx.mutual_information(
+            wx.ConditionalChannel(spec.wiretap, spec.input_dist))
         solver = ExponentSolver(spec)
         for line in out.strip().splitlines()[1:]:
             parts = line.split(",")
@@ -736,6 +737,27 @@ class TestSimulateCommand:
             "--trials", "1", "--seed", "1"])
         assert code == 4
         assert "budget" in err
+
+    @pytest.mark.parametrize("r1, r2", [(100.0, 0.0), (100.0, 50.0),
+                                        (1e308, 0.0)])
+    def test_budget_message_names_the_whole_codebook(self, capsys,
+                                                     channel_file, r1, r2):
+        # M1 = round(e^{n R2}) round(e^{n (R1 - R2)}) at n = 4: far above
+        # e^60, and beyond any float at R1 = 1e308
+        code, out, err = run(capsys, [
+            "simulate", channel_file(*BSC01_ARGS), "--n", "4",
+            "--r1", str(r1), "--r2", str(r2), "--trials", "1",
+            "--seed", "1"])
+        assert code == 4 and out == ""
+        named = re.fullmatch(
+            r"error: M1 codewords = (\w+) exceeds the enumeration budget "
+            r"4194304\n", err).group(1)
+        if r1 == 1e308:
+            assert named == "inf"
+        else:
+            assert int(named) == round(math.exp(4 * r2)) * round(
+                math.exp(4 * (r1 - r2)))
+            assert int(named) >= math.exp(4 * r1) * (1.0 - 1e-12)
 
 
 class TestCheckCommand:

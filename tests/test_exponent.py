@@ -33,21 +33,6 @@ def bsc_brute_force(p, r1, r2, step=1e-5):
     return min(e1, e2, e3)
 
 
-class TestGammaDmc:
-    def test_branches(self):
-        rates = wx.RatePair(0.6, 0.1)
-        assert wx.gamma_dmc(0.0, rates) == pytest.approx(0.1)
-        assert wx.gamma_dmc(0.3, rates) == 0.0
-        assert wx.gamma_dmc(0.8, rates) == pytest.approx(-0.2)
-
-    def test_bracket_identity(self):
-        rng = np.random.default_rng(0)
-        rates = wx.RatePair(0.7, 0.25)
-        for i in rng.uniform(0, 2.0, size=1000):
-            expected = max(rates.r2 - i, 0.0) - max(i - rates.r1, 0.0)
-            assert wx.gamma_dmc(float(i), rates) == pytest.approx(expected, abs=1e-15)
-
-
 class TestRatePair:
     def test_rejects_r2_above_r1(self):
         with pytest.raises(ValueError):
@@ -483,6 +468,11 @@ class TestDeterminism:
         assert (a.e, a.e1, a.e2, a.e3, a.rep2_value, a.lambda1, a.lambda2) == \
             (b.e, b.e1, b.e2, b.e3, b.rep2_value, b.lambda1, b.lambda2)
         assert np.array_equal(a.q_star.rows, b.q_star.rows)
+        # a repeat query on the same solver embeds its achiever afresh
+        solver = ExponentSolver(bsc01)
+        c, d = solver.exponent_rep1(rates), solver.exponent_rep1(rates)
+        assert c.q_star.rows.tobytes() == d.q_star.rows.tobytes() == \
+            a.q_star.rows.tobytes()
 
     def test_query_order_independent(self, bsc01):
         s1 = ExponentSolver(bsc01)

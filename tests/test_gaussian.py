@@ -49,46 +49,6 @@ class TestDivergenceTerm:
             wx.gaussian_divergence_term(0.5, 0.0, g)
 
 
-class TestMutualInfo:
-    def test_zero(self):
-        assert wx.gaussian_mutual_info(0.0) == 0.0
-
-    def test_inversion(self):
-        for r in (0.1, 0.5, 1.2):
-            rho = math.sqrt(1 - math.exp(-2 * r))
-            assert wx.gaussian_mutual_info(rho) == pytest.approx(r, abs=1e-12)
-
-    def test_value(self):
-        assert wx.gaussian_mutual_info(0.6) == pytest.approx(
-            -0.5 * math.log(0.64), abs=1e-15)
-        assert wx.gaussian_mutual_info(0.6) == pytest.approx(0.2231435513, abs=1e-9)
-
-    def test_even(self):
-        assert wx.gaussian_mutual_info(-0.3) == wx.gaussian_mutual_info(0.3)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            wx.gaussian_mutual_info(1.0)
-
-
-class TestGamma:
-    def test_matches_dmc_composition(self):
-        rng = np.random.default_rng(1)
-        rates = wx.RatePair(0.6, 0.1)
-        for _ in range(200):
-            rho = float(rng.uniform(-0.999, 0.999))
-            assert wx.gamma_gaussian(rho, rates) == wx.gamma_dmc(
-                wx.gaussian_mutual_info(rho), rates)
-
-    def test_branch_values(self):
-        rates = wx.RatePair(0.6, 0.1)
-        assert wx.gamma_gaussian(0.0, rates) == pytest.approx(0.1)
-        rho_mid = math.sqrt(1 - math.exp(-2 * 0.3))
-        assert wx.gamma_gaussian(rho_mid, rates) == 0.0
-        rho_hi = math.sqrt(1 - math.exp(-2 * 0.8))
-        assert wx.gamma_gaussian(rho_hi, rates) == pytest.approx(-0.2, abs=1e-12)
-
-
 class TestSigmaZStar:
     def test_rho_zero(self):
         g = wx.GaussianSpec(1.0, 2.0)

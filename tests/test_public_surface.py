@@ -2,16 +2,22 @@
 
 ``wx.__all__`` lists exactly the public attributes of the package, and
 every name the README's Python API section uses or lists resolves: a name
-that leaves the code cannot stay behind in the documentation.
+that leaves the code cannot stay behind in the documentation.  Every
+public function has a reader: the package's code, the benchmark, or the
+tests, as a reference oracle.
 """
+import ast
 import dataclasses
+import glob
+import inspect
 import os
 import re
 import types
 
 import wiretap_exponent as wx
 
-README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+README = os.path.join(ROOT, "README.md")
 
 
 def _api_section():
@@ -70,3 +76,50 @@ def test_readme_entry_points_resolve():
                   if not hasattr(wx.ExponentSolver, n) and n not in fields) \
         == []
 
+
+#: reference oracles that tests compare the solver against; no printed
+#: number reads them
+ORACLES = {"mutual_information", "weighted_divergence", "entropy",
+           "decoder_score", "type_enum_exponent", "gaussian_divergence_term"}
+
+
+def _code_references(path):
+    """Names that the code of one module reads, each outside any function
+    of the same name: docstrings and comments do not count."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    with open(path, encoding="utf-8") as fh:
+        visit(ast.parse(fh.read()), frozenset())
+    return found
+
+
+def test_every_public_function_has_a_reader():
+    """Each function in ``__all__`` is read by the package's own code, by
+    the benchmark (``bench/tracing.py``'s targets included), or is a
+    reference oracle of the tests."""
+    src = os.path.dirname(wx.__file__)
+    used = set()
+    for name in os.listdir(src):
+        if name.endswith(".py") and name != "__init__.py":
+            used |= _code_references(os.path.join(src, name))
+    bench = ""
+    for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            bench += fh.read()
+    functions = [name for name in wx.__all__
+                 if inspect.isfunction(getattr(wx, name))]
+    assert "compute_qstar" in functions
+    unread = [name for name in functions
+              if name not in used and name not in ORACLES
+              and not re.search(rf"\b{name}\b", bench)]
+    assert unread == []

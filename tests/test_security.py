@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from wiretap_exponent.security import DEFAULT_CLASSIFY_TOL
 from conftest import make_asym_3x3, random_channel
 
 LN2 = math.log(2.0)
+DATA = os.path.join(os.path.dirname(__file__), "data")
+DATA_CHANNELS = sorted(os.path.splitext(n)[0] for n in os.listdir(DATA))
 
 
 def grid_min_d_minus_i(p_rows, w, steps=221):
@@ -38,16 +41,17 @@ class TestComputeQstar:
         assert an.d_qstar == pytest.approx(math.log(1 / 0.9), abs=1e-6)
 
     def test_symmetric_channel_symmetric_qstar(self, bsc01):
-        an = wx.compute_qstar(ExponentSolver(bsc01))
-        r = an.q_star.rows
+        r = ExponentSolver(bsc01).inner_lagrangian_min(-1.0)[0].rows
         assert r[0, 0] == pytest.approx(r[1, 1], abs=1e-6)
         assert r[0, 1] == pytest.approx(r[1, 0], abs=1e-6)
 
     def test_noiseless_channel_qstar_is_p(self):
         spec = wx.ChannelSpec(wx.Distribution([0.5, 0.5]),
                               wx.Dmc([[1.0, 0.0], [0.0, 1.0]]))
-        an = wx.compute_qstar(ExponentSolver(spec))
-        assert np.allclose(an.q_star.rows, np.eye(2), atol=1e-9)
+        solver = ExponentSolver(spec)
+        an = wx.compute_qstar(solver)
+        assert np.allclose(solver.inner_lagrangian_min(-1.0)[0].rows,
+                           np.eye(2), atol=1e-9)
         assert an.d_qstar == pytest.approx(0.0, abs=1e-9)
         assert an.i_qstar == pytest.approx(LN2, abs=1e-9)
 
@@ -60,6 +64,19 @@ class TestComputeQstar:
             assert an.i_qstar >= an.i_p - 1e-8
             assert an.d_qstar - an.i_qstar <= -an.i_p + 1e-8
             assert an.i_qstar >= an.i_p + an.d_qstar - 1e-8
+
+    @pytest.mark.parametrize("name", ["asym3x3"] + DATA_CHANNELS)
+    def test_fields_are_the_table_end(self, name):
+        # the s = 0 table entry is the solve that inner_lagrangian_min(-1)
+        # reads, so the three are the same floats
+        spec = (make_asym_3x3() if name == "asym3x3" else
+                wx.load_channel_spec(os.path.join(DATA, name + ".json")))
+        solver = ExponentSolver(spec)
+        an = wx.compute_qstar(solver)
+        _, d, i = solver.inner_lagrangian_min(-1.0)
+        assert an.i_qstar == solver.i_max == i
+        assert an.d_qstar == solver.d_at_imax == d
+        assert an.i_p == solver.i_p
 
     def test_e3_curve_shape(self, bsc01):
         solver = ExponentSolver(bsc01)
