@@ -122,10 +122,6 @@ class ConditionalChannel:
         self.input_marginal = input_marginal
 
     @property
-    def num_inputs(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
     def num_outputs(self) -> int:
         return int(self.rows.shape[1])
 

@@ -29,7 +29,7 @@ from .channels import DEFAULT_DEGRADED_TOL, check_degraded, load_channel_spec
 from .errors import BudgetExceededError, ChannelFileError, SolverError
 from .exponent import (DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, ExponentSolver,
                        RatePair)
-from .gaussian import GaussianSpec, gaussian_exponent
+from .gaussian import GaussianSpec, gaussian_exponent, gaussian_grid
 from .security import (DEFAULT_CLASSIFY_TOL, classify_exponent, compute_qstar,
                        full_security_interval)
 
@@ -118,6 +118,10 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
     if not math.isfinite(hi - lo):
         raise ChannelFileError(
             f"{what}: MIN, MAX and MAX - MIN must be finite, got {text!r}")
+    # rates and R2 fractions alike: a negative MIN is in every nonempty grid
+    if lo < 0:
+        raise ChannelFileError(
+            f"{what}: MIN must be nonnegative, got {text!r}")
     if steps < 0 or hi < lo:
         raise ChannelFileError(f"{what}: empty or inverted grid {text!r}")
     try:
@@ -203,7 +207,7 @@ def _cmd_sweep(args) -> int:
         r2_mode = ("grid", _parse_grid(args.r2_grid, "--r2-grid") * unit)
     else:
         frac = _parse_grid(args.r2_fractions, "--r2-fractions")
-        if frac.size and (frac.min() < 0 or frac.max() > 1):
+        if frac.size and frac.max() > 1:
             raise ChannelFileError("--r2-fractions must lie in [0, 1]")
         r2_mode = ("fractions", frac)
 
@@ -257,13 +261,6 @@ _GAUSSIAN_RECORD = "\n".join(
     f"{c} {f}" for c, f in zip(_GAUSSIAN_COLUMNS, _GAUSSIAN_ROW.split(",")))
 
 
-def _gaussian_values(g, r1, r2, opt, unit) -> tuple:
-    """The values of _GAUSSIAN_COLUMNS for one rate pair."""
-    return (g.s, g.sigma2, r1 / unit, r2 / unit, opt.e / unit, opt.e1 / unit,
-            opt.e2 / unit, opt.e3 / unit, opt.rho_star, opt.sigma_z_star,
-            opt.active_branch)
-
-
 def _cmd_gaussian(args) -> int:
     unit = LN2 if args.bits else 1.0
     g = GaussianSpec(args.power, args.noise)
@@ -274,25 +271,24 @@ def _cmd_gaussian(args) -> int:
                                    "--r2-grid, and neither --r1 nor --r2")
         r1s = _parse_grid(args.r1_grid, "--r1-grid") * unit
         r2s = _parse_grid(args.r2_grid, "--r2-grid") * unit
-        # in-process: each pair is a few closed forms, far cheaper than
-        # starting and feeding a process pool
-        lines, skipped = [",".join(_GAUSSIAN_COLUMNS)], 0
-        for r1 in r1s.tolist():
-            for r2 in r2s.tolist():
-                if r2 > r1:
-                    skipped += 1
-                    continue
-                opt = gaussian_exponent(g, RatePair(r1, r2))
-                lines.append(_GAUSSIAN_ROW
-                             % _gaussian_values(g, r1, r2, opt, unit))
+        # in-process: the grid costs one closed form per rate value, far
+        # less than starting and feeding a process pool
+        rows, skipped = gaussian_grid(g, r1s.tolist(), r2s.tolist())
+        lines = [",".join(_GAUSSIAN_COLUMNS)]
+        lines += [_GAUSSIAN_ROW % (g.s, g.sigma2, r1 / unit, r2 / unit,
+                                   e / unit, e1 / unit, e2 / unit, e3 / unit,
+                                   rho, sz, branch)
+                  for r1, r2, e, e1, e2, e3, rho, sz, branch in rows]
         _emit(lines, args.output, skipped)
         return 0
     if args.r1 is None or args.r2 is None:
         raise ChannelFileError("need --r1/--r2 or --r1-grid/--r2-grid")
     rates = RatePair(args.r1 * unit, args.r2 * unit)
     opt = gaussian_exponent(g, rates)
-    _emit([_GAUSSIAN_RECORD % _gaussian_values(g, rates.r1, rates.r2, opt,
-                                               unit)], args.output)
+    _emit([_GAUSSIAN_RECORD % (
+        g.s, g.sigma2, rates.r1 / unit, rates.r2 / unit, opt.e / unit,
+        opt.e1 / unit, opt.e2 / unit, opt.e3 / unit, opt.rho_star,
+        opt.sigma_z_star, opt.active_branch)], args.output)
     return 0
 
 

@@ -7,7 +7,7 @@ sigma_z^2 and the empirical input-output correlation rho; the minimization
 over sigma_z is available in closed form, and every branch evaluates one
 objective in t = S/sigma^2 (``_objective``).  All three branches are closed
 forms, each taken at a rate endpoint's exact w = e^{-2R} or at the true
-channel's correlation (see ``gaussian_exponent``).
+channel's correlation (see ``gaussian_grid``).
 
 All branch objectives at negative rho dominate their positive-rho mirror
 pointwise (the divergence term grows by 2*rho*sigma_z*sqrt(S)/sigma^2 when
@@ -125,7 +125,18 @@ def rho_from_rate(r: float) -> float:
 
 
 def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
-    """Exponent of the Gaussian eavesdropper at the given rate pair.
+    """Exponent of the Gaussian eavesdropper at the given rate pair: the
+    one-pair case of ``gaussian_grid``, whose docstring has the branches.
+    """
+    (row,), _ = gaussian_grid(g, [rates.r1], [rates.r2])
+    return GaussianOptimum(*row[2:])
+
+
+def gaussian_grid(g: GaussianSpec, r1_values, r2_values) -> tuple[list, int]:
+    """Optima at every pair (r1, r2) of two sequences of nonnegative rates
+    with r2 <= r1, r1 outer and r2 inner, as rows (r1, r2, e, e1, e2, e3,
+    rho_star, sigma_z_star, active_branch), and the number of pairs with
+    r2 > r1, which get no row.
 
     Each branch restricts rho to the interval mapped from the rates via
     w = 1 - rho^2 = e^{-2R} and minimizes its objective there.  The profile
@@ -147,21 +158,33 @@ def gaussian_exponent(g: GaussianSpec, rates: RatePair) -> GaussianOptimum:
 
     E3 minimizes f on [rho1, 1): exactly 0 at rho_P when R1 <= C, and
     f(rho1) = R1 + h(rho1) = E2 when R1 > C.
+
+    So E1's rate term rests on R2 alone and E2 and E3 on R1 alone: each is
+    evaluated once per grid value, and sigma_z* once per achiever.
     """
     t = g.s / g.sigma2
     cap = g.capacity
     rho_p = min(math.sqrt(t / (1.0 + t)), _RHO_CAP)
-    if rates.r2 >= cap:
-        v1, r1_arg = 0.0, rho_p
-    else:
-        v1, r1_arg = _f_at_rate(rates.r2, t), rho_from_rate(rates.r2)
-    # a branch can round below 0: at R1 = C, E2's log term cancels R1
-    e1 = rates.r1 - rates.r2 + max(0.0, v1)
-    e2 = max(0.0, _f_at_rate(rates.r1, t))
-    r2_arg = rho_from_rate(rates.r1)
-    e3, r3_arg = (0.0, rho_p) if rates.r1 <= cap else (e2, r2_arg)
-
-    e, branch, rho_star = _pick_branch((e1, e2, e3), (r1_arg, r2_arg, r3_arg))
-    return GaussianOptimum(e=e, e1=e1, e2=e2, e3=e3, rho_star=rho_star,
-                           sigma_z_star=sigma_z_star(rho_star, g),
-                           active_branch=branch)
+    # E1's rate term and achiever at each R2
+    e1_terms = [(0.0, rho_p) if r2 >= cap
+                else (_f_at_rate(r2, t), rho_from_rate(r2))
+                for r2 in r2_values]
+    sz = {}
+    rows, skipped = [], 0
+    for r1 in r1_values:
+        # a branch can round below 0: at R1 = C, E2's log term cancels R1
+        e2 = max(0.0, _f_at_rate(r1, t))
+        rho_e2 = rho_from_rate(r1)
+        e3, rho_e3 = (0.0, rho_p) if r1 <= cap else (e2, rho_e2)
+        for r2, (v1, rho_e1) in zip(r2_values, e1_terms):
+            if r2 > r1:
+                skipped += 1
+                continue
+            e1 = r1 - r2 + max(0.0, v1)
+            e, branch, rho_star = _pick_branch((e1, e2, e3),
+                                               (rho_e1, rho_e2, rho_e3))
+            if rho_star not in sz:
+                sz[rho_star] = sigma_z_star(rho_star, g)
+            rows.append((r1, r2, e, e1, e2, e3, rho_star, sz[rho_star],
+                         branch))
+    return rows, skipped

@@ -524,6 +524,30 @@ def test_non_finite_grid_bound_rejected(capsys, channel_file, command, flag,
                    f"got {grid!r}\n")
 
 
+_NEGATIVE_GRIDS = [
+    (command, flags)
+    for command in ("sweep", "gaussian")
+    for flags in ((("--r1-grid", "-2:-1:2"), ("--r2-grid", "0:1:2")),
+                  (("--r1-grid", "0:1:2"), ("--r2-grid", "-1:1:2")),
+                  (("--r1-grid", "1:1:1"), ("--r2-grid", "-1:-1:0")))
+] + [("sweep", (("--r1-grid", "0:1:2"), ("--r2-fractions", "-0.5:1:2")))]
+
+
+@pytest.mark.parametrize(
+    "command,flags", _NEGATIVE_GRIDS,
+    ids=[c + "".join(f"{f}={g}" for f, g in fl) for c, fl in _NEGATIVE_GRIDS])
+def test_negative_grid_min_rejected(capsys, channel_file, command, flags):
+    # with no pair evaluated (each skipped as R2 > R1, or an empty grid),
+    # both commands printed the header and exited 0; with a negative pair
+    # evaluated, they exited 2 on it
+    argv = (["sweep", channel_file(*BSC01_ARGS)] if command == "sweep"
+            else ["gaussian", "--power", "1", "--noise", "1"])
+    code, out, err = run(capsys, argv + [f"{f}={g}" for f, g in flags])
+    flag, grid = next((f, g) for f, g in flags if g.startswith("-"))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag}: MIN must be nonnegative, got {grid!r}\n"
+
+
 @pytest.mark.parametrize("case", ["z_samples", "codebook_budget"])
 def test_size_too_large_to_allocate(capsys, channel_file, tmp_path, case):
     # numpy refuses 10^15 output samples (7 PiB) and a sub-code block of
@@ -564,9 +588,10 @@ class TestGaussianCommand:
         assert lines[0] == "S,sigma2,R1,R2,E,E1,E2,E3,rho_star,sigma_z_star,branch"
         assert len(lines) > 1
 
-    def test_two_objective_calls_per_pair(self, capsys, monkeypatch):
+    def test_one_objective_call_per_rate_value(self, capsys, monkeypatch):
         # every branch is a closed form: E1 evaluates the objective at R2
-        # below C and E2 at R1, one scalar each, and nothing searches
+        # below C and E2 at R1, one scalar each, once per grid value and
+        # not once per pair, and nothing searches
         calls = []
         objective = gaussian._objective
 
@@ -581,9 +606,10 @@ class TestGaussianCommand:
                                     "--noise", "0.5", "--r1-grid", grid,
                                     "--r2-grid", grid])
         assert code == 0
-        pairs = len(out.splitlines()) - 1
-        assert pairs == 55
-        assert pairs < len(calls) <= 2 * pairs
+        assert len(out.splitlines()) - 1 == 55
+        values = cli._parse_grid(grid, "").tolist()
+        below = sum(r2 < cap for r2 in values)
+        assert len(calls) == len(values) + below == 16
         assert not any(isinstance(v, np.ndarray) for c in calls for v in c)
 
     def test_retired_grid_flag_is_unknown(self, capsys):

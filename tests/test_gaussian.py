@@ -438,3 +438,104 @@ class TestFiftyDigitReference:
             above += r1 > g.capacity
             self._check(g, r1, r2, 1e-13)
         assert 0 < above < 30
+
+
+def _one_pair_sweep(argv):
+    """The CSV lines and skipped count a gaussian grid call must print,
+    each row from ``gaussian_exponent`` at its own pair."""
+    args = cli.build_parser().parse_args(argv)
+    unit = math.log(2.0) if args.bits else 1.0
+    g = wx.GaussianSpec(args.power, args.noise)
+    r1s = (cli._parse_grid(args.r1_grid, "") * unit).tolist()
+    r2s = (cli._parse_grid(args.r2_grid, "") * unit).tolist()
+    lines = [",".join(cli._GAUSSIAN_COLUMNS)]
+    for r1 in r1s:
+        for r2 in r2s:
+            if r2 <= r1:
+                opt = wx.gaussian_exponent(g, wx.RatePair(r1, r2))
+                lines.append(cli._GAUSSIAN_ROW % (
+                    g.s, g.sigma2, r1 / unit, r2 / unit, opt.e / unit,
+                    opt.e1 / unit, opt.e2 / unit, opt.e3 / unit,
+                    opt.rho_star, opt.sigma_z_star, opt.active_branch))
+    return lines, sum(r2 > r1 for r1 in r1s for r2 in r2s)
+
+
+_CAP_1 = wx.GaussianSpec(1.0, 1.0).capacity
+_SWEEPS = [call.argv for call in workloads.gaussian_pool("")] + [
+    ("gaussian", "--power", "2", "--noise", "0.5", "--r1-grid", "0:1.5:7",
+     "--r2-grid", "0:1:5", "--bits"),
+    # R1 = C exactly, rows with C <= R2 <= R1, and pairs with R2 > R1
+    ("gaussian", "--power", "1", "--noise", "1", "--r1-grid",
+     f"{_CAP_1!r}:{3 * _CAP_1!r}:5", "--r2-grid", f"0:{2 * _CAP_1!r}:6"),
+]
+
+
+class TestSweepMatchesOnePair:
+    """A grid sweep prints, row for row, what ``gaussian_exponent`` gives
+    at each pair: evaluating each rate once serves every pair alike."""
+
+    @pytest.mark.parametrize("argv", _SWEEPS,
+                             ids=[f"sweep{k}" for k in range(len(_SWEEPS))])
+    def test_rows_equal_one_pair_rows(self, capsys, argv):
+        lines, skipped = _one_pair_sweep(list(argv))
+        assert cli.main(list(argv)) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines() == lines
+        assert out.err == (f"skipped {skipped} grid points with R2 > R1\n"
+                           if skipped else "")
+
+    def test_cases_cover_the_capacity_rows(self):
+        args = cli.build_parser().parse_args(list(_SWEEPS[-1]))
+        r1s = cli._parse_grid(args.r1_grid, "").tolist()
+        r2s = cli._parse_grid(args.r2_grid, "").tolist()
+        assert r1s[0] == _CAP_1
+        assert any(_CAP_1 <= r2 <= r1 for r1 in r1s for r2 in r2s)
+        assert any(r2 > r1 for r1 in r1s for r2 in r2s)
+
+
+def _quantized_awgn(t, inputs, bins, half_width):
+    """The AWGN channel of S/sigma^2 = t at sigma = 1, made discrete: the
+    inputs are the Gauss-Hermite nodes of N(0, t) with their weights as
+    P_X, and the outputs are bins of equal width on [-half_width,
+    half_width], the outer two open to infinity.  Written apart from
+    ``gaussian.py``."""
+    x, w = np.polynomial.hermite_e.hermegauss(inputs)
+    edges = np.linspace(-half_width, half_width, bins + 1).tolist()
+    edges[0], edges[-1] = -math.inf, math.inf
+    root2 = math.sqrt(2.0)
+
+    def mass(a, b):
+        # each tail from erfc, so that far bins keep their digits
+        if a >= 0.0:
+            return 0.5 * (math.erfc(a / root2) - math.erfc(b / root2))
+        if b <= 0.0:
+            return 0.5 * (math.erfc(-b / root2) - math.erfc(-a / root2))
+        return 0.5 * (math.erf(b / root2) - math.erf(a / root2))
+
+    rows = np.array([[mass(a - xi, b - xi) for a, b in zip(edges, edges[1:])]
+                     for xi in (x * math.sqrt(t)).tolist()])
+    rows /= rows.sum(axis=1, keepdims=True)
+    return wx.ChannelSpec(wx.Distribution(w / w.sum()), wx.Dmc(rows))
+
+
+class TestQuantizedChannel:
+    """The Gaussian closed forms against the DMC solver on a quantized AWGN
+    channel, which shares no code with them: the gap closes about 4x per
+    refinement, 24 x 128 to 32 x 256 (2.3e-4 to 5.8e-5 at S/sigma^2 = 1,
+    (R1, R2) = (2.9 C, 1.4 C)).  At half-width 8 and more the solver's s = 0
+    continuation fails on the S/sigma^2 = 0.1 channels, so 7 it is."""
+
+    @pytest.mark.parametrize("t", (0.1, 1.0))
+    def test_gap_closes_with_refinement(self, t):
+        g = wx.GaussianSpec(t, 1.0)
+        c = g.capacity
+        rates = [wx.RatePair(f1 * c, f2 * c)
+                 for f1, f2 in ((1.2, 0.2), (1.6, 0.3), (2.0, 0.5),
+                                (2.9, 1.4))]
+        gaps = []
+        for inputs, bins in ((24, 128), (32, 256)):
+            solver = wx.ExponentSolver(_quantized_awgn(t, inputs, bins, 7.0))
+            gaps.append([abs(solver.exponent_rep1(r).e
+                             - wx.gaussian_exponent(g, r).e) for r in rates])
+        for r, coarse, fine in zip(rates, *gaps):
+            assert 2.5 * fine <= coarse and fine < 2e-4, (r, coarse, fine)
