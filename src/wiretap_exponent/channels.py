@@ -121,10 +121,6 @@ class ConditionalChannel:
         self.rows = dmc.rows
         self.input_marginal = input_marginal
 
-    @property
-    def num_outputs(self) -> int:
-        return int(self.rows.shape[1])
-
     def __repr__(self) -> str:
         return (f"ConditionalChannel({self.rows.tolist()!r}, "
                 f"{self.input_marginal!r})")

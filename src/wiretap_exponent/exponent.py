@@ -22,15 +22,12 @@ by root-finding tolerances.  Each solved s gives phi(I0) a certified
 sandwich: below it, the support line f - gap - (s-1) I0 of every solve
 (f its objective, gap its certified gap); above it, the chord through the
 (I, D) points of two solves whose I bracket I0, since phi is convex and
-each (I, D) is attained.  phi starts from the two multiplier-table entries
-that bracket I0 and refines by Anderson-Bjorck regula falsi on I(s) - I0
-until the sandwich is at most 2 gap_tol wide; it returns the best support
-line at its own s.  Targets above the I of the smallest positive table
-entry are bracketed by halving levels below it, each solved from the
-marginal of the level above and built lazily down to the first level that
-does not certify.  No s is solved that two certified solves do not
-bracket: above the deepest level, or when a solve inside the bracket
-fails, phi returns its current, wider sandwich.
+each (I, D) is attained.  phi starts from the two rungs of the ladder
+(below) that bracket I0 and refines by Anderson-Bjorck regula falsi on
+I(s) - I0 until the sandwich is at most 2 gap_tol wide; it returns the
+best support line at its own s.  No s is solved that two certified solves
+do not bracket: above the deepest level, or when a solve inside the
+bracket fails, phi returns its current, wider sandwich.
 
 The inner solver works on the output marginal V.  For s > 0 the rows
 minimizing the objective against a frozen V are closed-form (Arimoto
@@ -40,26 +37,32 @@ in (0, 1), min_V g_s (convex) for s in (1, 2], and the true channel at
 s = 1; a damped Newton method on V (Boyd & Vandenberghe 2004, sec. 10.2)
 reaches its fixed point V = Q_Z(jump(V)) in a few steps.  Each solve ends
 on a certified gap: the dual bound at V = Q_Z for s < 1, a first-order
-linearization bound for s > 1.  The multiplier table's entries with s not
-in {0, 1} all start from the true output marginal, so they are solved in
-lockstep as one stack: each round does one stacked KKT solve and a line
-search per slice, and a slice leaves the stack once it certifies.  Every
-other s > 0 is the same kernel on a stack of one.
+linearization bound for s > 1.
+
+The solves with s > 0 that others start from form one ladder, in
+decreasing s: the multiplier table's entries, then the halving levels
+s = 2^-6, 2^-7, ... below them, each level solved from the marginal of
+the rung above and built on demand down to the first that does not
+certify.  Every Newton solve has one entry point, which solves a list of
+s in lockstep from the marginal of one start: the table's entries with s
+not in {0, 1} are one stack from the true output marginal (each round
+does one stacked KKT solve and a line search per slice, and a slice
+leaves the stack once it certifies); a level, and any other s > 0 from
+its nearest rung, is a stack of one.
 
 At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
 goods, P(z|x) are utilities.  Its optimum, the Eisenberg-Gale equilibrium
 (Eisenberg & Gale 1959), is a vertex, which the Newton solutions approach
-as s falls to 0.  So the s = 0 solve walks down one ladder of warm starts,
-the table's positive entries and then the halving levels below them that
-phi brackets with, from the smallest positive table entry.  Each rung
-returns its own rows if the s = 0 dual bound certifies them, else the
-vertex of a spanning forest of its marginal grown in Kruskal order
-(support edges by their slack below each row's maximum of ln P - ln Q_Z),
-with prices and flows solved exactly on the forest, if that certifies;
-else the walk steps down a rung, building the next level.  Below the
-deepest level, the first that does not certify or that the 1e-9 cache
-quantum stops, the walk raises SolverError.
+as s falls to 0.  So the s = 0 solve walks down the ladder from the
+smallest positive table entry.  Each rung returns its own rows if the
+s = 0 dual bound certifies them, else the vertex of a spanning forest of
+its marginal grown in Kruskal order (support edges by their slack below
+each row's maximum of ln P - ln Q_Z), with prices and flows solved
+exactly on the forest, if that certifies; else the walk steps down a
+rung, building the next level.  Below the deepest level, the first that
+does not certify or that the 1e-9 cache quantum stops, the walk raises
+SolverError.
 """
 from __future__ import annotations
 
@@ -438,13 +441,6 @@ def _line_search(w, log_p, support, s, s3, v, u, wlse, qz, floored, held):
                              zip(*(state for _, state in steps)))
 
 
-def _solve_newton(w, log_p, support, s, v, gap_tol, max_iter):
-    """The Newton solve of the one multiplier s from the positive output
-    marginal v (see _newton_stack)."""
-    return _newton_stack(w, log_p, support, [s], v[None, :], gap_tol,
-                         max_iter)[0]
-
-
 def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
     """Damped Newton solves of max_V g_s (s < 1) or min_V g_s (s > 1), run
     in lockstep for a list of s, each from its positive output marginal
@@ -647,11 +643,12 @@ class ExponentSolver:
     A table of 65 support points along mu in [-1, 1], s = k/32, is
     precomputed once, each entry with s > 0 solved from the true output
     marginal.  Its s > 0 entries and the halving levels below them form one
-    ladder of warm starts, the levels built lazily, each solved from the
-    level above; s = 0 sits at its foot.  Every other inner solve starts
-    from the nearest start, after building the levels down to its s; that
-    makes each solution a deterministic function of its multiplier alone,
-    independent of query order.  Rate points can therefore be evaluated
+    list, the ladder, in decreasing s; the levels are built lazily, each
+    solved from the rung above, and s = 0 is solved by a walk down it.
+    Every other inner solve starts from the nearest rung, after building
+    the levels down to its s, and every Newton solve goes through _solve.
+    That makes each solution a deterministic function of its multiplier
+    alone, independent of query order.  Rate points can therefore be evaluated
     concurrently and reproduce bit-for-bit.  For the same reason ``phi``
     values (keyed on the target) are memoized per instance without
     changing any result; all caches live and die with the solver.
@@ -693,71 +690,70 @@ class ExponentSolver:
         self._log_p = np.where(self._support,
                                np.log(np.maximum(self._p, _TINY)), _LOGZERO)
         # s = 1 is exact: the true channel, with D = 0 and I = I(X;Z)
-        q, qz_p, d, self.i_p, f = _evaluate(self._w, self._log_p,
-                                            self._log_p, 1.0)
-        self._cache: dict[float, _InnerSolution] = {1.0: _InnerSolution(
-            1.0, self._log_p, q, d, self.i_p, f, 0.0, 0)}
+        q, _, d, self.i_p, f = _evaluate(self._w, self._log_p, self._log_p,
+                                         1.0)
+        true = _InnerSolution(1.0, self._log_p, q, d, self.i_p, f, 0.0, 0)
+        self._cache: dict[float, _InnerSolution] = {1.0: true}
         self._phi_cache: dict[float, tuple[float, _InnerSolution, float]] = {}
         # the table's s not in {0, 1} are one Newton stack from the true
-        # output marginal, floored as every start is: an output that
-        # underflows to 0 would leave log 0 in the first jump; s = 0 then
-        # walks down from the smallest of them
+        # output marginal; the ladder takes its s > 0 entries in decreasing
+        # s, and s = 0 walks down from the last of them
         keys = [_key(float(s)) for s in _TABLE_S]
-        stack = [key for key in keys if key not in (0.0, 1.0)]
-        self._cache.update(zip(stack, _newton_stack(
-            self._w, self._log_p, self._support, stack,
-            np.tile(np.maximum(qz_p, _TINY), (len(stack), 1)), self.gap_tol,
-            self.max_iter)))
-        # the ladder: the table's s > 0 entries, then the halving levels
-        # below them, all in decreasing s
-        self._starts = [self._cache[key] for key in keys if key > 0.0]
+        self._solve([key for key in keys if key not in (0.0, 1.0)], true)
+        self._ladder = [self._cache[key] for key in keys if key > 0.0]
         self._deepest = False           # no further level certifies
-        self._table = [self._solve_s(float(s)) for s in _TABLE_S]
-        self._table_i = np.array([sol.i for sol in self._table])  # ascending
+        self._zero = self._cache[0.0] = self._solve_zero()
         # I rises along the table, but rounding can lift a one-point
         # curve's first I above its last (by up to 7e-17), which would
         # leave all three branches of exponent_rep1 without a constraint set
-        self.i_max = self._table[-1].i
-        self.i_min = min(self._table[0].i, self.i_max)
-        self.d_at_imax = self._table[-1].d
+        self.i_max = self._zero.i
+        self.i_min = min(self._ladder[0].i, self.i_max)
+        self.d_at_imax = self._zero.d
 
     # -- inner solves --------------------------------------------------
 
-    def _start(self, k: int) -> _InnerSolution | None:
-        """The k-th start of the ladder, or None below its deepest level.
-        Below the table's s > 0 entries each level is Newton-solved at half
-        the s of the level above, from its marginal, and built on demand.
-        The ladder ends at the first level that does not certify (the
+    def _solve(self, keys: list[float],
+               start: _InnerSolution) -> list[_InnerSolution]:
+        """The Newton solves of the list keys, in lockstep from the output
+        marginal of start, floored as every start is (an output that
+        underflows to 0 would leave log 0 in the first jump); cached and
+        returned in the order of keys.  The one caller of _newton_stack."""
+        v = np.maximum(self._w @ start.q, _TINY)
+        sols = _newton_stack(self._w, self._log_p, self._support, keys,
+                             np.tile(v, (len(keys), 1)), self.gap_tol,
+                             self.max_iter)
+        self._cache.update(zip(keys, sols))
+        return sols
+
+    def _extend(self) -> bool:
+        """Builds the next halving level of the ladder: the Newton solve at
+        half the s of the last rung, from its marginal.  Returns whether it
+        did.  The ladder ends at the first level that does not certify (the
         failed solve leaves a debug record) or whose key would not fall
         below the level above (the 1e-9 cache quantum rounds 5e-10 up to
         1e-9)."""
-        while k >= len(self._starts) and not self._deepest:
-            above = self._starts[-1]
+        if not self._deepest:
+            above = self._ladder[-1]
             key = _key(above.s / 2.0)
-            self._deepest = not 0.0 < key < above.s
-            if self._deepest:
-                break
-            v = np.maximum(self._w @ above.q, _TINY)
-            try:
-                sol = _solve_newton(self._w, self._log_p, self._support, key,
-                                    v, self.gap_tol, self.max_iter)
-            except SolverError:
-                self._deepest = True
-            else:
-                self._cache[key] = sol
-                self._starts.append(sol)
-        return self._starts[k] if k < len(self._starts) else None
+            if 0.0 < key < above.s:
+                try:
+                    self._ladder.append(self._solve([key], above)[0])
+                    return True
+                except SolverError:
+                    pass
+            self._deepest = True
+        return False
 
     def _solve_zero(self) -> _InnerSolution:
         """The s = 0 solve by continuation down the ladder from its last
-        start (a homotopy; Boyd & Vandenberghe 2004, sec. 11): each rung
+        rung (a homotopy; Boyd & Vandenberghe 2004, sec. 11): each rung
         returns its own rows or their forest vertex, whichever certifies at
         s = 0, or else the walk steps down a rung.  Raises SolverError below
         the deepest level; iterations counts the Newton steps of every rung
         below the first."""
         w, log_p, support = self._w, self._log_p, self._support
-        k = len(self._starts) - 1
-        sol, steps = self._starts[k], 0
+        k = len(self._ladder) - 1
+        sol, steps = self._ladder[k], 0
         while True:
             q, qz, d, i, f = _evaluate(w, log_p, sol.log_q, 0.0)
             ln_qz = np.log(np.maximum(qz, _TINY))
@@ -769,9 +765,9 @@ class ExponentSolver:
             if vertex is not None:
                 return vertex
             k += 1
-            if self._start(k) is None:
+            if k == len(self._ladder) and not self._extend():
                 break
-            sol = self._starts[k]
+            sol = self._ladder[k]
             steps += sol.iterations
         _log.debug("s=0 continuation stopped uncertified at s=%.9g with gap "
                    "%.3g after %d Newton steps", sol.s, gap, steps)
@@ -780,40 +776,31 @@ class ExponentSolver:
                           iterations=steps)
 
     def _solve_s(self, s: float) -> _InnerSolution:
-        # inner solutions are cached on s quantized to 1e-9.  s = 0, solved
-        # with the table, walks down the ladder.  An uncached s > 0 runs
-        # Newton from the marginal of the nearest start (the first of two
-        # equally near), once the ladder reaches down to s; one of its
-        # levels may be s itself.
+        # inner solutions are cached on s quantized to 1e-9; s = 0 and the
+        # table are solved when the solver is built.  An uncached s runs
+        # Newton from the marginal of the nearest rung, once the ladder
+        # reaches down to s; one of its levels may be s itself.
         key = _key(s)
         sol = self._cache.get(key)
         if sol is None:
-            if key == 0.0:
-                sol = self._solve_zero()
-            else:
-                k = len(self._starts) - 1
-                while self._starts[k].s > key and self._start(k + 1):
-                    k += 1
-                sol = self._cache.get(key)
+            while self._ladder[-1].s > key and self._extend():
+                pass
+            sol = self._cache.get(key)
             if sol is None:
-                near = self._nearest_start(key)
-                sol = _solve_newton(self._w, self._log_p, self._support, key,
-                                    np.maximum(self._w @ near.q, _TINY),
-                                    self.gap_tol, self.max_iter)
-            self._cache[key] = sol
+                sol = self._solve([key], self._nearest_start(key))[0]
         return sol
 
     def _nearest_start(self, key: float) -> _InnerSolution:
-        """The start nearest to key among the levels built so far, the
-        first of two equally near (the larger s), by bisection on the
-        ladder's decreasing s."""
-        starts = self._starts
-        k = bisect.bisect_left(starts, -key, key=lambda start: -start.s)
+        """The rung nearest to key among the levels built so far, the first
+        of two equally near (the larger s), by bisection on the ladder's
+        decreasing s."""
+        ladder = self._ladder
+        k = bisect.bisect_left(ladder, -key, key=lambda start: -start.s)
         if k == 0:
-            return starts[0]
-        if k == len(starts) or starts[k - 1].s - key <= key - starts[k].s:
-            return starts[k - 1]
-        return starts[k]
+            return ladder[0]
+        if k == len(ladder) or ladder[k - 1].s - key <= key - ladder[k].s:
+            return ladder[k - 1]
+        return ladder[k]
 
     def _embed(self, sol: _InnerSolution) -> ConditionalChannel:
         rows = np.array(self.spec.wiretap.rows, dtype=float)
@@ -824,21 +811,20 @@ class ExponentSolver:
 
     def _bracket(self, target: float):
         """The two certified solves whose I bracket the interior target,
-        (lo, hi) with I(lo) >= target >= I(hi), from the table and, above
-        the I of its smallest positive entry, the halving levels (built on
-        demand); and whether solves between them may refine it, which is
-        not so above the deepest level."""
-        j = int(np.searchsorted(self._table_i, target, side="left"))
-        j = min(max(j, 1), len(self._table) - 1)
-        lo, hi = self._table[j], self._table[j - 1]
-        if lo.s > 0.0:
-            return lo, hi, True
-        k = len(self._table) - 2            # hi is self._starts[k]
-        while (below := self._start(k + 1)) is not None:
-            if below.i >= target:
-                return below, hi, True
-            hi, k = below, k + 1
-        return lo, hi, False
+        (lo, hi) with I(lo) >= target >= I(hi), and whether solves between
+        them may refine it, which is not so above the deepest level.  The
+        table's rungs are bisected by I; above the I of the last of them,
+        the halving levels are walked one at a time (built on demand), as
+        nothing orders their I."""
+        ladder, n = self._ladder, len(_TABLE_S) - 1
+        k = bisect.bisect_left(ladder, target, 1, n, key=lambda sol: sol.i)
+        if k < n:
+            return ladder[k], ladder[k - 1], True
+        while k < len(ladder) or self._extend():
+            if ladder[k].i >= target:
+                return ladder[k], ladder[k - 1], True
+            k += 1
+        return self._zero, ladder[-1], False
 
     def _sandwich(self, target: float) -> tuple[float, _InnerSolution, float]:
         """(phi, the solve whose support line gives it, the certified width
@@ -906,7 +892,7 @@ class ExponentSolver:
         one-hot) still takes the s = 2 end below it.
         """
         if target_i <= self.i_min or target_i >= self.i_max:
-            sol = self._table[0 if target_i <= self.i_min else -1]
+            sol = self._ladder[0] if target_i <= self.i_min else self._zero
             target = min(max(target_i, self.i_min), self.i_max)
             return max(sol.f - (sol.s - 1.0) * target, 0.0), sol, sol.gap
         hit = self._phi_cache.get(target_i)

@@ -73,7 +73,7 @@ def targets(solver) -> list[float]:
 
 def _levels(solver) -> int:
     """The halving levels built so far below the table's s > 0 entries."""
-    return len(solver._starts) - (len(solver._table) - 1)
+    return len(solver._ladder) - 64
 
 
 def scan(seed: int, digest) -> tuple[int, list, list, list, list, list,

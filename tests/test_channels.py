@@ -65,7 +65,7 @@ class TestMutualInformation:
             i = wx.mutual_information(q)
             assert i >= -1e-12
             assert i <= wx.entropy(spec.input_dist) + 1e-12
-            assert i <= math.log(q.num_outputs) + 1e-12
+            assert i <= math.log(q.rows.shape[1]) + 1e-12
 
 
 class TestWeightedDivergence:

@@ -80,15 +80,15 @@ class TestExponentCommand:
         # ends in the solver error
         argv = ["exponent", SLOW_FIXED_POINT, "--r1", "1.15", "--r2", "0.5"]
         assert run(capsys, argv)[0] == 0
-        solve = exponent._solve_newton
-        # the table's own solves do not go through _solve_newton
-        monkeypatch.setattr(exponent, "_solve_newton",
-                            lambda *args: solve(*args[:-1], 1))
+        stack = exponent._newton_stack
+        # one step for each stack of one; the table's stack keeps its cap
+        monkeypatch.setattr(exponent, "_newton_stack", lambda *args: stack(
+            *args[:-1], 1 if len(args[3]) == 1 else args[-1]))
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
         assert err.startswith("error: s=0 continuation did not certify down "
                               "to s=0.03125 ")
-        monkeypatch.setattr(exponent, "_solve_newton", solve)
+        monkeypatch.setattr(exponent, "_newton_stack", stack)
         monkeypatch.setattr(exponent, "_forest_vertex", lambda *args: None)
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""

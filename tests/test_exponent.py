@@ -519,7 +519,7 @@ class TestAndersonStep:
         # from the neighbouring table entry's marginal, 500 plain jumps
         # V <- Q_Z(jump(V)) leave the dual gap far above gap_tol
         j = int(np.flatnonzero(exponent._TABLE_S == 0.5)[0])
-        v = slow._w @ slow._table[j - 1].q
+        v = slow._w @ slow._ladder[j - 1].q
         for _ in range(500):
             rows, lse = exponent._jump(slow._log_p, slow._support, 0.5,
                                        np.log(v))
@@ -538,16 +538,17 @@ class TestAndersonStep:
         # the s > 0 table solves of small channels take a few Newton steps,
         # and the s = 0 solve certifies at its first level
         solver = ExponentSolver(spec)
-        assert all(sol.gap <= solver.gap_tol for sol in solver._table)
-        assert max(sol.iterations for sol in solver._table[:-1]) <= 4
-        assert solver._table[-1].iterations == 0
+        assert all(sol.gap <= solver.gap_tol for sol in _entries(solver))
+        assert max(sol.iterations for sol in solver._ladder[:64]) <= 4
+        assert solver._zero.iterations == 0
 
     def test_query_order_independent(self, slow):
         spec = wx.load_channel_spec(SLOW_FIXED_POINT)
         j = int(np.flatnonzero(exponent._TABLE_S == 0.5)[0])
         # targets between the s = 0.53125 and s = 0.5 table entries
         targets = [float(t) for t in
-                   np.linspace(slow._table_i[j - 1], slow._table_i[j], 5)[1:-1]]
+                   np.linspace(slow._ladder[j - 1].i, slow._ladder[j].i,
+                               5)[1:-1]]
         fwd, rev = ExponentSolver(spec), ExponentSolver(spec)
         a = [fwd.phi(t) for t in targets]
         b = [rev.phi(t) for t in reversed(targets)][::-1]
@@ -578,6 +579,23 @@ class TestAndersonStep:
             "Newton steps")
 
 
+def _entries(solver) -> list:
+    """The 65 multiplier-table solves in table order: the ladder's first 64
+    rungs, s = 2 down to 1/32, then the s = 0 solve."""
+    return solver._ladder[:64] + [solver._zero]
+
+
+def _one_s(stack, counted):
+    """_newton_stack that reports to counted the solves of each stack of
+    one, the solves below the table."""
+    def solve(*args):
+        sols = stack(*args)
+        if len(args[3]) == 1:
+            counted(sols[0])
+        return sols
+    return solve
+
+
 def _halvings(n: int) -> list[float]:
     """The keys of the first n halving levels below s = 1/32."""
     keys = [1 / 32]
@@ -595,16 +613,11 @@ class TestSolverRecords:
         # level; so does the error of a walk that finds no vertex down to
         # the slow fixture's deepest level
         levels = []
-        solve = exponent._solve_newton
-
-        def counted(*args):
-            sol = solve(*args)
-            levels.append((sol.s, sol.iterations))
-            return sol
-
-        monkeypatch.setattr(exponent, "_solve_newton", counted)
+        monkeypatch.setattr(exponent, "_newton_stack", _one_s(
+            exponent._newton_stack,
+            lambda sol: levels.append((sol.s, sol.iterations))))
         sol = ExponentSolver(wx.load_channel_spec(
-            _scan_path("scan23_094_8x8")))._table[-1]
+            _scan_path("scan23_094_8x8")))._zero
         assert [s for s, _ in levels] == _halvings(11)
         assert sol.iterations == sum(n for _, n in levels) > 0
         levels.clear()
@@ -627,9 +640,10 @@ class TestSolverRecords:
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             with pytest.raises(wx.SolverError,
                                match="did not certify at s=2 ") as exc:
-                exponent._solve_newton(
-                    solver._w, solver._log_p, solver._support, 2.0,
-                    solver._w @ solver._p, solver.gap_tol, solver.max_iter)
+                exponent._newton_stack(
+                    solver._w, solver._log_p, solver._support, [2.0],
+                    (solver._w @ solver._p)[None], solver.gap_tol,
+                    solver.max_iter)
         assert exc.value.residual == 1e-9 and exc.value.iterations <= 10
         assert [r.getMessage() for r in caplog.records] == [
             "Newton solve at s=2 stopped uncertified with gap 1e-09 after "
@@ -674,8 +688,9 @@ class TestNewtonSolve:
             os.path.join(os.path.dirname(__file__), "data"))))
     def test_table_solves_certify_within_20_steps(self, name):
         solver = ExponentSolver(wx.load_channel_spec(_scan_path(name)))
-        newton = [sol for sol in solver._table if sol.s not in (0.0, 1.0)]
-        assert len(newton) == len(solver._table) - 2
+        table = _entries(solver)
+        newton = [sol for sol in table if sol.s not in (0.0, 1.0)]
+        assert len(newton) == len(table) - 2
         for sol in newton:
             assert sol.gap <= solver.gap_tol and sol.iterations <= 20
 
@@ -688,9 +703,7 @@ class TestNewtonSolve:
         solver = ExponentSolver(wx.load_channel_spec(
             _scan_path("scan7_077_2x6")))
         j = int(np.flatnonzero(exponent._TABLE_S == 1 / 32)[0])
-        sol = exponent._solve_newton(
-            solver._w, solver._log_p, solver._support, s,
-            solver._w @ solver._table[j].q, solver.gap_tol, solver.max_iter)
+        sol = solver._solve([s], solver._ladder[j])[0]
         assert sol.gap <= solver.gap_tol and sol.iterations <= 20
         assert np.isfinite([sol.f, sol.d, sol.i]).all()
         assert np.isfinite(sol.q).all()
@@ -722,12 +735,13 @@ class TestLockstepTable:
         solver = ExponentSolver(_parity_spec(name))
         w, log_p = solver._w, solver._log_p
         qz_p = exponent._evaluate(w, log_p, log_p, 1.0)[1]
-        stacked = [sol for sol in solver._table if sol.s not in (0.0, 1.0)]
-        assert len(stacked) == len(solver._table) - 2
+        table = _entries(solver)
+        stacked = [sol for sol in table if sol.s not in (0.0, 1.0)]
+        assert len(stacked) == len(table) - 2
         for sol in stacked:
-            one = exponent._solve_newton(w, log_p, solver._support, sol.s,
-                                         qz_p, solver.gap_tol,
-                                         solver.max_iter)
+            one, = exponent._newton_stack(w, log_p, solver._support, [sol.s],
+                                          qz_p[None], solver.gap_tol,
+                                          solver.max_iter)
             assert one.iterations == sol.iterations
             assert abs(one.f - sol.f) <= 1e-13
             assert abs(one.d - sol.d) <= 1e-13
@@ -754,8 +768,8 @@ class TestLockstepTable:
             with pytest.raises(wx.SolverError) as one:
                 for s in exponent._TABLE_S:
                     if s not in (0.0, 1.0):
-                        exponent._solve_newton(*args, float(s), qz_p,
-                                               solver.gap_tol,
+                        exponent._newton_stack(*args, [float(s)],
+                                               qz_p[None], solver.gap_tol,
                                                solver.max_iter)
         records = [r.getMessage() for r in caplog.records]
         caplog.clear()
@@ -831,7 +845,7 @@ class TestVertexAtSZero:
     def _check_vertex(spec, caplog):
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             solver = ExponentSolver(spec)
-        sol = solver._table[-1]
+        sol = solver._zero
         assert sol.s == 0.0 and sol.gap <= solver.gap_tol
         w = spec.input_dist.probs
         p = spec.wiretap.rows[w > 0]
@@ -905,7 +919,7 @@ class TestVertexAtSZero:
                          exc.value.iterations))
         assert ends[0] == ends[1] and ends[0][1] > 1e-10
         monkeypatch.undo()
-        sol = ExponentSolver(spec)._table[-1]
+        sol = ExponentSolver(spec)._zero
         assert sol.gap <= 1e-10 and sol.iterations < ends[0][2]
         # the stalled iterate lies above the vertex optimum by at most its
         # own gap
@@ -1006,10 +1020,10 @@ class TestGeneratedScanChannels:
                         exponent._LOGZERO)
         start = exponent._InnerSolution(1.0, rows, np.exp(rows), 0.0, 0.0,
                                         0.0, 0.0, 0)
-        solver._starts, solver._deepest = [start], False
+        solver._ladder, solver._deepest = [start], False
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             sol = solver._solve_zero()
-        assert solver._starts[1].s == 0.5
+        assert solver._ladder[1].s == 0.5
         assert sol.s == 0.0 and sol.iterations > 0
         assert _numpy_gap(spec, sol) <= solver.gap_tol
         assert "continuation stopped" not in caplog.text
@@ -1023,7 +1037,7 @@ class TestGeneratedScanChannels:
         # s = 6e-08
         spec = wx.load_channel_spec(_scan_path(name))
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
-            sol = ExponentSolver(spec)._table[-1]
+            sol = ExponentSolver(spec)._zero
         assert sol.s == 0.0 and sol.iterations == 0
         assert _numpy_gap(spec, sol) <= 1e-14
         text = "\n".join(r.getMessage() for r in caplog.records)
@@ -1035,7 +1049,7 @@ class TestGeneratedScanChannels:
                                "certify down to s=6e-08 "):
                 ExponentSolver(spec)
         else:
-            sol = ExponentSolver(spec)._table[-1]
+            sol = ExponentSolver(spec)._zero
             assert sol.iterations > 0
             assert _numpy_gap(spec, sol) <= 1e-10
 
@@ -1047,7 +1061,7 @@ class TestGeneratedScanChannels:
 def test_deep_s_zero_certifies_within_64_steps(name):
     spec = wx.load_channel_spec(_scan_path(name))
     solver = ExponentSolver(spec)
-    sol = solver._table[-1]
+    sol = solver._zero
     assert sol.s == 0.0 and 0 < sol.iterations <= 64
     assert _numpy_gap(spec, sol) <= solver.gap_tol
 
@@ -1057,8 +1071,9 @@ FIXTURES = sorted(name[:-5] for name in os.listdir(
 
 
 def _fixture_spec(name: str) -> wx.ChannelSpec:
-    return make_asym_3x3() if name == "asym3x3" else \
-        wx.load_channel_spec(_scan_path(name))
+    if name in ("asym3x3", "bsc01"):
+        return make_asym_3x3() if name == "asym3x3" else make_bsc(0.1)
+    return wx.load_channel_spec(_scan_path(name))
 
 
 def _numpy_points(solver) -> tuple[np.ndarray, np.ndarray]:
@@ -1104,16 +1119,17 @@ class TestNearestStart:
 
     @staticmethod
     def linear(solver, key):
-        return min(solver._starts, key=lambda start: abs(start.s - key))
+        return min(solver._ladder, key=lambda start: abs(start.s - key))
 
     @pytest.fixture(scope="class")
     def solver(self):
         solver = ExponentSolver(make_asym_3x3())
-        solver._start(len(solver._starts) + 7)      # eight halving levels
+        for _ in range(8):                          # eight halving levels
+            solver._extend()
         return solver
 
     def test_midpoints_tie_to_the_larger_s(self, solver):
-        starts = solver._starts
+        starts = solver._ladder
         assert len(starts) == 72 and starts[-1].s < 1e-3
         ties = 0
         for above, below in zip(starts, starts[1:]):
@@ -1130,9 +1146,82 @@ class TestNearestStart:
         keys = np.concatenate([rng.uniform(0.0, 2.0, 500),
                                10.0 ** rng.uniform(-9.0, -1.0, 500)])
         keys = [exponent._key(float(key)) for key in keys]
-        keys += [start.s for start in solver._starts] + [1e-9, 2.0]
+        keys += [start.s for start in solver._ladder] + [1e-9, 2.0]
         for key in keys:
             assert solver._nearest_start(key) is self.linear(solver, key)
+
+
+class TestOneLadder:
+    """The table's s > 0 entries and the halving levels below them are one
+    ladder, and ExponentSolver._solve is the one way into the Newton
+    kernel.  Each test builds a fresh solver."""
+
+    CHANNELS = ["asym3x3", "bsc01"] + FIXTURES
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_bracket_is_the_first_rung_at_or_above(self, name):
+        # the table's rungs are bisected and the levels walked; either way
+        # the bracket is the first rung whose I reaches the target, and
+        # the one above it, or (s = 0, deepest level) past every rung
+        solver = ExponentSolver(_fixture_spec(name))
+        targets = np.linspace(solver.i_min, solver.i_max, 41)[1:-1].tolist()
+        targets += [solver.i_max - 10.0 ** -k for k in range(1, 10)]
+        for t in targets:
+            if not solver.i_min < t < solver.i_max:
+                continue
+            lo, hi, refine = solver._bracket(t)
+            ladder = solver._ladder
+            k = next((k for k, sol in enumerate(ladder) if sol.i >= t), None)
+            assert k != 0
+            if k is None:
+                assert solver._deepest
+                assert lo is solver._zero and hi is ladder[-1] and not refine
+            else:
+                assert lo is ladder[k] and hi is ladder[k - 1] and refine
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """The s of every _newton_stack call from here on, in call order."""
+        calls = []
+        stack = exponent._newton_stack
+
+        def counted(w, log_p, support, s, *rest):
+            calls.append(list(s))
+            return stack(w, log_p, support, s, *rest)
+
+        monkeypatch.setattr(exponent, "_newton_stack", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_build_calls_newton_once_per_stack(self, name, monkeypatch):
+        # one stack for the table, then one stack of one per level that
+        # the s = 0 walk built
+        calls = self._counted(monkeypatch)
+        solver = ExponentSolver(_fixture_spec(name))
+        table = [sol.s for sol in solver._ladder[:64] if sol.s != 1.0]
+        assert len(calls) == 1 + len(solver._ladder) - 64
+        assert calls[0] == table and len(table) == 63
+        assert calls[1:] == [[sol.s] for sol in solver._ladder[64:]]
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_each_uncached_s_off_the_ladder_adds_one_call(self, name,
+                                                          monkeypatch):
+        # an uncached s builds the levels down to it, then solves itself
+        # unless it is one of them; a cached s calls nothing
+        solver = ExponentSolver(_fixture_spec(name))
+        calls = self._counted(monkeypatch)
+        keys = [1.9, 1.23456789, 0.7, 0.51, 0.1, 0.02, 2.0 ** -7, 1e-3,
+                1e-3, 0.7, 1.5, 0.0]
+        for key in map(exponent._key, keys):
+            before, n = len(solver._ladder), len(calls)
+            fresh = key not in solver._cache
+            solver._solve_s(key)
+            levels = solver._ladder[before:]
+            assert calls[n:n + len(levels)] == [[sol.s] for sol in levels]
+            off = fresh and key not in [sol.s for sol in solver._ladder]
+            assert len(calls) == n + len(levels) + off
+            if off:
+                assert calls[-1] == [key]
 
 
 class TestSandwich:
@@ -1188,14 +1277,14 @@ class TestSandwich:
         spec = make_asym_3x3()
         solver = ExponentSolver(spec)
         targets = (0.5 * (solver.i_min + solver.i_max),
-                   0.5 * (solver._table_i[-2] + solver.i_max))
+                   0.5 * (solver._ladder[63].i + solver.i_max))
         certified = [ExponentSolver(spec).phi(t)[0] for t in targets]
 
         def fail(w, log_p, support, s, *rest):
-            raise wx.SolverError(f"Newton solve did not certify at s={s}",
+            raise wx.SolverError(f"Newton solve did not certify at s={s[0]}",
                                  best_value=0.0, residual=1.0, iterations=0)
 
-        monkeypatch.setattr(exponent, "_solve_newton", fail)
+        monkeypatch.setattr(exponent, "_newton_stack", fail)
         table = len(solver._cache)
         with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
             for t, phi in zip(targets, certified):
@@ -1205,7 +1294,7 @@ class TestSandwich:
                 res = solver.exponent_rep1(wx.RatePair(t, 0.0))
                 assert res.active_branch == "E2" and res.gap_bound == width
         assert len(solver._cache) == table
-        assert solver._starts[-1] is solver._table[-2]
+        assert solver._ladder[-1] is solver._ladder[63]
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 2
         assert "failed" in messages[0]
@@ -1218,16 +1307,10 @@ class TestSandwich:
         solver = ExponentSolver(wx.load_channel_spec(
             _scan_path("scan23_094_8x8")))
         built = _halvings(11)
-        assert [sol.s for sol in solver._starts[len(solver._table) - 1:]] \
-            == built
+        assert [sol.s for sol in solver._ladder[64:]] == built
         keys = []
-        solve = exponent._solve_newton
-
-        def counted(w, log_p, support, s, *rest):
-            keys.append(s)
-            return solve(w, log_p, support, s, *rest)
-
-        monkeypatch.setattr(exponent, "_solve_newton", counted)
+        monkeypatch.setattr(exponent, "_newton_stack", _one_s(
+            exponent._newton_stack, lambda sol: keys.append(sol.s)))
         for e in range(1, 10):
             solver.phi(solver.i_max - 10.0 ** -e)
         assert keys and len(set(keys)) == len(keys)
@@ -1245,10 +1328,9 @@ class TestSandwich:
             value, sol, width = solver.phi(solver.i_max - 10.0 ** -e)
             assert sol.s < exponent._TABLE_S[-2]
             assert width <= 2.0 * solver.gap_tol
-        levels = solver._starts[len(solver._table) - 1:]
+        levels = solver._ladder[64:]
         assert levels
-        for above, level in zip(solver._starts[len(solver._table) - 2:],
-                                levels):
+        for above, level in zip(solver._ladder[63:], levels):
             assert level.s == exponent._key(above.s / 2.0)
             assert level.gap <= solver.gap_tol and level.i >= above.i
 
@@ -1271,9 +1353,9 @@ def test_newton_nan_gap_raises_solver_error():
     solver = ExponentSolver(make_asym_3x3())
     with np.errstate(all="ignore"), pytest.raises(
             wx.SolverError, match="did not certify at s=0 "):
-        exponent._solve_newton(solver._w, solver._log_p, solver._support,
-                               0.0, solver._w @ solver._p, solver.gap_tol,
-                               solver.max_iter)
+        exponent._newton_stack(solver._w, solver._log_p, solver._support,
+                               [0.0], (solver._w @ solver._p)[None],
+                               solver.gap_tol, solver.max_iter)
 
 
 def _relabel(doc: dict, seed: int) -> dict:

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import pathlib
 import pickle
@@ -493,12 +494,9 @@ class TestSweepMatchesOnePair:
         assert any(r2 > r1 for r1 in r1s for r2 in r2s)
 
 
-def _quantized_awgn(t, inputs, bins, half_width):
-    """The AWGN channel of S/sigma^2 = t at sigma = 1, made discrete: the
-    inputs are the Gauss-Hermite nodes of N(0, t) with their weights as
-    P_X, and the outputs are bins of equal width on [-half_width,
-    half_width], the outer two open to infinity.  Written apart from
-    ``gaussian.py``."""
+def _awgn_bins(t, inputs, bins, half_width):
+    """(P_X, bin masses) of _quantized_awgn's channel, each row of masses
+    before it is normalized."""
     x, w = np.polynomial.hermite_e.hermegauss(inputs)
     edges = np.linspace(-half_width, half_width, bins + 1).tolist()
     edges[0], edges[-1] = -math.inf, math.inf
@@ -514,8 +512,18 @@ def _quantized_awgn(t, inputs, bins, half_width):
 
     rows = np.array([[mass(a - xi, b - xi) for a, b in zip(edges, edges[1:])]
                      for xi in (x * math.sqrt(t)).tolist()])
+    return w / w.sum(), rows
+
+
+def _quantized_awgn(t, inputs, bins, half_width):
+    """The AWGN channel of S/sigma^2 = t at sigma = 1, made discrete: the
+    inputs are the Gauss-Hermite nodes of N(0, t) with their weights as
+    P_X, and the outputs are bins of equal width on [-half_width,
+    half_width], the outer two open to infinity.  Written apart from
+    ``gaussian.py``."""
+    px, rows = _awgn_bins(t, inputs, bins, half_width)
     rows /= rows.sum(axis=1, keepdims=True)
-    return wx.ChannelSpec(wx.Distribution(w / w.sum()), wx.Dmc(rows))
+    return wx.ChannelSpec(wx.Distribution(px), wx.Dmc(rows))
 
 
 class TestQuantizedChannel:
@@ -539,3 +547,30 @@ class TestQuantizedChannel:
                              - wx.gaussian_exponent(g, r).e) for r in rates])
         for r, coarse, fine in zip(rates, *gaps):
             assert 2.5 * fine <= coarse and fine < 2e-4, (r, coarse, fine)
+
+    # S/sigma^2 = 0.1 at half-width 8, where the s = 0 continuation fails:
+    # the halving level at s = 2^-9 stops uncertified, so the walk ends at
+    # s = 2^-8 with its s = 0 gap still 4.4e-4
+    FAULT = (0.1, 16, 64, 8.0)
+
+    def test_s_zero_fault_exits_3(self, tmp_path, capsys):
+        # the file holds the bin masses before normalization, which the
+        # loader normalizes as _quantized_awgn does, to the same bits
+        px, rows = _awgn_bins(*self.FAULT)
+        path = tmp_path / "awgn.json"
+        path.write_text(json.dumps({"input_dist": px.tolist(),
+                                    "wiretap": rows.tolist()}))
+        spec, loaded = _quantized_awgn(*self.FAULT), wx.load_channel_spec(path)
+        assert np.array_equal(loaded.wiretap.rows, spec.wiretap.rows)
+        assert np.array_equal(loaded.input_dist.probs, spec.input_dist.probs)
+        code = cli.main(["exponent", str(path), "--r1", "0.1", "--r2", "0"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: s=0 continuation did not certify down "
+                              "to s=0.00390625 ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.xfail(strict=True, raises=wx.SolverError,
+                       reason="the s = 0 continuation does not certify")
+    def test_s_zero_certifies_at_half_width_8(self):
+        wx.ExponentSolver(_quantized_awgn(*self.FAULT))
