@@ -131,7 +131,8 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
 
 
 def _emit(lines: list[str], output: str | None, skipped: int = 0) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
+    # one join, the trailing newline included: no second copy of the text
+    text = "\n".join(lines + [""])
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -254,7 +255,8 @@ def _cmd_region(args) -> int:
 
 _GAUSSIAN_COLUMNS = ("S", "sigma2", "R1", "R2", "E", "E1", "E2", "E3",
                      "rho_star", "sigma_z_star", "branch")
-# one %-format per CSV row or record, floats as _fmt prints them
+# the %-format of a CSV row, which a sweep prints field by field, and of a
+# record; floats as _fmt prints them
 _GAUSSIAN_ROW = ",".join("%s" if c == "branch" else "%.12g"
                          for c in _GAUSSIAN_COLUMNS)
 _GAUSSIAN_RECORD = "\n".join(
@@ -269,16 +271,31 @@ def _cmd_gaussian(args) -> int:
                 or args.r1 is not None or args.r2 is not None):
             raise ChannelFileError("sweep mode needs both --r1-grid and "
                                    "--r2-grid, and neither --r1 nor --r2")
-        r1s = _parse_grid(args.r1_grid, "--r1-grid") * unit
-        r2s = _parse_grid(args.r2_grid, "--r2-grid") * unit
+        r1s = (_parse_grid(args.r1_grid, "--r1-grid") * unit).tolist()
+        r2s = (_parse_grid(args.r2_grid, "--r2-grid") * unit).tolist()
         # in-process: the grid costs one closed form per rate value, far
         # less than starting and feeding a process pool
-        rows, skipped = gaussian_grid(g, r1s.tolist(), r2s.tolist())
+        rows, skipped = gaussian_grid(g, r1s, r2s)
+        # _GAUSSIAN_ROW's fields, each formatted once per value it repeats
+        # for: rows run R1-outer, E2 and E3 rest on R1 alone and sigma_z*
+        # on rho* alone, so a pair formats only E and E1.  R1 and R2 go by
+        # the grid's own float objects, which every row reuses: a value key
+        # would merge 0.0 with -0.0, which print apart
+        head = "%.12g,%.12g," % (g.s, g.sigma2)
+        r2_text = {id(r2): "%.12g," % (r2 / unit) for r2 in r2s}
+        rho_text = {}
+        block = None
         lines = [",".join(_GAUSSIAN_COLUMNS)]
-        lines += [_GAUSSIAN_ROW % (g.s, g.sigma2, r1 / unit, r2 / unit,
-                                   e / unit, e1 / unit, e2 / unit, e3 / unit,
-                                   rho, sz, branch)
-                  for r1, r2, e, e1, e2, e3, rho, sz, branch in rows]
+        for r1, r2, e, e1, e2, e3, rho, sz, branch in rows:
+            if r1 is not block:
+                block = r1
+                r1_field = "%s%.12g," % (head, r1 / unit)
+                e23_fields = ",%.12g,%.12g," % (e2 / unit, e3 / unit)
+            if rho not in rho_text:
+                rho_text[rho] = "%.12g,%.12g," % (rho, sz)
+            lines.append("%s%s%.12g,%.12g%s%s%s" % (
+                r1_field, r2_text[id(r2)], e / unit, e1 / unit, e23_fields,
+                rho_text[rho], branch))
         _emit(lines, args.output, skipped)
         return 0
     if args.r1 is None or args.r2 is None:

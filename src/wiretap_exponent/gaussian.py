@@ -17,6 +17,7 @@ the full range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class GaussianSpec:
         # a subnormal value has too few digits for the 12 printed, and at
         # S = sigma^2 = 5e-324 the divergence term's variance underflows
         for name, v in (("power", self.s), ("noise variance", self.sigma2)):
-            if not (math.isfinite(v) and v >= np.finfo(float).smallest_normal):
+            if not (math.isfinite(v) and v >= sys.float_info.min):
                 raise ValueError(f"{name} must be finite and normal, got {v}")
         if not math.isfinite(self.s / self.sigma2):
             raise ValueError(f"S/sigma^2 = {self.s}/{self.sigma2} overflows")
@@ -69,7 +70,7 @@ def sigma_z_star(rho: float, g: GaussianSpec) -> float:
     """
     if not abs(rho) < 1.0:
         raise ValueError(f"|rho| must be < 1, got {rho}")
-    return math.sqrt(g.sigma2) * float(_x(rho, g.s / g.sigma2))
+    return math.sqrt(g.sigma2) * _x(rho, g.s / g.sigma2)
 
 
 def gaussian_divergence_term(rho: float, sigma_z: float,
@@ -92,7 +93,7 @@ def gaussian_divergence_term(rho: float, sigma_z: float,
 
 def _x(rho, t):
     """sigma_z*/sigma: the positive root of x^2 - rho sqrt(t) x - 1 = 0."""
-    return 0.5 * (rho * math.sqrt(t) + np.sqrt(rho * rho * t + 4.0))
+    return 0.5 * (rho * math.sqrt(t) + math.sqrt(rho * rho * t + 4.0))
 
 
 def _objective(rho, w, t):

@@ -8,9 +8,13 @@ warm-up's ``--workers 2`` sweep, through ``cli.main`` in-process, from the
 repository root and with this checkout's ``src`` first on the path.  The
 generated channels of the cold pool are written to a temporary directory,
 so nothing under ``bench/`` changes.  Prints one ``key rc sha256`` line per
-call, the sha256 of its stdout, and last ``digest <sha256>`` over all of
-them in order.  Two checkouts that print the same digest give every pool
-call the same stdout and exit code.  Takes about 7 s for all four
+call, the sha256 of its stdout; after each workload's calls, ``digest
+<workload> <sha256>`` over that workload's lines; and last ``digest
+<sha256>`` over all call lines in order.  Two checkouts that print the same
+digest give every pool call the same stdout and exit code, and the
+per-workload lines show which workload's outputs differ when they do not.
+A workload's own digest equals the last line of a run of that workload
+alone.  Takes about 7 s for all four
 workloads on a 2-CPU host, so it is kept out of the tier-1 suite (pytest
 does not collect this file).
 """
@@ -62,12 +66,17 @@ def main(argv) -> int:
     os.chdir(ROOT)
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work_dir:
-        for key, call in calls(names, work_dir):
-            workloads.write_channel(call)
-            rc, out = run(call)
-            line = f"{key} {rc} {hashlib.sha256(out.encode()).hexdigest()}"
-            print(line, flush=True)
-            digest.update((line + "\n").encode())
+        for name in names:
+            part = hashlib.sha256()
+            for key, call in calls([name], work_dir):
+                workloads.write_channel(call)
+                rc, out = run(call)
+                line = (f"{key} {rc} "
+                        f"{hashlib.sha256(out.encode()).hexdigest()}\n")
+                print(line, end="", flush=True)
+                part.update(line.encode())
+                digest.update(line.encode())
+            print(f"digest {name} {part.hexdigest()}", flush=True)
     print(f"digest {digest.hexdigest()}")
     return 0
 

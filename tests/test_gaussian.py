@@ -10,7 +10,7 @@ import pytest
 
 import wiretap_exponent as wx
 from wiretap_exponent import cli
-from wiretap_exponent.gaussian import _RHO_CAP, rho_from_rate
+from wiretap_exponent.gaussian import _RHO_CAP, gaussian_grid, rho_from_rate
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 
@@ -492,6 +492,67 @@ class TestSweepMatchesOnePair:
         assert r1s[0] == _CAP_1
         assert any(_CAP_1 <= r2 <= r1 for r1 in r1s for r2 in r2s)
         assert any(r2 > r1 for r1 in r1s for r2 in r2s)
+
+
+def _row_format_sweep(argv):
+    """The CSV lines and skipped count a gaussian grid call must print:
+    the header, then ``_GAUSSIAN_ROW`` of each ``gaussian_grid`` row."""
+    args = cli.build_parser().parse_args(argv)
+    unit = math.log(2.0) if args.bits else 1.0
+    g = wx.GaussianSpec(args.power, args.noise)
+    rows, skipped = gaussian_grid(
+        g, (cli._parse_grid(args.r1_grid, "") * unit).tolist(),
+        (cli._parse_grid(args.r2_grid, "") * unit).tolist())
+    lines = [",".join(cli._GAUSSIAN_COLUMNS)]
+    lines += [cli._GAUSSIAN_ROW % (g.s, g.sigma2, r1 / unit, r2 / unit,
+                                   e / unit, e1 / unit, e2 / unit, e3 / unit,
+                                   rho, sz, branch)
+              for r1, r2, e, e1, e2, e3, rho, sz, branch in rows]
+    return lines, skipped
+
+
+_FORMAT_SWEEPS = _SWEEPS + [
+    # one R1 value three times over: three blocks of equal rows
+    ("gaussian", "--power", "2", "--noise", "0.5", "--r1-grid", "1:1:3",
+     "--r2-grid", "0:1.5:4"),
+    # 0.0 and -0.0 in both grids, which print apart
+    ("gaussian", "--power", "1", "--noise", "1", "--r1-grid=-0:-0:2",
+     "--r2-grid=-0:-0:2", "--bits"),
+]
+
+
+class TestSweepFormatsEachRow:
+    """A grid sweep prints each field of each row as ``_GAUSSIAN_ROW``
+    formats it, however few times it formats a repeated value."""
+
+    @pytest.mark.parametrize(
+        "argv", _FORMAT_SWEEPS,
+        ids=[f"sweep{k}" for k in range(len(_FORMAT_SWEEPS))])
+    def test_rows_equal_row_format(self, capsys, argv):
+        lines, skipped = _row_format_sweep(list(argv))
+        assert cli.main(list(argv)) == 0
+        out = capsys.readouterr()
+        assert out.out == "".join(line + "\n" for line in lines)
+        assert out.err == (f"skipped {skipped} grid points with R2 > R1\n"
+                           if skipped else "")
+
+    def test_output_file(self, capsys, tmp_path):
+        argv = list(_FORMAT_SWEEPS[-2])
+        path = tmp_path / "sweep.csv"
+        assert cli.main(argv + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        lines, _ = _row_format_sweep(argv)
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    def test_cases_cover_the_edges(self):
+        texts = [_row_format_sweep(list(argv))[0] for argv in
+                 (_SWEEPS[-2], *_FORMAT_SWEEPS[-2:])]
+        bits, repeated, zeros = ([line.split(",") for line in lines[1:]]
+                                 for lines in texts)
+        assert len({row[2] for row in repeated}) == 1 and len(repeated) == 9
+        assert {(row[2], row[3]) for row in zeros} == {
+            ("0", "0"), ("0", "-0"), ("-0", "0"), ("-0", "-0")}
+        assert len(bits) < 7 * 5
 
 
 def _awgn_bins(t, inputs, bins, half_width):
