@@ -47,6 +47,16 @@ def _as_prob_vector(values, what: str) -> np.ndarray:
     return p
 
 
+def _row_sums(m: np.ndarray, atol: float) -> np.ndarray | None:
+    """The row sums of the C-ordered matrix m when every row is finite,
+    nonnegative and sums to 1 within atol, else None.  Each row's sum has
+    the bits of the row's own sum, so each row is decided as it is alone."""
+    if not (np.isfinite(m).all() and (m >= 0).all()):
+        return None
+    sums = m.sum(axis=1)
+    return sums if (np.abs(sums - 1.0) <= atol).all() else None
+
+
 class Distribution:
     """Probability vector over a finite alphabet of fixed size.
 
@@ -81,12 +91,14 @@ class Dmc:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        m = np.asarray(rows, dtype=float)
+        m = np.array(rows, dtype=float, order="C")
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError("channel matrix must be two-dimensional and nonempty")
-        for k in range(m.shape[0]):
-            _as_prob_vector(m[k], f"channel row {k}")
-        m = m.copy()
+        # all rows are checked at once; the rows are checked one by one
+        # only to name the first bad one
+        if _row_sums(m, SUM_ATOL) is None:
+            for k in range(m.shape[0]):
+                _as_prob_vector(m[k], f"channel row {k}")
         m.flags.writeable = False
         self.rows = m
 
@@ -288,11 +300,16 @@ def check_degraded(main: Dmc, wiretap: Dmc,
 def _file_vector(raw, what: str) -> np.ndarray:
     """A probability vector read from a channel-spec file, renormalized
     exactly; ``what`` names it in the error messages."""
-    # JSON true/false would convert to 1.0/0.0; they are no numbers here
-    if isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
+    # true, false, null and numeric strings are no JSON numbers, though numpy
+    # would convert them; nested arrays go on to the flatness check
+    if isinstance(raw, list) and not all(
+            type(v) in (int, float, list) for v in raw):
         raise ChannelFileError(f"{what} must be an array of numbers")
     try:
         vals = np.asarray(raw, dtype=float)
+    except OverflowError:               # an integer beyond any float
+        raise ChannelFileError(
+            f"{what} has negative or non-finite entries") from None
     except (TypeError, ValueError):
         raise ChannelFileError(f"{what} must be an array of numbers") from None
     if vals.ndim != 1:
@@ -306,18 +323,33 @@ def _file_vector(raw, what: str) -> np.ndarray:
     return vals / s
 
 
+def _file_rows(raw, width: int) -> np.ndarray | None:
+    """The rows raw as one array, each renormalized to the bits that
+    _file_vector gives it, or None when some row fails one of its checks."""
+    if not all(len(r) == width and all(type(v) in (int, float) for v in r)
+               for r in raw):
+        return None
+    try:
+        m = np.array(raw, dtype=float)
+    except OverflowError:
+        return None
+    sums = _row_sums(m, FILE_SUM_ATOL)
+    return None if sums is None else m / sums[:, None]
+
+
 def _load_rows(raw, name: str) -> Dmc:
     if not isinstance(raw, list) or not raw or not all(
             isinstance(r, list) for r in raw):
         raise ChannelFileError(f"'{name}' must be a nonempty array of arrays")
     width = len(raw[0])
-    rows = []
-    for k, r in enumerate(raw):
-        if len(r) != width:
-            raise ChannelFileError(
-                f"'{name}' row {k} has {len(r)} entries, expected {width}")
-        rows.append(_file_vector(r, f"'{name}' row {k}"))
-    return Dmc(np.vstack(rows))
+    rows = _file_rows(raw, width)
+    if rows is None:                    # the first bad row names the error
+        for k, r in enumerate(raw):
+            if len(r) != width:
+                raise ChannelFileError(
+                    f"'{name}' row {k} has {len(r)} entries, expected {width}")
+            _file_vector(r, f"'{name}' row {k}")
+    return Dmc(rows)
 
 
 def parse_channel_spec(text: str, source: str = "<string>") -> ChannelSpec:

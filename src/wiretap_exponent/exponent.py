@@ -59,10 +59,11 @@ smallest positive table entry.  Each rung returns its own rows if the
 s = 0 dual bound certifies them, else the vertex of a spanning forest of
 its marginal grown in Kruskal order (support edges by their slack below
 each row's maximum of ln P - ln Q_Z), with prices and flows solved
-exactly on the forest, if that certifies; else the walk steps down a
-rung, building the next level.  Below the deepest level, the first that
-does not certify or that the 1e-9 cache quantum stops, the walk raises
-SolverError.
+exactly on the forest, if that certifies; the forest is tried after each
+new edge, and a try re-solves only the tree that the edge joined.  Else
+the walk steps down a rung, building the next level.  Below the deepest
+level, the first that does not certify or that the 1e-9 cache quantum
+stops, the walk raises SolverError.
 """
 from __future__ import annotations
 
@@ -73,6 +74,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channels import ChannelSpec, ConditionalChannel
 from .errors import SolverError
@@ -308,20 +310,20 @@ def _pick(at, n, *stacks):
     """The slices at (a list) of each of the stacks of n slices: arrays,
     lists, or floats that stand for one value of every slice (see
     _stacked).  When at takes all n slices, the stacks themselves.  The
-    per-slice lists and scalars stay because the one-slice off-table solves
-    pay for array bookkeeping: an all-array Newton stack printed the same
-    outputs but took the 101x101 asym3x3 plane 1.36-1.77 s against
-    0.65-1.22 s (in-process, one CPU)."""
+    arrays are indexed with one intp array made once per pick.
+
+    The per-slice lists and scalars stay because the one-slice off-table
+    solves pay for array bookkeeping: an all-array Newton stack printed the
+    same outputs but took the 101x101 asym3x3 plane 1.36-1.77 s against
+    0.65-1.22 s (in-process, one CPU), and _line_search's per-slice
+    values kept as array scalars took the plane's throughput to 0.85x (0
+    of 12 paired runs faster) and left cold calls unchanged."""
     if len(at) == n:
         return stacks
-    picked = []
-    for a in stacks:
-        if isinstance(a, np.ndarray):
-            a = a[at]
-        elif isinstance(a, list):
-            a = [a[j] for j in at]
-        picked.append(a)
-    return picked
+    idx = np.array(at, dtype=np.intp)
+    return [a[idx] if isinstance(a, np.ndarray)
+            else [a[j] for j in at] if isinstance(a, list) else a
+            for a in stacks]
 
 
 def _stacked(values, dims):
@@ -360,6 +362,20 @@ def _certify(w, log_p, support, s, s3, rows, q, ln_qz):
             for j, a in enumerate(s)], values
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _lapack_solve(a, b):
+    """np.linalg.solve of a stack of float64 systems a x = b, b a stack of
+    columns, without its per-call argument checks: the same batched LAPACK
+    gufunc under the same error state, so the same bits and the same
+    LinAlgError on a singular slice."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def _newton_direction(w, q, qz, v, s, rhs, floored, held):
     """Newton directions u (dV = V * u) of a stack, with s its _stacked
     (S, 1, 1) form and rhs the right-hand side [-1, ..., -1, 0] of each
@@ -376,7 +392,7 @@ def _newton_direction(w, q, qz, v, s, rhs, floored, held):
         rhs = rhs.copy()
         rhs[at, z] = 0.0
     try:
-        u = np.linalg.solve(kkt, rhs)
+        u = _lapack_solve(kkt, rhs)
     except np.linalg.LinAlgError:
         u = np.zeros_like(rhs)
         for j in range(len(q)):
@@ -435,10 +451,18 @@ def _line_search(w, log_p, support, s, s3, v, u, wlse, qz, floored, held):
         todo = [j for j in todo if t[j] >= 1e-12]
     if len(steps) == 1:
         return steps[0]
-    at = [j for took, _ in steps for j in took]
-    order = np.argsort(at)
-    return sorted(at), tuple(np.concatenate(parts)[order] for parts in
-                             zip(*(state for _, state in steps)))
+    # each trial's slices are scattered to their places in stack order
+    at = sorted(j for took, _ in steps for j in took)
+    rank = {j: m for m, j in enumerate(at)}
+    where = [np.array([rank[j] for j in took], dtype=np.intp)
+             for took, _ in steps]
+    state = []
+    for parts in zip(*(part for _, part in steps)):
+        a = np.empty((len(at),) + parts[0].shape[1:])
+        for m, part in zip(where, parts):
+            a[m] = part
+        state.append(a)
+    return at, tuple(state)
 
 
 def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
@@ -536,45 +560,41 @@ def _preorder(adj, root):
     return order, parent
 
 
-def _forest_rows(w, log_p, support, adj) -> np.ndarray | None:
-    """Log rows of the s = 0 vertex on the forest adj (nodes are rows x,
-    then outputs nx + z), or None when it needs a negative flow.
+def _tree_flows(w, log_p, adj, start, level, demand, rows) -> bool:
+    """Solves the s = 0 vertex on the tree of the forest adj (nodes are rows
+    x, then outputs nx + z) whose least node is start, writing the log row
+    entry of each of its edges into rows; False when it needs a negative
+    flow.  level and demand are scratch arrays over all nodes.
 
     Log prices u_z and row levels t_x follow u_z - t_x = ln P(z|x) along
-    each tree, and each tree's prices are scaled to sum to its budgets.
-    The flows, with row sums w_x and column sums e^u, are peeled from the
-    leaves towards the tree's largest node, which is never peeled: its
-    balance takes the rounding, so no small flow is the difference of two
-    large ones.
+    the tree from start, and the prices are scaled to sum to the tree's
+    budgets.  The flows, with row sums w_x and column sums e^u, are peeled
+    from the leaves towards the tree's largest node, which is never peeled:
+    its balance takes the rounding, so no small flow is the difference of
+    two large ones.
     """
     nx = w.size
-    level, demand = np.zeros(len(adj)), np.zeros(len(adj))
-    rows = np.full(log_p.shape, _LOGZERO)
-    done = np.zeros(len(adj), dtype=bool)
-    for start in range(len(adj)):
-        if done[start]:
-            continue
-        order, parent = _preorder(adj, start)
-        for b in order[1:]:
-            a = parent[b]
-            lp = log_p[min(a, b), max(a, b) - nx]
-            level[b] = level[a] + (lp if b >= nx else -lp)
-        xs = [a for a in order if a < nx]
-        zs = [a for a in order if a >= nx]
-        u = level[zs]
-        top = u.max()
-        u += math.log(w[xs].sum()) - top - math.log(np.exp(u - top).sum())
-        demand[xs], demand[zs] = w[xs], np.exp(u)
-        order, parent = _preorder(adj, max(order, key=demand.__getitem__))
-        for b in reversed(order[1:]):
-            a, flow = parent[b], demand[b]
-            if flow < 0.0:
-                return None
-            demand[a] -= flow
-            x, z = min(a, b), max(a, b) - nx
-            rows[x, z] = math.log(max(flow / w[x], _TINY))
-        done[order] = True
-    return _normalize_log_rows(rows, support)
+    order, parent = _preorder(adj, start)
+    level[start] = 0.0
+    for b in order[1:]:
+        a = parent[b]
+        lp = log_p[min(a, b), max(a, b) - nx]
+        level[b] = level[a] + (lp if b >= nx else -lp)
+    xs = [a for a in order if a < nx]
+    zs = [a for a in order if a >= nx]
+    u = level[zs]
+    top = u.max()
+    u += math.log(w[xs].sum()) - top - math.log(np.exp(u - top).sum())
+    demand[xs], demand[zs] = w[xs], np.exp(u)
+    order, parent = _preorder(adj, max(order, key=demand.__getitem__))
+    for b in reversed(order[1:]):
+        a, flow = parent[b], demand[b]
+        if flow < 0.0:
+            return False
+        demand[a] -= flow
+        x, z = min(a, b), max(a, b) - nx
+        rows[x, z] = math.log(max(flow / w[x], _TINY))
+    return True
 
 
 def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
@@ -588,13 +608,17 @@ def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
     a forest in the order of their slack below the row maximum of
     ln P - ln_v (Kruskal order, a stable sort), skipping any edge that
     would close a cycle.  Once every row and output lies on an edge, and
-    again after each further edge, the vertex on the forest is tried.
+    again after each further edge, the vertex on the forest is tried: the
+    first try solves every tree (_tree_flows), each later one re-solves only
+    the tree that the new edge joined.  Every other tree keeps its log row
+    entries, or its verdict that it needs a negative flow; a try while any
+    tree needs one is skipped.
     """
     nx, nz = log_p.shape
     score = np.where(support, log_p - ln_v[None, :], -np.inf)
     xs, zs = np.nonzero(support)
     slack = (score.max(axis=1)[:, None] - score)[xs, zs]
-    root = list(range(nx + nz))
+    root = list(range(nx + nz))         # each tree's root is its least node
 
     def find(a):
         while root[a] != a:
@@ -603,28 +627,44 @@ def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
         return a
 
     adj = [[] for _ in range(nx + nz)]
+    level, demand = np.zeros(nx + nz), np.zeros(nx + nz)
+    # a tree's solve rewrites the entries of all its edges and of no others
+    rows = np.full(log_p.shape, _LOGZERO)
+    negative = set()                    # roots of trees with a negative flow
     bare = nx + nz
     for e in np.argsort(slack, kind="stable"):
         x, z = int(xs[e]), nx + int(zs[e])
         rx, rz = find(x), find(z)
         if rx == rz:
             continue
-        root[rx] = rz
+        low, high = min(rx, rz), max(rx, rz)
+        root[high] = low
+        first = bare > 0                # the first try solves every tree
         bare -= (not adj[x]) + (not adj[z])
         adj[x].append(z)
         adj[z].append(x)
         if bare:
             continue
-        rows = _forest_rows(w, log_p, support, adj)
-        if rows is None:
+        if first:
+            trees = {find(a) for a in range(nx + nz)}
+        else:
+            negative.discard(high)
+            trees = (low,)
+        for r in trees:
+            if _tree_flows(w, log_p, adj, r, level, demand, rows):
+                negative.discard(r)
+            else:
+                negative.add(r)
+        if negative:
             continue
-        q, qz, d, i, f = _evaluate(w, log_p, rows, 0.0)
+        log_q = _normalize_log_rows(rows, support)
+        q, qz, d, i, f = _evaluate(w, log_p, log_q, 0.0)
         gap = f - _dual_bound(w, log_p, support,
                               np.log(np.maximum(qz, _TINY)))
         if gap <= gap_tol:
             _log.debug("s=0 forest vertex certifies gap %.3g after %d "
                        "Newton steps", gap, it)
-            return _InnerSolution(0.0, rows, q, d, i, f, gap, it)
+            return _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
     return None
 
 

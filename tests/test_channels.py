@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import wiretap_exponent as wx
+from wiretap_exponent import channels
 from wiretap_exponent.channels import parse_channel_spec
 
 from conftest import make_bsc, random_channel, random_test_channel
@@ -242,9 +244,25 @@ class TestChannelFiles:
          "'input_dist' must be an array of numbers"),
         ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [true]]}',
          "'wiretap' row 1 must be an array of numbers"),
+        # an integer beyond float range is no finite entry
+        ('{"input_dist": [1%s, 0], "wiretap": [[1.0], [1.0]]}' % ("0" * 400),
+         "'input_dist' has negative or non-finite entries"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [1%s]]}'
+         % ("0" * 400), "'wiretap' row 1 has negative or non-finite entries"),
+        # numpy would parse these strings, and turn null into NaN
+        ('{"input_dist": ["0.5", "0.5"], "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' must be an array of numbers"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [["1e0"], [1.0]]}',
+         "'wiretap' row 0 must be an array of numbers"),
+        ('{"input_dist": [0.5, 0.5], "wiretap": [[1.0], [" 1 "]]}',
+         "'wiretap' row 1 must be an array of numbers"),
+        ('{"input_dist": [null, 1], "wiretap": [[1.0], [1.0]]}',
+         "'input_dist' must be an array of numbers"),
     ], ids=["input-flat", "input-negative", "input-sum", "row-flat",
             "row-nan", "main-row-sum", "input-object", "input-string",
-            "row-object", "main-row-string", "input-bool", "row-bool"])
+            "row-object", "main-row-string", "input-bool", "row-bool",
+            "input-huge-int", "row-huge-int", "input-numeric-string",
+            "row-numeric-string", "row-padded-string", "input-null"])
     def test_vector_messages(self, doc, message):
         with pytest.raises(wx.ChannelFileError) as exc:
             parse_channel_spec(doc)
@@ -254,3 +272,107 @@ class TestChannelFiles:
         doc = '{"input_dist": [0.5, 0.5], "wiretap": [[1.1, -0.1], [0.1, 0.9]]}'
         with pytest.raises(wx.ChannelFileError):
             parse_channel_spec(doc)
+
+
+def _outcome(check, *args):
+    """The error message of check(*args), or its value."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _edge_rows(atol: float) -> list:
+    """Rows whose sums lie a few ulps either side of 1 - atol and 1 + atol:
+    one-entry rows, and two-entry rows whose sum rounds."""
+    rows = []
+    for edge in (1.0 - atol, 1.0 + atol):
+        v = edge
+        for _ in range(4):
+            v = np.nextafter(v, 0.0)
+        for _ in range(9):
+            rows += [[float(v)], [0.5, float(v) - 0.5]]
+            v = np.nextafter(v, 2.0)
+    return rows
+
+
+class TestRowChecksAtOnce:
+    """Dmc and the channel-file loader check all rows as one array; each
+    row must be decided, and each error worded, as the per-row checks
+    (_as_prob_vector, _file_vector) do on it alone."""
+
+    def test_dmc_names_the_first_bad_row(self):
+        with pytest.raises(ValueError) as exc:
+            wx.Dmc([[0.5, 0.5], [0.7, 0.4], [-0.1, 1.1], [0.5, 0.5]])
+        assert str(exc.value) == "channel row 1 sums to " \
+            f"{1.1:.17g}, outside tolerance {channels.SUM_ATOL}"
+        with pytest.raises(ValueError, match="^channel row 0 contains neg"):
+            wx.Dmc([[-0.1, 1.1], [math.nan, 1.0]])
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[0.5, 0.5], [0.5, 0.6], ["x", 1]],
+         "row 1 sums to 1.1000000000000001"),
+        ([[0.5, 0.5], [-1, 2], [0.5]], "row 1 has negative or non-finite"),
+        ([[1, 0], [1], [0.5, 0.6]], "row 1 has 1 entries, expected 2"),
+        ([[1, 0], ["1", 0], [1]], "row 1 must be an array of numbers"),
+    ], ids=["sum-then-string", "negative-then-width", "width-then-sum",
+            "string-then-width"])
+    def test_file_names_the_first_bad_row(self, rows, message):
+        doc = json.dumps({"input_dist": [1 / 3] * 3, "wiretap": rows})
+        with pytest.raises(wx.ChannelFileError) as exc:
+            parse_channel_spec(doc)
+        assert str(exc.value).startswith(f"<string>: 'wiretap' {message}")
+
+    def test_dmc_sums_at_tolerance_decided_as_alone(self):
+        seen = set()
+        for row in _edge_rows(channels.SUM_ATOL):
+            good = [1.0 / len(row)] * len(row)
+            alone = _outcome(channels._as_prob_vector, row, "channel row 1")
+            got = _outcome(lambda: wx.Dmc([good, row, good]).rows[1])
+            if isinstance(alone, str):
+                assert got == alone
+            else:
+                assert got.tobytes() == alone.tobytes()
+            seen.add(isinstance(alone, str))
+        assert seen == {True, False}
+
+    def test_file_sums_at_tolerance_decided_as_alone(self):
+        seen = set()
+        for row in _edge_rows(channels.FILE_SUM_ATOL):
+            good = [1.0 / len(row)] * len(row)
+            doc = json.dumps({"input_dist": [0.25, 0.5, 0.25],
+                              "wiretap": [good, row, good]})
+            try:
+                alone = channels._file_vector(row, "'wiretap' row 1")
+            except wx.ChannelFileError as exc:
+                alone = f"<string>: {exc}"
+            try:
+                got = parse_channel_spec(doc).wiretap.rows[1]
+            except wx.ChannelFileError as exc:
+                got = str(exc)
+            if isinstance(alone, str):
+                assert got == alone
+            else:
+                assert got.tobytes() == alone.tobytes()
+            seen.add(isinstance(alone, str))
+        assert seen == {True, False}
+
+    def test_file_rows_renormalize_as_alone(self):
+        # rows off 1 by up to FILE_SUM_ATOL, 1 to 300 wide, in both channels
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            nx = int(rng.integers(2, 40))
+            nz, ny = (int(v) for v in rng.integers(1, 40, size=2))
+            if rng.random() < 0.1:
+                nz = int(rng.integers(40, 300))
+            doc = {"input_dist": [1.0 / nx] * nx}
+            for name, width in (("wiretap", nz), ("main", ny)):
+                m = rng.dirichlet(np.full(width, 0.5), size=nx)
+                m *= 1.0 + rng.uniform(-0.9, 0.9, (nx, 1)) * \
+                    channels.FILE_SUM_ATOL
+                doc[name] = m.tolist()
+            spec = parse_channel_spec(json.dumps(doc))
+            for name, dmc in (("wiretap", spec.wiretap), ("main", spec.main)):
+                for k, row in enumerate(doc[name]):
+                    alone = channels._file_vector(row, name)
+                    assert dmc.rows[k].tobytes() == alone.tobytes()

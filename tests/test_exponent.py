@@ -13,9 +13,10 @@ from wiretap_exponent.channels import parse_channel_spec
 from wiretap_exponent.cli import main
 from wiretap_exponent.exponent import ExponentSolver
 
-from conftest import (SLOW_FIXED_POINT, make_asym_3x3, make_bsc,
-                      random_channel, random_test_channel)
+from conftest import (SLOW_FIXED_POINT, check_vertex_tries, make_asym_3x3,
+                      make_bsc, random_channel, random_test_channel)
 from scan_generated import generated
+from workloads import cold_pool  # on the path scan_generated sets
 
 LN2 = math.log(2.0)
 
@@ -810,6 +811,80 @@ class TestLockstepTable:
         assert np.array_equal(u[1], alone[0])
 
 
+    @staticmethod
+    def _stack(s, seed):
+        """asym3x3's w, log P and support, and a stack of the list s at
+        seeded marginals v: (args, s3, v, q, Q_Z, <w, lse>, rhs)."""
+        solver = ExponentSolver(make_asym_3x3())
+        args = (solver._w, solver._log_p, solver._support)
+        v = np.random.default_rng(seed).dirichlet(np.ones(3), size=len(s))
+        s3 = exponent._stacked(s, 2)
+        _, q, qz, wlse = exponent._dual_point(*args, s3, np.log(v))
+        rhs = np.append(-np.ones((len(s), 3, 1)), np.zeros((len(s), 1, 1)),
+                        axis=1)
+        return args, s3, v, q, qz, wlse, rhs
+
+    def test_singular_slice_falls_back_alone(self):
+        # V = 0 zeroes the constraint row and column of slice 1's KKT
+        # matrix: the batched solve raises, slice 1 gets u = 0 and the
+        # others the bits of their lone solves
+        s = [0.3, 0.7, 1.6]
+        (w, _, _), s3, v, q, qz, _, rhs = self._stack(s, 5)
+        v[1] = 0.0
+        floored = np.zeros(qz.shape, bool)
+        with pytest.raises(np.linalg.LinAlgError):
+            exponent._lapack_solve(exponent._newton_kkt(w, q, qz, v, s3), rhs)
+        u = exponent._newton_direction(w, q, qz, v, s3, rhs, floored, 0)
+        assert u.shape == (3, 3) and not u[1].any()
+        for j in (0, 2):
+            alone = exponent._newton_direction(
+                w, q[j:j + 1], qz[j:j + 1], v[j:j + 1], s[j], rhs[:1],
+                floored[:1], 0)
+            assert u[j].tobytes() == alone[0].tobytes()
+
+    def test_batched_solve_is_numpy_solve(self):
+        s = [0.3, 0.7, 1.6]
+        (w, _, _), s3, v, q, qz, _, rhs = self._stack(s, 5)
+        kkt = exponent._newton_kkt(w, q, qz, v, s3)
+        assert exponent._lapack_solve(kkt, rhs).tobytes() == \
+            np.linalg.solve(kkt, rhs).tobytes()
+
+    def test_line_search_without_a_searching_slice(self):
+        # every step below the floor: no slice searches, nothing moves
+        s = [0.3, 1.6]
+        args, s3, v, _, qz, wlse, _ = self._stack(s, 5)
+        floored = np.zeros(qz.shape, bool)
+        assert exponent._line_search(*args, s, s3, v, np.zeros_like(v),
+                                     wlse, qz, floored, 0) == ([], ())
+
+    def test_split_line_search_matches_lone_searches(self, monkeypatch):
+        # scaled directions make the slices accept at the first, second and
+        # third trial, and slice 2 takes no step; each moved slice's state
+        # has the bits of its lone search
+        s = [0.05, 0.3, 0.7, 1.3, 1.9]
+        args, s3, v, q, qz, wlse, rhs = self._stack(s, 2)
+        floored = np.zeros(qz.shape, bool)
+        u = exponent._newton_direction(args[0], q, qz, v, s3, rhs, floored,
+                                       0)
+        u *= np.array([4.0, 2.0, 0.0, 30.0, 100.0])[:, None]
+        trials, dual_point = [], exponent._dual_point
+
+        def counted(*a):
+            trials.append(len(a[-1]))
+            return dual_point(*a)
+
+        monkeypatch.setattr(exponent, "_dual_point", counted)
+        moved, state = exponent._line_search(*args, s, s3, v, u, wlse, qz,
+                                             floored, 0)
+        assert trials == [4, 3, 1] and moved == [0, 1, 3, 4]
+        for m, j in enumerate(moved):
+            (one,), alone = exponent._line_search(
+                *args, [s[j]], s[j], v[j:j + 1], u[j:j + 1], wlse[j:j + 1],
+                qz[j:j + 1], floored[:1], 0)
+            assert one == 0
+            for a, b in zip(state, alone):
+                assert a[m].tobytes() == b[0].tobytes()
+
 def _s0_channel(kind: str, seed: int) -> wx.ChannelSpec:
     """Seeded channel of one degenerate kind, built without solver code."""
     rng = np.random.default_rng(seed)
@@ -924,6 +999,50 @@ class TestVertexAtSZero:
         # the stalled iterate lies above the vertex optimum by at most its
         # own gap
         assert 0.0 < ends[0][0] - sol.f <= ends[0][1]
+
+
+def _cold_channels() -> dict:
+    """The channel document of each size of the benchmark's cold pool."""
+    return {len(call.channel["input_dist"]): call.channel
+            for call in cold_pool("")}
+
+
+class TestPerTreeVertex:
+    """Each try of _forest_vertex re-solves only the tree the new edge
+    joined; every vertex the s = 0 walk tries must be the one that solving
+    the whole forest at every try gives (conftest.whole_forest_vertex)."""
+
+    @pytest.mark.parametrize("name", sorted(
+        os.path.splitext(n)[0] for n in os.listdir(
+            os.path.join(os.path.dirname(__file__), "data"))))
+    def test_fixtures(self, name):
+        check_vertex_tries(wx.load_channel_spec(_scan_path(name)))
+
+    @pytest.mark.parametrize("size", range(2, 17))
+    def test_cold_pool_channels(self, size):
+        tried = check_vertex_tries(
+            parse_channel_spec(json.dumps(_cold_channels()[size])))
+        if size == 16:
+            # the rung s = 1/32 has no certified vertex; the next one does
+            assert tried[0] is None and len(tried) == 2
+            assert tried[1] is not None
+
+    @pytest.mark.parametrize("seed,k", [(7, 17), (7, 43), (8, 54), (9, 24),
+                                        (11, 3)])
+    def test_negative_tree_then_vertex(self, seed, k, monkeypatch):
+        # generated channels on which a tree needs a negative flow, and a
+        # later try, after that tree has merged, certifies the vertex; on
+        # the last two it merges into another tree
+        verdicts, flows = [], exponent._tree_flows
+
+        def recorded(*a):
+            verdicts.append(flows(*a))
+            return verdicts[-1]
+
+        monkeypatch.setattr(exponent, "_tree_flows", recorded)
+        doc = dict(generated(seed))[k]
+        tried = check_vertex_tries(parse_channel_spec(json.dumps(doc)))
+        assert tried[-1] is not None and False in verdicts
 
 
 # Channels #44 (3x8), #46 (6x2), #65 (4x2), #68 (6x3) and #77 (2x6) of the

@@ -20,17 +20,23 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 from workloads import generate_channel  # noqa: E402
 
 import wiretap_exponent as wx  # noqa: E402
+from conftest import check_vertex_tries  # noqa: E402
 from wiretap_exponent.channels import parse_channel_spec  # noqa: E402
 
 TOL = 1e-9
 
 
 @st.composite
-def solvers(draw):
+def specs(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     nx, nz = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     doc = generate_channel(np.random.default_rng(seed), nx, nz)
-    return wx.ExponentSolver(parse_channel_spec(json.dumps(doc)))
+    return parse_channel_spec(json.dumps(doc))
+
+
+@st.composite
+def solvers(draw):
+    return wx.ExponentSolver(draw(specs()))
 
 
 fraction = st.floats(0.0, 1.0)
@@ -54,3 +60,10 @@ def test_exponent_bounds_and_monotonicity(solver, a, b, c):
     # zero while R1 <= I(X;Z)
     low = a * solver.i_p
     assert abs(e(low, b * low)) <= TOL
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(spec=specs())
+def test_forest_vertex_per_tree(spec):
+    # every vertex the s = 0 walk tries is the whole-forest one
+    check_vertex_tries(spec)
