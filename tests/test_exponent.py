@@ -810,7 +810,6 @@ class TestLockstepTable:
             w, q[1:], qz[1:], v[1:], s[1], rhs[1:], floored[1:], 0)
         assert np.array_equal(u[1], alone[0])
 
-
     @staticmethod
     def _stack(s, seed):
         """asym3x3's w, log P and support, and a stack of the list s at
@@ -884,6 +883,7 @@ class TestLockstepTable:
             assert one == 0
             for a, b in zip(state, alone):
                 assert a[m].tobytes() == b[0].tobytes()
+
 
 def _s0_channel(kind: str, seed: int) -> wx.ChannelSpec:
     """Seeded channel of one degenerate kind, built without solver code."""
