@@ -167,6 +167,10 @@ def _cmd_exponent(args) -> int:
         f"rep_discrepancy {_fmt((res.e - res.rep2_value) / unit)}",
     ]
     _emit(lines, args.output)
+    if res.gap_bound > 2.0 * cfg["gap_tol"]:
+        print(f"warning: E rests on a sandwich {res.gap_bound:.3g} nats "
+              f"wide, wider than 2*gap_tol = {2.0 * cfg['gap_tol']:.3g}",
+              file=sys.stderr)
     return 0
 
 
@@ -174,16 +178,17 @@ _SWEEP_COLUMNS = ("R1", "R2", "E", "E1", "E2", "E3", "branch", "class")
 
 
 def _sweep_rows(spec, r1_values, r2_mode, cfg,
-                unit: float = 1.0) -> tuple[list, int]:
+                unit: float = 1.0) -> tuple[list, int, list]:
     """The values of _SWEEP_COLUMNS at each rate pair of the grid, rates
-    and exponents divided by unit, and the number of pairs with R2 > R1."""
+    and exponents divided by unit, the number of pairs with R2 > R1, and
+    the sandwich widths behind E (nats) that exceed 2 gap_tol."""
     # always in-process: the rows share one solver's table and phi memo, and
     # splitting them over a process pool was slower on every plane measured
     # (41x41 to 201x201) because each worker rebuilt both
     solver = ExponentSolver(spec, **_solver_kwargs(cfg))
-    tol = cfg["classify_tol"]
+    tol, limit = cfg["classify_tol"], 2.0 * solver.gap_tol
     kind, r2_values = r2_mode
-    rows, skipped = [], 0
+    rows, skipped, wide = [], 0, []
     for r1 in r1_values.tolist():
         r2s = (r2_values * r1 if kind == "fractions" else r2_values).tolist()
         for r2 in r2s:
@@ -191,10 +196,12 @@ def _sweep_rows(spec, r1_values, r2_mode, cfg,
                 skipped += 1
                 continue
             rates = RatePair(r1, r2)
-            e, e1, e2, e3, branch = solver._branches(rates)[:5]
+            e, e1, e2, e3, branch, _, width = solver._branches(rates)
             rows.append((r1 / unit, r2 / unit, e / unit, e1 / unit, e2 / unit,
                          e3 / unit, branch, classify_exponent(e, rates, tol)))
-    return rows, skipped
+            if width > limit:
+                wide.append(width)
+    return rows, skipped, wide
 
 
 def _cmd_sweep(args) -> int:
@@ -219,7 +226,7 @@ def _cmd_sweep(args) -> int:
         if bad:
             raise ChannelFileError(f"unknown sweep columns {sorted(bad)}")
 
-    rows, skipped = _sweep_rows(spec, r1_values, r2_mode, cfg, unit)
+    rows, skipped, wide = _sweep_rows(spec, r1_values, r2_mode, cfg, unit)
 
     # one %-format per row, floats as _fmt prints them
     fmt = ",".join("%s" if c in ("branch", "class") else "%.12g"
@@ -228,6 +235,10 @@ def _cmd_sweep(args) -> int:
     lines = [",".join(columns)]
     lines += [fmt % tuple([row[i] for i in at]) for row in rows]
     _emit(lines, args.output, skipped)
+    if wide:
+        print(f"warning: {len(wide)} of {len(rows)} rows rest on a sandwich "
+              f"wider than 2*gap_tol = {2.0 * cfg['gap_tol']:.3g}; the "
+              f"widest is {max(wide):.3g} nats", file=sys.stderr)
     return 0
 
 

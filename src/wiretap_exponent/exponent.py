@@ -71,12 +71,12 @@ import bisect
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .channels import ChannelSpec, ConditionalChannel
+from .channels import ChannelSpec
 from .errors import SolverError
 
 LN2 = math.log(2.0)
@@ -143,14 +143,16 @@ class RatePair:
 
 @dataclass(frozen=True)
 class ExponentResult:
-    """E(R1, R2) with its branch breakdown and achieving test channel.
+    """E(R1, R2) with its branch breakdown and certified width.
 
     ``e`` equals ``min(e1, e2, e3)``; ``active_branch`` reports the
     smallest-index branch within 1e-9 of the minimum.  ``gap_bound`` is
     the width of the certified sandwich around the ``phi`` value of the
     active branch, which bounds the error of ``e``; 0 for a branch that
     needs no ``phi``.  The representation-2 fields are populated by
-    :meth:`ExponentSolver.solve`.
+    :meth:`ExponentSolver.solve`.  The minimizing test channel is not
+    part of the result: ``phi(i)[1]`` is the inner solution behind each
+    branch value.
     """
 
     e: float
@@ -158,7 +160,6 @@ class ExponentResult:
     e2: float
     e3: float
     active_branch: str
-    q_star: ConditionalChannel
     rep2_value: float | None = None
     lambda1: float | None = None
     lambda2: float | None = None
@@ -662,9 +663,10 @@ def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
         gap = f - _dual_bound(w, log_p, support,
                               np.log(np.maximum(qz, _TINY)))
         if gap <= gap_tol:
+            sol = _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
             _log.debug("s=0 forest vertex certifies gap %.3g after %d "
-                       "Newton steps", gap, it)
-            return _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
+                       "Newton steps", sol.gap, it)
+            return sol
     return None
 
 
@@ -697,7 +699,8 @@ class ExponentSolver:
     ----------
     spec : ChannelSpec
         Channel under study.  Inputs with zero mass and outputs outside
-        every row's support are dropped before optimization.
+        every row's support are dropped before optimization, so every
+        inner solution's rows are those of the reduced channel.
     gap_tol : float
         Certified optimality gap at which inner solves stop; ``phi`` stops
         refining once its sandwich is at most twice as wide.
@@ -712,7 +715,6 @@ class ExponentSolver:
         if not (float(max_iter).is_integer() and max_iter >= 1):
             raise ValueError(
                 f"max_iter = {max_iter!r} must be an integer of at least 1")
-        self.spec = spec
         self.gap_tol = float(gap_tol)
         self.max_iter = int(max_iter)
 
@@ -720,8 +722,6 @@ class ExponentSolver:
         keep_x = w_full > 0
         p_rows = spec.wiretap.rows[keep_x]
         keep_z = (p_rows > 0).any(axis=0)
-        self._keep_x = keep_x
-        self._keep_z = keep_z
         self._w = w_full[keep_x]
         # C order: indexing the columns leaves a Fortran-ordered copy, and
         # the order of the operands fixes the rounding of every row sum
@@ -842,13 +842,6 @@ class ExponentSolver:
             return ladder[k - 1]
         return ladder[k]
 
-    def _embed(self, sol: _InnerSolution) -> ConditionalChannel:
-        rows = np.array(self.spec.wiretap.rows, dtype=float)
-        block = np.zeros((sol.q.shape[0], rows.shape[1]))
-        block[:, self._keep_z] = sol.q / sol.q.sum(axis=1, keepdims=True)
-        rows[self._keep_x] = block
-        return ConditionalChannel(rows, self.spec.input_dist)
-
     def _bracket(self, target: float):
         """The two certified solves whose I bracket the interior target,
         (lo, hi) with I(lo) >= target >= I(hi), and whether solves between
@@ -940,18 +933,6 @@ class ExponentSolver:
             hit = self._phi_cache[target_i] = self._sandwich(target_i)
         return hit
 
-    def inner_lagrangian_min(self, mu: float) -> tuple[ConditionalChannel, float, float]:
-        """Global minimizer of D + mu*I over test channels with Q_X = P_X.
-
-        Returns the minimizer together with its divergence and mutual
-        information.  mu must lie in [-1, 1]; outside that range the
-        objective stops being convex.
-        """
-        if not -1.0 <= mu <= 1.0:
-            raise ValueError(f"mu = {mu} outside [-1, 1]")
-        sol = self._solve_s(1.0 + mu)
-        return self._embed(sol), sol.d, sol.i
-
     def e3(self, r1: float) -> tuple[float, _InnerSolution | None, float]:
         """(E3(R1) = min {D : I >= R1}, its inner solution, sandwich width).
 
@@ -973,14 +954,15 @@ class ExponentSolver:
         outside [-1, 1]; by convexity of the trade-off those regions are
         dominated by another branch, so ``e`` is unaffected.)
         """
-        e, e1, e2, e3, branch, achiever, width = self._branches(rates)
+        e, e1, e2, e3, branch, _, width = self._branches(rates)
         return ExponentResult(e=e, e1=e1, e2=e2, e3=e3, active_branch=branch,
-                              q_star=self._embed(achiever), gap_bound=width)
+                              gap_bound=width)
 
     def _branches(self, rates: RatePair):
         """(e, e1, e2, e3, active branch, achiever, sandwich width) at rates:
-        the one branch evaluation, which exponent_rep1 wraps in an
-        ExponentResult and the CLI sweep reads as it is."""
+        the one branch evaluation, which exponent_rep1 and solve wrap in
+        an ExponentResult and the CLI sweep reads as it is.  The achiever
+        is the inner solution behind the active branch's value."""
         r1, r2 = rates.r1, rates.r2
         if r2 < self.i_min:
             e1, q1 = math.inf, (None, 0.0)
@@ -1027,9 +1009,11 @@ class ExponentSolver:
 
     def solve(self, rates: RatePair) -> ExponentResult:
         """Full evaluation: representation-1 branches plus the min-max value."""
-        res = self.exponent_rep1(rates)
+        e, e1, e2, e3, branch, _, width = self._branches(rates)
         value, lam1, lam2 = self.exponent_rep2(rates)
-        return replace(res, rep2_value=value, lambda1=lam1, lambda2=lam2)
+        return ExponentResult(e=e, e1=e1, e2=e2, e3=e3, active_branch=branch,
+                              rep2_value=value, lambda1=lam1, lambda2=lam2,
+                              gap_bound=width)
 
 
 # ---------------------------------------------------------------------------

@@ -246,10 +246,11 @@ def test_criterion_9_determinism(tmp_path):
     def snapshot():
         parts = []
         solver = ExponentSolver(rng_spec)
-        res = solver.solve(wx.RatePair(0.7, 0.2))
+        rates = wx.RatePair(0.7, 0.2)
+        res = solver.solve(rates)
         parts.append(repr((res.e, res.e1, res.e2, res.e3, res.rep2_value,
                            res.lambda1, res.lambda2,
-                           res.q_star.rows.tolist())))
+                           solver._branches(rates)[5].q.tobytes())))
         parts.append(repr(wx.bsc_exponent_closed_form(
             0.1, wx.RatePair(0.6, 0.1))))
         iv = wx.full_security_interval(ExponentSolver(make_bsc(0.1)),

@@ -47,35 +47,37 @@ class TestRatePair:
         assert wx.RatePair(0.6, 0.1).r == pytest.approx(0.5)
 
 
+def inner_min(solver, mu):
+    """(rows, D, I) of the minimizer of D + mu I with Q_X = P_X: the inner
+    solve at s = 1 + mu, on the solver's reduced channel."""
+    sol = solver._solve_s(1.0 + mu)
+    return sol.q, sol.d, sol.i
+
+
 class TestInnerLagrangianMin:
     def test_mu_zero_returns_true_channel(self, bsc01):
-        q, d, i = ExponentSolver(bsc01).inner_lagrangian_min(0.0)
+        q, d, i = inner_min(ExponentSolver(bsc01), 0.0)
         assert d == pytest.approx(0.0, abs=1e-12)
         assert i == pytest.approx(LN2 - (-0.1 * math.log(0.1) - 0.9 * math.log(0.9)),
                                   abs=1e-10)
-        assert np.allclose(q.rows, bsc01.wiretap.rows, atol=1e-9)
+        assert np.allclose(q, bsc01.wiretap.rows, atol=1e-9)
 
     def test_bsc_tilted_crossover_s1(self, bsc01):
         # s = 1 keeps the true channel: crossover p
-        q, _, _ = ExponentSolver(bsc01).inner_lagrangian_min(0.0)
-        assert q.rows[0, 1] == pytest.approx(0.1, abs=1e-9)
+        q, _, _ = inner_min(ExponentSolver(bsc01), 0.0)
+        assert q[0, 1] == pytest.approx(0.1, abs=1e-9)
 
     def test_bsc_tilted_crossover_s2(self, bsc01):
         # s = 2 gives p^{1/2} / (p^{1/2} + (1-p)^{1/2}) = 1/4 exactly for p = 0.1
-        q, _, _ = ExponentSolver(bsc01).inner_lagrangian_min(1.0)
-        assert q.rows[0, 1] == pytest.approx(0.25, abs=1e-9)
-
-    def test_mu_out_of_range(self, bsc01):
-        solver = ExponentSolver(bsc01)
-        with pytest.raises(ValueError):
-            solver.inner_lagrangian_min(1.5)
+        q, _, _ = inner_min(ExponentSolver(bsc01), 1.0)
+        assert q[0, 1] == pytest.approx(0.25, abs=1e-9)
 
     def test_global_minimality_against_probes(self):
         rng = np.random.default_rng(4)
         spec = random_channel(rng, 3, 3)
         solver = ExponentSolver(spec)
         for mu in (-1.0, -0.6, -0.2, 0.3, 1.0):
-            q, d, i = solver.inner_lagrangian_min(mu)
+            q, d, i = inner_min(solver, mu)
             value = d + mu * i
             for _ in range(1000):
                 probe = random_test_channel(rng, spec)
@@ -84,13 +86,15 @@ class TestInnerLagrangianMin:
                 assert pv >= value - 1e-9
 
     def test_reproducible_across_solvers(self, bsc01):
-        a = ExponentSolver(bsc01).inner_lagrangian_min(-0.7)
-        b = ExponentSolver(bsc01).inner_lagrangian_min(-0.7)
+        a = inner_min(ExponentSolver(bsc01), -0.7)
+        b = inner_min(ExponentSolver(bsc01), -0.7)
         assert a[1] == b[1] and a[2] == b[2]
-        assert np.array_equal(a[0].rows, b[0].rows)
+        assert np.array_equal(a[0], b[0])
 
     def test_bsc_noiseless_endpoint(self, bsc01):
-        _, d, i = ExponentSolver(bsc01).inner_lagrangian_min(-1.0)
+        solver = ExponentSolver(bsc01)
+        _, d, i = inner_min(solver, -1.0)
+        assert solver._solve_s(0.0) is solver._zero
         assert i == pytest.approx(LN2, abs=1e-7)
         assert d == pytest.approx(math.log(1 / 0.9), abs=1e-7)
 
@@ -100,7 +104,7 @@ class TestInnerLagrangianMin:
         rng = np.random.default_rng(5)
         spec = random_channel(rng, 3, 4)
         solver = ExponentSolver(spec)
-        dv, iv = np.array([solver.inner_lagrangian_min(float(mu))[1:]
+        dv, iv = np.array([inner_min(solver, float(mu))[1:]
                            for mu in np.linspace(1.0, -1.0, 101)]).T
         assert np.all(np.diff(iv) >= -1e-10)
         for k in range(1, len(iv) - 1):
@@ -113,7 +117,7 @@ class TestInnerLagrangianMin:
     def test_zero_divergence_only_at_ip(self, bsc01):
         solver = ExponentSolver(bsc01)
         for mu in np.linspace(1.0, -1.0, 81):
-            _, d, i = solver.inner_lagrangian_min(float(mu))
+            _, d, i = inner_min(solver, float(mu))
             if d <= 1e-10:
                 assert abs(i - solver.i_p) <= 1e-4
 
@@ -161,10 +165,15 @@ class TestExponentRep1:
             assert res.e1 >= r1 - r2 - 1e-12
 
     def test_q_star_consistency(self, bsc01):
+        # on bsc01 nothing is dropped, so the achiever's rows are a test
+        # channel of the whole spec
         solver = ExponentSolver(bsc01)
-        res = solver.exponent_rep1(wx.RatePair(0.6, 0.1))
-        d = wx.weighted_divergence(res.q_star, bsc01.wiretap)
-        i = wx.mutual_information(res.q_star)
+        rates = wx.RatePair(0.6, 0.1)
+        res = solver.exponent_rep1(rates)
+        achiever = solver._branches(rates)[5]
+        q = wx.ConditionalChannel(achiever.q, bsc01.input_dist)
+        d = wx.weighted_divergence(q, bsc01.wiretap)
+        i = wx.mutual_information(q)
         # active branch is E2/E3 at I = R1; the achiever sits there
         assert i == pytest.approx(0.6, abs=1e-5)
         assert res.e == pytest.approx(d, abs=1e-6)
@@ -432,9 +441,10 @@ class TestSparseSupport:
         spec = wx.ChannelSpec(wx.Distribution([0.6, 0.4]),
                               wx.Dmc([[0.9, 0.0, 0.1], [0.2, 0.0, 0.8]]))
         solver = ExponentSolver(spec)
-        res = solver.solve(wx.RatePair(0.5, 0.1))
+        rates = wx.RatePair(0.5, 0.1)
+        res = solver.solve(rates)
         assert abs(res.e - res.rep2_value) <= 1e-6
-        assert np.all(res.q_star.rows[:, 1] == 0.0)
+        assert solver._branches(rates)[5].q.shape == (2, 2)
 
     def test_near_deterministic_rows_and_skewed_input(self):
         # tiny equilibrium masses make the small-s landscape delicate;
@@ -464,16 +474,12 @@ class TestSparseSupport:
 class TestDeterminism:
     def test_bitwise_reproducible(self, bsc01):
         rates = wx.RatePair(0.6, 0.1)
-        a = ExponentSolver(bsc01).solve(rates)
-        b = ExponentSolver(bsc01).solve(rates)
-        assert (a.e, a.e1, a.e2, a.e3, a.rep2_value, a.lambda1, a.lambda2) == \
-            (b.e, b.e1, b.e2, b.e3, b.rep2_value, b.lambda1, b.lambda2)
-        assert np.array_equal(a.q_star.rows, b.q_star.rows)
-        # a repeat query on the same solver embeds its achiever afresh
-        solver = ExponentSolver(bsc01)
-        c, d = solver.exponent_rep1(rates), solver.exponent_rep1(rates)
-        assert c.q_star.rows.tobytes() == d.q_star.rows.tobytes() == \
-            a.q_star.rows.tobytes()
+        s1, s2 = ExponentSolver(bsc01), ExponentSolver(bsc01)
+        a, b = s1.solve(rates), s2.solve(rates)
+        assert a == b
+        # the achiever behind e has the same bits on both solvers
+        assert s1._branches(rates)[5].q.tobytes() == \
+            s2._branches(rates)[5].q.tobytes()
 
     def test_query_order_independent(self, bsc01):
         s1 = ExponentSolver(bsc01)
@@ -498,12 +504,12 @@ class TestDeterminism:
         for t, a, b in zip(targets, phi_fwd, phi_rev):
             assert a == b == ExponentSolver(spec).phi(t)[0]
         for p, a, b in zip(pairs, res_fwd, res_rev):
-            fresh = ExponentSolver(spec).exponent_rep1(p)
-            for res in (a, b):
-                assert (res.e, res.e1, res.e2, res.e3, res.active_branch) == \
-                    (fresh.e, fresh.e1, fresh.e2, fresh.e3,
-                     fresh.active_branch)
-                assert res.q_star.rows.tobytes() == fresh.q_star.rows.tobytes()
+            fresh = ExponentSolver(spec)
+            assert a == b == fresh.exponent_rep1(p)
+            # the achiever behind e, as the memoized and the fresh solver
+            # give it
+            assert warm._branches(p)[5].q.tobytes() == \
+                fresh._branches(p)[5].q.tobytes()
 
 
 class TestAndersonStep:
@@ -999,6 +1005,20 @@ class TestVertexAtSZero:
         # the stalled iterate lies above the vertex optimum by at most its
         # own gap
         assert 0.0 < ends[0][0] - sol.f <= ends[0][1]
+
+    @pytest.mark.parametrize("name", ["asym3x3", "scan7_046_6x2",
+                                      "scan7_065_4x2"])
+    def test_record_logs_the_clamped_gap(self, name, caplog):
+        # on these channels f minus the dual bound at the vertex rounds
+        # below 0 (down to -1.1e-16); the record gives the vertex's gap,
+        # which no certificate reports below _NOISE
+        with caplog.at_level(logging.DEBUG, logger="wiretap_exponent"):
+            sol = ExponentSolver(_fixture_spec(name))._zero
+        [record] = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("s=0 forest vertex")]
+        assert sol.gap >= exponent._NOISE
+        assert record == (f"s=0 forest vertex certifies gap {sol.gap:.3g} "
+                          f"after {sol.iterations} Newton steps")
 
 
 def _cold_channels() -> dict:

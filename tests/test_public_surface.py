@@ -3,8 +3,9 @@
 ``wx.__all__`` lists exactly the public attributes of the package, and
 every name the README's Python API section uses or lists resolves: a name
 that leaves the code cannot stay behind in the documentation.  Every
-public function has a reader: the package's code, the benchmark, or the
-tests, as a reference oracle.
+public function, and every public method and property of a public class,
+has a reader: the package's code, the benchmark, or the tests, as a
+reference oracle.
 """
 import ast
 import dataclasses
@@ -103,10 +104,9 @@ def _code_references(path):
     return found
 
 
-def test_every_public_function_has_a_reader():
-    """Each function in ``__all__`` is read by the package's own code, by
-    the benchmark (``bench/tracing.py``'s targets included), or is a
-    reference oracle of the tests."""
+def _readers():
+    """(names the package's code reads, the text of the benchmark's
+    modules, ``bench/tracing.py``'s targets included)."""
     src = os.path.dirname(wx.__file__)
     used = set()
     for name in os.listdir(src):
@@ -116,10 +116,42 @@ def test_every_public_function_has_a_reader():
     for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             bench += fh.read()
+    return used, bench
+
+
+def _unread(names):
+    """The names, each a function or ``Class.member``, whose last part
+    has no reader: not read by the package's code, not named in the
+    benchmark and not a reference oracle."""
+    used, bench = _readers()
+
+    def read(attr):
+        return (attr in used or attr in ORACLES
+                or re.search(rf"\b{attr}\b", bench) is not None)
+
+    return [name for name in names if not read(name.rsplit(".", 1)[-1])]
+
+
+def test_every_public_function_has_a_reader():
+    """Each function in ``__all__`` is read by the package's own code, by
+    the benchmark (``bench/tracing.py``'s targets included), or is a
+    reference oracle of the tests."""
     functions = [name for name in wx.__all__
                  if inspect.isfunction(getattr(wx, name))]
     assert "compute_qstar" in functions
-    unread = [name for name in functions
-              if name not in used and name not in ORACLES
-              and not re.search(rf"\b{name}\b", bench)]
-    assert unread == []
+    assert _unread(functions) == []
+
+
+def test_every_public_method_has_a_reader():
+    """The same rule for each public method and property that a class in
+    ``__all__`` defines itself: a method no code reads is dead surface
+    even when its class is read."""
+    members = [f"{name}.{attr}" for name in wx.__all__
+               if inspect.isclass(cls := getattr(wx, name))
+               for attr, value in vars(cls).items()
+               if not attr.startswith("_")
+               and isinstance(value, (types.FunctionType, property,
+                                      classmethod, staticmethod))]
+    assert {"ExponentSolver.solve", "ExponentSolver.phi",
+            "RatePair.r"} <= set(members)
+    assert _unread(members) == []

@@ -41,7 +41,7 @@ class TestComputeQstar:
         assert an.d_qstar == pytest.approx(math.log(1 / 0.9), abs=1e-6)
 
     def test_symmetric_channel_symmetric_qstar(self, bsc01):
-        r = ExponentSolver(bsc01).inner_lagrangian_min(-1.0)[0].rows
+        r = ExponentSolver(bsc01)._zero.q
         assert r[0, 0] == pytest.approx(r[1, 1], abs=1e-6)
         assert r[0, 1] == pytest.approx(r[1, 0], abs=1e-6)
 
@@ -50,8 +50,7 @@ class TestComputeQstar:
                               wx.Dmc([[1.0, 0.0], [0.0, 1.0]]))
         solver = ExponentSolver(spec)
         an = wx.compute_qstar(solver)
-        assert np.allclose(solver.inner_lagrangian_min(-1.0)[0].rows,
-                           np.eye(2), atol=1e-9)
+        assert np.allclose(solver._zero.q, np.eye(2), atol=1e-9)
         assert an.d_qstar == pytest.approx(0.0, abs=1e-9)
         assert an.i_qstar == pytest.approx(LN2, abs=1e-9)
 
@@ -67,15 +66,15 @@ class TestComputeQstar:
 
     @pytest.mark.parametrize("name", ["asym3x3"] + DATA_CHANNELS)
     def test_fields_are_the_table_end(self, name):
-        # the s = 0 table entry is the solve that inner_lagrangian_min(-1)
-        # reads, so the three are the same floats
+        # compute_qstar reads the s = 0 table entry, the solve that
+        # _solve_s(0) returns, so the three are the same floats
         spec = (make_asym_3x3() if name == "asym3x3" else
                 wx.load_channel_spec(os.path.join(DATA, name + ".json")))
         solver = ExponentSolver(spec)
         an = wx.compute_qstar(solver)
-        _, d, i = solver.inner_lagrangian_min(-1.0)
-        assert an.i_qstar == solver.i_max == i
-        assert an.d_qstar == solver.d_at_imax == d
+        zero = solver._solve_s(0.0)
+        assert an.i_qstar == solver.i_max == zero.i
+        assert an.d_qstar == solver.d_at_imax == zero.d
         assert an.i_p == solver.i_p
 
     def test_e3_curve_shape(self, bsc01):
