@@ -16,23 +16,23 @@ table once and reuses it across queries:
 the region functions (:func:`compute_qstar`, :func:`full_security_interval`,
 :func:`classify_rate_point`) take the solver as their first argument.
 """
-from .channels import (ChannelSpec, ConditionalChannel, DegradednessResult,
-                       Distribution, Dmc, check_degraded, entropy,
-                       load_channel_spec, mutual_information,
-                       parse_channel_spec, weighted_divergence)
+from .channels import (ChannelSpec, DegradednessResult, Distribution, Dmc,
+                       check_degraded, load_channel_spec, parse_channel_spec)
 from .errors import (BudgetExceededError, ChannelFileError, SolverError,
                      WiretapError)
-from .exponent import (ExponentResult, ExponentSolver, RatePair,
-                       bsc_exponent_closed_form)
-from .gaussian import (GaussianOptimum, GaussianSpec, gaussian_divergence_term,
-                       gaussian_exponent, sigma_z_star)
+from .exponent import ExponentResult, ExponentSolver, RatePair
+from .gaussian import (GaussianOptimum, GaussianSpec, gaussian_exponent,
+                       sigma_z_star)
+from .oracles import (ConditionalChannel, bsc_exponent_closed_form,
+                      decoder_log_score, decoder_score, entropy,
+                      gaussian_divergence_term, mutual_information,
+                      type_enum_exponent, weighted_divergence)
 from .security import (FullSecurityInterval, SecurityAnalysis,
                        classify_exponent, classify_rate_point, compute_qstar,
                        full_security_interval)
-from .simulate import (EnsembleSpec, SimulationResult, decoder_log_score,
-                       decoder_score, estimate_ensemble_pc,
+from .simulate import (EnsembleSpec, SimulationResult, estimate_ensemble_pc,
                        exact_pc_for_codebook, quantize_composition,
-                       sample_codebook, type_enum_exponent)
+                       sample_codebook)
 
 __version__ = "0.1.0"
 

@@ -1,16 +1,9 @@
-"""Finite-alphabet probability objects and the information measures on them.
+"""Finite-alphabet probability objects, channel-spec files and the
+degradedness check.
 
 Everything downstream works in nats.  All types are immutable after
 construction and all operations are pure functions, so values can be shared
 freely between worker processes.
-
-Zero handling follows the usual conventions 0*ln(0) = 0 and 0*ln(0/q) = 0;
-a divergence whose support condition fails returns ``math.inf`` rather than
-raising, because optimizers treat that as an infeasible direction.
-
-The information measures take scipy's ``xlogy`` and ``rel_entr`` kernels
-and the degradedness check its ``linprog``; each imports them on first use,
-so importing the package loads no scipy module.
 """
 from __future__ import annotations
 
@@ -114,30 +107,6 @@ class Dmc:
         return f"Dmc({self.rows.tolist()!r})"
 
 
-class ConditionalChannel:
-    """Test channel Q_{Z|X} together with its fixed input marginal.
-
-    The input marginal is part of the object because every information
-    measure below weights rows by it; in the optimization problems it always
-    equals the true input distribution of the surrounding ChannelSpec.
-    """
-
-    __slots__ = ("rows", "input_marginal")
-
-    def __init__(self, rows, input_marginal: Distribution):
-        dmc = rows if isinstance(rows, Dmc) else Dmc(rows)
-        if dmc.num_inputs != input_marginal.size:
-            raise ValueError(
-                f"input marginal has {input_marginal.size} entries but the "
-                f"channel has {dmc.num_inputs} rows")
-        self.rows = dmc.rows
-        self.input_marginal = input_marginal
-
-    def __repr__(self) -> str:
-        return (f"ConditionalChannel({self.rows.tolist()!r}, "
-                f"{self.input_marginal!r})")
-
-
 class ChannelSpec:
     """Input distribution plus wiretap channel, optionally the main channel.
 
@@ -173,48 +142,6 @@ class ChannelSpec:
     def __repr__(self) -> str:
         return (f"ChannelSpec(input_dist={self.input_dist!r}, "
                 f"wiretap={self.wiretap!r}, main={self.main!r})")
-
-
-# ---------------------------------------------------------------------------
-# information measures
-# ---------------------------------------------------------------------------
-
-def entropy(d: Distribution) -> float:
-    """Shannon entropy -sum p ln p in nats; lies in [0, ln K]."""
-    from scipy.special import xlogy
-    return float(-xlogy(d.probs, d.probs).sum())
-
-
-def mutual_information(q: ConditionalChannel) -> float:
-    """I_Q(X;Z) in nats for the joint Q_X x Q_{Z|X}.
-
-    Equals the Q_X-weighted divergence of the rows from the output
-    marginal; rows of inputs with zero mass contribute nothing.
-    """
-    from scipy.special import rel_entr
-    w = q.input_marginal.probs
-    qz = w @ q.rows
-    per_row = rel_entr(q.rows, qz[None, :]).sum(axis=1)
-    return float(np.dot(w[w > 0], per_row[w > 0]))
-
-
-def weighted_divergence(q: ConditionalChannel, p: Dmc) -> float:
-    """D(Q_{Z|X} || P_{Z|X} | P_X), the input-weighted KL divergence.
-
-    Returns ``math.inf`` exactly when some input x with positive weight has
-    Q(z|x) > 0 at an output where P(z|x) = 0.
-    """
-    if q.rows.shape != p.rows.shape:
-        raise ValueError(
-            f"shape mismatch: test channel {q.rows.shape} vs reference "
-            f"{p.rows.shape}")
-    from scipy.special import rel_entr
-    w = q.input_marginal.probs
-    per_row = rel_entr(q.rows, p.rows).sum(axis=1)
-    active = per_row[w > 0]
-    if np.any(np.isinf(active)):
-        return math.inf
-    return float(np.dot(w[w > 0], active))
 
 
 # ---------------------------------------------------------------------------

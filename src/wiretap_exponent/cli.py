@@ -142,6 +142,15 @@ def _emit(lines: list[str], output: str | None, skipped: int = 0) -> None:
         print(f"skipped {skipped} grid points with R2 > R1", file=sys.stderr)
 
 
+def _warn_wide(wide: list, rows: int, limit: float) -> None:
+    """Report on stderr the rows whose sandwich widths (nats), ``wide``,
+    exceed ``limit`` = 2 gap_tol."""
+    if wide:
+        print(f"warning: {len(wide)} of {rows} rows rest on a sandwich "
+              f"wider than 2*gap_tol = {limit:.3g}; the widest is "
+              f"{max(wide):.3g} nats", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -235,10 +244,7 @@ def _cmd_sweep(args) -> int:
     lines = [",".join(columns)]
     lines += [fmt % tuple([row[i] for i in at]) for row in rows]
     _emit(lines, args.output, skipped)
-    if wide:
-        print(f"warning: {len(wide)} of {len(rows)} rows rest on a sandwich "
-              f"wider than 2*gap_tol = {2.0 * cfg['gap_tol']:.3g}; the "
-              f"widest is {max(wide):.3g} nats", file=sys.stderr)
+    _warn_wide(wide, len(rows), 2.0 * cfg["gap_tol"])
     return 0
 
 
@@ -252,8 +258,11 @@ def _cmd_region(args) -> int:
     lines = [",".join(("R1", "lower", "upper", "empty", "bracket_lower",
                        "bracket_upper", "bracket_valid", "i_qstar", "d_qstar",
                        "i_p", "verified"))]
+    limit, wide = 2.0 * cfg["gap_tol"], []
     for r1 in r1s:
         iv = full_security_interval(solver, r1, tol=cfg["classify_tol"])
+        if iv.gap_bound > limit:
+            wide.append(iv.gap_bound)
         lines.append(",".join((
             _fmt(r1 / unit), _fmt(iv.lower / unit), _fmt(iv.upper / unit),
             _fmt(iv.empty), _fmt(iv.bracket_lower / unit),
@@ -261,6 +270,7 @@ def _cmd_region(args) -> int:
             _fmt(analysis.i_qstar / unit), _fmt(analysis.d_qstar / unit),
             _fmt(analysis.i_p / unit), _fmt(iv.verified))))
     _emit(lines, args.output)
+    _warn_wide(wide, len(r1s), limit)
     return 0
 
 

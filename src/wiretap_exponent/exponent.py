@@ -79,8 +79,6 @@ from numpy.linalg import _umath_linalg
 from .channels import ChannelSpec
 from .errors import SolverError
 
-LN2 = math.log(2.0)
-
 _log = logging.getLogger("wiretap_exponent")
 
 # The Newton kernel takes every sum and product slice by slice (np.vecdot,
@@ -598,6 +596,17 @@ def _tree_flows(w, log_p, adj, start, level, demand, rows) -> bool:
     return True
 
 
+def _zero_certificate(w, log_p, support, log_q, it):
+    """(the s = 0 solution of the log rows log_q, its raw gap f - dual, the
+    log of its output marginal): the dual bound is taken at that marginal.
+    A certificate tests the raw gap, as the solution's stored gap is
+    clamped up to the float noise."""
+    q, qz, d, i, f = _evaluate(w, log_p, log_q, 0.0)
+    ln_qz = np.log(np.maximum(qz, _TINY))
+    gap = f - _dual_bound(w, log_p, support, ln_qz)
+    return _InnerSolution(0.0, log_q, q, d, i, f, gap, it), gap, ln_qz
+
+
 def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
     """The s = 0 vertex of the log marginal ln_v that its own dual bound
     certifies within gap_tol, or None.
@@ -658,12 +667,9 @@ def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
                 negative.add(r)
         if negative:
             continue
-        log_q = _normalize_log_rows(rows, support)
-        q, qz, d, i, f = _evaluate(w, log_p, log_q, 0.0)
-        gap = f - _dual_bound(w, log_p, support,
-                              np.log(np.maximum(qz, _TINY)))
+        sol, gap, _ = _zero_certificate(
+            w, log_p, support, _normalize_log_rows(rows, support), it)
         if gap <= gap_tol:
-            sol = _InnerSolution(0.0, log_q, q, d, i, f, gap, it)
             _log.debug("s=0 forest vertex certifies gap %.3g after %d "
                        "Newton steps", sol.gap, it)
             return sol
@@ -795,11 +801,10 @@ class ExponentSolver:
         k = len(self._ladder) - 1
         sol, steps = self._ladder[k], 0
         while True:
-            q, qz, d, i, f = _evaluate(w, log_p, sol.log_q, 0.0)
-            ln_qz = np.log(np.maximum(qz, _TINY))
-            gap = f - _dual_bound(w, log_p, support, ln_qz)
+            zero, gap, ln_qz = _zero_certificate(w, log_p, support,
+                                                 sol.log_q, steps)
             if gap <= self.gap_tol:
-                return _InnerSolution(0.0, sol.log_q, q, d, i, f, gap, steps)
+                return zero
             vertex = _forest_vertex(w, log_p, support, ln_qz, self.gap_tol,
                                     steps)
             if vertex is not None:
@@ -812,8 +817,8 @@ class ExponentSolver:
         _log.debug("s=0 continuation stopped uncertified at s=%.9g with gap "
                    "%.3g after %d Newton steps", sol.s, gap, steps)
         raise SolverError(f"s=0 continuation did not certify down to "
-                          f"s={sol.s:.9g}", best_value=f, residual=gap,
-                          iterations=steps)
+                          f"s={sol.s:.9g}", best_value=zero.f,
+                          residual=gap, iterations=steps)
 
     def _solve_s(self, s: float) -> _InnerSolution:
         # inner solutions are cached on s quantized to 1e-9; s = 0 and the
@@ -1014,54 +1019,3 @@ class ExponentSolver:
         return ExponentResult(e=e, e1=e1, e2=e2, e3=e3, active_branch=branch,
                               rep2_value=value, lambda1=lam1, lambda2=lam2,
                               gap_bound=width)
-
-
-# ---------------------------------------------------------------------------
-# binary symmetric channel closed form
-# ---------------------------------------------------------------------------
-
-def _bsc_info(e: float) -> float:
-    """ln 2 - h(e): I of a BSC(e) with uniform input, accurate near e = 1/2."""
-    u = 1.0 - 2.0 * e                                  # exact for e >= 1/4
-    head = math.log1p(-u) if e >= 0.25 else math.log(2.0 * e)
-    return e * head + (1.0 - e) * math.log1p(u)
-
-
-def _bsc_crossover(i: float) -> float:
-    """eps(I) = h^-1(ln 2 - I) on [0, 1/2], by bisection to the last bit."""
-    if i >= LN2:
-        return 0.0
-    lo, hi = 0.0, 0.5
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _bsc_info(mid) > i:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def bsc_exponent_closed_form(p: float, rates: RatePair) -> float:
-    """Exact E(R1, R2) of a BSC(p) with uniform input, in plain ``math``.
-
-    Every branch is attained at a test channel BSC(eps), with
-    I = ln 2 - h(eps) and D = d(eps||p).  With T = min(R1, ln 2):
-    E1 = R1 - R2 + d(eps(R2)||p) if R2 < I(p), else R1 - R2;
-    E2 = R1 + d(eps(T)||p) - T, least at the largest I since d + h increases
-    in eps, or +inf if T < R2; E3 = 0 if R1 <= I(p), d(eps(R1)||p) if
-    R1 <= ln 2, +inf above.  The oracle shares no code with the solver.
-    """
-    if not 0.0 < p <= 0.5:
-        raise ValueError(f"crossover p = {p} outside (0, 1/2]")
-    r1, r2 = rates.r1, rates.r2
-
-    def d_at(i: float) -> float:
-        e = _bsc_crossover(i)
-        return ((e * math.log(e / p) if e else 0.0)
-                + (1.0 - e) * math.log((1.0 - e) / (1.0 - p)))
-
-    i_p = _bsc_info(p)
-    e1 = r1 - r2 + (d_at(r2) if r2 < i_p else 0.0)
-    t = min(r1, LN2)
-    e2 = math.inf if t < r2 else r1 + d_at(t) - t
-    e3 = 0.0 if r1 <= i_p else d_at(r1) if r1 <= LN2 else math.inf
-    return min(e1, e2, e3)

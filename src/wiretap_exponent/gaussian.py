@@ -73,24 +73,6 @@ def sigma_z_star(rho: float, g: GaussianSpec) -> float:
     return math.sqrt(g.sigma2) * _x(rho, g.s / g.sigma2)
 
 
-def gaussian_divergence_term(rho: float, sigma_z: float,
-                             g: GaussianSpec) -> float:
-    """Large-deviations cost of observing empirical statistics (rho, sigma_z).
-
-    Nonnegative; zero exactly at the true-channel statistics
-    rho*sigma_z = sqrt(S), sigma_z^2 (1 - rho^2) = sigma^2.
-    """
-    if not abs(rho) < 1.0:
-        raise ValueError(f"|rho| must be < 1, got {rho}")
-    if not sigma_z > 0:
-        raise ValueError(f"sigma_z must be positive, got {sigma_z}")
-    rho, sigma_z = np.asarray([rho]), np.asarray([sigma_z])
-    resid = (rho * sigma_z - math.sqrt(g.s)) ** 2
-    var = sigma_z * sigma_z * (1.0 - rho * rho)
-    return float(0.5 * (resid / g.sigma2 + var / g.sigma2
-                        - np.log(var / g.sigma2) - 1.0)[0])
-
-
 def _x(rho, t):
     """sigma_z*/sigma: the positive root of x^2 - rho sqrt(t) x - 1 = 0."""
     return 0.5 * (rho * math.sqrt(t) + math.sqrt(rho * rho * t + 4.0))

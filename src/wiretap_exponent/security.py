@@ -52,7 +52,9 @@ class FullSecurityInterval:
     is excluded).  ``bracket_lower``/``bracket_upper`` give the sufficient
     construction [max(I_Q* - D*, R1 - E3(R1)), I_Q*], valid when
     ``bracket_valid``.  ``verified`` reports that re-computing the exponent
-    at probe points inside the interval reproduced R1 - R2.
+    at probe points inside the interval reproduced R1 - R2.  ``gap_bound``
+    is the widest certified sandwich (nats) behind E3(R1), the phi value
+    of the middle boundary and the probes' exponents.
     """
 
     r1: float
@@ -63,6 +65,7 @@ class FullSecurityInterval:
     bracket_upper: float
     bracket_valid: bool
     verified: bool
+    gap_bound: float
 
 
 def compute_qstar(solver: ExponentSolver) -> SecurityAnalysis:
@@ -86,12 +89,13 @@ def full_security_interval(solver: ExponentSolver, r1: float,
     """
     if not (math.isfinite(r1) and r1 > 0):
         raise ValueError(f"r1 must be positive and finite, got {r1!r}")
-    e3v = solver.e3(r1)[0]
+    e3v, _, gap = solver.e3(r1)
     lower_e3 = -math.inf if math.isinf(e3v) else r1 - e3v
 
     if r1 >= solver.i_min:
         b = min(r1, solver.i_max)
-        lower_e2 = b - solver.phi(b)[0]
+        phi_b, _, width = solver.phi(b)
+        lower_e2, gap = b - phi_b, max(gap, width)
     else:
         lower_e2 = 0.0     # the middle branch has no curve point below I_min
 
@@ -103,17 +107,19 @@ def full_security_interval(solver: ExponentSolver, r1: float,
     bracket_upper = solver.i_max
     bracket_valid = (r1 > solver.i_max) and (bracket_lower <= bracket_upper)
 
-    verified = False
-    if not empty:
-        probes = [lower, 0.5 * (lower + upper)]
-        verified = all(
-            abs(solver.exponent_rep1(RatePair(r1, p)).e - (r1 - p)) <= tol
-            for p in probes)
+    # a probe that fails ends the check: the next probe is not solved
+    verified = not empty
+    for p in [] if empty else [lower, 0.5 * (lower + upper)]:
+        res = solver.exponent_rep1(RatePair(r1, p))
+        gap = max(gap, res.gap_bound)
+        if not abs(res.e - (r1 - p)) <= tol:
+            verified = False
+            break
     return FullSecurityInterval(r1=r1, lower=lower, upper=upper, empty=empty,
                                 bracket_lower=bracket_lower,
                                 bracket_upper=bracket_upper,
                                 bracket_valid=bracket_valid,
-                                verified=verified)
+                                verified=verified, gap_bound=gap)
 
 
 def classify_rate_point(solver: ExponentSolver, rates: RatePair,

@@ -1,4 +1,4 @@
-"""Finite-blocklength oracle for the random-coding ensemble.
+"""Finite-blocklength simulation of the random-coding ensemble.
 
 Samples the exact achievability ensemble (constant-composition codebooks
 partitioned into contiguous sub-codes, eavesdropper running the optimal
@@ -12,12 +12,6 @@ Each distinct half-word's row of those tables is computed once and
 gathered for every codeword with that half (a BSC codebook at n = 12 has
 4,000 codewords but 64 distinct halves), and the max over sub-codes takes
 their tables in tiles of at most 2^16 entries, which measured fastest.
-
-Also provides the finite-n exponent obtained by exhaustive enumeration of
-conditional types, which converges to the asymptotic exponent and serves as
-an independent brute-force check of it.  It takes scipy's ``xlogy`` and
-``rel_entr`` kernels, imported on first use, so importing the package loads
-no scipy module.
 
 Per-trial randomness comes from seed-derived child streams, so trials are
 reproducible independently of execution order or worker count, and runs at
@@ -40,14 +34,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelSpec, Dmc
+from .channels import Dmc
 from .errors import BudgetExceededError
 from .exponent import RatePair
 
 _log = logging.getLogger("wiretap_exponent")
 
 DEFAULT_Z_BUDGET = 1 << 24
-DEFAULT_TYPE_BUDGET = 1 << 24
 DEFAULT_CODEBOOK_BUDGET = 1 << 22
 DEFAULT_Z_SAMPLES = 256
 
@@ -203,25 +196,6 @@ def sample_codebook(spec: EnsembleSpec, rng: np.random.Generator,
 def _log_rows(rows: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.where(rows > 0, np.log(rows), -np.inf)
-
-
-def decoder_log_score(codebook: np.ndarray, m2: int, w: int, z,
-                      channel: Dmc) -> float:
-    """ln P(z | C_w), the log-likelihood of sub-code w, via log-sum-exp."""
-    z = np.asarray(z, dtype=np.int64)
-    sub = codebook[w * m2:(w + 1) * m2]
-    logp = _log_rows(channel.rows)
-    ll = logp[sub, z[None, :]].sum(axis=1)
-    hi = float(ll.max())
-    if not math.isfinite(hi):
-        return -math.inf
-    return hi + math.log(float(np.exp(ll - hi).sum())) - math.log(m2)
-
-
-def decoder_score(codebook: np.ndarray, m2: int, w: int, z,
-                  channel: Dmc) -> float:
-    """P(z | C_w) = (1/M2) sum over codewords in sub-code w of P(z|x)."""
-    return math.exp(decoder_log_score(codebook, m2, w, z, channel))
 
 
 # ---------------------------------------------------------------------------
@@ -495,78 +469,3 @@ def summarize_trials(spec: EnsembleSpec, pcs: list[float],
     return SimulationResult(pc_mean=mean, pc_std_err=stderr,
                             empirical_exponent=exponent, trials_used=t,
                             exact=_enumerates(spec, budget))
-
-
-# ---------------------------------------------------------------------------
-# finite-n type enumeration
-# ---------------------------------------------------------------------------
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    out = []
-    for head in range(total + 1):
-        tail = _compositions(total - head, parts - 1)
-        block = np.empty((tail.shape[0], parts), dtype=np.int64)
-        block[:, 0] = head
-        block[:, 1:] = tail
-        out.append(block)
-    return np.vstack(out)
-
-
-def type_enum_exponent(spec: ChannelSpec, rates: RatePair, n: int,
-                       budget: int = DEFAULT_TYPE_BUDGET) -> float:
-    """Finite-n exponent: R1 + min over conditional n-types of D - I - Gamma.
-
-    The input distribution is quantized to its nearest n-type, and the
-    minimization runs exhaustively over all conditional types of the output
-    sequence given that composition.  Types violating absolute continuity
-    have infinite divergence and drop out of the minimum.
-    """
-    from scipy.special import rel_entr, xlogy
-    comp = quantize_composition(spec.input_dist.probs, n)
-    keep = [k for k, c in enumerate(comp) if c > 0]
-    counts = np.array([comp[k] for k in keep], dtype=np.int64)
-    w = counts / n
-    p_rows = spec.wiretap.rows[keep]
-    nz = p_rows.shape[1]
-    nr = len(keep)
-
-    sizes = [math.comb(int(c) + nz - 1, nz - 1) for c in counts]
-    total = math.prod(sizes)
-    if total > budget:
-        raise BudgetExceededError("conditional n-types", total, budget)
-
-    row_q, row_d, row_neg = [], [], []
-    for x in range(nr):
-        kvecs = _compositions(int(counts[x]), nz)
-        q = kvecs / counts[x]
-        row_q.append(q)
-        row_d.append(rel_entr(q, p_rows[x][None, :]).sum(axis=1))
-        row_neg.append(xlogy(q, q).sum(axis=1))
-
-    r1, r2 = rates.r1, rates.r2
-    best = math.inf
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        ar = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        rem = ar
-        d = np.zeros(ar.size)
-        neg = np.zeros(ar.size)
-        qz = np.zeros((ar.size, nz))
-        for x in range(nr - 1, -1, -1):
-            dig = rem % sizes[x]
-            rem = rem // sizes[x]
-            d = d + w[x] * row_d[x][dig]
-            neg = neg + w[x] * row_neg[x][dig]
-            qz = qz + w[x] * row_q[x][dig]
-        i_val = neg - xlogy(qz, qz).sum(axis=1)
-        gamma = np.where(i_val <= r2, r2 - i_val,
-                         np.where(i_val <= r1, 0.0, r1 - i_val))
-        with np.errstate(invalid="ignore"):
-            obj = d - i_val - gamma
-        lo = float(np.min(obj))
-        if lo < best:
-            best = lo
-    return r1 + best

@@ -440,6 +440,27 @@ class TestShortfallReport:
                             r"(\S+) nats")
         assert width == pytest.approx(2.41e-5, rel=0.01)
 
+    def test_region_reports_the_widest(self, capsys, draw24):
+        # at 0.901888 E3(R1) and phi(min(R1, I_max)) rest on the wide
+        # sandwich; at 0.9 every width is below 2 gap_tol
+        code, out, err = run(capsys, ["region", draw24, "--r1-list",
+                                      "0.901888,0.9"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[1] == ("0.901888,0.848182398647,0.901888,false,"
+                            "0.850117184968,0.910826475627,false,"
+                            "0.910826475627,0.0607092906589,0.763899480177,"
+                            "true")
+        [line] = err.splitlines()
+        width = self._width(line, r"warning: 1 of 2 rows rest on a sandwich "
+                            r"wider than 2\*gap_tol = 2e-10; the widest is "
+                            r"(\S+) nats")
+        assert width == pytest.approx(2.39e-5, rel=0.01)
+        code, _, err = run(capsys, ["region", draw24, "--r1-list",
+                                    "0.901888,0.9", "--gap-tol", "1e-4"])
+        assert code == 0 and err == ""
+
     def test_limit_follows_gap_tol(self, capsys, draw24):
         code, _, err = run(capsys, ["exponent", draw24, "--r1", "0.901888",
                                     "--r2", "0", "--gap-tol", "1e-4"])
@@ -902,25 +923,46 @@ class TestCheckCommand:
 def test_import_leaves_scipy_unloaded(channel_file):
     # importing scipy costs about 0.3 s of every CLI start, and no command
     # but `check` calls into it: the package and the CLI load no scipy
-    # module, and `check` still runs its LP by importing scipy.optimize
+    # module, no other command loads one, and `check` still runs its LP by
+    # importing scipy.optimize
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     path = channel_file([0.5, 0.5], [[0.8, 0.2], [0.2, 0.8]],
                         main=[[0.9, 0.1], [0.1, 0.9]])
-    code = ("import sys\n"
+    simulate = ["simulate", path, "--n", "6", "--r1", "0.5", "--r2", "0.1",
+                "--trials", "4", "--seed", "1", "--workers", "1"]
+    commands = [
+        ["exponent", path, "--r1", "0.5", "--r2", "0.1"],
+        ["sweep", path, "--r1-grid", "0:0.6:3", "--r2-grid", "0:0.3:2"],
+        ["region", path, "--r1-list", "0.2,0.6"],
+        ["gaussian", "--power", "1", "--noise", "0.5", "--r1", "0.3",
+         "--r2", "0.1"],
+        simulate,                           # exact P_c
+        simulate + ["--budget", "2"],       # sampled P_c
+    ]
+    code = ("import contextlib, io, json, sys\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "import wiretap_exponent\n"
             "print(loaded())\n"
             "import wiretap_exponent.cli\n"
             "print(loaded())\n"
-            "code = wiretap_exponent.cli.main(['check', sys.argv[1]])\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        code = wiretap_exponent.cli.main(argv)\n"
+            "    print(json.dumps([code, out.getvalue(), loaded()]))\n"
+            "code = wiretap_exponent.cli.main(['check', sys.argv[2]])\n"
             "print(code, 'scipy.optimize' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", code, path], check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands), path], check=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     lines = done.stdout.strip().splitlines()
     assert lines[:2] == ["[]", "[]"]
+    runs = [json.loads(line) for line in lines[2:8]]
+    assert [(code, bool(out), mods) for code, out, mods in runs] \
+        == [(0, True, [])] * len(commands)
+    # the budget of 2 output sequences sends the second run to sampling
+    assert runs[-1][1] != runs[-2][1]
     assert lines[-2:] == ["degraded: yes (residual 0)", "0 True"]
 
 

@@ -5,7 +5,9 @@ every name the README's Python API section uses or lists resolves: a name
 that leaves the code cannot stay behind in the documentation.  Every
 public function, and every public method and property of a public class,
 has a reader: the package's code, the benchmark, or the tests, as a
-reference oracle.
+reference oracle.  The oracles live in ``wiretap_exponent.oracles``, which
+takes only data types and one helper from the package, and which no other
+module of the package imports.
 """
 import ast
 import dataclasses
@@ -16,6 +18,7 @@ import re
 import types
 
 import wiretap_exponent as wx
+from wiretap_exponent import oracles
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 README = os.path.join(ROOT, "README.md")
@@ -78,10 +81,74 @@ def test_readme_entry_points_resolve():
         == []
 
 
-#: reference oracles that tests compare the solver against; no printed
-#: number reads them
-ORACLES = {"mutual_information", "weighted_divergence", "entropy",
-           "decoder_score", "type_enum_exponent", "gaussian_divergence_term"}
+#: reference oracles that tests compare the solver against, the public
+#: functions and classes of ``oracles``; no printed number reads them
+ORACLES = {name for name, value in vars(oracles).items()
+           if not name.startswith("_")
+           and (inspect.isfunction(value) or inspect.isclass(value))
+           and value.__module__ == oracles.__name__}
+
+#: the only names ``oracles`` imports from the package: data types, the
+#: budget error and the n-type of the input
+ORACLE_IMPORTS = {
+    ("channels", "ChannelSpec"), ("channels", "Distribution"),
+    ("channels", "Dmc"), ("errors", "BudgetExceededError"),
+    ("exponent", "RatePair"), ("gaussian", "GaussianSpec"),
+    ("simulate", "quantize_composition"),
+}
+
+
+def _package_imports(path):
+    """(module, name) of each import of the package in one module, the
+    module relative to the package ("" for the package itself, and name
+    None for a plain ``import``)."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "wiretap_exponent":
+                    continue
+                module = module.partition(".")[2]
+            found |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(alias.name.partition(".")[2], None)
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "wiretap_exponent"}
+    return found
+
+
+def _product_modules():
+    """The package's modules, its ``__init__`` and the oracles left out."""
+    src = os.path.dirname(wx.__file__)
+    return sorted(os.path.join(src, name) for name in os.listdir(src)
+                  if name.endswith(".py")
+                  and name not in ("__init__.py", "oracles.py"))
+
+
+def test_oracles_are_the_oracle_module():
+    assert {"bsc_exponent_closed_form", "type_enum_exponent",
+            "ConditionalChannel", "gaussian_divergence_term"} <= ORACLES
+    assert ORACLES <= set(wx.__all__)
+
+
+def test_oracles_import_only_data_types():
+    """An oracle shares no code with the solver: from the package it
+    takes only the names in ORACLE_IMPORTS."""
+    imported = _package_imports(oracles.__file__)
+    assert imported - ORACLE_IMPORTS == set()
+
+
+def test_no_product_module_imports_the_oracles():
+    """Only the package's ``__init__`` re-exports the oracles; no product
+    module may come to depend on one."""
+    users = [os.path.basename(path) for path in _product_modules()
+             if any(module == "oracles"
+                    or (module == "" and name == "oracles")
+                    for module, name in _package_imports(path))]
+    assert users == []
 
 
 def _code_references(path):
@@ -105,13 +172,11 @@ def _code_references(path):
 
 
 def _readers():
-    """(names the package's code reads, the text of the benchmark's
-    modules, ``bench/tracing.py``'s targets included)."""
-    src = os.path.dirname(wx.__file__)
+    """(names the package's product code reads, the text of the
+    benchmark's modules, ``bench/tracing.py``'s targets included)."""
     used = set()
-    for name in os.listdir(src):
-        if name.endswith(".py") and name != "__init__.py":
-            used |= _code_references(os.path.join(src, name))
+    for path in _product_modules():
+        used |= _code_references(path)
     bench = ""
     for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
         with open(path, encoding="utf-8") as fh:
