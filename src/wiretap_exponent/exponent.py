@@ -43,12 +43,18 @@ The solves with s > 0 that others start from form one ladder, in
 decreasing s: the multiplier table's entries, then the halving levels
 s = 2^-6, 2^-7, ... below them, each level solved from the marginal of
 the rung above and built on demand down to the first that does not
-certify.  Every Newton solve has one entry point, which solves a list of
-s in lockstep from the marginal of one start: the table's entries with s
-not in {0, 1} are one stack from the true output marginal (each round
-does one stacked KKT solve and a line search per slice, and a slice
-leaves the stack once it certifies); a level, and any other s > 0 from
-its nearest rung, is a stack of one.
+certify.  The table's entries are solved from the true output marginal,
+but only as queries read them: a bisection by I fills the entries of the
+interval it narrows to, so an evaluation of E, with its three targets,
+solves the 8 entries of the table's spine and at most 21 of the other
+55.  Every Newton solve has one entry point, which solves a list of s in
+lockstep from the marginal of one start: the table's spine is one stack
+from the true output marginal, and so is each interval a bisection fills
+(each round does one stacked KKT solve and a line search per slice, and
+a slice leaves the stack once it certifies); a level, and any other
+s > 0 from its nearest rung, is a stack of one.  The kernel rounds each
+slice as a lone solve of its s, so no entry depends on which others
+share its stack.
 
 At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
@@ -97,6 +103,13 @@ DEFAULT_GAP_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000
 #: the multiplier table: s = k/32 for k = 64, 63, ..., 0, so mu in [-1, 1]
 _TABLE_S = np.linspace(2.0, 0.0, 65)
+#: the table's s > 0 entries are the ladder's first rungs: rung k < _RUNGS
+#: is the entry s = 2 - k/32, so the rung of s is k = 64 - 32 s
+_RUNGS = len(_TABLE_S) - 1
+#: the rungs a solver solves when it is built: s = 2 (i_min), s = 1/32
+#: (where the s = 0 walk starts) and the first three probes of _bracket's
+#: bisection of rungs 1 to 63, k = 8, 16, ..., 56 (k = 32 is s = 1, exact)
+_SPINE = (*range(0, _RUNGS, 8), _RUNGS - 1)
 
 #: branch values within this of the minimum tie; the smallest index wins
 _BRANCH_TIE_TOL = 1e-9
@@ -688,18 +701,23 @@ def _key(s: float) -> float:
 class ExponentSolver:
     """Evaluates exponents for a fixed ChannelSpec, reusing inner solves.
 
-    A table of 65 support points along mu in [-1, 1], s = k/32, is
-    precomputed once, each entry with s > 0 solved from the true output
-    marginal.  Its s > 0 entries and the halving levels below them form one
-    list, the ladder, in decreasing s; the levels are built lazily, each
-    solved from the rung above, and s = 0 is solved by a walk down it.
-    Every other inner solve starts from the nearest rung, after building
-    the levels down to its s, and every Newton solve goes through _solve.
-    That makes each solution a deterministic function of its multiplier
-    alone, independent of query order.  Rate points can therefore be evaluated
-    concurrently and reproduce bit-for-bit.  For the same reason ``phi``
-    values (keyed on the target) are memoized per instance without
-    changing any result; all caches live and die with the solver.
+    A table of 65 support points along mu in [-1, 1], s = k/32, each
+    entry with s > 0 solved from the true output marginal.  Its s > 0
+    entries and the halving levels below them form one list, the ladder,
+    in decreasing s.  Building the solver solves only the table's spine
+    (_SPINE) in one Newton stack, and s = 0 by a walk down the ladder; the
+    other entries are filled as bisections read them, the levels are built
+    on demand, each solved from the rung above, and every other inner
+    solve starts from the nearest rung, filled or not, after building the
+    levels down to its s.  Every Newton solve goes through _solve.  That
+    makes each solution a deterministic function of its multiplier alone,
+    independent of query order and of which entries were filled before
+    it.  Rate points can therefore be evaluated concurrently and reproduce
+    bit-for-bit.  For the same reason ``phi`` values (keyed on the target)
+    are memoized per instance without changing any result; all caches
+    live and die with the solver.  A table entry that does not certify
+    raises SolverError from the constructor if it is on the spine, else
+    from each query that reads it.
 
     Parameters
     ----------
@@ -741,12 +759,12 @@ class ExponentSolver:
         true = _InnerSolution(1.0, self._log_p, q, d, self.i_p, f, 0.0, 0)
         self._cache: dict[float, _InnerSolution] = {1.0: true}
         self._phi_cache: dict[float, tuple[float, _InnerSolution, float]] = {}
-        # the table's s not in {0, 1} are one Newton stack from the true
-        # output marginal; the ladder takes its s > 0 entries in decreasing
-        # s, and s = 0 walks down from the last of them
-        keys = [_key(float(s)) for s in _TABLE_S]
-        self._solve([key for key in keys if key not in (0.0, 1.0)], true)
-        self._ladder = [self._cache[key] for key in keys if key > 0.0]
+        # the ladder takes the table's s > 0 entries in decreasing s, None
+        # until filled; the spine is one Newton stack from the true output
+        # marginal, and s = 0 walks down from its last rung
+        self._ladder: list[_InnerSolution | None] = [None] * _RUNGS
+        self._ladder[_RUNGS // 2] = true
+        self._fill(_SPINE)
         self._deepest = False           # no further level certifies
         self._zero = self._cache[0.0] = self._solve_zero()
         # I rises along the table, but rounding can lift a one-point
@@ -770,6 +788,19 @@ class ExponentSolver:
                              self.max_iter)
         self._cache.update(zip(keys, sols))
         return sols
+
+    def _fill(self, rungs) -> None:
+        """Solves the unfilled table entries among the rungs (increasing k,
+        so decreasing s) in one Newton stack from the true output marginal,
+        as building the whole table at once would: the kernel rounds slice
+        by slice, and the stack raises at the first s that does not
+        certify, leaving every rung of it unfilled."""
+        rungs = [k for k in rungs if self._ladder[k] is None]
+        if rungs:
+            sols = self._solve([(_RUNGS - k) / 32 for k in rungs],
+                               self._cache[1.0])
+            for k, sol in zip(rungs, sols):
+                self._ladder[k] = sol
 
     def _extend(self) -> bool:
         """Builds the next halving level of the ladder: the Newton solve at
@@ -822,41 +853,61 @@ class ExponentSolver:
 
     def _solve_s(self, s: float) -> _InnerSolution:
         # inner solutions are cached on s quantized to 1e-9; s = 0 and the
-        # table are solved when the solver is built.  An uncached s runs
+        # spine are solved when the solver is built.  An uncached s runs
         # Newton from the marginal of the nearest rung, once the ladder
-        # reaches down to s; one of its levels may be s itself.
+        # reaches down to s, unless that rung is s itself: a level, or a
+        # table entry that _nearest_start filled from the true marginal.
         key = _key(s)
         sol = self._cache.get(key)
         if sol is None:
             while self._ladder[-1].s > key and self._extend():
                 pass
-            sol = self._cache.get(key)
-            if sol is None:
-                sol = self._solve([key], self._nearest_start(key))[0]
+            sol = self._nearest_start(key)
+            if sol.s != key:
+                sol = self._solve([key], sol)[0]
         return sol
 
     def _nearest_start(self, key: float) -> _InnerSolution:
-        """The rung nearest to key among the levels built so far, the first
-        of two equally near (the larger s), by bisection on the ladder's
-        decreasing s."""
+        """The rung nearest to key, the first of two equally near (the
+        larger s), filled if it is an unfilled table entry.  Among the
+        table's rungs, filled or not, it is found by arithmetic on their
+        s = 2 - k/32 (a key is a multiple of 1e-9, so no rounding moves it
+        across a rung); below them, by bisection on the levels built so
+        far."""
         ladder = self._ladder
-        k = bisect.bisect_left(ladder, -key, key=lambda start: -start.s)
-        if k == 0:
-            return ladder[0]
-        if k == len(ladder) or ladder[k - 1].s - key <= key - ladder[k].s:
-            return ladder[k - 1]
+        # the first table rung with s <= key, or _RUNGS below the table
+        k = math.ceil(_RUNGS - 32.0 * key)
+        if k == _RUNGS:
+            k = bisect.bisect_left(ladder, -key, k, key=lambda start: -start.s)
+            if k == len(ladder) or ladder[k - 1].s - key <= key - ladder[k].s:
+                k -= 1
+            return ladder[k]
+        if k > 0 and (_RUNGS + 1 - k) / 32 - key <= key - (_RUNGS - k) / 32:
+            k -= 1
+        if ladder[k] is None:
+            self._fill((k,))
         return ladder[k]
 
     def _bracket(self, target: float):
         """The two certified solves whose I bracket the interior target,
         (lo, hi) with I(lo) >= target >= I(hi), and whether solves between
         them may refine it, which is not so above the deepest level.  The
-        table's rungs are bisected by I; above the I of the last of them,
+        table's rungs 1 to 63 are bisected by I along bisect.bisect_left's
+        own probes, so the pair is the same wherever rounding leaves I
+        unordered; the first unfilled probe fills the unfilled rungs of the
+        interval it bisects, in one stack.  Above the I of the last rung,
         the halving levels are walked one at a time (built on demand), as
         nothing orders their I."""
-        ladder, n = self._ladder, len(_TABLE_S) - 1
-        k = bisect.bisect_left(ladder, target, 1, n, key=lambda sol: sol.i)
-        if k < n:
+        ladder, lo, k = self._ladder, 1, _RUNGS
+        while lo < k:
+            mid = (lo + k) // 2
+            if ladder[mid] is None:
+                self._fill(range(lo, k))
+            if ladder[mid].i < target:
+                lo = mid + 1
+            else:
+                k = mid
+        if k < _RUNGS:
             return ladder[k], ladder[k - 1], True
         while k < len(ladder) or self._extend():
             if ladder[k].i >= target:

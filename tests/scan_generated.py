@@ -4,7 +4,7 @@
 
 For each seed (default 7 and 8) draws 120 channels with
 ``bench/workloads.generate_channel``, sizes nx, nz from ``integers(2, 9)``,
-builds each solver's multiplier table and evaluates ``phi`` at 25 targets
+builds each solver and evaluates ``phi`` at 25 targets
 from 0 to 1.05 * i_max and at the targets i_max - 10^-e, e = 1...9, just
 below i_max.  Prints one line per failing channel and a summary.  The
 summary also counts the cached inner solves of the other
@@ -14,20 +14,23 @@ worst first, with its channel and s.  Exits 1 if any channel raised
 prints the p50, p99 and max Newton steps of the cached solves in each
 s-band: s = 0 (summed over its continuation levels), s in (0, 1) and
 s > 1.  Then come the p50 and max of the new inner solves each ``phi``
-target takes (table builds aside), the widest certified sandwich width
+target takes (table fills aside), the widest certified sandwich width
 behind a ``phi`` value, with its channel and target, and the number of
 fallbacks: targets whose sandwich stayed wider than 2 gap_tol.  Then come
 the p50 and max of the halving levels each channel built below the
 multiplier table, and of those the s = 0 solve built on its walk down
 them, with both totals.  Then come the p50, p99 and max wall time of the
-table builds (the solver constructions) of each seed, with the channel of
-the slowest.  The
-last line, ``digest <sha256>``, hashes every channel's cached inner solves
-in (seed, channel, s) order (``log_q`` bytes, ``f``, ``gap`` and
-``iterations``) and every ``SolverError`` message, so equal digests from
-two versions of the solver show that they solve all scanned channels byte
-for byte alike.  Takes about ten seconds per seed, so it is kept out of
-the tier-1 suite (pytest does not collect this file).
+solver constructions ("spine builds") of each seed, with the channel of
+the slowest: a construction solves the multiplier table's spine and the
+s = 0 walk, and the other table entries are filled by the ``phi``
+targets that read them.  After its targets, each
+table is filled, so the last line, ``digest <sha256>``, hashes every
+channel's whole table and other cached inner solves in (seed, channel,
+s) order (``log_q`` bytes, ``f``, ``gap`` and ``iterations``) and every
+``SolverError`` message; equal digests from two versions of the solver
+show that they solve all scanned channels byte for byte alike.  Takes
+about ten seconds per seed, so it is kept out of the tier-1 suite (pytest
+does not collect this file).
 """
 from __future__ import annotations
 
@@ -76,15 +79,20 @@ def _levels(solver) -> int:
     return len(solver._ladder) - 64
 
 
+def _unfilled(solver) -> int:
+    """The table entries not solved yet."""
+    return solver._ladder[:64].count(None)
+
+
 def scan(seed: int, digest) -> tuple[int, list, list, list, list, list,
                                      list]:
     """Failures of one seed's channels, (gap, channel, s) for every cached
     inner solve that certified only a gap above ``gap_tol``, (s,
     iterations) for every cached solve, (wall time, channel) of every
-    table build, the new inner solves of every ``phi`` target, (width,
-    channel, target, fallback) of every ``phi`` sandwich and (levels,
-    levels built by the s = 0 solve) of every channel; feeds every solve
-    and failure to the hash ``digest``."""
+    solver construction (the spine and the s = 0 walk), the new inner
+    solves of every ``phi`` target, (width, channel, target, fallback) of
+    every ``phi`` sandwich and (levels, levels built by the s = 0 solve) of
+    every channel; feeds every solve and failure to the hash ``digest``."""
     failures, honest, counts, builds, solves, widths, levels = \
         0, [], [], [], [], [], []
     for k, doc in generated(seed):
@@ -97,9 +105,11 @@ def scan(seed: int, digest) -> tuple[int, list, list, list, list, list,
             builds.append((time.perf_counter() - start, channel))
             zero = _levels(solver)
             for t in targets(solver):
-                before = len(solver._cache)
+                before, unfilled = len(solver._cache), _unfilled(solver)
                 solver.phi(t)
-                solves.append(len(solver._cache) - before)
+                solves.append(len(solver._cache) - before
+                              - (unfilled - _unfilled(solver)))
+            solver._fill(range(64))
         except SolverError as exc:
             failures += 1
             print(f"{channel}: {exc}")
@@ -159,7 +169,7 @@ def main(argv) -> int:
             ms = 1e3 * np.array([t for t, _ in builds])
             p50, p99 = np.percentile(ms, [50, 99], method="lower")
             slowest = builds[int(ms.argmax())][1]
-            print(f"seed {seed}: {ms.size} table builds, wall ms p50 "
+            print(f"seed {seed}: {ms.size} spine builds, wall ms p50 "
                   f"{p50:.1f} p99 {p99:.1f} max {ms.max():.1f} ({slowest})")
     print(f"digest {digest.hexdigest()}")
     return 1 if failures or above else 0

@@ -95,6 +95,62 @@ class TestExponentCommand:
         assert err.startswith("error: s=0 continuation did not certify down "
                               "to s=6e-08 ")
 
+    def test_failing_table_entry_fails_only_the_queries_reading_it(
+            self, capsys, channel_file, monkeypatch):
+        # the solver solves its table's spine when it is built and the other
+        # entries as queries read them.  A failing entry off the spine
+        # (s = 1.59375) fails the query whose bisection reads it, with exit
+        # 3 and one error line; a query that reads no failing entry prints
+        # what it prints without the fault.  A failing spine entry
+        # (s = 1.5) fails every query, from the solver's construction
+        path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
+        reads = ["exponent", path, "--r1", "0.1", "--r2", "0"]
+        spared = ["exponent", path, "--r1", "0.5", "--r2", "0"]
+        want = run(capsys, spared)
+        assert want[0] == 0 and run(capsys, reads)[0] == 0
+        stack = exponent._newton_stack
+
+        def stuck_at(s_stuck):
+            def solve(w, log_p, support, s, *rest):
+                if s_stuck in s:
+                    raise wx.SolverError(
+                        f"Newton solve did not certify at s={s_stuck}",
+                        best_value=0.0, residual=1e-9, iterations=3)
+                return stack(w, log_p, support, s, *rest)
+            monkeypatch.setattr(exponent, "_newton_stack", solve)
+
+        stuck_at(1.59375)
+        code, out, err = run(capsys, reads)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            "error: Newton solve did not certify at s=1.59375 (best value 0, "
+            "residual 1e-09, 3 iterations)"]
+        assert run(capsys, spared) == want
+        stuck_at(1.5)
+        for argv in (reads, spared):
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == ""
+            assert err.startswith("error: Newton solve did not certify at "
+                                  "s=1.5 ") and err.count("\n") == 1
+
+    def test_gap_tol_floor_fails_only_the_queries_reading_it(
+            self, capsys, channel_file):
+        # at gap_tol = 1e-15, float noise, the table entries s = 1.59375,
+        # 1.5625 and 1.53125 of asym3x3 do not certify; they are off the
+        # spine, so only a query whose bisection reads them exits 3
+        path = channel_file(ASYM_3X3_INPUT, ASYM_3X3_ROWS)
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.1",
+                                      "--r2", "0", "--gap-tol", "1e-15"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: Newton solve did not certify at "
+                              "s=1.59375 ")
+        code, out, err = run(capsys, ["exponent", path, "--r1", "0.5",
+                                      "--r2", "0", "--gap-tol", "1e-15"])
+        assert code == 0 and err == ""
+        e = float(record_to_dict(out)["E"])
+        assert abs(e - float(record_to_dict(run(capsys, [
+            "exponent", path, "--r1", "0.5", "--r2", "0"])[1])["E"])) <= 1e-10
+
     def test_equal_rates_zero(self, capsys, channel_file):
         path = channel_file(*BSC01_ARGS)
         code, out, _ = run(capsys, ["exponent", path, "--r1", "0.4", "--r2", "0.4"])

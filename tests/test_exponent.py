@@ -520,7 +520,7 @@ class TestAndersonStep:
 
     @pytest.fixture(scope="class")
     def slow(self):
-        return ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT))
+        return _filled(ExponentSolver(wx.load_channel_spec(SLOW_FIXED_POINT)))
 
     def test_plain_jumps_alone_crawl(self, slow):
         # from the neighbouring table entry's marginal, 500 plain jumps
@@ -586,10 +586,17 @@ class TestAndersonStep:
             "Newton steps")
 
 
+def _filled(solver):
+    """The solver, with every entry of its table solved."""
+    solver._fill(range(64))
+    return solver
+
+
 def _entries(solver) -> list:
-    """The 65 multiplier-table solves in table order: the ladder's first 64
-    rungs, s = 2 down to 1/32, then the s = 0 solve."""
-    return solver._ladder[:64] + [solver._zero]
+    """The 65 multiplier-table solves in table order, the table filled
+    first: the ladder's first 64 rungs, s = 2 down to 1/32, then the s = 0
+    solve."""
+    return _filled(solver)._ladder[:64] + [solver._zero]
 
 
 def _one_s(stack, counted):
@@ -732,10 +739,11 @@ def _parity_spec(name: str) -> wx.ChannelSpec:
 
 
 class TestLockstepTable:
-    """The table's entries with s not in {0, 1} are solved as one Newton
-    stack; each must be the one-s solve of its s from the true output
-    marginal, and a failing stack must report as the one-s solves would
-    have, taken in table order."""
+    """The table's entries with s not in {0, 1} are solved in Newton
+    stacks, the spine's and then one per interval a bisection fills; each
+    must be the one-s solve of its s from the true output marginal, and a
+    failing stack must report as the one-s solves would have, taken in
+    table order."""
 
     @pytest.mark.parametrize("name", PARITY_CHANNELS)
     def test_entries_match_one_s_solves(self, name):
@@ -1262,7 +1270,7 @@ class TestNearestStart:
 
     @pytest.fixture(scope="class")
     def solver(self):
-        solver = ExponentSolver(make_asym_3x3())
+        solver = _filled(ExponentSolver(make_asym_3x3()))
         for _ in range(8):                          # eight halving levels
             solver._extend()
         return solver
@@ -1302,7 +1310,7 @@ class TestOneLadder:
         # the table's rungs are bisected and the levels walked; either way
         # the bracket is the first rung whose I reaches the target, and
         # the one above it, or (s = 0, deepest level) past every rung
-        solver = ExponentSolver(_fixture_spec(name))
+        solver = _filled(ExponentSolver(_fixture_spec(name)))
         targets = np.linspace(solver.i_min, solver.i_max, 41)[1:-1].tolist()
         targets += [solver.i_max - 10.0 ** -k for k in range(1, 10)]
         for t in targets:
@@ -1333,21 +1341,30 @@ class TestOneLadder:
 
     @pytest.mark.parametrize("name", CHANNELS)
     def test_build_calls_newton_once_per_stack(self, name, monkeypatch):
-        # one stack for the table, then one stack of one per level that
-        # the s = 0 walk built
+        # one stack for the table's spine, then one stack of one per level
+        # that the s = 0 walk built; filling the rest of the table is one
+        # more stack
         calls = self._counted(monkeypatch)
         solver = ExponentSolver(_fixture_spec(name))
-        table = [sol.s for sol in solver._ladder[:64] if sol.s != 1.0]
+        spine = [sol.s for sol in solver._ladder[:64]
+                 if sol is not None and sol.s != 1.0]
+        assert spine == [2.0, 1.75, 1.5, 1.25, 0.75, 0.5, 0.25, 1 / 32]
         assert len(calls) == 1 + len(solver._ladder) - 64
-        assert calls[0] == table and len(table) == 63
+        assert calls[0] == spine
         assert calls[1:] == [[sol.s] for sol in solver._ladder[64:]]
+        _filled(solver)
+        table = [sol.s for sol in solver._ladder[:64] if sol.s != 1.0]
+        assert len(calls) == 2 + len(solver._ladder) - 64
+        assert calls[-1] == [s for s in table if s not in spine]
+        assert sorted(calls[0] + calls[-1], reverse=True) == table
+        assert len(table) == 63
 
     @pytest.mark.parametrize("name", CHANNELS)
     def test_each_uncached_s_off_the_ladder_adds_one_call(self, name,
                                                           monkeypatch):
         # an uncached s builds the levels down to it, then solves itself
         # unless it is one of them; a cached s calls nothing
-        solver = ExponentSolver(_fixture_spec(name))
+        solver = _filled(ExponentSolver(_fixture_spec(name)))
         calls = self._counted(monkeypatch)
         keys = [1.9, 1.23456789, 0.7, 0.51, 0.1, 0.02, 2.0 ** -7, 1e-3,
                 1e-3, 0.7, 1.5, 0.0]
@@ -1361,6 +1378,178 @@ class TestOneLadder:
             assert len(calls) == n + len(levels) + off
             if off:
                 assert calls[-1] == [key]
+
+
+LAZY_CHANNELS = FIXTURES + [f"cold_{size}" for size in range(2, 17)]
+
+
+def _lazy_spec(name: str) -> wx.ChannelSpec:
+    if name.startswith("cold_"):
+        return parse_channel_spec(json.dumps(_cold_channels()[int(name[5:])]))
+    return wx.load_channel_spec(_scan_path(name))
+
+
+class TestLazyTable:
+    """A solver solves its table's spine when it is built and the other
+    entries as queries read them, each from the true output marginal.  A
+    lazy solver must print what a solver with its whole table filled
+    prints, whatever the order of the queries."""
+
+    @staticmethod
+    def _read(solver, t):
+        """What phi and _bracket give at the target t, as bytes and
+        floats."""
+        value, sol, width = solver.phi(t)
+        lo, hi, refine = solver._bracket(t)
+        return (value, width, sol.s, sol.log_q.tobytes(), lo.s, hi.s,
+                lo.log_q.tobytes(), hi.log_q.tobytes(), refine)
+
+    @pytest.mark.parametrize("name", LAZY_CHANNELS)
+    def test_phi_matches_a_filled_twin(self, name):
+        spec = _lazy_spec(name)
+        fwd, rev = ExponentSolver(spec), ExponentSolver(spec)
+        twin = _filled(ExponentSolver(spec))
+        targets = np.linspace(twin.i_min, twin.i_max, 38)[1:-1].tolist()
+        targets += [twin.i_max - 10.0 ** -k for k in (2, 4, 6, 8)]
+        targets = [t for t in targets if twin.i_min < t < twin.i_max]
+        a = [self._read(fwd, t) for t in targets]
+        b = [self._read(rev, t) for t in reversed(targets)][::-1]
+        assert a == b == [self._read(twin, t) for t in targets]
+        # every solve of the lazy solvers is the filled twin's, bit for bit
+        for lazy in (fwd, rev):
+            assert lazy._cache.keys() <= twin._cache.keys()
+            for key, sol in lazy._cache.items():
+                assert sol.log_q.tobytes() == twin._cache[key].log_q.tobytes()
+                assert (sol.f, sol.gap, sol.iterations) == (
+                    twin._cache[key].f, twin._cache[key].gap,
+                    twin._cache[key].iterations)
+            assert [sol is None or sol is lazy._cache[sol.s]
+                    for sol in lazy._ladder[:64]] == [True] * 64
+
+    @pytest.mark.parametrize("name", LAZY_CHANNELS)
+    def test_cli_stdout_matches_a_filled_twin(self, name, tmp_path, capsys,
+                                              monkeypatch):
+        # a filled twin is a solver whose spine is the whole table
+        if name.startswith("cold_"):
+            argvs = [call.argv for call in cold_pool(str(tmp_path))
+                     if call.key.startswith(f"cold/{name[5:]}/")]
+            path = argvs[0][1]
+            with open(path, "w") as f:
+                json.dump(_cold_channels()[int(name[5:])], f)
+        else:
+            path = _scan_path(name)
+            i_max = ExponentSolver(_lazy_spec(name)).i_max
+            argvs = [("exponent", path, "--r1", repr(f * i_max), "--r2",
+                      repr(0.3 * f * i_max)) for f in (0.3, 0.7, 1.05)]
+            argvs.append(("region", path, "--r1-list",
+                          f"{0.5 * i_max!r},{0.9 * i_max!r}"))
+        assert len(argvs) >= 4
+
+        def outputs():
+            runs = []
+            for argv in argvs:
+                code = main(list(argv))
+                runs.append((code, *capsys.readouterr()))
+            return runs
+
+        lazy = outputs()
+        monkeypatch.setattr(exponent, "_SPINE", tuple(range(64)))
+        assert lazy == outputs()
+        assert all(code == 0 and out for code, out, _ in lazy)
+
+    def test_exponent_call_solves_at_most_three_intervals(self, tmp_path,
+                                                          monkeypatch):
+        # the spine's 8 entries, then at most one interval of 7 for each of
+        # the targets R2, min(R1, i_max) and R1
+        calls = [call for call in cold_pool(str(tmp_path)) if
+                 call.key.startswith("cold/16/") and call.part == "exponent"]
+        assert calls
+        with open(calls[0].argv[1], "w") as f:
+            json.dump(calls[0].channel, f)
+        solved, stack = [], exponent._newton_stack
+
+        def counted(w, log_p, support, s, *rest):
+            solved.extend(s)
+            return stack(w, log_p, support, s, *rest)
+
+        monkeypatch.setattr(exponent, "_newton_stack", counted)
+        keys = {(64 - k) / 32 for k in range(64)} - {1.0}
+        for call in calls:
+            solved.clear()
+            assert main(list(call.argv)) == 0
+            table = [s for s in solved if s in keys]
+            assert len(set(table)) == len(table) <= 8 + 7 * 3
+            assert len(table) < 63
+
+    def test_nearest_start_fills_only_its_pick(self):
+        twin = _filled(ExponentSolver(make_asym_3x3()))
+        rng = np.random.default_rng(39)
+        keys = [exponent._key(float(key))
+                for key in rng.uniform(1 / 32, 2.0, 200)]
+        keys += [0.5 * (a + b) / 32 for a, b in zip(range(1, 64),
+                                                     range(2, 65))]
+        for key in keys:
+            lazy = ExponentSolver(make_asym_3x3())
+            unfilled = lazy._ladder[:64].count(None)
+            near = lazy._nearest_start(key)
+            want = twin._nearest_start(key)
+            assert near.s == want.s
+            assert near.log_q.tobytes() == want.log_q.tobytes()
+            assert lazy._ladder[:64].count(None) >= unfilled - 1
+
+    def test_unfilled_table_key_is_solved_from_the_true_marginal(
+            self, monkeypatch):
+        twin = _filled(ExponentSolver(make_asym_3x3()))
+        solver = ExponentSolver(make_asym_3x3())
+        calls = TestOneLadder._counted(monkeypatch)
+        for k in (3, 13, 62):
+            key = (64 - k) / 32
+            sol = solver._solve_s(key)
+            assert calls[-1] == [key] and solver._ladder[k] is sol
+            assert sol.log_q.tobytes() == twin._ladder[k].log_q.tobytes()
+            assert sol.iterations == twin._ladder[k].iterations
+        assert len(calls) == 3
+
+    def test_leaf_failure_raises_from_the_query_that_reads_it(
+            self, monkeypatch):
+        # a certificate stuck above gap_tol at the leaf s = 1.59375 leaves
+        # the solver buildable; the targets whose bisection reads it raise
+        # what the one-s solve raises, and the others give the bits of an
+        # unpatched solver.  Stuck at the spine's s = 1.75, the solver does
+        # not build, as before
+        spec = make_asym_3x3()
+        clean = ExponentSolver(spec)
+        real = exponent._linearization_gap
+        qz_p = exponent._evaluate(clean._w, clean._log_p, clean._log_p,
+                                  1.0)[1]
+
+        def stuck_at(s_stuck):
+            def gap(w, log_p, support, s, *rest):
+                got = real(w, log_p, support, s, *rest)
+                return np.where(np.ravel(s) == s_stuck, 1e-9, got)
+            monkeypatch.setattr(exponent, "_linearization_gap", gap)
+            with pytest.raises(wx.SolverError) as one:
+                exponent._newton_stack(clean._w, clean._log_p, clean._support,
+                                       [s_stuck], qz_p[None], clean.gap_tol,
+                                       clean.max_iter)
+            return str(one.value)
+
+        message = stuck_at(1.59375)
+        solver = ExponentSolver(spec)
+        reads = 0.5 * (clean._ladder[8].i + clean._ladder[16].i)
+        for _ in range(2):                          # raises on every read
+            with pytest.raises(wx.SolverError) as exc:
+                solver.phi(reads)
+            assert str(exc.value) == message
+        assert solver._ladder[9:16] == [None] * 7
+        other = 0.5 * (clean._ladder[40].i + clean._ladder[48].i)
+        value, sol, width = solver.phi(other)
+        assert (value, width) == clean.phi(other)[::2]
+        assert sol.log_q.tobytes() == clean.phi(other)[1].log_q.tobytes()
+        message = stuck_at(1.75)
+        with pytest.raises(wx.SolverError) as exc:
+            ExponentSolver(spec)
+        assert str(exc.value) == message
 
 
 class TestSandwich:
@@ -1414,7 +1603,7 @@ class TestSandwich:
         # target is refined: phi keeps the table bracket's sandwich, which
         # holds the certified value, and reports its width
         spec = make_asym_3x3()
-        solver = ExponentSolver(spec)
+        solver = _filled(ExponentSolver(spec))  # the brackets are filled
         targets = (0.5 * (solver.i_min + solver.i_max),
                    0.5 * (solver._ladder[63].i + solver.i_max))
         certified = [ExponentSolver(spec).phi(t)[0] for t in targets]
