@@ -51,10 +51,10 @@ solves the 8 entries of the table's spine and at most 21 of the other
 lockstep from the marginal of one start: the table's spine is one stack
 from the true output marginal, and so is each interval a bisection fills
 (each round does one stacked KKT solve and a line search per slice, and
-a slice leaves the stack once it certifies); a level, and any other
-s > 0 from its nearest rung, is a stack of one.  The kernel rounds each
-slice as a lone solve of its s, so no entry depends on which others
-share its stack.
+a slice leaves the stack once it certifies); a level, from the rung
+above it, and each key of phi's sandwich, from the nearer rung of its
+bracket, is a stack of one.  The kernel rounds each slice as a lone
+solve of its s, so no entry depends on which others share its stack.
 
 At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
@@ -73,7 +73,6 @@ stops, the walk raises SolverError.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import logging
 import math
@@ -694,8 +693,8 @@ def _forest_vertex(w, log_p, support, ln_v, gap_tol, it):
 # ---------------------------------------------------------------------------
 
 def _key(s: float) -> float:
-    """The cache key of s: clamped to [0, 2] and quantized to 1e-9."""
-    return round(min(max(s, 0.0), 2.0), 9)
+    """The cache key of an s in [0, 2]: s quantized to 1e-9."""
+    return round(s, 9)
 
 
 class ExponentSolver:
@@ -708,8 +707,8 @@ class ExponentSolver:
     (_SPINE) in one Newton stack, and s = 0 by a walk down the ladder; the
     other entries are filled as bisections read them, the levels are built
     on demand, each solved from the rung above, and every other inner
-    solve starts from the nearest rung, filled or not, after building the
-    levels down to its s.  Every Newton solve goes through _solve.  That
+    solve, a key of phi's sandwich, starts from the nearer of the two
+    rungs that bracket it.  Every Newton solve goes through _solve.  That
     makes each solution a deterministic function of its multiplier alone,
     independent of query order and of which entries were filled before
     it.  Rate points can therefore be evaluated concurrently and reproduce
@@ -851,43 +850,6 @@ class ExponentSolver:
                           f"s={sol.s:.9g}", best_value=zero.f,
                           residual=gap, iterations=steps)
 
-    def _solve_s(self, s: float) -> _InnerSolution:
-        # inner solutions are cached on s quantized to 1e-9; s = 0 and the
-        # spine are solved when the solver is built.  An uncached s runs
-        # Newton from the marginal of the nearest rung, once the ladder
-        # reaches down to s, unless that rung is s itself: a level, or a
-        # table entry that _nearest_start filled from the true marginal.
-        key = _key(s)
-        sol = self._cache.get(key)
-        if sol is None:
-            while self._ladder[-1].s > key and self._extend():
-                pass
-            sol = self._nearest_start(key)
-            if sol.s != key:
-                sol = self._solve([key], sol)[0]
-        return sol
-
-    def _nearest_start(self, key: float) -> _InnerSolution:
-        """The rung nearest to key, the first of two equally near (the
-        larger s), filled if it is an unfilled table entry.  Among the
-        table's rungs, filled or not, it is found by arithmetic on their
-        s = 2 - k/32 (a key is a multiple of 1e-9, so no rounding moves it
-        across a rung); below them, by bisection on the levels built so
-        far."""
-        ladder = self._ladder
-        # the first table rung with s <= key, or _RUNGS below the table
-        k = math.ceil(_RUNGS - 32.0 * key)
-        if k == _RUNGS:
-            k = bisect.bisect_left(ladder, -key, k, key=lambda start: -start.s)
-            if k == len(ladder) or ladder[k - 1].s - key <= key - ladder[k].s:
-                k -= 1
-            return ladder[k]
-        if k > 0 and (_RUNGS + 1 - k) / 32 - key <= key - (_RUNGS - k) / 32:
-            k -= 1
-        if ladder[k] is None:
-            self._fill((k,))
-        return ladder[k]
-
     def _bracket(self, target: float):
         """The two certified solves whose I bracket the interior target,
         (lo, hi) with I(lo) >= target >= I(hi), and whether solves between
@@ -917,12 +879,14 @@ class ExponentSolver:
 
     def _sandwich(self, target: float) -> tuple[float, _InnerSolution, float]:
         """(phi, the solve whose support line gives it, the certified width
-        of the sandwich around it) at a target inside (i_min, i_max)."""
+        of the sandwich around it) at a target inside (i_min, i_max).  Each
+        uncached key starts from the nearer rung of the bracket, the larger
+        s of two equally near, which is the nearest rung of the ladder."""
         lo, hi, refine = self._bracket(target)
         g_lo, g_hi = lo.i - target, hi.i - target
         best, lower = None, -math.inf
         side, why = 0, "the bracket lies above the deepest level"
-        new = (hi, lo)
+        above, below = new = (hi, lo)
         while True:
             for sol in new:
                 line = sol.f - (sol.s - 1.0) * target
@@ -945,8 +909,9 @@ class ExponentSolver:
             if not lo.s < key < hi.s:
                 why = "the bracket is one cache quantum wide"
                 break
+            start = above if above.s - key <= key - below.s else below
             try:
-                sol = self._solve_s(key)
+                sol = self._cache.get(key) or self._solve([key], start)[0]
             except SolverError:
                 why = f"the solve at s={key:.9g} failed"
                 break
@@ -978,7 +943,7 @@ class ExponentSolver:
         refine it (module docstring; memoized, see _sandwich).  At or beyond
         an end of [i_min, i_max] it is that end's table support line, picked
         from the unclamped target: a one-point curve (every row of P
-        one-hot) still takes the s = 2 end below it.
+        one-hot) still takes the s = 2 end below it.  NaN raises ValueError.
         """
         if target_i <= self.i_min or target_i >= self.i_max:
             sol = self._ladder[0] if target_i <= self.i_min else self._zero
@@ -986,6 +951,8 @@ class ExponentSolver:
             return max(sol.f - (sol.s - 1.0) * target, 0.0), sol, sol.gap
         hit = self._phi_cache.get(target_i)
         if hit is None:
+            if target_i != target_i:
+                raise ValueError("target_i must not be NaN")
             hit = self._phi_cache[target_i] = self._sandwich(target_i)
         return hit
 
@@ -998,7 +965,7 @@ class ExponentSolver:
         if r1 > self.i_max:
             return math.inf, None, 0.0
         if r1 <= self.i_p:
-            return 0.0, self._solve_s(1.0), 0.0
+            return 0.0, self._cache[1.0], 0.0
         return self.phi(r1)
 
     def exponent_rep1(self, rates: RatePair) -> ExponentResult:
@@ -1023,7 +990,7 @@ class ExponentSolver:
         if r2 < self.i_min:
             e1, q1 = math.inf, (None, 0.0)
         elif r2 >= self.i_p:
-            e1, q1 = r1 - r2, (self._solve_s(1.0), 0.0)
+            e1, q1 = r1 - r2, (self._cache[1.0], 0.0)
         else:
             val, sol, width = self.phi(r2)
             e1, q1 = r1 - r2 + val, (sol, width)
@@ -1058,7 +1025,9 @@ class ExponentSolver:
         best = None
         for lam2 in (0.0, 1.0):
             lam1 = min(max(s_star - lam2, 0.0), 1.0)
-            val = self._solve_s(lam1 + lam2).f + (1.0 - lam1) * r1 - lam2 * r2
+            # lam1 + lam2 is exactly s* or 1, the s of cached solves: for
+            # s* in [1, 2], s* - 1 is exact, and so is adding 1 back
+            val = self._cache[lam1 + lam2].f + (1.0 - lam1) * r1 - lam2 * r2
             if best is None or val < best[0] - 1e-12:
                 best = (val, lam1, lam2)
         return best

@@ -16,7 +16,9 @@ per-workload lines show which workload's outputs differ when they do not.
 A workload's own digest equals the last line of a run of that workload
 alone.  Takes about 7 s for all four
 workloads on a 2-CPU host, so it is kept out of the tier-1 suite (pytest
-does not collect this file).
+does not collect this file); ``test_pool_digest.py`` pins the digests of
+the plane, cold and gaussian workloads, and leaves out the ensemble's,
+which takes about 3 s.
 """
 from __future__ import annotations
 
@@ -57,6 +59,12 @@ def run(call) -> tuple[int, str]:
     return rc, out.getvalue()
 
 
+def line(key: str, rc: int, out: str) -> str:
+    """The digest line of one call: its key, exit code and stdout's
+    sha256."""
+    return f"{key} {rc} {hashlib.sha256(out.encode()).hexdigest()}\n"
+
+
 def main(argv) -> int:
     names = argv or list(workloads.POOLS)
     unknown = set(names) - set(workloads.POOLS)
@@ -70,12 +78,10 @@ def main(argv) -> int:
             part = hashlib.sha256()
             for key, call in calls([name], work_dir):
                 workloads.write_channel(call)
-                rc, out = run(call)
-                line = (f"{key} {rc} "
-                        f"{hashlib.sha256(out.encode()).hexdigest()}\n")
-                print(line, end="", flush=True)
-                part.update(line.encode())
-                digest.update(line.encode())
+                text = line(key, *run(call))
+                print(text, end="", flush=True)
+                part.update(text.encode())
+                digest.update(text.encode())
             print(f"digest {name} {part.hexdigest()}", flush=True)
     print(f"digest {digest.hexdigest()}")
     return 0

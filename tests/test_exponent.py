@@ -47,10 +47,29 @@ class TestRatePair:
         assert wx.RatePair(0.6, 0.1).r == pytest.approx(0.5)
 
 
+def nearest_rung(ladder, key):
+    """The rung of a filled ladder nearest to key, found by a linear scan:
+    the first of two equally near, which has the larger s."""
+    return min(ladder, key=lambda rung: abs(rung.s - key))
+
+
+def solve_at(solver, s):
+    """The inner solve at s in [0, 2], as phi's sandwich solves a key: the
+    cached solve, or else, with the table filled and the levels built down
+    to s, the Newton solve from the nearest rung."""
+    key = exponent._key(s)
+    if key not in solver._cache:
+        ladder = _filled(solver)._ladder
+        while ladder[-1].s > key and solver._extend():
+            pass
+        solver._solve([key], nearest_rung(ladder, key))
+    return solver._cache[key]
+
+
 def inner_min(solver, mu):
     """(rows, D, I) of the minimizer of D + mu I with Q_X = P_X: the inner
     solve at s = 1 + mu, on the solver's reduced channel."""
-    sol = solver._solve_s(1.0 + mu)
+    sol = solve_at(solver, 1.0 + mu)
     return sol.q, sol.d, sol.i
 
 
@@ -94,7 +113,7 @@ class TestInnerLagrangianMin:
     def test_bsc_noiseless_endpoint(self, bsc01):
         solver = ExponentSolver(bsc01)
         _, d, i = inner_min(solver, -1.0)
-        assert solver._solve_s(0.0) is solver._zero
+        assert solver._cache[0.0] is solver._zero
         assert i == pytest.approx(LN2, abs=1e-7)
         assert d == pytest.approx(math.log(1 / 0.9), abs=1e-7)
 
@@ -1259,45 +1278,6 @@ def _fallbacks(records) -> int:
     return sum("keeps a sandwich" in r.getMessage() for r in records)
 
 
-class TestNearestStart:
-    """An off-table solve starts from the ladder start nearest to its s, the
-    first of two equally near (the larger s).  The bisection must pick the
-    start that a linear scan of the ladder picks."""
-
-    @staticmethod
-    def linear(solver, key):
-        return min(solver._ladder, key=lambda start: abs(start.s - key))
-
-    @pytest.fixture(scope="class")
-    def solver(self):
-        solver = _filled(ExponentSolver(make_asym_3x3()))
-        for _ in range(8):                          # eight halving levels
-            solver._extend()
-        return solver
-
-    def test_midpoints_tie_to_the_larger_s(self, solver):
-        starts = solver._ladder
-        assert len(starts) == 72 and starts[-1].s < 1e-3
-        ties = 0
-        for above, below in zip(starts, starts[1:]):
-            key = 0.5 * (above.s + below.s)
-            near = solver._nearest_start(key)
-            assert near is self.linear(solver, key)
-            if above.s - key == key - below.s:
-                assert near is above
-                ties += 1
-        assert ties >= 63          # each midpoint of two table entries ties
-
-    def test_random_keys(self, solver):
-        rng = np.random.default_rng(23)
-        keys = np.concatenate([rng.uniform(0.0, 2.0, 500),
-                               10.0 ** rng.uniform(-9.0, -1.0, 500)])
-        keys = [exponent._key(float(key)) for key in keys]
-        keys += [start.s for start in solver._ladder] + [1e-9, 2.0]
-        for key in keys:
-            assert solver._nearest_start(key) is self.linear(solver, key)
-
-
 class TestOneLadder:
     """The table's s > 0 entries and the halving levels below them are one
     ladder, and ExponentSolver._solve is the one way into the Newton
@@ -1362,22 +1342,40 @@ class TestOneLadder:
     @pytest.mark.parametrize("name", CHANNELS)
     def test_each_uncached_s_off_the_ladder_adds_one_call(self, name,
                                                           monkeypatch):
-        # an uncached s builds the levels down to it, then solves itself
-        # unless it is one of them; a cached s calls nothing
-        solver = _filled(ExponentSolver(_fixture_spec(name)))
-        calls = self._counted(monkeypatch)
-        keys = [1.9, 1.23456789, 0.7, 0.51, 0.1, 0.02, 2.0 ** -7, 1e-3,
-                1e-3, 0.7, 1.5, 0.0]
-        for key in map(exponent._key, keys):
-            before, n = len(solver._ladder), len(calls)
-            fresh = key not in solver._cache
-            solver._solve_s(key)
-            levels = solver._ladder[before:]
-            assert calls[n:n + len(levels)] == [[sol.s] for sol in levels]
-            off = fresh and key not in [sol.s for sol in solver._ladder]
-            assert len(calls) == n + len(levels) + off
-            if off:
-                assert calls[-1] == [key]
+        # a new phi target fills the interval its bisection reads, then
+        # builds the levels its bracket walks, then solves each new key of
+        # its sandwich in a stack of one; a target seen before calls
+        # nothing.  A level or key that does not certify is a stack of one
+        # that adds nothing
+        solver = ExponentSolver(_fixture_spec(name))
+        calls, stack = [], exponent._newton_stack
+
+        def counted(w, log_p, support, s, *rest):
+            try:
+                sols = stack(w, log_p, support, s, *rest)
+            except wx.SolverError:
+                assert len(s) == 1
+                raise
+            calls.append(list(s))
+            return sols
+
+        monkeypatch.setattr(exponent, "_newton_stack", counted)
+        targets = _lazy_targets(solver)[::3]
+        targets += targets[:4]
+        for t in targets:
+            n, before, cached = len(calls), len(solver._ladder), set(
+                solver._cache)
+            unfilled = [k for k in range(64) if solver._ladder[k] is None]
+            solver.phi(t)
+            filled = [(64 - k) / 32 for k in unfilled
+                      if solver._ladder[k] is not None]
+            rungs = {sol.s for sol in solver._ladder if sol is not None}
+            new = [key for key in solver._cache
+                   if key not in cached and key not in rungs]
+            assert calls[n:] == [filled] * bool(filled) + [
+                [sol.s] for sol in solver._ladder[before:]] + [
+                [key] for key in new]
+        assert calls
 
 
 LAZY_CHANNELS = FIXTURES + [f"cold_{size}" for size in range(2, 17)]
@@ -1387,6 +1385,14 @@ def _lazy_spec(name: str) -> wx.ChannelSpec:
     if name.startswith("cold_"):
         return parse_channel_spec(json.dumps(_cold_channels()[int(name[5:])]))
     return wx.load_channel_spec(_scan_path(name))
+
+
+def _lazy_targets(solver) -> list[float]:
+    """The 40 interior phi targets of the lazy-table tests: 36 evenly
+    spaced inside (i_min, i_max) and four just below i_max."""
+    targets = np.linspace(solver.i_min, solver.i_max, 38)[1:-1].tolist()
+    targets += [solver.i_max - 10.0 ** -k for k in (2, 4, 6, 8)]
+    return [t for t in targets if solver.i_min < t < solver.i_max]
 
 
 class TestLazyTable:
@@ -1409,9 +1415,7 @@ class TestLazyTable:
         spec = _lazy_spec(name)
         fwd, rev = ExponentSolver(spec), ExponentSolver(spec)
         twin = _filled(ExponentSolver(spec))
-        targets = np.linspace(twin.i_min, twin.i_max, 38)[1:-1].tolist()
-        targets += [twin.i_max - 10.0 ** -k for k in (2, 4, 6, 8)]
-        targets = [t for t in targets if twin.i_min < t < twin.i_max]
+        targets = _lazy_targets(twin)
         a = [self._read(fwd, t) for t in targets]
         b = [self._read(rev, t) for t in reversed(targets)][::-1]
         assert a == b == [self._read(twin, t) for t in targets]
@@ -1481,35 +1485,6 @@ class TestLazyTable:
             assert len(set(table)) == len(table) <= 8 + 7 * 3
             assert len(table) < 63
 
-    def test_nearest_start_fills_only_its_pick(self):
-        twin = _filled(ExponentSolver(make_asym_3x3()))
-        rng = np.random.default_rng(39)
-        keys = [exponent._key(float(key))
-                for key in rng.uniform(1 / 32, 2.0, 200)]
-        keys += [0.5 * (a + b) / 32 for a, b in zip(range(1, 64),
-                                                     range(2, 65))]
-        for key in keys:
-            lazy = ExponentSolver(make_asym_3x3())
-            unfilled = lazy._ladder[:64].count(None)
-            near = lazy._nearest_start(key)
-            want = twin._nearest_start(key)
-            assert near.s == want.s
-            assert near.log_q.tobytes() == want.log_q.tobytes()
-            assert lazy._ladder[:64].count(None) >= unfilled - 1
-
-    def test_unfilled_table_key_is_solved_from_the_true_marginal(
-            self, monkeypatch):
-        twin = _filled(ExponentSolver(make_asym_3x3()))
-        solver = ExponentSolver(make_asym_3x3())
-        calls = TestOneLadder._counted(monkeypatch)
-        for k in (3, 13, 62):
-            key = (64 - k) / 32
-            sol = solver._solve_s(key)
-            assert calls[-1] == [key] and solver._ladder[k] is sol
-            assert sol.log_q.tobytes() == twin._ladder[k].log_q.tobytes()
-            assert sol.iterations == twin._ladder[k].iterations
-        assert len(calls) == 3
-
     def test_leaf_failure_raises_from_the_query_that_reads_it(
             self, monkeypatch):
         # a certificate stuck above gap_tol at the leaf s = 1.59375 leaves
@@ -1550,6 +1525,91 @@ class TestLazyTable:
         with pytest.raises(wx.SolverError) as exc:
             ExponentSolver(spec)
         assert str(exc.value) == message
+
+
+class TestNearestStart:
+    """phi's sandwich solves each off-ladder key from the nearer of its
+    bracket's two rungs, the first of two equally near (the larger s): the
+    rung that a linear scan of the whole ladder picks."""
+
+    def test_midpoints_tie_to_the_larger_s(self, monkeypatch):
+        # a target midway in I between two rungs puts its first key at
+        # their midpoint in s, or next to it
+        solver = _filled(ExponentSolver(make_asym_3x3()))
+        for _ in range(8):                          # eight halving levels
+            solver._extend()
+        starts = list(solver._ladder)
+        assert len(starts) == 72 and starts[-1].s < 1e-3
+        solved, solve = [], solver._solve
+
+        def recorded(keys, start):
+            solved.append((keys, start))
+            return solve(keys, start)
+
+        monkeypatch.setattr(solver, "_solve", recorded)
+        ties = 0
+        for above, below in zip(starts, starts[1:]):
+            n = len(solved)
+            solver.phi(0.5 * (above.i + below.i))
+            for (key,), start in solved[n:]:
+                assert start is nearest_rung(starts, key)
+                if above.s - key == key - below.s:
+                    assert start is above
+                    ties += 1
+        assert len(solver._ladder) == 72
+        assert ties >= 63          # most midpoints of two table entries tie
+
+    def test_off_ladder_solves_match_nearest_rung_solves(self):
+        # after phi at the lazy-table targets, every cached solve off the
+        # ladder is, bit for bit, the solve of its key from the nearest
+        # rung of a filled twin with as many levels
+        checked = 0
+        for name in LAZY_CHANNELS:
+            spec = _lazy_spec(name)
+            solver = ExponentSolver(spec)
+            for t in _lazy_targets(solver):
+                solver.phi(t)
+            twin = _filled(ExponentSolver(spec))
+            while len(twin._ladder) < len(solver._ladder):
+                assert twin._extend()
+            rungs = {sol.s for sol in twin._ladder} | {0.0}
+            off = [key for key in solver._cache if key not in rungs]
+            checked += len(off)
+            for key in off:
+                sol = solver._cache[key]
+                want, = twin._solve([key], nearest_rung(twin._ladder, key))
+                assert sol.log_q.tobytes() == want.log_q.tobytes(), key
+                assert (sol.f, sol.gap, sol.iterations) == (
+                    want.f, want.gap, want.iterations)
+        assert checked >= 20 * len(LAZY_CHANNELS)
+
+
+class TestRep2SolvesNothing:
+    """lambda1 + lambda2 is s* or 1, so once phi(r1) has run,
+    exponent_rep2 reads cached solves and runs no Newton solve."""
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("exponent_rep2 ran a Newton solve")
+
+    @pytest.mark.parametrize("name", LAZY_CHANNELS)
+    def test_rep2_after_phi_solves_nothing(self, name, monkeypatch):
+        solver = ExponentSolver(_lazy_spec(name))
+        lo, hi, ip = solver.i_min, solver.i_max, solver.i_p
+        r1s = [0.5 * lo, lo, ip, hi, 1.1 * hi]
+        r1s += np.linspace(lo, hi, 12)[1:-1].tolist()
+        stars = []
+        for r1 in r1s:
+            stars.append(solver.phi(r1)[1].s)
+            with monkeypatch.context() as patch:
+                patch.setattr(exponent, "_newton_stack", self._refuse)
+                value, lam1, lam2 = solver.exponent_rep2(
+                    wx.RatePair(r1, 0.3 * r1))
+            assert math.isfinite(value) and lam2 in (0.0, 1.0)
+        if lo < ip:
+            assert stars[:5] == [2.0, 2.0, 1.0, 0.0, 0.0]
+        else:                                   # a one-point curve
+            assert stars == [2.0] * len(r1s)
 
 
 class TestSandwich:
@@ -1710,6 +1770,16 @@ class TestLabelPermutation:
         values = [(sv.i_max, sv.d_at_imax, sv.exponent_rep1(rates).e)
                   for sv in solvers]
         assert np.allclose(values[0], values[1], rtol=0.0, atol=1e-12)
+
+
+class TestNaNTarget:
+    def test_phi_and_e3_raise_and_solve_nothing(self):
+        solver = ExponentSolver(make_asym_3x3())
+        cached = list(solver._cache)
+        for query in (solver.phi, solver.e3):
+            with pytest.raises(ValueError, match="NaN"):
+                query(math.nan)
+        assert list(solver._cache) == cached and not solver._phi_cache
 
 
 class TestSolverArguments:

@@ -66,13 +66,13 @@ class TestComputeQstar:
 
     @pytest.mark.parametrize("name", ["asym3x3"] + DATA_CHANNELS)
     def test_fields_are_the_table_end(self, name):
-        # compute_qstar reads the s = 0 table entry, the solve that
-        # _solve_s(0) returns, so the three are the same floats
+        # compute_qstar reads the s = 0 table entry, the solve cached at
+        # s = 0, so the three are the same floats
         spec = (make_asym_3x3() if name == "asym3x3" else
                 wx.load_channel_spec(os.path.join(DATA, name + ".json")))
         solver = ExponentSolver(spec)
         an = wx.compute_qstar(solver)
-        zero = solver._solve_s(0.0)
+        zero = solver._zero
         assert an.i_qstar == solver.i_max == zero.i
         assert an.d_qstar == solver.d_at_imax == zero.d
         assert an.i_p == solver.i_p
