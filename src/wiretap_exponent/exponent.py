@@ -53,8 +53,10 @@ from the true output marginal, and so is each interval a bisection fills
 (each round does one stacked KKT solve and a line search per slice, and
 a slice leaves the stack once it certifies); a level, from the rung
 above it, and each key of phi's sandwich, from the nearer rung of its
-bracket, is a stack of one.  The kernel rounds each slice as a lone
-solve of its s, so no entry depends on which others share its stack.
+bracket, is a stack of one, which runs the same rounds without the
+bookkeeping of many slices (_newton_one).  The kernel rounds each slice
+as a lone solve of its s, so no entry depends on which others share its
+stack.
 
 At s = 0 the inner problem is Shmyrev's convex program for a linear Fisher
 market (Shmyrev 2009): inputs are buyers with budgets P_X(x), outputs are
@@ -79,7 +81,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:                     # a numpy that moved its private module
+    _umath_linalg = None
 
 from .channels import ChannelSpec
 from .errors import SolverError
@@ -318,30 +324,32 @@ def _newton_kkt(w, q, qz, v, s):
 
 
 def _pick(at, n, *stacks):
-    """The slices at (a list) of each of the stacks of n slices: arrays,
-    lists, or floats that stand for one value of every slice (see
-    _stacked).  When at takes all n slices, the stacks themselves.  The
-    arrays are indexed with one intp array made once per pick.
+    """The slices at (a list) of each of the stacks of n slices, arrays or
+    lists; when at takes all n slices, the stacks themselves.  The arrays
+    are indexed with one intp array made once per pick.
 
-    The per-slice lists and scalars stay because the one-slice off-table
-    solves pay for array bookkeeping: an all-array Newton stack printed the
-    same outputs but took the 101x101 asym3x3 plane 1.36-1.77 s against
-    0.65-1.22 s (in-process, one CPU), and _line_search's per-slice
-    values kept as array scalars took the plane's throughput to 0.85x (0
-    of 12 paired runs faster) and left cold calls unchanged."""
+    Only _newton_stack's stacks of two or more slices pick: a stack of one
+    runs in _newton_one, which has no per-slice lists.  The stack keeps its
+    per-slice values in lists because each slice's screen, Armijo test and
+    exit is a scalar test of its own; an all-array stack printed the same
+    outputs but was slower while the plane's one-slice solves still ran
+    in it (the 101x101 asym3x3 plane took 1.36-1.77 s against 0.65-1.22 s,
+    in-process, one CPU), and it has not been measured on the many-slice
+    stacks alone."""
     if len(at) == n:
         return stacks
     idx = np.array(at, dtype=np.intp)
-    return [a[idx] if isinstance(a, np.ndarray)
-            else [a[j] for j in at] if isinstance(a, list) else a
+    return [a[idx] if isinstance(a, np.ndarray) else [a[j] for j in at]
             for a in stacks]
 
 
 def _stacked(values, dims):
     """The list values, one per slice, as an array with dims trailing axes
-    of length 1 to broadcast against a stack; a float when the stack has
-    one slice, which broadcasts alike and keeps the arithmetic of a one-s
-    solve on scalars."""
+    of length 1 to broadcast against a stack; a float for one slice, which
+    broadcasts alike with less overhead.  A stack of one s never gets here
+    (_newton_one takes its s as a float), but _line_search's trials of one
+    slice do, where the other slices of a stack have taken their steps; an
+    array there cost cold calls about 1% (in-process, one CPU)."""
     if len(values) == 1:
         return values[0]
     return np.array(values).reshape((-1,) + (1,) * dims)
@@ -383,7 +391,10 @@ def _lapack_solve(a, b):
     """np.linalg.solve of a stack of float64 systems a x = b, b a stack of
     columns, without its per-call argument checks: the same batched LAPACK
     gufunc under the same error state, so the same bits and the same
-    LinAlgError on a singular slice."""
+    LinAlgError on a singular slice.  Where numpy has no private
+    numpy.linalg._umath_linalg, np.linalg.solve itself."""
+    if _umath_linalg is None:
+        return np.linalg.solve(a, b)
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
@@ -476,6 +487,63 @@ def _line_search(w, log_p, support, s, s3, v, u, wlse, qz, floored, held):
     return at, tuple(state)
 
 
+def _newton_one(w, log_p, support, s, v, gap_tol, max_iter):
+    """_newton_stack for a stack of one s: the same rounds, on arrays with
+    a leading axis of 1 and with the same scalar formulas, so the same
+    bits, but none of the stack's per-slice lists, picks or scatter."""
+    a = s[0]
+    sign, slack = math.copysign(1.0, a - 1.0), abs(1.0 - a)
+    rhs = np.zeros((1, v.shape[1] + 1, 1))
+    rhs[:, :-1] = -1.0
+    ln_v = np.log(v)
+    rows, q, qz, wlse = _dual_point(w, log_p, support, a, ln_v)
+    for it in range(max_iter + 1):
+        ln_qz = np.log(np.maximum(qz, _TINY))
+        # the screen, then the certificate, as _newton_stack takes them
+        gap = slack * np.vecdot(qz, ln_qz - ln_v).item()
+        certified, values = gap <= gap_tol, None
+        if certified:
+            (gap,), values = _certify(w, log_p, support, s, a, rows, q, ln_qz)
+        if gap > gap_tol and it < max_iter:
+            floored = qz <= _QZ_FLOOR
+            held = np.count_nonzero(floored)
+            u = _newton_direction(w, q, qz, v, a, rhs, floored, held)
+            # _line_search's Armijo halving on one slice
+            g, low, high = -a * wlse.item(), u.min().item(), u.max().item()
+            slope = -slack * np.vecdot(qz, u).item()
+            t = (min(1.0, 0.99 / max(-low, 1e-300))
+                 if max(high, -low) > _STEP_FLOOR else 0.0)
+            step = None
+            while step is None and t >= 1e-12:
+                v_t = v * (1.0 + t * u)
+                v_t /= v_t.sum(axis=-1, keepdims=True)
+                ln_t = np.log(v_t)
+                trial = _dual_point(w, log_p, support, a, ln_t)
+                low = (np.where(floored, 1.0, trial[2]) if held
+                       else trial[2]).min()
+                if low > _QZ_FLOOR and sign * (-a * trial[3].item() - g) \
+                        <= 1e-4 * t * slope + _NOISE * max(1.0, abs(g)):
+                    step = (v_t, ln_t, *trial)
+                else:
+                    t *= 0.5
+            if step is not None:
+                v, ln_v, rows, q, qz, wlse = step
+                continue
+        # the solve ends, certified if this round has not, as a slice that
+        # leaves the stack is
+        if not certified:
+            (gap,), values = _certify(w, log_p, support, s, a, rows, q, ln_qz)
+        if values is None:
+            values = _divergences(w, log_p, rows, q, ln_qz, s)
+        if gap <= gap_tol:
+            return [_InnerSolution(a, rows[0], q[0], *values[0], gap, it)]
+        _log.debug("Newton solve at s=%.9g stopped uncertified with gap %.3g "
+                   "after %d steps", a, gap, it)
+        raise SolverError(f"Newton solve did not certify at s={a:.9g}",
+                          best_value=values[0][2], residual=gap,
+                          iterations=it)
+
+
 def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
     """Damped Newton solves of max_V g_s (s < 1) or min_V g_s (s > 1), run
     in lockstep for a list of s, each from its positive output marginal
@@ -489,8 +557,12 @@ def _newton_stack(w, log_p, support, s, v, gap_tol, max_iter):
     reaches max_iter or takes no step (its KKT system is singular, its step
     is below _STEP_FLOOR or its line search fails); it is then certified
     once more.  The stack reports as if its s were solved one after
-    another: the first uncertified s raises SolverError.
+    another: the first uncertified s raises SolverError.  A stack of one s
+    (a halving level or a key of phi's sandwich) runs the same rounds in
+    _newton_one, without the bookkeeping of many slices.
     """
+    if len(s) == 1:
+        return _newton_one(w, log_p, support, s, v, gap_tol, max_iter)
     sols = [None] * len(s)
     failed = None                       # (index, s, gap, F, steps), first
     k = list(range(len(s)))             # index into s of each live slice
@@ -722,8 +794,10 @@ class ExponentSolver:
     ----------
     spec : ChannelSpec
         Channel under study.  Inputs with zero mass and outputs outside
-        every row's support are dropped before optimization, so every
-        inner solution's rows are those of the reduced channel.
+        every row's support are dropped before optimization, and inputs
+        with bitwise-identical rows are merged into the first, their
+        masses summed, so every inner solution's rows are those of the
+        reduced channel.
     gap_tol : float
         Certified optimality gap at which inner solves stop; ``phi`` stops
         refining once its sandwich is at most twice as wide.
@@ -743,9 +817,18 @@ class ExponentSolver:
 
         w_full = spec.input_dist.probs
         keep_x = w_full > 0
-        p_rows = spec.wiretap.rows[keep_x]
+        w, p_rows = w_full[keep_x], spec.wiretap.rows[keep_x]
+        # inputs whose rows are bitwise identical are one input, in the
+        # place of the first, with their masses summed: the same channel,
+        # whose s = 0 walk certifies where that of the copies may not
+        copies = {}
+        for x, row in enumerate(p_rows):
+            copies.setdefault(row.tobytes(), []).append(x)
+        if len(copies) < len(p_rows):
+            w = np.array([w[xs].sum() for xs in copies.values()])
+            p_rows = p_rows[[xs[0] for xs in copies.values()]]
         keep_z = (p_rows > 0).any(axis=0)
-        self._w = w_full[keep_x]
+        self._w = w
         # C order: indexing the columns leaves a Fortran-ordered copy, and
         # the order of the operands fixes the rounding of every row sum
         self._p = np.ascontiguousarray(p_rows[:, keep_z])

@@ -23,7 +23,10 @@ them, with both totals.  Then come the p50, p99 and max wall time of the
 solver constructions ("spine builds") of each seed, with the channel of
 the slowest: a construction solves the multiplier table's spine and the
 s = 0 walk, and the other table entries are filled by the ``phi``
-targets that read them.  After its targets, each
+targets that read them.  Beside each comes the p50 and max wall time of
+the seed's single-slice Newton solves (stacks of one s: the halving
+levels and the keys of ``phi``'s sandwiches, failed ones included),
+which run in their own loop.  After its targets, each
 table is filled, so the last line, ``digest <sha256>``, hashes every
 channel's whole table and other cached inner solves in (seed, channel,
 s) order (``log_q`` bytes, ``f``, ``gap`` and ``iterations``) and every
@@ -47,6 +50,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 from workloads import generate_channel  # noqa: E402
 
 from wiretap_exponent import ExponentSolver, SolverError  # noqa: E402
+from wiretap_exponent import exponent  # noqa: E402
 from wiretap_exponent.channels import parse_channel_spec  # noqa: E402
 
 CHANNELS_PER_SEED = 120
@@ -82,6 +86,20 @@ def _levels(solver) -> int:
 def _unfilled(solver) -> int:
     """The table entries not solved yet."""
     return solver._ladder[:64].count(None)
+
+
+def _timed_one_slice(stack, times):
+    """The Newton stack function stack, appending to times the wall time
+    of each call with a single s."""
+    def timed(w, log_p, support, s, *rest):
+        if len(s) != 1:
+            return stack(w, log_p, support, s, *rest)
+        start = time.perf_counter()
+        try:
+            return stack(w, log_p, support, s, *rest)
+        finally:
+            times.append(time.perf_counter() - start)
+    return timed
 
 
 def scan(seed: int, digest) -> tuple[int, list, list, list, list, list,
@@ -132,7 +150,14 @@ def scan(seed: int, digest) -> tuple[int, list, list, list, list, list,
 def main(argv) -> int:
     seeds = [int(a) for a in argv] or [7, 8]
     digest = hashlib.sha256()
-    results = [scan(seed, digest) for seed in seeds]
+    results, ones, stack = [], [], exponent._newton_stack
+    try:
+        for seed in seeds:
+            ones.append([])
+            exponent._newton_stack = _timed_one_slice(stack, ones[-1])
+            results.append(scan(seed, digest))
+    finally:
+        exponent._newton_stack = stack
     failures = sum(r[0] for r in results)
     above = [entry for r in results for entry in r[1]]
     counts = [entry for r in results for entry in r[2]]
@@ -164,13 +189,18 @@ def main(argv) -> int:
         print(f"halving levels per channel p50 {p50} max {top}; built by "
               f"the s = 0 solve p50 {p50_zero} max {top_zero} ({zero} of "
               f"{total} levels)")
-    for seed, (_, _, _, builds, *_) in zip(seeds, results):
+    for seed, (_, _, _, builds, *_), one in zip(seeds, results, ones):
         if builds:
             ms = 1e3 * np.array([t for t, _ in builds])
             p50, p99 = np.percentile(ms, [50, 99], method="lower")
             slowest = builds[int(ms.argmax())][1]
             print(f"seed {seed}: {ms.size} spine builds, wall ms p50 "
                   f"{p50:.1f} p99 {p99:.1f} max {ms.max():.1f} ({slowest})")
+        if one:
+            ms = 1e3 * np.array(one)
+            print(f"seed {seed}: {ms.size} single-slice solves, wall ms p50 "
+                  f"{np.percentile(ms, 50, method='lower'):.3f} "
+                  f"max {ms.max():.3f}")
     print(f"digest {digest.hexdigest()}")
     return 1 if failures or above else 0
 

@@ -65,6 +65,27 @@ class TestExponentCommand:
         assert code == 0
         assert record_to_dict(out)["E"] == "0.1"
 
+    def test_repeated_input_row_prints_the_original(self, capsys, tmp_path):
+        # input 0's mass split over two copies of its row: the s = 0 walk
+        # of the copies did not certify down to s = 3e-08, which exited 3;
+        # merged, the split channel prints the original's bytes
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "scan7_044_3x8.json")
+        with open(path) as f:
+            doc = json.load(f)
+        w = doc["input_dist"]
+        doc["input_dist"] = [0.5 * w[0], 0.5 * w[0], *w[1:]]
+        doc["wiretap"].insert(0, doc["wiretap"][0])
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(doc))
+        for command, *argv in (["exponent", "--r1", "0.3", "--r2", "0.1"],
+                               ["exponent", "--r1", "0.9", "--r2", "0.2"],
+                               ["region", "--r1-list", "0.2,0.6"]):
+            original = run(capsys, [command, path, *argv])
+            assert original[0] == 0 and original[1]
+            assert run(capsys, [command, str(split), *argv]) == original
+            assert argv[1] != "0.3" or "\nE 0\n" in original[1]
+
     def test_extrapolating_solves_keep_stderr_empty(self, capsys):
         # the solver's debug records stay off stderr by default
         code, out, err = run(capsys, ["exponent", SLOW_FIXED_POINT,

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import logging
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -760,9 +762,11 @@ def _parity_spec(name: str) -> wx.ChannelSpec:
 class TestLockstepTable:
     """The table's entries with s not in {0, 1} are solved in Newton
     stacks, the spine's and then one per interval a bisection fills; each
-    must be the one-s solve of its s from the true output marginal, and a
-    failing stack must report as the one-s solves would have, taken in
-    table order."""
+    must be the one-s solve of its s from the true output marginal, bit
+    for bit, and a failing stack must report as the one-s solves would
+    have, taken in table order.  A one-s solve runs in _newton_one, so
+    these tests hold the stack loop and the one-slice loop to each
+    other."""
 
     @pytest.mark.parametrize("name", PARITY_CHANNELS)
     def test_entries_match_one_s_solves(self, name):
@@ -776,10 +780,9 @@ class TestLockstepTable:
             one, = exponent._newton_stack(w, log_p, solver._support, [sol.s],
                                           qz_p[None], solver.gap_tol,
                                           solver.max_iter)
-            assert one.iterations == sol.iterations
-            assert abs(one.f - sol.f) <= 1e-13
-            assert abs(one.d - sol.d) <= 1e-13
-            assert abs(one.i - sol.i) <= 1e-13
+            assert one.log_q.tobytes() == sol.log_q.tobytes()
+            assert (one.f, one.d, one.i, one.gap, one.iterations) == (
+                sol.f, sol.d, sol.i, sol.gap, sol.iterations)
             assert sol.gap <= solver.gap_tol
 
     def test_first_stuck_slice_raises_as_the_one_s_solves(self, caplog,
@@ -881,6 +884,46 @@ class TestLockstepTable:
         assert exponent._lapack_solve(kkt, rhs).tobytes() == \
             np.linalg.solve(kkt, rhs).tobytes()
 
+    def test_solve_without_the_private_module(self, monkeypatch):
+        # a numpy without numpy.linalg._umath_linalg: the module still
+        # imports, and its solve falls back to np.linalg.solve, with the
+        # same bits and the same LinAlgError on a singular slice
+        s = [0.3, 0.7, 1.6]
+        (w, _, _), s3, v, q, qz, _, rhs = self._stack(s, 5)
+        kkt = exponent._newton_kkt(w, q, qz, v, s3)
+        monkeypatch.delattr(np.linalg, "_umath_linalg")
+        monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+        name = "wiretap_exponent._exponent_without_umath_linalg"
+        spec = importlib.util.spec_from_file_location(name, exponent.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, fallback)
+        spec.loader.exec_module(fallback)
+        assert fallback._umath_linalg is None
+        assert exponent._umath_linalg is not None
+        assert fallback._lapack_solve(kkt, rhs).tobytes() == \
+            exponent._lapack_solve(kkt, rhs).tobytes()
+        v[1] = 0.0
+        singular = exponent._newton_kkt(w, q, qz, v, s3)
+        for solve in (exponent._lapack_solve, fallback._lapack_solve):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+                solve(singular, rhs)
+
+    def test_fallback_solve_keeps_every_table_entry(self, monkeypatch):
+        # the whole table, and a phi target's sandwich solves, with the
+        # fallback solve have the bits of the batched gufunc's
+        spec = make_asym_3x3()
+        fast = ExponentSolver(spec)
+        monkeypatch.setattr(exponent, "_umath_linalg", None)
+        slow = ExponentSolver(spec)
+        for solver in (fast, slow):
+            solver.phi(0.5 * (solver.i_min + solver.i_max))
+        assert fast._cache.keys() == slow._cache.keys()
+        for a, b in zip(_entries(fast), _entries(slow)):
+            assert a.log_q.tobytes() == b.log_q.tobytes()
+            assert (a.f, a.gap, a.iterations) == (b.f, b.gap, b.iterations)
+        for key, sol in fast._cache.items():
+            assert sol.log_q.tobytes() == slow._cache[key].log_q.tobytes()
+
     def test_line_search_without_a_searching_slice(self):
         # every step below the floor: no slice searches, nothing moves
         s = [0.3, 1.6]
@@ -958,8 +1001,13 @@ class TestVertexAtSZero:
         w = spec.input_dist.probs
         p = spec.wiretap.rows[w > 0]
         w = w[w > 0]
+        # the solver merges inputs with identical rows: each input of the
+        # spec takes the solution's row of its first copy
+        first = {}
+        for row in p:
+            first.setdefault(row.tobytes(), len(first))
+        q = sol.q[[first[row.tobytes()] for row in p]]
         p = p[:, (p > 0).any(axis=0)]
-        q = sol.q
         qz = w @ q
         score = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)) - np.log(qz),
                          -np.inf)

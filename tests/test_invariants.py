@@ -67,3 +67,42 @@ def test_exponent_bounds_and_monotonicity(solver, a, b, c):
 def test_forest_vertex_per_tree(spec):
     # every vertex the s = 0 walk tries is the whole-forest one
     check_vertex_tries(spec)
+
+
+@st.composite
+def twins(draw):
+    """(a channel, its inputs and outputs relabelled, and the channel with
+    one input's mass split over that input and a copy of its row)."""
+    spec = draw(specs())
+    w, rows = spec.input_dist.probs, spec.wiretap.rows
+    nx, nz = rows.shape
+    px, pz = draw(st.permutations(range(nx))), draw(st.permutations(range(nz)))
+    relabelled = wx.ChannelSpec(wx.Distribution(w[px]),
+                                wx.Dmc(rows[px][:, pz]))
+    x = draw(st.sampled_from(np.flatnonzero(w).tolist()))
+    part = draw(st.floats(0.1, 0.9))
+    at = draw(st.integers(0, nx))       # where the copy goes
+    split_w = np.insert(w, at, part * w[x])
+    split_w[x + (at <= x)] -= part * w[x]
+    split = wx.ChannelSpec(wx.Distribution(split_w),
+                           wx.Dmc(np.insert(rows, at, rows[x], axis=0)))
+    return spec, relabelled, split
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(channels=twins(), a=fraction, b=fraction)
+def test_equivalent_channels_agree(channels, a, b):
+    # relabelling symbols, or splitting an input over copies of its row,
+    # describes the same experiment: E and its branches agree within the
+    # certified widths
+    spec, *others = channels
+    solver = wx.ExponentSolver(spec)
+    r1 = a * (1.2 * solver.i_max + 0.05)
+    rates = wx.RatePair(r1, b * r1)
+    base = solver.exponent_rep1(rates)
+    for other in others:
+        twin = wx.ExponentSolver(other).exponent_rep1(rates)
+        tol = 2.0 * solver.gap_tol + base.gap_bound + twin.gap_bound
+        for field in ("e", "e1", "e2", "e3"):
+            x, y = getattr(base, field), getattr(twin, field)
+            assert x == y or abs(x - y) <= tol, (field, x, y)
